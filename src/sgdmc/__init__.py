@@ -43,7 +43,6 @@ from .metrics import MetricConfig, d_F, d_alpha_rect, d_tilde, metric_config, to
 from .objective import (
     CriticalPointReport,
     SeparableObjective,
-    StepConfig,
     bernoulli_pair,
     crossed_quadratics_2d,
     double_well,
@@ -54,9 +53,8 @@ from .objective import (
     lambda_split,
     lipschitz_constant,
     objective_from_config,
-    step_config,
 )
-from .poly import Polynomial, critical_points, derivative, eval_component, real_roots
+from .poly import Polynomial, critical_points, real_roots
 from .transfer import (
     BasinFunctions,
     DiscreteMeasure,

@@ -12,7 +12,7 @@ from .errors import (
     InvarianceCheckFailed,
     NoAbsorbingSet,
 )
-from .objective import CriticalPointReport, SeparableObjective, lipschitz_constant
+from .objective import CriticalPointReport, SeparableObjective, check_step
 
 BOUNDARY_TOL = 1e-9
 
@@ -246,10 +246,8 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
     monotone component maps it is enough that every map sends l no further left
     than l and r no further right than r, per dimension.
     """
+    check_step(obj, eta)
     report = obj.critical_report
-    k_lip = lipschitz_constant(obj)
-    if not 0 < eta < 1.0 / k_lip:
-        raise ValueError(f"eta={eta} is not in (0, 1/K) with 1/K={1.0 / k_lip}")
     intervals = state_space(obj, report)
     per_dim = []
     lr = []

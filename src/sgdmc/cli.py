@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .absorbing import decompose, rectangle_count_for
+from .absorbing import rectangle_count_for
 from .diffusion import density_cell_masses, stationary_density
 from .dynamics import (
     MapFamily,
@@ -73,6 +73,23 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _write_grid_csv(path: str, grid: Grid, values) -> None:
+    """One row per cell, in flattened order: the centre's coordinates, then
+    the value (header x in 1-d, x1..xd otherwise)."""
+    d = grid.dimension
+    header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
+    coords = [c.ravel().tolist() for c in np.meshgrid(*grid.centers, indexing="ij")]
+    _write_csv(path, header + ["value"], zip(*coords, values.tolist()))
+
+
+def _write_histograms(out: str, names, summary) -> None:
+    """One bin_center,count CSV per dimension of a sampled trajectory."""
+    for name, edges, hist in zip(names, summary.bin_edges, summary.histograms):
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        _write_csv(os.path.join(out, name), ["bin_center", "count"],
+                   zip(centers.tolist(), hist.tolist()))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -87,22 +104,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _build(cfg: dict):
-    obj, eta = objective_from_config(cfg)
-    eta0 = eta_bound(obj)
-    if eta >= eta0:
-        print(
-            f"step size eta={_fmt(eta)} violates the admissible bound "
-            f"eta0={_fmt(eta0)}",
-            file=sys.stderr,
-        )
-        raise ValueError(f"eta >= eta0 = {eta0}")
-    return obj, eta, eta0
+def _build(cfg: dict) -> MapFamily:
+    """The validated problem; an inadmissible step size fails here, before
+    any work starts."""
+    return MapFamily(*objective_from_config(cfg))
 
 
-def _analysis_payload(obj, eta, eta0, grid_n: int, ell_max: int) -> dict:
-    decomp = decompose(obj, eta)
-    fam = MapFamily(obj, eta)
+def _analysis_payload(fam: MapFamily, grid_n: int, ell_max: int) -> dict:
+    decomp = fam.decomposition
     certificates = []
     for rect in decomp.rectangles:
         try:
@@ -113,17 +122,18 @@ def _analysis_payload(obj, eta, eta0, grid_n: int, ell_max: int) -> dict:
                 {"index": list(rect.index), "not_found": True,
                  "gaps": {str(k): v for k, v in exc.gaps.items()}}
             )
-    escape_grid = grid_n if obj.dimension == 1 else max(8, int(grid_n ** (1 / obj.dimension)))
+    d = fam.dimension
+    escape_grid = grid_n if d == 1 else max(8, int(grid_n ** (1 / d)))
     escape = uniform_escape_length(fam, decomp, grid_n=escape_grid)
     cert_ells = [c["ell"] for c in certificates if "ell" in c]
     combined = 2 * max([escape.ell_zero] + cert_ells) if cert_ells else None
     if combined is not None and combined > 0:
         # the existence constants come with a dimension lower bound
-        assert combined >= obj.dimension, "combined exponent below dimension"
+        assert combined >= d, "combined exponent below dimension"
     return {
         "version": __version__,
-        "eta": eta,
-        "eta0": eta0,
+        "eta": fam.eta,
+        "eta0": eta_bound(fam.obj),
         "decomposition": decomp.to_dict(),
         "certificates": certificates,
         "ell0_estimate": escape.ell_zero,
@@ -134,9 +144,9 @@ def _analysis_payload(obj, eta, eta0, grid_n: int, ell_max: int) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
-    obj, eta, eta0 = _build(cfg)
+    fam = _build(cfg)
     started = time.perf_counter()
-    payload = _analysis_payload(obj, eta, eta0, args.grid, args.ell_max)
+    payload = _analysis_payload(fam, args.grid, args.ell_max)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), payload)
     # timing goes to the log, not the report: output files are byte-stable
@@ -146,9 +156,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _invariant_pieces(obj, eta, grid_n, tol):
-    decomp = decompose(obj, eta)
-    fam = MapFamily(obj, eta)
+def _invariant_pieces(fam: MapFamily, grid_n, tol):
+    decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, grid_n)
     op = ulam_assemble(fam, grid)
     labels = grid.classify(decomp)
@@ -156,42 +165,28 @@ def _invariant_pieces(obj, eta, grid_n, tol):
     for m in range(len(decomp.rectangles)):
         cells = np.flatnonzero(labels == m)
         results.append(invariant_measure(op, cells, tol=tol))
-    return decomp, fam, grid, op, results
+    return decomp, grid, op, results
 
 
 def cmd_invariant(args) -> int:
     cfg = _load_config(args.config)
-    obj, eta, eta0 = _build(cfg)
+    fam = _build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    if obj.dimension > 2:
+    if fam.dimension > 2:
         log.warning(
             "dense grids are limited to two dimensions; falling back to a "
             "seeded trajectory histogram"
         )
-        return _invariant_monte_carlo(args, obj, eta)
-    decomp, fam, grid, op, results = _invariant_pieces(obj, eta, args.grid, args.tol)
+        return _invariant_monte_carlo(args, fam)
+    decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
     if args.dump_operator:
         with open(os.path.join(args.out, "operator.txt"), "w", encoding="utf-8") as fh:
             for row, col, value in op.coo_rows():
                 fh.write(f"{row},{col},{_fmt(value)}\n")
-    centers = grid.centers[0] if grid.dimension == 1 else None
-    report = {"eta": eta, "eta0": eta0, "rectangles": []}
+    report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": []}
     for m, res in enumerate(results):
         name = f"invariant_{m}.csv"
-        if grid.dimension == 1:
-            rows = [(float(x), float(w)) for x, w in zip(centers, res.measure.weights)]
-            _write_csv(os.path.join(args.out, name), ["x", "value"], rows)
-        else:
-            rows = []
-            for pos, w in enumerate(res.measure.weights):
-                idx = np.unravel_index(pos, grid.shape)
-                coords = [float(grid.centers[j][idx[j]]) for j in range(grid.dimension)]
-                rows.append((*coords, float(w)))
-            _write_csv(
-                os.path.join(args.out, name),
-                [f"x{j + 1}" for j in range(grid.dimension)] + ["value"],
-                rows,
-            )
+        _write_grid_csv(os.path.join(args.out, name), grid, res.measure.weights)
         report["rectangles"].append(
             {
                 "index": list(decomp.rectangles[m].index),
@@ -205,37 +200,30 @@ def cmd_invariant(args) -> int:
     return EXIT_OK
 
 
-def _invariant_monte_carlo(args, obj, eta) -> int:
-    fam = MapFamily(obj, eta)
+def _invariant_monte_carlo(args, fam: MapFamily) -> int:
     x0 = [0.5 * (a + b) for a, b in fam.intervals]
     summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
-    for j, (edges, hist) in enumerate(zip(summary.bin_edges, summary.histograms)):
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        _write_csv(
-            os.path.join(args.out, f"invariant_mc_dim{j}.csv"),
-            ["bin_center", "count"],
-            [(float(c), int(n)) for c, n in zip(centers, hist)],
-        )
+    names = [f"invariant_mc_dim{j}.csv" for j in range(fam.dimension)]
+    _write_histograms(args.out, names, summary)
     _write_json(
         os.path.join(args.out, "invariant.json"),
-        {"eta": eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
+        {"eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
     )
     return EXIT_OK
 
 
 def cmd_basins(args) -> int:
     cfg = _load_config(args.config)
-    obj, eta, eta0 = _build(cfg)
+    fam = _build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    decomp = decompose(obj, eta)
-    fam = MapFamily(obj, eta)
+    decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, args.grid)
     basins = basin_functions(fam, grid, decomp, tol=args.tol or 1e-11)
     mu0 = DiscreteMeasure.uniform(grid)
     coeff = mixture_coefficients(basins, mu0)
     report = {
-        "eta": eta,
-        "eta0": eta0,
+        "eta": fam.eta,
+        "eta0": eta_bound(fam.obj),
         "iterations": basins.iterations,
         "residual": basins.residual,
         "partition_defect": basins.partition_defect,
@@ -244,20 +232,7 @@ def cmd_basins(args) -> int:
     }
     for m in range(basins.values.shape[0]):
         name = f"basin_{m}.csv"
-        if grid.dimension == 1:
-            rows = list(zip(map(float, grid.centers[0]), map(float, basins.values[m])))
-            _write_csv(os.path.join(args.out, name), ["x", "value"], rows)
-        else:
-            rows = []
-            for pos, v in enumerate(basins.values[m]):
-                idx = np.unravel_index(pos, grid.shape)
-                coords = [float(grid.centers[j][idx[j]]) for j in range(grid.dimension)]
-                rows.append((*coords, float(v)))
-            _write_csv(
-                os.path.join(args.out, name),
-                [f"x{j + 1}" for j in range(grid.dimension)] + ["value"],
-                rows,
-            )
+        _write_grid_csv(os.path.join(args.out, name), grid, basins.values[m])
         report["files"].append(name)
     _write_json(os.path.join(args.out, "basins.json"), report)
     return EXIT_OK
@@ -331,19 +306,13 @@ def _parse_range(spec: str):
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    obj, eta, eta0 = _build(cfg)
-    fam = MapFamily(obj, eta)
+    fam = _build(cfg)
     x0 = cfg.get("x0", [0.5 * (a + b) for a, b in fam.intervals])
     summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
     os.makedirs(args.out, exist_ok=True)
-    for j, (edges, hist) in enumerate(zip(summary.bin_edges, summary.histograms)):
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        name = "sample.csv" if fam.dimension == 1 else f"sample_dim{j}.csv"
-        _write_csv(
-            os.path.join(args.out, name),
-            ["bin_center", "count"],
-            [(float(c), int(n)) for c, n in zip(centers, hist)],
-        )
+    names = (["sample.csv"] if fam.dimension == 1
+             else [f"sample_dim{j}.csv" for j in range(fam.dimension)])
+    _write_histograms(args.out, names, summary)
     report = {
         "steps": summary.steps,
         "seed": summary.seed,
@@ -352,7 +321,7 @@ def cmd_sample(args) -> int:
         "rectangle_steps": {str(k): v for k, v in summary.rectangle_steps.items()},
     }
     if fam.dimension == 1 and args.compare_invariant:
-        decomp, _, grid, op, results = _invariant_pieces(obj, eta, args.grid, args.tol)
+        decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
         hist_measure = DiscreteMeasure(
             grid, summary.histograms[0].astype(float) / summary.steps
         )
@@ -371,14 +340,14 @@ def cmd_sample(args) -> int:
 
 def cmd_diffusion(args) -> int:
     cfg = _load_config(args.config)
-    obj, eta, eta0 = _build(cfg)
-    if obj.dimension != 1:
+    fam = _build(cfg)
+    if fam.dimension != 1:
         raise ConfigError("diffusion comparison is one-dimensional")
     # the density is computed first: a vanishing diffusion coefficient must
     # exit with its own code even when the exact analysis would also fail
-    grid = Grid.regular(obj.critical_report.span, args.grid)
-    profile = stationary_density(obj, eta, grid.centers[0])
-    decomp, fam, _, op, results = _invariant_pieces(obj, eta, args.grid, args.tol)
+    grid = Grid.regular(fam.intervals, args.grid)
+    profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
+    decomp, _, op, results = _invariant_pieces(fam, args.grid, args.tol)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "diffusion.csv"),
@@ -417,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def io_args(p):
         p.add_argument("--config", required=True, help="objective config JSON")
         p.add_argument("--out", required=True, help="output directory")
+
+    def common(p):
+        io_args(p)
         p.add_argument("--grid", type=int, default=1000, help="cells per dimension")
         p.add_argument("--tol", type=float, default=None, help="iteration tolerance")
 
@@ -442,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basins)
 
     p = sub.add_parser("sweep", help="parameter sweep with bifurcation refinement")
-    common(p)
-    p.add_argument("--param", default="lambda", choices=["lambda"])
+    io_args(p)
     p.add_argument("--range", required=True, help="lo:hi:count")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, decompose
 from .errors import NonTermination, NotFound, OutOfStateSpace
-from .objective import SeparableObjective, lipschitz_constant
+from .objective import SeparableObjective, check_step
 from .poly import Polynomial, horner_path
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
@@ -21,10 +21,14 @@ ESCAPE_STEP_CAP = 10**6
 
 @dataclass(frozen=True)
 class MapFamily:
-    """The maps x :-> x - eta * grad f_i(x), one per summand, acting
+    """The validated problem: an objective, a step size eta in (0, 1/K), and
+    the maps x :-> x - eta * grad f_i(x), one per summand, acting
     coordinatewise.  For eta below 1/K every component map is strictly
     increasing on the state space, which the envelope and certificate
-    machinery relies on."""
+    machinery relies on.
+
+    Construction checks only the step size; the decomposition, with its
+    inconsistent-optimization check, is built on first use."""
 
     obj: SeparableObjective
     eta: float
@@ -32,12 +36,7 @@ class MapFamily:
 
     def __post_init__(self):
         if self.validate:
-            self.obj.check_inconsistent_optimization()
-            k_lip = lipschitz_constant(self.obj)
-            if not 0 < self.eta < 1.0 / k_lip:
-                raise ValueError(
-                    f"eta={self.eta} outside (0, 1/K) with 1/K={1.0 / k_lip}"
-                )
+            check_step(self.obj, self.eta)
 
     @property
     def n(self) -> int:
@@ -46,6 +45,10 @@ class MapFamily:
     @property
     def dimension(self) -> int:
         return self.obj.dimension
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        return decompose(self.obj, self.eta)
 
     @cached_property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -106,11 +109,6 @@ def path_coord(fam: MapFamily, path, j: int, s: float) -> float:
     return s
 
 
-def concat(p: Path, q: Path) -> Path:
-    """Path doing q first, then p."""
-    return tuple(q) + tuple(p)
-
-
 def extremal_envelope(fam: MapFamily, j: int, x: float, ell: int, direction: str):
     """Values m_0 = x, m_{k+1} = min_i (or max_i) phi_i^{(j)}(m_k).
 
@@ -139,30 +137,6 @@ def _envelope_with_path(fam: MapFamily, j: int, x: float, ell: int, direction: s
         vals.append(cur)
         path.append(best_i)
     return vals, tuple(path)
-
-
-def _envelope_until(fam: MapFamily, j: int, x: float, target: float,
-                    direction: str, max_len: int):
-    """Greedy envelope run until the value passes the target (or budget ends).
-
-    Returns (reached, values, path).  In the max direction the run stops once
-    the value is >= target, in the min direction once <= target."""
-    pick = min if direction == "min" else max
-    vals = [float(x)]
-    path: list[int] = []
-    cur = float(x)
-    done = (cur <= target) if direction == "min" else (cur >= target)
-    while not done and len(path) < max_len:
-        best_i, best_v = 1, fam.map_coord(1, j, cur)
-        for i in range(2, fam.n + 1):
-            v = fam.map_coord(i, j, cur)
-            if pick(v, best_v) == v and v != best_v:
-                best_i, best_v = i, v
-        cur = best_v
-        vals.append(cur)
-        path.append(best_i)
-        done = (cur <= target) if direction == "min" else (cur >= target)
-    return done, vals, tuple(path)
 
 
 @dataclass(frozen=True)
@@ -266,50 +240,45 @@ def splitting_certificate_multi(fam: MapFamily, rect: Rectangle, ell_max: int = 
     paths splitting the rectangle.
 
     For each alpha, candidate paths grow dimension by dimension.  Dimension 0
-    runs the one-dimensional envelope search.  Each later dimension c checks
-    the split of coordinate c in the alpha_c order; while it fails, both paths
-    are prefixed with greedy runs that pin coordinate c near opposite ends of
-    its interval, with the squeeze margin eps = gap / (2 K0), K0 = (1+eta*K)^l
-    bounding how much the existing paths can magnify an interval of width eps.
-    Prefixing cannot break previously settled coordinates since the rectangle
-    is positive invariant.
+    runs the one-dimensional search, splitting_length_1d.  Each later
+    dimension c checks the split of coordinate c in the alpha_c order; while
+    it fails, both paths are prefixed with greedy runs that pin coordinate c
+    near opposite ends of its interval, with the squeeze margin
+    eps = gap / (2 K0), K0 = (1+eta*K)^l bounding how much the existing paths
+    can magnify an interval of width eps.  Prefixing cannot break previously
+    settled coordinates since the rectangle is positive invariant.
     """
     d = fam.dimension
     box = rect.box
     if alphas is None:
         alphas = [(+1,) + rest for rest in itertools.product((+1, -1), repeat=d - 1)]
-    k_lip = lipschitz_constant(fam.obj)
     gaps: dict[tuple[int, ...], float] = {}
 
-    base = _dim0_certificate(fam, box, ell_max)
-    if base is None:
-        lo_vals, _ = _envelope_with_path(fam, 0, box[0][1], ell_max, "min")
-        hi_vals, _ = _envelope_with_path(fam, 0, box[0][0], ell_max, "max")
-        raise NotFound(ell_max, {a: lo_vals[-1] - hi_vals[-1] for a in alphas})
+    t0 = AbsorbingInterval(l=box[0][0], r=box[0][1], dimension_index=0,
+                           index=rect.index[0])
+    try:
+        base = splitting_length_1d(fam, t0, ell_max)
+    except NotFound as exc:
+        (gap,) = exc.gaps.values()
+        raise NotFound(ell_max, dict.fromkeys(alphas, gap)) from exc
     for alpha in alphas:
-        cert = _extend_certificate(fam, box, base, alpha, ell_max, k_lip, gaps)
+        cert = _extend_certificate(fam, box, base, alpha, ell_max, gaps)
         if cert is not None and verify_certificate(fam, box, cert):
             return cert
     raise NotFound(ell_max, gaps)
 
 
-def _dim0_certificate(fam: MapFamily, box, ell_max: int):
-    lo_vals, lo_path = _envelope_with_path(fam, 0, box[0][1], ell_max, "min")
-    hi_vals, hi_path = _envelope_with_path(fam, 0, box[0][0], ell_max, "max")
-    for ell in range(1, ell_max + 1):
-        if lo_vals[ell] <= hi_vals[ell]:
-            mid = 0.5 * (lo_vals[ell] + hi_vals[ell])
-            return list(lo_path[:ell]), list(hi_path[:ell]), mid
-    return None
-
-
-def _extend_certificate(fam: MapFamily, box, base, alpha, ell_max, k_lip, gaps):
-    path_lo = list(base[0])
-    path_hi = list(base[1])
-    mids = [base[2]]
+def _extend_certificate(fam: MapFamily, box, base: SplittingCertificate, alpha,
+                        ell_max, gaps):
+    path_lo = list(base.path_lo)
+    path_hi = list(base.path_hi)
+    mids = list(base.split_point)
     for c in range(1, len(box)):
         lo_c, hi_c = box[c]
         sign = alpha[c]
+        # every squeeze run below is a prefix of these greedy runs
+        up_vals, up_path = _envelope_with_path(fam, c, lo_c, ell_max, "max")
+        dn_vals, dn_path = _envelope_with_path(fam, c, hi_c, ell_max, "min")
         while True:
             if sign == +1:
                 below = path_coord(fam, path_lo, c, hi_c)
@@ -324,18 +293,19 @@ def _extend_certificate(fam: MapFamily, box, base, alpha, ell_max, k_lip, gaps):
             if len(path_lo) >= ell_max:
                 gaps[tuple(alpha)] = gap
                 return None
-            k0 = (1.0 + fam.eta * k_lip) ** len(path_lo)
+            k0 = (1.0 + fam.eta * fam.obj.lipschitz_K) ** len(path_lo)
             eps = gap / (2.0 * k0)
             budget = ell_max - len(path_lo)
-            _, _, q_up = _envelope_until(fam, c, lo_c, hi_c - eps, "max", budget)
-            _, _, q_dn = _envelope_until(fam, c, hi_c, lo_c + eps, "min", budget)
-            length = max(len(q_up), len(q_dn))
+            # steps until each run passes its target, within the budget; the
+            # shorter run is padded by continuing its greedy recursion
+            length = max(
+                next((k for k in range(budget + 1) if up_vals[k] >= hi_c - eps), budget),
+                next((k for k in range(budget + 1) if dn_vals[k] <= lo_c + eps), budget),
+            )
             if length == 0:
                 gaps[tuple(alpha)] = gap
                 return None
-            # pad the shorter run by continuing its greedy recursion
-            _, _, q_up = _envelope_until(fam, c, lo_c, float("inf"), "max", length)
-            _, _, q_dn = _envelope_until(fam, c, hi_c, float("-inf"), "min", length)
+            q_up, q_dn = up_path[:length], dn_path[:length]
             if sign == +1:
                 path_hi = list(q_up) + path_hi
                 path_lo = list(q_dn) + path_lo
@@ -477,6 +447,7 @@ class SampleSummary:
 def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> SampleSummary:
     """Run the chain with uniform i.i.d. map choices (PCG64 stream) and record
     a visit histogram; asserts the absorbing property along the way."""
+    decomp = fam.decomposition
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_in_state_space(fam, x0)
     d = fam.dimension
@@ -491,7 +462,6 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
         x = [horner_path(c[j], x[j]) for j in range(d)]
         traj[k] = x
 
-    decomp = decompose(fam.obj, fam.eta)
     member = _membership_series(traj, decomp)
     rect_steps: dict[tuple[int, ...], int] = {}
     for m, rect in enumerate(decomp.rectangles):

@@ -34,28 +34,6 @@ class CriticalPointReport:
 
 
 @dataclass(frozen=True)
-class StepConfig:
-    """Step size together with the admissibility bound eta < 1/K."""
-
-    eta: float
-    lipschitz_K: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.lipschitz_K <= 0:
-            raise ValueError("Lipschitz constant must be positive")
-        if self.eta >= self.eta_max:
-            raise ValueError(
-                f"eta={self.eta} is not below the admissible bound 1/K={self.eta_max}"
-            )
-
-    @property
-    def eta_max(self) -> float:
-        return 1.0 / self.lipschitz_K
-
-
-@dataclass(frozen=True)
 class SeparableObjective:
     """A family of separable summands; entry components[j][i] is the univariate
     polynomial of summand i in coordinate j (possibly the zero polynomial).
@@ -120,6 +98,11 @@ class SeparableObjective:
             span.append((flat[0], flat[-1]))
         return CriticalPointReport(tuple(roots), tuple(combined), tuple(span), self.root_tol)
 
+    @cached_property
+    def lipschitz_K(self) -> float:
+        """Lipschitz constant K of the gradients on the state space."""
+        return lipschitz_constant(self)
+
     def check_inconsistent_optimization(self) -> None:
         """Enforce the inconsistent-optimization assumption per dimension: at
         least two nonzero components, and no two distinct components sharing a
@@ -175,11 +158,16 @@ def lipschitz_constant(obj: SeparableObjective, intervals=None) -> float:
 
 def eta_bound(obj: SeparableObjective) -> float:
     """Largest admissible step size 1/K on the state space."""
-    return 1.0 / lipschitz_constant(obj)
+    return 1.0 / obj.lipschitz_K
 
 
-def step_config(obj: SeparableObjective, eta: float) -> StepConfig:
-    return StepConfig(eta=eta, lipschitz_K=lipschitz_constant(obj))
+def check_step(obj: SeparableObjective, eta: float) -> None:
+    """Reject a step size outside (0, 1/K): only there are all maps increasing."""
+    eta0 = eta_bound(obj)
+    if not 0 < eta < eta0:
+        raise ValueError(
+            f"step size eta={eta!r} is not in (0, 1/K) with 1/K={eta0!r}"
+        )
 
 
 def lambda_split(f_poly: Polynomial, lam: float) -> SeparableObjective:

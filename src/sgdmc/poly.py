@@ -92,15 +92,6 @@ class Polynomial:
         return 1.0 + max((abs(c / lead) for c in self.coeffs[:-1]), default=0.0)
 
 
-def eval_component(p: Polynomial, x):
-    """Evaluate a component polynomial at x (Horner)."""
-    return p(x)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
 def _bisect(p: Polynomial, lo: float, hi: float, s_lo: float) -> float:
     # p has opposite signs at lo and hi; p is monotone on [lo, hi].
     for _ in range(200):
@@ -193,19 +184,3 @@ def horner_path(coeffs: tuple[float, ...], x: float) -> float:
         acc = acc * x + c
     return acc
 
-
-def to_math_string(p: Polynomial) -> str:
-    """Human-readable rendering, mostly for logs and error messages."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if c == 0.0:
-            continue
-        if k == 0:
-            parts.append(f"{c:g}")
-        elif k == 1:
-            parts.append(f"{c:g}*x")
-        else:
-            parts.append(f"{c:g}*x^{k}")
-    return " + ".join(parts).replace("+ -", "- ")

@@ -203,6 +203,19 @@ def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
+    """Average over the maps of the Kronecker product of the per-dimension
+    factors factor_1d(fam, i, j, axes[j]); separability makes this exact."""
+    acc = None
+    for i in range(1, fam.n + 1):
+        factors = [factor_1d(fam, i, j, axis) for j, axis in enumerate(axes)]
+        full = factors[0]
+        for f in factors[1:]:
+            full = sp.kron(full, f, format="csr")
+        acc = full if acc is None else acc + full
+    return (acc / fam.n).tocsr()
+
+
 def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
     """Assemble the cell-transition matrix.
 
@@ -217,14 +230,7 @@ def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
             "dense cell grids are offered up to two dimensions; use trajectory "
             "histograms (sgd_sample) for higher-dimensional problems"
         )
-    acc = None
-    for i in range(1, fam.n + 1):
-        factors = [_map_factor_1d(fam, i, j, grid.edges[j]) for j in range(grid.dimension)]
-        full = factors[0]
-        for f in factors[1:]:
-            full = sp.kron(full, f, format="csr")
-        acc = full if acc is None else acc + full
-    matrix = (acc / fam.n).tocsr()
+    matrix = _kron_average(fam, _map_factor_1d, grid.edges)
     err = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
     return UlamOperator(matrix=matrix, grid=grid, n_maps=fam.n, row_sum_error=err)
 
@@ -305,16 +311,7 @@ def _interp_factor_1d(fam: MapFamily, i: int, j: int, centers: np.ndarray) -> sp
 def dual_operator(fam: MapFamily, grid: Grid) -> sp.csr_matrix:
     """Matrix of the function-side operator at cell centers: averaging the map
     images with multilinear interpolation for off-center evaluations."""
-    acc = None
-    for i in range(1, fam.n + 1):
-        factors = [
-            _interp_factor_1d(fam, i, j, grid.centers[j]) for j in range(grid.dimension)
-        ]
-        full = factors[0]
-        for f in factors[1:]:
-            full = sp.kron(full, f, format="csr")
-        acc = full if acc is None else acc + full
-    return (acc / fam.n).tocsr()
+    return _kron_average(fam, _interp_factor_1d, grid.centers)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sgdmc.cli import main
+from sgdmc.objective import objective_from_config
+from sgdmc.transfer import Grid
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
@@ -43,6 +45,7 @@ def test_analyze_rejects_inadmissible_step(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "0.3345969789" in err  # the computed admissible bound is printed
+    assert len(err.splitlines()) == 1
 
 
 def test_parse_failure_exit_code(tmp_path):
@@ -205,6 +208,25 @@ def test_basins_command(tmp_path):
     assert meta["partition_defect"] <= 1e-6
     assert meta["uniform_coefficients"][0] == pytest.approx(0.5, abs=1e-6)
     assert (out / "basin_0.csv").exists() and (out / "basin_1.csv").exists()
+
+
+def test_grid_csv_layout_2d(tmp_path):
+    tilted = [[c + d for c, d in zip(DW_COEFFS, [0, s * 0.38, 0, 0, 0])] for s in (1, -1)]
+    cfg = write_config(tmp_path / "c.json", dimension=2, n=2,
+                       components=[tilted, tilted], eta=0.33)
+    n = 40
+    obj, _ = objective_from_config(json.loads((tmp_path / "c.json").read_text()))
+    centers = Grid.regular(obj.critical_report.span, n).centers
+    for cmd, name in (("invariant", "invariant_0.csv"), ("basins", "basin_0.csv")):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", cfg, "--out", str(out), "--grid", str(n)]) == 0
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "x1,x2,value"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == n * n
+        for k, (x1, x2, _) in enumerate(rows):
+            assert x1 == centers[0][k // n]
+            assert x2 == centers[1][k % n]
 
 
 def test_invariant_dump_operator(tmp_path):

@@ -7,7 +7,6 @@ from sgdmc.dynamics import (
     MapFamily,
     apply_map,
     apply_path,
-    concat,
     escape_path,
     extremal_envelope,
     path_coord,
@@ -74,7 +73,7 @@ def test_apply_path_concatenation(bernoulli_setup, rng):
         p = tuple(int(i) for i in rng.integers(1, 3, size=4))
         q = tuple(int(i) for i in rng.integers(1, 3, size=3))
         x = float(rng.uniform(-1, 1))
-        via_concat = apply_path(fam, concat(p, q), [x])
+        via_concat = apply_path(fam, tuple(q) + tuple(p), [x])
         stepwise = apply_path(fam, p, apply_path(fam, q, [x]))
         assert via_concat[0] == pytest.approx(stepwise[0], abs=1e-15)
 
@@ -191,15 +190,14 @@ def test_multi_product_of_double_wells():
 
 
 def test_multi_reduces_to_1d():
-    obj = double_well(0.2)
-    eta = 0.3
-    decomp = decompose(obj, eta)
-    fam = MapFamily(obj, eta)
-    for rect, t in zip(decomp.rectangles, decomp.per_dimension[0]):
-        multi = splitting_certificate_multi(fam, rect, ell_max=64)
-        one = splitting_length_1d(fam, t, ell_max=64)
-        assert multi.ell == one.ell
-        assert multi.path_lo == one.path_lo
+    # in one dimension the orthant search returns the 1-d certificate itself
+    for lam, eta in [(0.2, 0.3), (0.38, 0.33), (0.38, 0.01), (0.55, 0.2)]:
+        fam = MapFamily(double_well(lam), eta)
+        decomp = fam.decomposition
+        for rect, t in zip(decomp.rectangles, decomp.per_dimension[0]):
+            multi = splitting_certificate_multi(fam, rect, ell_max=64)
+            one = splitting_length_1d(fam, t, ell_max=64)
+            assert multi == one
 
 
 def test_escape_empty_path_inside(dw02_setup):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import double_well_x0
+from sgdmc.absorbing import decompose
+from sgdmc.dynamics import MapFamily
 from sgdmc.errors import AssumptionA5Violated, ConfigError, EmptyCriticalSet, NonCoercive
 from sgdmc.objective import (
     SeparableObjective,
-    StepConfig,
     bernoulli_pair,
     double_well,
     double_well_potential,
@@ -14,7 +15,6 @@ from sgdmc.objective import (
     lambda_split,
     lipschitz_constant,
     objective_from_config,
-    step_config,
 )
 from sgdmc.poly import Polynomial
 
@@ -100,13 +100,17 @@ def test_noncoercive_component_rejected():
         )
 
 
-def test_step_config_bound():
-    cfg = step_config(bernoulli_pair(), 0.25)
-    assert cfg.eta_max == pytest.approx(0.5)
+def test_map_family_step_bound():
+    obj = bernoulli_pair()
+    fam = MapFamily(obj, 0.25)
+    assert obj.lipschitz_K == pytest.approx(2.0)
+    assert eta_bound(fam.obj) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        StepConfig(eta=0.5, lipschitz_K=2.0)
+        MapFamily(obj, 0.5)
     with pytest.raises(ValueError):
-        StepConfig(eta=-0.1, lipschitz_K=2.0)
+        MapFamily(obj, -0.1)
+    with pytest.raises(ValueError):
+        decompose(obj, 0.5)
 
 
 def test_gradient_maps_strictly_increasing():

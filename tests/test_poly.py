@@ -3,23 +3,23 @@ import pytest
 
 from oracles import double_well_roots
 from sgdmc.errors import DegenerateDerivative
-from sgdmc.poly import Polynomial, critical_points, derivative, eval_component, real_roots
+from sgdmc.poly import Polynomial, critical_points, real_roots
 
 DW = Polynomial([0.25, 0.0, -0.5, 0.0, 0.25])  # (1 - x^2)^2 / 4
 
 
 def test_eval_square():
-    assert eval_component(Polynomial([0, 0, 1]), 2.0) == 4.0
+    assert Polynomial([0, 0, 1])(2.0) == 4.0
 
 
 def test_eval_double_well_at_one():
-    assert eval_component(DW, 1.0) == 0.0
+    assert DW(1.0) == 0.0
 
 
 def test_eval_eighth_order_pinned():
     # exact rational evaluation of 2.84 x^4 - 2.94 x^6 + 0.78 x^8 at 1.35
     p = Polynomial([0, 0, 0, 0, 2.84, 0, -2.94, 0, 0.78])
-    assert eval_component(p, 1.35) == pytest.approx(0.24122397621796876, rel=1e-14)
+    assert p(1.35) == pytest.approx(0.24122397621796876, rel=1e-14)
 
 
 def test_eval_on_arrays():
@@ -30,17 +30,17 @@ def test_eval_on_arrays():
 
 
 def test_derivative_square():
-    assert derivative(Polynomial([0, 0, 1])).coeffs == (0.0, 2.0)
+    assert Polynomial([0, 0, 1]).derivative().coeffs == (0.0, 2.0)
 
 
 def test_derivative_double_well_tilted():
     # d/dx (F - lam x) = x^3 - x - lam
     f2 = DW.shift_linear(-0.55)
-    assert derivative(f2).coeffs == (-0.55, -1.0, 0.0, 1.0)
+    assert f2.derivative().coeffs == (-0.55, -1.0, 0.0, 1.0)
 
 
 def test_derivative_constant_is_zero():
-    assert derivative(Polynomial([3.0])).is_zero
+    assert Polynomial([3.0]).derivative().is_zero
 
 
 def test_critical_points_single_root():
@@ -100,8 +100,8 @@ def test_newton_refinement_quality(rng):
     # one Newton step moves a reported simple root by less than 10 * root_tol
     for lam in (0.2, 0.45, 0.55, 0.9):
         p = DW.shift_linear(-lam)
-        dp = derivative(p)
-        ddp = derivative(dp)
+        dp = p.derivative()
+        ddp = dp.derivative()
         for r in critical_points(p):
             if abs(ddp(r)) < 1e-6:
                 continue
