@@ -1,7 +1,8 @@
 """Batch command-line front end: loads objective configs, runs the analyses and
 writes JSON reports plus CSV series for external plotting.
 
-Exit codes: 0 success, 1 config parse failure, 2 assumption violation
+Exit codes: 0 success, 1 config error (unparsable config or out-of-range
+flag), 2 assumption violation
 (coercivity / inconsistent optimization / step-size bound), 3 no convergence,
 4 singular diffusion.
 """
@@ -432,11 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """--grid, --steps and --tol must be positive: a config error, raised
+    before any work starts."""
+    for flag in ("grid", "steps", "tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not value > 0:  # NaN fails too
+            raise ConfigError(f"--{flag} must be positive, got {value}")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SGDMC_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -344,7 +344,7 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
     stretch of the right-moving (or left-moving) set is chosen once, and the
     map with the largest step toward it is applied until the interior is hit.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+    x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
     _check_in_state_space(fam, x)
     if not decomp.left_right:
         raise ValueError("decomposition lacks left/right sets; use decompose()")
@@ -366,7 +366,7 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
                 raise NonTermination(
                     f"no map makes progress at coordinate {j} = {x[j]!r}"
                 )
-            x = np.array([fam.map_coord(best_i, k, x[k]) for k in range(fam.dimension)])
+            x = [fam.map_coord(best_i, k, s) for k, s in enumerate(x)]
             path.append(best_i)
             if len(path) > ESCAPE_STEP_CAP:
                 raise NonTermination(f"escape exceeded {ESCAPE_STEP_CAP} steps")

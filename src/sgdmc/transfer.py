@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .absorbing import Decomposition
 from .dynamics import MapFamily
@@ -19,6 +18,9 @@ from .metrics import MetricConfig, d_tilde, metric_config
 DEFAULT_TOL_1D = 1e-10
 DEFAULT_TOL_ND = 1e-8
 DEFAULT_MAX_ITER = 10**6
+# the last sup change understates the absorption error ~100x at eta = 0.01;
+# 1e-14 keeps ulam_absorption within ~1e-12 of the exact linear solve
+ULAM_ABSORPTION_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +72,9 @@ class Grid:
 
         A cell belongs to a rectangle when it overlaps it with positive volume
         in every dimension, so boundary-straddling cells count as absorbing;
-        this keeps the labeled absorbing blocks closed under the discrete
-        dynamics (no flow back into the labeled transient cells).
+        on fine enough grids this keeps the labeled absorbing blocks closed
+        under the discrete dynamics (no flow back into the labeled transient
+        cells).  Coarse grids can leak; block_leakage measures it.
         """
         per_dim = []
         for j, e in enumerate(self.edges):
@@ -325,35 +328,40 @@ class BasinFunctions:
     partition_defect: float
 
 
-def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
-                    tol: float = 1e-11, max_iter: int = DEFAULT_MAX_ITER) -> BasinFunctions:
-    """Iterate the exact dual operator from indicator-like seeds (1 on the
-    rectangle's cells, 0 elsewhere) until the sup change drops below tol."""
-    dual = dual_operator(fam, grid)
-    labels = grid.classify(decomp)
-    m_count = len(decomp.rectangles)
+def _absorption_iteration(matrix, grid: Grid, labels: np.ndarray, m_count: int,
+                          tol: float, max_iter: int) -> BasinFunctions:
+    """Iterate g <- matrix g from the rectangle indicators until the sup
+    change drops below tol.  The labelled absorbing blocks are closed, so
+    their rows stay at the indicators."""
     g = np.zeros((m_count, grid.ncells))
     for m in range(m_count):
         g[m, labels == m] = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        g_next = (dual @ g.T).T
+        g_next = (matrix @ g.T).T
         residual = float(np.max(np.abs(g_next - g)))
         g = g_next
         if residual < tol:
             defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
-            if defect > 1e-6:
-                # cells wider than the smallest transient step let the
-                # interpolated dynamics close a spurious loop; refine the grid
-                logging.getLogger(__name__).warning(
-                    "partition-of-unity defect %.2e suggests the grid is too "
-                    "coarse for the transient dynamics", defect,
-                )
-            return BasinFunctions(
-                grid=grid, values=g, iterations=it, residual=residual,
-                partition_defect=defect,
-            )
+            return BasinFunctions(grid=grid, values=g, iterations=it, residual=residual,
+                                  partition_defect=defect)
     raise NoConvergence(max_iter, residual)
+
+
+def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
+                    tol: float = 1e-11, max_iter: int = DEFAULT_MAX_ITER) -> BasinFunctions:
+    """Absorption eigenfunctions of the exact dual operator: the indicator
+    iteration run on the interpolated function-side matrix."""
+    basins = _absorption_iteration(dual_operator(fam, grid), grid, grid.classify(decomp),
+                                   len(decomp.rectangles), tol, max_iter)
+    if basins.partition_defect > 1e-6:
+        # cells wider than the smallest transient step let the
+        # interpolated dynamics close a spurious loop; refine the grid
+        logging.getLogger(__name__).warning(
+            "partition-of-unity defect %.2e suggests the grid is too "
+            "coarse for the transient dynamics", basins.partition_defect,
+        )
+    return basins
 
 
 def dual_residual(fam: MapFamily, basins: BasinFunctions) -> float:
@@ -372,29 +380,23 @@ def mixture_coefficients(basins: BasinFunctions, mu0: DiscreteMeasure) -> np.nda
 def ulam_absorption(op: UlamOperator, decomp: Decomposition) -> BasinFunctions:
     """Absorption probabilities of the discrete chain itself, per rectangle.
 
-    Solves (I - P_BB) g_B = P_{B,T_m} 1 on the transient cells; on absorbing
-    cells the values are exact indicators.  These coefficients are the ones the
-    discretized evolution actually converges to, which makes the logged
-    distances in limit mixtures decay to zero rather than plateau at the
-    discretization mismatch.
+    The indicator iteration of basin_functions on the Ulam matrix with the
+    absorbing rows made absorbing: its k-th iterate is the probability of
+    entering each rectangle within k steps, and its fixed point solves
+    (I - P_BB) g_B = P_{B,T_m} 1 on the transient cells B.
+    The residual is the last sup change, not an error bound (the error is
+    about 1/(1 - r) times larger, r the per-step absorption rate).  These
+    coefficients are the ones the discretized evolution converges to, so the
+    logged distances in limit mixtures decay to zero rather than plateau at
+    the discretization mismatch.
     """
     labels = op.grid.classify(decomp)
-    b_cells = np.flatnonzero(labels < 0)
-    m_count = len(decomp.rectangles)
-    g = np.zeros((m_count, op.grid.ncells))
-    for m in range(m_count):
-        g[m, labels == m] = 1.0
-    if b_cells.size:
-        p_bb = sp.csc_matrix(op.matrix[b_cells][:, b_cells])
-        lhs = sp.identity(b_cells.size, format="csc") - p_bb
-        for m in range(m_count):
-            t_cells = np.flatnonzero(labels == m)
-            rhs = np.asarray(op.matrix[b_cells][:, t_cells].sum(axis=1)).ravel()
-            g[m, b_cells] = spla.spsolve(lhs, rhs)
-    defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
-    return BasinFunctions(
-        grid=op.grid, values=g, iterations=0, residual=0.0, partition_defect=defect,
-    )
+    absorbing = (labels >= 0).astype(float)
+    # identity rows on the absorbing cells pin them to their indicators even
+    # where a coarse grid lets a labelled block leak into transient cells
+    frozen = sp.diags(1.0 - absorbing) @ op.matrix + sp.diags(absorbing)
+    return _absorption_iteration(frozen, op.grid, labels, len(decomp.rectangles),
+                                 ULAM_ABSORPTION_TOL, DEFAULT_MAX_ITER)
 
 
 @dataclass(frozen=True)
@@ -412,18 +414,14 @@ def limit_mixture(op: UlamOperator, decomp: Decomposition, mu0: DiscreteMeasure,
                   tol: float | None = None) -> LimitMixtureResult:
     """Assemble the limiting mixture of the discrete chain and log the
     composite distance of the evolving measure to it, step by step."""
-    labels = op.grid.classify(decomp)
-    invariants = []
-    for m in range(len(decomp.rectangles)):
-        cells = np.flatnonzero(labels == m)
-        invariants.append(invariant_measure(op, cells, tol=tol))
+    config = metric_config(op.grid, decomp)
+    invariants = [invariant_measure(op, cells, tol=tol) for cells in config.rectangle_cells]
     basins = ulam_absorption(op, decomp)
     coeff = mixture_coefficients(basins, mu0)
     mix = np.zeros(op.grid.ncells)
     for c, inv in zip(coeff, invariants):
         mix += c * inv.measure.weights
     mu_star = DiscreteMeasure(op.grid, mix)
-    config = metric_config(op.grid, decomp)
     log = []
     mu = mu0
     for _ in range(k_max):

@@ -1,5 +1,6 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
-dense sign scans, exhaustive path enumeration and brute-force set distances.
+dense sign scans, exhaustive path enumeration, brute-force set distances and
+direct sparse solves.
 Everything here deliberately avoids the package's own algorithms."""
 
 from __future__ import annotations
@@ -7,6 +8,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def depressed_cubic_roots(p: float, q: float) -> list[float]:
@@ -86,3 +89,21 @@ def brute_force_anchored_distance(weights_a, weights_b, shape, alpha):
             mask &= keep[tuple(sl)]
         best = max(best, abs(wa[mask].sum() - wb[mask].sum()))
     return best
+
+
+def direct_absorption(matrix, labels, m_count: int) -> np.ndarray:
+    """Absorption probabilities of a row-stochastic chain by one sparse LU
+    solve per rectangle: (I - P_BB) g_B = P_{B,T_m} 1 on the transient cells B
+    (label -1), indicators of the labelled blocks T_m elsewhere."""
+    matrix = sp.csr_matrix(matrix)
+    b_cells = np.flatnonzero(labels < 0)
+    g = np.zeros((m_count, labels.size))
+    for m in range(m_count):
+        g[m, labels == m] = 1.0
+    if b_cells.size:
+        rows = matrix[b_cells]
+        lhs = sp.identity(b_cells.size, format="csc") - sp.csc_matrix(rows[:, b_cells])
+        for m in range(m_count):
+            rhs = np.asarray(rows[:, np.flatnonzero(labels == m)].sum(axis=1)).ravel()
+            g[m, b_cells] = spla.spsolve(lhs, rhs)
+    return g

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sgdmc
 from sgdmc.cli import main
 from sgdmc.objective import objective_from_config
 from sgdmc.transfer import Grid
@@ -52,6 +54,23 @@ def test_parse_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[(c, "--grid", v) for c in ("analyze", "invariant", "basins", "sample", "diffusion")
+      for v in ("0", "-3")],
+    *[(c, "--steps", v) for c in ("invariant", "sample") for v in ("0", "-5")],
+    *[(c, "--tol", v) for c in ("analyze", "invariant", "basins", "sample", "diffusion")
+      for v in ("0", "-1e-9", "nan")],
+])
+def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, value):
+    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_analyze_deterministic_bytes(tmp_path):
@@ -191,10 +210,14 @@ def test_diffusion_singular_exit_code(tmp_path):
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.55}, eta=0.1)
+    # the child imports the same sgdmc as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sgdmc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "sgdmc.cli", "analyze", "--config", cfg,
          "--out", str(tmp_path / "out"), "--grid", "64"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "report.json").exists()

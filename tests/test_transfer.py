@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import direct_absorption
 
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily
@@ -211,6 +212,45 @@ def test_ulam_absorption_matches_chain_limit(dw038_setup):
         assert mu.weights[labels == m].sum() == pytest.approx(c[m], abs=1e-9)
 
 
+def _mixed_2d_objective():
+    """Two rectangles from the first coordinate, one interval in the second."""
+    from sgdmc.objective import SeparableObjective
+
+    return SeparableObjective(
+        components=(double_well(0.2).components[0], double_well(2.0).components[0])
+    )
+
+
+@pytest.mark.parametrize("obj,eta,n,leaky", [
+    (double_well(0.38), 0.33, 1000, False),
+    (double_well(0.38), 0.01, 200, False),
+    # at 10 cells the straddling absorbing cells send 1.2% of their mass out
+    (double_well(0.38), 0.33, 10, True),
+    (_mixed_2d_objective(), 0.15, 80, False),
+], ids=["dw038", "dw038-small-eta", "dw038-leaky-coarse", "mixed-2d"])
+def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
+    decomp = decompose(obj, eta)
+    grid = Grid.regular(decomp.intervals, n)
+    op = ulam_assemble(MapFamily(obj, eta), grid)
+    labels = grid.classify(decomp)
+    assert (block_leakage(op, np.flatnonzero(labels >= 0)) > 1e-3) == leaky
+    absorption = ulam_absorption(op, decomp)
+    expected = direct_absorption(op.matrix, labels, len(decomp.rectangles))
+    assert np.max(np.abs(absorption.values - expected)) <= 1e-11
+    assert absorption.partition_defect <= 1e-9
+    assert absorption.iterations > 0
+
+
+def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):
+    # one labelling for the metric and invariant cells, one inside ulam_absorption
+    _, _, decomp, _, grid, op = dw038_setup
+    calls = []
+    classify = Grid.classify
+    monkeypatch.setattr(Grid, "classify", lambda self, d: calls.append(d) or classify(self, d))
+    limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=5)
+    assert len(calls) == 2
+
+
 def test_limit_mixture_fixed_point(dw038_setup):
     _, _, decomp, _, grid, op = dw038_setup
     res0 = limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=60)
@@ -340,14 +380,8 @@ def test_basins_2d_single_rectangle():
 
 
 def test_mixed_2d_two_rectangle_pipeline():
-    # two rectangles from the first coordinate, one interval in the second;
     # mixture limit and basin functions agree on the symmetric coefficients
-    from sgdmc.objective import SeparableObjective
-
-    obj = SeparableObjective(
-        components=(double_well(0.2).components[0], double_well(2.0).components[0])
-    )
-    eta = 0.15
+    obj, eta = _mixed_2d_objective(), 0.15
     decomp = decompose(obj, eta)
     assert decomp.counts == (2, 1)
     fam = MapFamily(obj, eta)
