@@ -1,8 +1,8 @@
 """Batch command-line front end: loads objective configs, runs the analyses and
 writes JSON reports plus CSV series for external plotting.
 
-Exit codes: 0 success, 1 config error (unparsable config or out-of-range
-flag), 2 assumption violation
+Exit codes: 0 success, 1 config error (unparsable or non-finite config,
+command-line usage error or out-of-range flag), 2 assumption violation
 (coercivity / inconsistent optimization / step-size bound), 3 no convergence,
 4 singular diffusion.
 """
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .metrics import d_F
 from .objective import (
+    config_coefficients,
     eta_bound,
     lambda_split,
     objective_from_config,
@@ -76,11 +77,15 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _write_grid_csv(path: str, grid: Grid, values) -> None:
     """One row per cell, in flattened order: the centre's coordinates, then
-    the value (header x in 1-d, x1..xd otherwise)."""
+    the value (header x in 1-d, x1..xd otherwise), each formatted as _fmt
+    does."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
     coords = [c.ravel().tolist() for c in np.meshgrid(*grid.centers, indexing="ij")]
-    _write_csv(path, header + ["value"], zip(*coords, values.tolist()))
+    row = ",".join(["{:.17g}"] * (d + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header + ["value"]) + "\n")
+        fh.writelines(map(row.format, *coords, values.tolist()))
 
 
 def _write_histograms(out: str, names, summary) -> None:
@@ -258,7 +263,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     if "objective" not in cfg:
         raise ConfigError("sweep requires the linear-splitting config form")
-    base = [float(c) for c in cfg["objective"]]
+    base = config_coefficients(cfg["objective"], "'objective'")
     lambda_split(Polynomial(base), 1.0)  # validates coercivity up front
     lo, hi, count = _parse_range(args.range)
     lams = np.linspace(lo, hi, count)
@@ -353,13 +358,13 @@ def cmd_diffusion(args) -> int:
     _write_csv(
         os.path.join(args.out, "diffusion.csv"),
         ["x", "Phi", "u", "D", "V", "rho_star"],
-        [
+        (
             (float(x), float(p), float(u), float(d), float(v), float(r))
             for x, p, u, d, v, r in zip(
                 profile.x, profile.phi, profile.u, profile.diffusion,
                 profile.potential, profile.rho_star,
             )
-        ],
+        ),
     )
     masses = density_cell_masses(profile, grid.edges[0])
     rho_measure = DiscreteMeasure(grid, masses)
@@ -444,8 +449,12 @@ def _check_flags(args) -> None:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SGDMC_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version, and 2 on a usage error
+        # (unknown flag, missing value), which here means assumption violation
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         _check_flags(args)
         return args.func(args)

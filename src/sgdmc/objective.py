@@ -3,6 +3,7 @@ two-map linear splitting used throughout the examples."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -227,20 +228,40 @@ def crossed_quadratics_2d() -> SeparableObjective:
     return SeparableObjective(components=((sq, sq_m1), (sq_m1, sq)))
 
 
+def _config_number(value, what: str) -> float:
+    """A finite float from a config value; anything else is a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def config_coefficients(values, what: str) -> list[float]:
+    """A list of finite polynomial coefficients from a config value."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of coefficients, got {values!r}")
+    return [_config_number(c, f"coefficient of {what}") for c in values]
+
+
 def objective_from_config(cfg: dict) -> tuple[SeparableObjective, float]:
     """Build an objective and step size from the JSON-facing dict schema.
 
     Full form: {"dimension": d, "n": n, "components": [[[coeffs]*n]*d], "eta": h}.
     Shortcut:  {"objective": [coeffs], "lambda": lam, "eta": h} expands through
-    lambda_split.
+    lambda_split.  A non-numeric, NaN or infinite eta, lambda or coefficient
+    is a ConfigError.
     """
     if "eta" not in cfg:
         raise ConfigError("config is missing 'eta'")
-    eta = float(cfg["eta"])
+    eta = _config_number(cfg["eta"], "'eta'")
     if "objective" in cfg:
         if "lambda" not in cfg:
             raise ConfigError("shortcut form needs 'lambda'")
-        obj = lambda_split(Polynomial(cfg["objective"]), float(cfg["lambda"]))
+        obj = lambda_split(Polynomial(config_coefficients(cfg["objective"], "'objective'")),
+                           _config_number(cfg["lambda"], "'lambda'"))
         return obj, eta
     for key in ("dimension", "n", "components"):
         if key not in cfg:
@@ -252,5 +273,5 @@ def objective_from_config(cfg: dict) -> tuple[SeparableObjective, float]:
     for row in rows:
         if len(row) != int(cfg["n"]):
             raise ConfigError("components table does not match 'n'")
-        comps.append(tuple(Polynomial(cs) for cs in row))
+        comps.append(tuple(Polynomial(config_coefficients(cs, "'components'")) for cs in row))
     return SeparableObjective(components=tuple(comps)), eta

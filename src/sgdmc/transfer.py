@@ -21,6 +21,9 @@ DEFAULT_MAX_ITER = 10**6
 # the last sup change understates the absorption error ~100x at eta = 0.01;
 # 1e-14 keeps ulam_absorption within ~1e-12 of the exact linear solve
 ULAM_ABSORPTION_TOL = 1e-14
+# a closed block loses only rounding (~1e-16 per step); a block leaking more
+# than this returns a quasi-stationary measure, and invariant_measure warns
+LEAKAGE_WARN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +90,12 @@ class Grid:
                     )
                 lab[hit] = t.index
             per_dim.append(lab)
-        index_of = {rect.index: m for m, rect in enumerate(decomp.rectangles)}
-        mesh = np.meshgrid(*per_dim, indexing="ij")
-        flat = [g.ravel() for g in mesh]
-        out = np.full(self.ncells, -1, dtype=int)
-        valid = np.ones(self.ncells, dtype=bool)
-        for f in flat:
-            valid &= f >= 0
-        combos = np.stack(flat, axis=1)
-        for pos in np.flatnonzero(valid):
-            out[pos] = index_of[tuple(int(v) for v in combos[pos])]
-        return out
+        # rectangle number per combination of interval labels; the extra
+        # trailing slot per dimension is where label -1 (transient) lands
+        table = np.full([len(ts) + 1 for ts in decomp.per_dimension], -1, dtype=int)
+        for m, rect in enumerate(decomp.rectangles):
+            table[rect.index] = m
+        return table[np.ix_(*per_dim)].ravel()
 
 
 @dataclass(frozen=True)
@@ -164,46 +162,41 @@ class UlamOperator:
         yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
-def _overlap_row(lo: float, hi: float, edges: np.ndarray):
-    """Fractions of the interval [lo, hi] falling into each grid cell."""
-    a, b = edges[0], edges[-1]
-    lo_c, hi_c = max(lo, a), min(hi, b)
-    if hi_c <= lo_c:
-        # fully clipped: deposit on the nearest boundary cell
-        k = 0 if hi <= a else len(edges) - 2
-        return np.array([k]), np.array([1.0])
-    first = int(np.clip(np.searchsorted(edges, lo_c, side="right") - 1, 0, len(edges) - 2))
-    last = int(np.clip(np.searchsorted(edges, hi_c, side="left") - 1, 0, len(edges) - 2))
-    cols = np.arange(first, last + 1)
-    cuts_lo = np.maximum(edges[cols], lo_c)
-    cuts_hi = np.minimum(edges[cols + 1], hi_c)
-    seg = np.maximum(cuts_hi - cuts_lo, 0.0)
-    total = hi - lo
-    fracs = seg / total
-    clipped = total - (hi_c - lo_c)
-    if clipped > 0:
-        # mass shaved off by clipping re-enters at the boundary cell
-        if lo < a:
-            fracs[0] += (a - lo) / total
-        if hi > b:
-            fracs[-1] += (hi - b) / total
-    return cols, fracs
-
-
 def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
-    """One-dimensional cell-image transition factor for map i in dimension j."""
-    img = np.array([fam.map_coord(i, j, float(e)) for e in edges])
+    """One-dimensional cell-image transition factor for map i in dimension j.
+
+    Row k holds the fractions of the image interval of cell k falling into
+    each grid cell; mass the grid boundary clips off re-enters at the boundary
+    cell, and an image wholly outside the grid goes to the nearest boundary
+    cell."""
+    img = fam.phi[i - 1][j](edges)
+    lo = np.minimum(img[:-1], img[1:])
+    hi = np.maximum(img[:-1], img[1:])
     n = len(edges) - 1
-    rows, cols, vals = [], [], []
-    for k in range(n):
-        lo, hi = img[k], img[k + 1]
-        if hi < lo:
-            lo, hi = hi, lo
-        c, f = _overlap_row(lo, hi, edges)
-        rows.extend([k] * len(c))
-        cols.extend(c.tolist())
-        vals.extend(f.tolist())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a, b = edges[0], edges[-1]
+    lo_c, hi_c = np.maximum(lo, a), np.minimum(hi, b)
+    outside = hi_c <= lo_c
+    first = np.clip(np.searchsorted(edges, lo_c, side="right") - 1, 0, n - 1)
+    last = np.clip(np.searchsorted(edges, hi_c, side="left") - 1, 0, n - 1)
+    first[outside] = last[outside] = np.where(hi[outside] <= a, 0, n - 1)
+    counts = last - first + 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    start = indptr[:-1]
+    cols = np.arange(indptr[-1]) + np.repeat(first - start, counts)
+    total = hi - lo
+    seg = np.maximum(np.minimum(edges[cols + 1], np.repeat(hi_c, counts))
+                     - np.maximum(edges[cols], np.repeat(lo_c, counts)), 0.0)
+    vals = seg / np.repeat(total, counts)
+    # mass shaved off by clipping re-enters at the boundary cell, the lower
+    # side first (one cell may take both)
+    clipped = total - (hi_c - lo_c) > 0
+    low = np.flatnonzero(clipped & (lo < a))
+    vals[start[low]] += (a - lo[low]) / total[low]
+    high = np.flatnonzero(clipped & (hi > b))
+    vals[indptr[high + 1] - 1] += (hi[high] - b) / total[high]
+    vals[start[outside]] = 1.0
+    return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
 
 
 def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
@@ -264,7 +257,11 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
                       max_iter: int = DEFAULT_MAX_ITER) -> InvariantResult:
     """Fixed probability vector of the restricted absorbing block by power
     iteration from the uniform start; the change between successive iterates is
-    measured in the CDF sup metric (one dimension) or total variation."""
+    measured in the CDF sup metric (one dimension) or total variation.
+
+    A block that leaks more than LEAKAGE_WARN per step (a grid too coarse
+    for it to be closed) logs a warning: its leaked mass is renormalised on
+    every step, so the result is quasi-stationary rather than invariant."""
     cells = np.asarray(cells, dtype=int)
     if cells.size == 0:
         raise ValueError("empty cell block")
@@ -273,6 +270,11 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
         tol = DEFAULT_TOL_1D if one_d else DEFAULT_TOL_ND
     sub = sp.csr_matrix(op.matrix[cells][:, cells]).T
     leak = block_leakage(op, cells)
+    if leak > LEAKAGE_WARN:
+        logging.getLogger(__name__).warning(
+            "absorbing block leaks %.2e of its mass per step, so the grid is "
+            "too coarse for it to be closed; the measure is quasi-stationary", leak,
+        )
     w = np.full(cells.size, 1.0 / cells.size)
     residual = np.inf
     for it in range(1, max_iter + 1):
@@ -297,7 +299,7 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
 
 def _interp_factor_1d(fam: MapFamily, i: int, j: int, centers: np.ndarray) -> sp.csr_matrix:
     """Linear-interpolation matrix W with (W g)(c) = g(phi_i^{(j)}(center_c))."""
-    x = np.array([fam.map_coord(i, j, float(c)) for c in centers])
+    x = fam.phi[i - 1][j](centers)
     n = len(centers)
     idx = np.clip(np.searchsorted(centers, x) - 1, 0, n - 2)
     left = centers[idx]
@@ -338,10 +340,15 @@ def _absorption_iteration(matrix, grid: Grid, labels: np.ndarray, m_count: int,
         g[m, labels == m] = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        g_next = (matrix @ g.T).T
+        # single-vector products give the bits of matrix @ g.T in about
+        # half the time of scipy's multi-vector CSR product
+        g_next = np.stack([matrix @ row for row in g])
         residual = float(np.max(np.abs(g_next - g)))
         g = g_next
         if residual < tol:
+            # the layout of (matrix @ g.T).T: BLAS sums values @ w in layout
+            # order, so this keeps the last bits of the mixture coefficients
+            g = np.asfortranarray(g)
             defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
             return BasinFunctions(grid=grid, values=g, iterations=it, residual=residual,
                                   partition_defect=defect)

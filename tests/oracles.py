@@ -1,10 +1,11 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
-dense sign scans, exhaustive path enumeration, brute-force set distances and
-direct sparse solves.
+dense sign scans, exhaustive path enumeration, brute-force set distances,
+direct sparse solves, and per-cell Ulam factors and cell labels.
 Everything here deliberately avoids the package's own algorithms."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -77,8 +78,6 @@ def brute_force_anchored_distance(weights_a, weights_b, shape, alpha):
     wb = np.asarray(weights_b, dtype=float).reshape(shape)
     best = 0.0
     ranges = [range(s + 1) for s in shape]
-    import itertools
-
     for corner in itertools.product(*ranges):
         mask = np.ones(shape, dtype=bool)
         for axis, (c, a) in enumerate(zip(corner, alpha)):
@@ -107,3 +106,55 @@ def direct_absorption(matrix, labels, m_count: int) -> np.ndarray:
             rhs = np.asarray(rows[:, np.flatnonzero(labels == m)].sum(axis=1)).ravel()
             g[m, b_cells] = spla.spsolve(lhs, rhs)
     return g
+
+
+def overlap_factor_1d(fam, i: int, j: int, edges) -> sp.csr_matrix:
+    """Ulam factor of map i in dimension j, one cell at a time: the fractions
+    of each cell's image interval falling into each grid cell, clipped mass
+    returned to the boundary cell, a wholly outside image sent to the nearest
+    boundary cell."""
+    img = np.array([fam.map_coord(i, j, float(e)) for e in edges])
+    n = len(edges) - 1
+    a, b = edges[0], edges[-1]
+    rows, cols, vals = [], [], []
+    for k in range(n):
+        lo, hi = img[k], img[k + 1]
+        if hi < lo:
+            lo, hi = hi, lo
+        lo_c, hi_c = max(lo, a), min(hi, b)
+        if hi_c <= lo_c:
+            c = np.array([0 if hi <= a else n - 1])
+            f = np.array([1.0])
+        else:
+            first = int(np.clip(np.searchsorted(edges, lo_c, side="right") - 1, 0, n - 1))
+            last = int(np.clip(np.searchsorted(edges, hi_c, side="left") - 1, 0, n - 1))
+            c = np.arange(first, last + 1)
+            cuts_lo = np.maximum(edges[c], lo_c)
+            cuts_hi = np.minimum(edges[c + 1], hi_c)
+            total = hi - lo
+            f = np.maximum(cuts_hi - cuts_lo, 0.0) / total
+            if total - (hi_c - lo_c) > 0:
+                if lo < a:
+                    f[0] += (a - lo) / total
+                if hi > b:
+                    f[-1] += (hi - b) / total
+        rows.extend([k] * len(c))
+        cols.extend(c.tolist())
+        vals.extend(f.tolist())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def classify_cells(grid, decomp) -> np.ndarray:
+    """Rectangle label per flattened cell by testing every cell against every
+    rectangle: a cell belongs to a rectangle when it overlaps it with positive
+    length in every dimension; a cell overlapping two rectangles raises
+    ValueError."""
+    labels = np.full(grid.ncells, -1, dtype=int)
+    for pos, cell in enumerate(itertools.product(*[range(n) for n in grid.shape])):
+        for m, rect in enumerate(decomp.rectangles):
+            if all(e[k] < hi and e[k + 1] > lo
+                   for e, k, (lo, hi) in zip(grid.edges, cell, rect.box)):
+                if labels[pos] >= 0:
+                    raise ValueError("cell overlaps two rectangles")
+                labels[pos] = m
+    return labels

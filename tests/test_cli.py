@@ -73,6 +73,60 @@ def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["analyze", "--help"], 0),
+    (["analyze", "--bogus"], 1),
+    (["analyze", "--grid"], 1),
+    (["invariant", "--tol", "-1e-9"], 1),
+    (["basins", "--grid", "ten"], 1),
+    (["frobnicate"], 1),
+    ([], 1),
+], ids=["help", "version", "command-help", "unknown-flag", "missing-value",
+        "negative-tol-token", "non-integer-grid", "unknown-command", "no-command"])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv, code):
+    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
+    out = tmp_path / "o"
+    if argv and argv[0] in ("analyze", "invariant", "basins"):
+        argv = [argv[0], "--config", cfg, "--out", str(out), *argv[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert ("error:" in captured.err) == (code != 0)
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("analyze", {"objective": DW_COEFFS, "lambda": 0.38, "eta": "fast"}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": 0.38, "eta": NAN}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": 0.38, "eta": INF}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": 0.38, "eta": None}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": "tilt", "eta": 0.33}),
+    ("invariant", {"objective": DW_COEFFS, "lambda": NAN, "eta": 0.33}),
+    ("basins", {"objective": DW_COEFFS, "lambda": -INF, "eta": 0.33}),
+    ("sample", {"objective": [0.25, "x", -0.5, 0.0, 0.25], "lambda": 0.38, "eta": 0.33}),
+    ("diffusion", {"objective": [0.25, 0.0, NAN, 0.0, 0.25], "lambda": 0.38, "eta": 0.33}),
+    ("analyze", {"objective": 0.25, "lambda": 0.38, "eta": 0.33}),
+    ("analyze", {"dimension": 1, "n": 2, "eta": 0.25,
+                 "components": [[[1, -2, 1], [1, INF, 1]]]}),
+    ("sweep", {"objective": [0.25, 0.0, -0.5, 0.0, NAN]}),
+], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
+        "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
+        "component-inf", "sweep-coefficient-nan"])
+def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path / "c.json", **config)
+    out = tmp_path / "o"
+    extra = ["--range", "0.1:1.0:5"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_analyze_deterministic_bytes(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.2}, eta=0.3)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,17 +1,26 @@
+import logging
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from oracles import direct_absorption
+from oracles import classify_cells, direct_absorption, double_well_roots, overlap_factor_1d
 
+import sgdmc
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily
 from sgdmc.errors import NoConvergence
 from sgdmc.metrics import d_F
-from sgdmc.objective import double_well
+from sgdmc.objective import SeparableObjective, double_well
 from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
+    _absorption_iteration,
+    _map_factor_1d,
     basin_functions,
     block_leakage,
+    dual_operator,
     dual_residual,
     invariant_measure,
     limit_mixture,
@@ -46,6 +55,37 @@ def test_grid_classify_cover_rule(dw02_setup):
     assert np.any(labels == -1)
 
 
+def _double_well_product(dimension):
+    """The double well (lambda = 0.38) in every coordinate."""
+    return SeparableObjective(components=(double_well(0.38).components[0],) * dimension)
+
+
+@pytest.mark.parametrize("obj,eta,n", [
+    (double_well(0.38), 0.33, 12),
+    (double_well(0.38), 0.33, 1000),
+    (double_well(0.2), 0.3, 100),
+    (_double_well_product(2), 0.33, 12),
+    (_double_well_product(2), 0.33, 40),
+], ids=["dw038-12", "dw038-1000", "dw02-100", "dw2d-12", "dw2d-40"])
+def test_grid_classify_matches_per_cell_oracle(obj, eta, n):
+    decomp = decompose(obj, eta)
+    grid = Grid.regular(decomp.intervals, n)
+    labels = grid.classify(decomp)
+    np.testing.assert_array_equal(labels, classify_cells(grid, decomp))
+    assert set(labels.tolist()) == {-1, *range(len(decomp.rectangles))}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_grid_classify_rejects_cell_over_two_intervals(dimension):
+    # one cell in the first dimension covers both wells
+    decomp = decompose(_double_well_product(dimension), 0.33)
+    grid = Grid.regular(decomp.intervals, [1, 6][:dimension])
+    with pytest.raises(ValueError, match="two absorbing intervals"):
+        grid.classify(decomp)
+    with pytest.raises(ValueError):
+        classify_cells(grid, decomp)
+
+
 def test_ulam_bernoulli_two_cells(bernoulli_setup):
     obj, eta, decomp, fam = bernoulli_setup
     g = Grid.regular(decomp.intervals, 2)
@@ -71,6 +111,43 @@ def test_ulam_rows_stochastic():
     op = ulam_assemble(fam, g)
     assert op.row_sum_error < 1e-12
     assert op.matrix.min() >= 0.0
+
+
+@pytest.mark.parametrize("lam,eta,n", [
+    (0.38, 0.33, 10), (0.38, 0.33, 1000), (0.38, 0.33, 10_000),
+    (0.38, 0.01, 4000), (0.2, 0.3, 500), (0.55, 0.2, 300),
+])
+@pytest.mark.parametrize("narrow", [False, True], ids=["state-space", "narrow"])
+def test_map_factor_matches_per_cell_oracle(lam, eta, n, narrow):
+    fam = MapFamily(double_well(lam), eta)
+    if narrow:
+        # images leave the grid: partly clipped and wholly outside cells
+        edges = np.linspace(-0.8, 0.8, n + 1)
+    else:
+        edges = Grid.regular(fam.decomposition.intervals, n).edges[0]
+    for i in (1, 2):
+        got = _map_factor_1d(fam, i, 0, edges)
+        want = overlap_factor_1d(fam, i, 0, edges)
+        if narrow:
+            img = fam.phi[i - 1][0](edges)
+            assert np.any((img < edges[0]) | (img > edges[-1]))
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("half_width", [0.045, 0.06])
+def test_map_factor_clips_one_cell_on_both_sides(half_width):
+    # one cell around the unstable fixed point of map 1, which expands it
+    # past both grid ends: both corrections land on one entry, and at these
+    # widths adding them in the other order changes its last bit
+    fam = MapFamily(double_well(0.38), 0.33)
+    c = -double_well_roots(0.38)[1]
+    edges = np.array([c - half_width, c + half_width])
+    img = fam.phi[0][0](edges)
+    assert img[0] < edges[0] and img[1] > edges[1]
+    got, want = _map_factor_1d(fam, 1, 0, edges), overlap_factor_1d(fam, 1, 0, edges)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_push_forward_conserves_mass(dw038_setup, rng):
@@ -214,8 +291,6 @@ def test_ulam_absorption_matches_chain_limit(dw038_setup):
 
 def _mixed_2d_objective():
     """Two rectangles from the first coordinate, one interval in the second."""
-    from sgdmc.objective import SeparableObjective
-
     return SeparableObjective(
         components=(double_well(0.2).components[0], double_well(2.0).components[0])
     )
@@ -239,6 +314,23 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
     assert np.max(np.abs(absorption.values - expected)) <= 1e-11
     assert absorption.partition_defect <= 1e-9
     assert absorption.iterations > 0
+
+
+def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
+    # one single-vector product per rectangle gives the bits of one
+    # multi-vector product, iterated to convergence
+    _, _, decomp, fam, grid, _ = dw038_setup
+    matrix = dual_operator(fam, grid)
+    labels = grid.classify(decomp)
+    basins = _absorption_iteration(matrix, grid, labels, 2, 1e-11, 10**6)
+    g = np.stack([(labels == m).astype(float) for m in range(2)])
+    for _ in range(basins.iterations):
+        g = (matrix @ g.T).T
+    assert basins.iterations > 1
+    assert basins.values.tobytes() == g.tobytes()
+    # the same layout too, so BLAS products with the values keep their bits
+    w = DiscreteMeasure.uniform(grid).weights
+    assert (basins.values @ w).tobytes() == (g @ w).tobytes()
 
 
 def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):
@@ -412,3 +504,33 @@ def test_basin_defect_warns_on_coarse_grid(caplog):
         basins = basin_functions(fam, coarse, decomp, tol=1e-12)
     assert basins.partition_defect > 1e-6
     assert any("too coarse" in rec.message for rec in caplog.records)
+
+
+def test_invariant_warns_on_leaky_block(caplog):
+    # at 10 cells the straddling absorbing cells send 1.2% of their mass out
+    obj, eta = double_well(0.38), 0.33
+    decomp = decompose(obj, eta)
+    fam = MapFamily(obj, eta)
+    for n, leaky in ((10, True), (1000, False)):
+        grid = Grid.regular(decomp.intervals, n)
+        op = ulam_assemble(fam, grid)
+        cells = np.flatnonzero(grid.classify(decomp) == 0)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sgdmc.transfer"):
+            res = invariant_measure(op, cells)
+        assert (res.leakage > 1e-3) == leaky
+        assert any("quasi-stationary" in r.message for r in caplog.records) == leaky
+
+
+def test_invariant_leak_warning_goes_to_stderr(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"objective": [0.25, 0.0, -0.5, 0.0, 0.25], "lambda": 0.38, "eta": 0.33}')
+    src = os.path.dirname(os.path.dirname(sgdmc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdmc.cli", "invariant", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--grid", "10"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+    assert proc.stderr.count("quasi-stationary") == 2
