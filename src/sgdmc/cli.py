@@ -1,10 +1,15 @@
-"""Batch command-line front end: loads objective configs, runs the analyses and
-writes JSON reports plus CSV series for external plotting.
+"""Batch command-line front end: loads an objective config, runs one analysis
+and writes JSON reports plus CSV series for external plotting.
 
-Exit codes: 0 success, 1 config error (unparsable or non-finite config,
-command-line usage error or out-of-range flag), 2 assumption violation
-(coercivity / inconsistent optimization / step-size bound), 3 no convergence,
-4 singular diffusion.
+`main` parses the flags, loads the config and builds the validated problem
+(a MapFamily; for sweep the base polynomial and the lambda values) before it
+creates --out, so an invalid config or flag leaves no directory behind;
+then it runs the command on that problem.  A failure prints one stderr line and exits
+with the code its error class carries (sgdmc.errors): 0 success, 1 config
+error (unparsable or invalid config, command-line usage error or
+out-of-range flag), 2 assumption violation (coercivity / inconsistent
+optimization / step-size bound), 3 no convergence, 4 singular diffusion,
+5 internal error (a program fault; SGDMC_LOG=DEBUG adds the traceback).
 """
 
 from __future__ import annotations
@@ -15,12 +20,11 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .absorbing import rectangle_count_for
+from .absorbing import absorbing_intervals, left_right_sets, rectangle_count_for
 from .diffusion import density_cell_masses, stationary_density
 from .dynamics import (
     MapFamily,
@@ -28,18 +32,11 @@ from .dynamics import (
     splitting_certificate_multi,
     uniform_escape_length,
 )
-from .errors import (
-    AssumptionA5Violated,
-    ConfigError,
-    NoConvergence,
-    NonCoercive,
-    NotFound,
-    SgdmcError,
-    SingularDiffusion,
-)
+from .errors import INTERNAL_ERROR, ConfigError, NotFound, SgdmcError
 from .metrics import d_F
 from .objective import (
     config_coefficients,
+    config_point,
     eta_bound,
     lambda_split,
     objective_from_config,
@@ -54,46 +51,42 @@ from .transfer import (
     ulam_assemble,
 )
 
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_ASSUMPTIONS = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_SINGULAR_DIFFUSION = 4
-
 log = logging.getLogger("sgdmc")
 
-
-def _fmt(x: float) -> str:
-    """Full double precision, locale-free."""
-    return format(float(x), ".17g")
+CSV_BLOCK_ROWS = 256  # 4096 raised diffusion --grid 10000's peak RSS by 1.6 MB
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns, row: str | None = None) -> None:
+    """Write equal-length columns under a header line (none if header is
+    empty), one line per index through the template row (default: every
+    column as {:.17g}, full double precision and locale-free).  The columns
+    become Python objects CSV_BLOCK_ROWS rows at a time, never whole."""
+    columns = [np.asarray(c) for c in columns]
+    if row is None:
+        row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        if header:
+            fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.writelines(map(row.format, *block))
 
 
 def _write_grid_csv(path: str, grid: Grid, values) -> None:
     """One row per cell, in flattened order: the centre's coordinates, then
-    the value (header x in 1-d, x1..xd otherwise), each formatted as _fmt
-    does."""
+    the value (header x in 1-d, x1..xd otherwise)."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
-    coords = [c.ravel().tolist() for c in np.meshgrid(*grid.centers, indexing="ij")]
-    row = ",".join(["{:.17g}"] * (d + 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header + ["value"]) + "\n")
-        fh.writelines(map(row.format, *coords, values.tolist()))
+    coords = [c.ravel() for c in np.meshgrid(*grid.centers, indexing="ij")]
+    _write_csv(path, header + ["value"], [*coords, values])
 
 
 def _write_histograms(out: str, names, summary) -> None:
     """One bin_center,count CSV per dimension of a sampled trajectory."""
     for name, edges, hist in zip(names, summary.bin_edges, summary.histograms):
         centers = 0.5 * (edges[:-1] + edges[1:])
-        _write_csv(os.path.join(out, name), ["bin_center", "count"],
-                   zip(centers.tolist(), hist.tolist()))
+        _write_csv(os.path.join(out, name), ["bin_center", "count"], [centers, hist],
+                   row="{:.17g},{}\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -105,23 +98,54 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
-def _build(cfg: dict) -> MapFamily:
-    """The validated problem; an inadmissible step size fails here, before
-    any work starts."""
-    return MapFamily(*objective_from_config(cfg))
+def _centre(fam: MapFamily) -> list[float]:
+    return [0.5 * (a + b) for a, b in fam.intervals]
 
 
-def _analysis_payload(fam: MapFamily, grid_n: int, ell_max: int) -> dict:
+def _problem(args, cfg: dict):
+    """The validated problem a command runs on: a MapFamily, for sample with
+    its start point, for sweep the base polynomial and the lambda values."""
+    if args.command == "sweep":
+        if "objective" not in cfg:
+            raise ConfigError("sweep requires the linear-splitting config form")
+        base = Polynomial(config_coefficients(cfg["objective"], "'objective'"))
+        lambda_split(base, 1.0)  # validates coercivity up front
+        return base, np.linspace(*_parse_range(args.range))
+    fam = MapFamily(*objective_from_config(cfg))
+    if args.command == "diffusion" and fam.dimension != 1:
+        raise ConfigError("diffusion comparison is one-dimensional")
+    if args.command == "sample":
+        x0 = config_point(cfg["x0"], fam.intervals, "'x0'") if "x0" in cfg else _centre(fam)
+        return fam, x0
+    return fam
+
+
+def _parse_range(spec: str):
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError as exc:
+        raise ConfigError(f"bad --range '{spec}', expected lo:hi:count") from exc
+    if count < 1 or not 0 < lo <= hi < np.inf:  # NaN fails too
+        raise ConfigError(f"bad --range '{spec}': need count >= 1 and 0 < lo <= hi")
+    return lo, hi, count
+
+
+def cmd_analyze(args, fam: MapFamily) -> None:
+    started = time.perf_counter()
     decomp = fam.decomposition
     certificates = []
     for rect in decomp.rectangles:
         try:
-            cert = splitting_certificate_multi(fam, rect, ell_max=ell_max)
+            cert = splitting_certificate_multi(fam, rect, ell_max=args.ell_max)
             certificates.append({"index": list(rect.index), **cert.to_dict()})
         except NotFound as exc:
             certificates.append(
@@ -129,37 +153,22 @@ def _analysis_payload(fam: MapFamily, grid_n: int, ell_max: int) -> dict:
                  "gaps": {str(k): v for k, v in exc.gaps.items()}}
             )
     d = fam.dimension
-    escape_grid = grid_n if d == 1 else max(8, int(grid_n ** (1 / d)))
+    escape_grid = args.grid if d == 1 else max(8, int(args.grid ** (1 / d)))
     escape = uniform_escape_length(fam, decomp, grid_n=escape_grid)
     cert_ells = [c["ell"] for c in certificates if "ell" in c]
-    combined = 2 * max([escape.ell_zero] + cert_ells) if cert_ells else None
-    if combined is not None and combined > 0:
-        # the existence constants come with a dimension lower bound
-        assert combined >= d, "combined exponent below dimension"
-    return {
+    _write_json(os.path.join(args.out, "report.json"), {
         "version": __version__,
         "eta": fam.eta,
         "eta0": eta_bound(fam.obj),
         "decomposition": decomp.to_dict(),
         "certificates": certificates,
         "ell0_estimate": escape.ell_zero,
-        "combined_exponent": combined,
+        "combined_exponent": 2 * max([escape.ell_zero] + cert_ells) if cert_ells else None,
         "unique": decomp.unique,
-    }
-
-
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    fam = _build(cfg)
-    started = time.perf_counter()
-    payload = _analysis_payload(fam, args.grid, args.ell_max)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    })
     # timing goes to the log, not the report: output files are byte-stable
-    log.info("analyze: %d rectangle(s), unique=%s, %.3fs",
-             len(payload["decomposition"]["T"]), payload["unique"],
-             time.perf_counter() - started)
-    return EXIT_OK
+    log.info("analyze: %d rectangle(s), unique=%s, %.3fs", len(decomp.rectangles),
+             decomp.unique, time.perf_counter() - started)
 
 
 def _invariant_pieces(fam: MapFamily, grid_n, tol):
@@ -174,21 +183,32 @@ def _invariant_pieces(fam: MapFamily, grid_n, tol):
     return decomp, grid, op, results
 
 
-def cmd_invariant(args) -> int:
-    cfg = _load_config(args.config)
-    fam = _build(cfg)
-    os.makedirs(args.out, exist_ok=True)
+def _d_F_per_rectangle(decomp, measure: DiscreteMeasure, results) -> list[dict]:
+    """d_F from measure to each rectangle's invariant measure."""
+    return [{"index": list(rect.index), "d_F": d_F(measure, res.measure)}
+            for rect, res in zip(decomp.rectangles, results)]
+
+
+def cmd_invariant(args, fam: MapFamily) -> None:
     if fam.dimension > 2:
         log.warning(
             "dense grids are limited to two dimensions; falling back to a "
             "seeded trajectory histogram"
         )
-        return _invariant_monte_carlo(args, fam)
+        summary = sgd_sample(fam, _centre(fam), steps=args.steps, seed=args.seed,
+                             grid_n=args.grid)
+        names = [f"invariant_mc_dim{j}.csv" for j in range(fam.dimension)]
+        _write_histograms(args.out, names, summary)
+        _write_json(
+            os.path.join(args.out, "invariant.json"),
+            {"eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
+        )
+        return
     decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
     if args.dump_operator:
-        with open(os.path.join(args.out, "operator.txt"), "w", encoding="utf-8") as fh:
-            for row, col, value in op.coo_rows():
-                fh.write(f"{row},{col},{_fmt(value)}\n")
+        coo = op.matrix.tocoo()
+        _write_csv(os.path.join(args.out, "operator.txt"), [], [coo.row, coo.col, coo.data],
+                   row="{},{},{:.17g}\n")
     report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": []}
     for m, res in enumerate(results):
         name = f"invariant_{m}.csv"
@@ -203,25 +223,9 @@ def cmd_invariant(args) -> int:
             }
         )
     _write_json(os.path.join(args.out, "invariant.json"), report)
-    return EXIT_OK
 
 
-def _invariant_monte_carlo(args, fam: MapFamily) -> int:
-    x0 = [0.5 * (a + b) for a, b in fam.intervals]
-    summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
-    names = [f"invariant_mc_dim{j}.csv" for j in range(fam.dimension)]
-    _write_histograms(args.out, names, summary)
-    _write_json(
-        os.path.join(args.out, "invariant.json"),
-        {"eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
-    )
-    return EXIT_OK
-
-
-def cmd_basins(args) -> int:
-    cfg = _load_config(args.config)
-    fam = _build(cfg)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_basins(args, fam: MapFamily) -> None:
     decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, args.grid)
     basins = basin_functions(fam, grid, decomp, tol=args.tol or 1e-11)
@@ -241,81 +245,42 @@ def cmd_basins(args) -> int:
         _write_grid_csv(os.path.join(args.out, name), grid, basins.values[m])
         report["files"].append(name)
     _write_json(os.path.join(args.out, "basins.json"), report)
-    return EXIT_OK
 
 
-def _sweep_point(task):
-    from .absorbing import absorbing_intervals, left_right_sets
-
-    base_coeffs, lam = task
-    obj = lambda_split(Polynomial(base_coeffs), lam)
-    eta0 = eta_bound(obj)
+def _sweep_point(base: Polynomial, lam: float):
+    obj = lambda_split(base, lam)
     ts = absorbing_intervals(*left_right_sets(obj, 0))
-    endpoints = ";".join(f"{_fmt(t.l)}|{_fmt(t.r)}" for t in ts)
-    return lam, len(ts), eta0, endpoints
+    endpoints = ";".join(f"{t.l:.17g}|{t.r:.17g}" for t in ts)
+    return lam, len(ts), eta_bound(obj), endpoints
 
 
-def _sweep_count(base_coeffs, lam) -> int:
-    return rectangle_count_for(lambda_split(Polynomial(base_coeffs), lam))
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if "objective" not in cfg:
-        raise ConfigError("sweep requires the linear-splitting config form")
-    base = config_coefficients(cfg["objective"], "'objective'")
-    lambda_split(Polynomial(base), 1.0)  # validates coercivity up front
-    lo, hi, count = _parse_range(args.range)
-    lams = np.linspace(lo, hi, count)
-    tasks = [(base, float(lam)) for lam in lams]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    out_rows = [("point", lam, cnt, eta0, endp) for lam, cnt, eta0, endp in rows]
-    for (lam_a, cnt_a, *_), (lam_b, cnt_b, *_) in zip(rows[:-1], rows[1:]):
-        if cnt_a != cnt_b:
-            loc = _bisect_count_change(base, lam_a, lam_b, tol=1e-6)
-            out_rows.append(("bifurcation", loc, cnt_a, "", f"{cnt_a}->{cnt_b}"))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("record,lambda,count,eta0,endpoints\n")
-        for rec, lam, cnt, eta0, endp in out_rows:
-            eta0_s = _fmt(eta0) if eta0 != "" else ""
-            fh.write(f"{rec},{_fmt(lam)},{cnt},{eta0_s},{endp}\n")
-    return EXIT_OK
-
-
-def _bisect_count_change(base, lo, hi, tol=1e-6) -> float:
-    c_lo = _sweep_count(base, lo)
+def _bisect_count_change(base: Polynomial, lo, hi, tol=1e-6) -> float:
+    c_lo = rectangle_count_for(lambda_split(base, lo))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _sweep_count(base, mid) == c_lo:
+        if rectangle_count_for(lambda_split(base, mid)) == c_lo:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _parse_range(spec: str):
-    try:
-        lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-    except (ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad --range '{spec}', expected lo:hi:count") from exc
-    if count < 1 or hi < lo:
-        raise ConfigError(f"bad --range '{spec}'")
-    return lo, hi, count
+def cmd_sweep(args, problem) -> None:
+    base, lams = problem
+    points = [_sweep_point(base, lam) for lam in lams.tolist()]
+    rows = [("point", lam, cnt, f"{eta0:.17g}", endp) for lam, cnt, eta0, endp in points]
+    for (lam_a, cnt_a, *_), (lam_b, cnt_b, *_) in zip(points[:-1], points[1:]):
+        if cnt_a != cnt_b:
+            loc = _bisect_count_change(base, lam_a, lam_b)
+            rows.append(("bifurcation", loc, cnt_a, "", f"{cnt_a}->{cnt_b}"))
+    _write_csv(os.path.join(args.out, "sweep.csv"),
+               ["record", "lambda", "count", "eta0", "endpoints"],
+               list(zip(*rows)), row="{},{:.17g},{},{},{}\n")
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    fam = _build(cfg)
-    x0 = cfg.get("x0", [0.5 * (a + b) for a, b in fam.intervals])
+def cmd_sample(args, problem) -> None:
+    fam, x0 = problem
     summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
-    os.makedirs(args.out, exist_ok=True)
     names = (["sample.csv"] if fam.dimension == 1
              else [f"sample_dim{j}.csv" for j in range(fam.dimension)])
     _write_histograms(args.out, names, summary)
@@ -327,60 +292,35 @@ def cmd_sample(args) -> int:
         "rectangle_steps": {str(k): v for k, v in summary.rectangle_steps.items()},
     }
     if fam.dimension == 1 and args.compare_invariant:
-        decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
+        decomp, grid, _, results = _invariant_pieces(fam, args.grid, args.tol)
         hist_measure = DiscreteMeasure(
             grid, summary.histograms[0].astype(float) / summary.steps
         )
-        comparisons = []
-        for m, res in enumerate(results):
-            comparisons.append(
-                {
-                    "index": list(decomp.rectangles[m].index),
-                    "d_F": d_F(hist_measure, res.measure),
-                }
-            )
-        report["invariant_comparison"] = comparisons
+        report["invariant_comparison"] = _d_F_per_rectangle(decomp, hist_measure, results)
     _write_json(os.path.join(args.out, "sample.json"), report)
-    return EXIT_OK
 
 
-def cmd_diffusion(args) -> int:
-    cfg = _load_config(args.config)
-    fam = _build(cfg)
-    if fam.dimension != 1:
-        raise ConfigError("diffusion comparison is one-dimensional")
+def cmd_diffusion(args, fam: MapFamily) -> None:
     # the density is computed first: a vanishing diffusion coefficient must
     # exit with its own code even when the exact analysis would also fail
     grid = Grid.regular(fam.intervals, args.grid)
     profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
-    decomp, _, op, results = _invariant_pieces(fam, args.grid, args.tol)
-    os.makedirs(args.out, exist_ok=True)
+    decomp, _, _, results = _invariant_pieces(fam, args.grid, args.tol)
     _write_csv(
         os.path.join(args.out, "diffusion.csv"),
         ["x", "Phi", "u", "D", "V", "rho_star"],
-        (
-            (float(x), float(p), float(u), float(d), float(v), float(r))
-            for x, p, u, d, v, r in zip(
-                profile.x, profile.phi, profile.u, profile.diffusion,
-                profile.potential, profile.rho_star,
-            )
-        ),
+        [profile.x, profile.phi, profile.u, profile.diffusion, profile.potential,
+         profile.rho_star],
     )
-    masses = density_cell_masses(profile, grid.edges[0])
-    rho_measure = DiscreteMeasure(grid, masses)
+    rho_measure = DiscreteMeasure(grid, density_cell_masses(profile, grid.edges[0]))
     comparison = {
         "exact_count": len(decomp.rectangles),
         "diffusion_count": 1,
         "count_mismatch": len(decomp.rectangles) != 1,
-        "per_rectangle_d_F": [
-            {"index": list(decomp.rectangles[m].index),
-             "d_F": d_F(rho_measure, res.measure)}
-            for m, res in enumerate(results)
-        ],
+        "per_rectangle_d_F": _d_F_per_rectangle(decomp, rho_measure, results),
         "truncation_estimate": profile.truncation_estimate,
     }
     _write_json(os.path.join(args.out, "diffusion.json"), comparison)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,59 +332,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p):
+    def command(name, func, help, grid=True, tol=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="objective config JSON")
         p.add_argument("--out", required=True, help="output directory")
+        if grid:
+            p.add_argument("--grid", type=int, default=1000, help="cells per dimension")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="iteration tolerance")
+        p.set_defaults(func=func)
+        return p
 
-    def common(p):
-        io_args(p)
-        p.add_argument("--grid", type=int, default=1000, help="cells per dimension")
-        p.add_argument("--tol", type=float, default=None, help="iteration tolerance")
+    def sampling(p, steps_help):
+        p.add_argument("--steps", type=int, default=10**5, help=steps_help)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("analyze", help="decomposition, certificates, bounds")
-    common(p)
+    p = command("analyze", cmd_analyze, "decomposition, certificates, bounds", tol=False)
     p.add_argument("--ell-max", type=int, default=64)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("invariant", help="invariant measure per rectangle")
-    common(p)
+    p = command("invariant", cmd_invariant, "invariant measure per rectangle")
     p.add_argument("--dump-operator", action="store_true",
                    help="also write the transition matrix as row,col,value text")
-    p.add_argument("--steps", type=int, default=10**5,
-                   help="trajectory length for the d>2 histogram fallback")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_invariant)
+    sampling(p, "trajectory length for the d>2 histogram fallback")
 
-    p = sub.add_parser("basins", help="basin functions and mixture coefficients")
-    common(p)
-    p.set_defaults(func=cmd_basins)
+    command("basins", cmd_basins, "basin functions and mixture coefficients")
 
-    p = sub.add_parser("sweep", help="parameter sweep with bifurcation refinement")
-    io_args(p)
+    p = command("sweep", cmd_sweep, "parameter sweep with bifurcation refinement",
+                grid=False, tol=False)
     p.add_argument("--range", required=True, help="lo:hi:count")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("sample", help="seeded trajectory histogram")
-    common(p)
-    p.add_argument("--steps", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("sample", cmd_sample, "seeded trajectory histogram")
+    sampling(p, None)
     p.add_argument("--compare-invariant", action="store_true")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("diffusion", help="stationary density of the surrogate")
-    common(p)
-    p.set_defaults(func=cmd_diffusion)
+    command("diffusion", cmd_diffusion, "stationary density of the surrogate")
     return parser
 
 
 def _check_flags(args) -> None:
-    """--grid, --steps and --tol must be positive: a config error, raised
-    before any work starts."""
+    """--grid, --steps and --tol must be positive and --seed non-negative: a
+    config error, raised before any work starts."""
     for flag in ("grid", "steps", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not value > 0:  # NaN fails too
             raise ConfigError(f"--{flag} must be positive, got {value}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 
 
 def main(argv=None) -> int:
@@ -453,26 +386,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help or --version, and 2 on a usage error
-        # (unknown flag, missing value), which here means assumption violation
-        return EXIT_OK if exc.code == 0 else EXIT_PARSE
+        # (unknown flag, missing value), which here is a config error
+        return 0 if exc.code == 0 else ConfigError.exit_code
     try:
         _check_flags(args)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NonCoercive, AssumptionA5Violated, ValueError) as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except SingularDiffusion as exc:
-        print(f"singular diffusion: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR_DIFFUSION
+        problem = _problem(args, _load_config(args.config))
+        os.makedirs(args.out, exist_ok=True)
+        args.func(args, problem)
+        return 0
     except SgdmcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
+        log.debug("%s", type(exc).__name__, exc_info=True)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception as exc:
+        log.debug("%s", type(exc).__name__, exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -4,14 +4,14 @@ extremal envelopes, splitting certificates, escape paths and the sampler."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, decompose
 from .errors import NonTermination, NotFound, OutOfStateSpace
-from .objective import SeparableObjective, check_step
+from .objective import STATE_SPACE_TOL, SeparableObjective, check_step
 from .poly import Polynomial, horner_path
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
@@ -32,11 +32,9 @@ class MapFamily:
 
     obj: SeparableObjective
     eta: float
-    validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if self.validate:
-            check_step(self.obj, self.eta)
+        check_step(self.obj, self.eta)
 
     @property
     def n(self) -> int:
@@ -79,7 +77,7 @@ class MapFamily:
         return self.phi[i - 1][j](s)
 
 
-def _check_in_state_space(fam: MapFamily, x: np.ndarray, tol: float = 1e-12):
+def _check_in_state_space(fam: MapFamily, x: np.ndarray, tol: float = STATE_SPACE_TOL):
     for j, (lo, hi) in enumerate(fam.intervals):
         pad = tol * max(1.0, abs(lo), abs(hi))
         if x[j] < lo - pad or x[j] > hi + pad:

@@ -1,24 +1,87 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each carries the exit code and
+stderr label of the `sgdmc` command it ends; the base class's code 5 marks
+errors that only a program fault can raise."""
+
+INTERNAL_ERROR = 5
 
 
 class SgdmcError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = INTERNAL_ERROR
 
-class DegenerateDerivative(SgdmcError):
-    """A nonzero component has an identically zero derivative."""
+    @property
+    def label(self) -> str:
+        return f"internal error: {type(self).__name__}"
 
 
-class NonCoercive(SgdmcError):
+class ConfigError(SgdmcError):
+    """A run configuration or command line failed to parse or validate."""
+
+    exit_code = 1
+    label = "config error"
+
+
+class GridTooCoarse(ConfigError, ValueError):
+    """A grid cell overlaps two absorbing intervals."""
+
+
+class AssumptionViolation(SgdmcError):
+    """The input breaks an assumption of the theory: coercive summands,
+    inconsistent optimization, or a step size in (0, 1/K)."""
+
+    exit_code = 2
+    label = "assumption violation"
+
+
+class NonCoercive(AssumptionViolation):
     """A component polynomial does not grow to +inf in both directions."""
 
 
-class EmptyCriticalSet(SgdmcError):
+class EmptyCriticalSet(AssumptionViolation):
     """A dimension has no critical points (no nonzero component)."""
 
 
-class AssumptionA5Violated(SgdmcError):
+class AssumptionA5Violated(AssumptionViolation):
     """Distinct components share a critical point (within tolerance)."""
+
+
+class InadmissibleStep(AssumptionViolation, ValueError):
+    """The step size lies outside (0, 1/K)."""
+
+
+class NoConvergence(SgdmcError):
+    """An iteration hit max_iter before meeting its tolerance."""
+
+    exit_code = 3
+    label = "no convergence"
+
+    def __init__(self, max_iter, residual):
+        self.max_iter = max_iter
+        self.residual = residual
+        super().__init__(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
+
+
+class NonTermination(SgdmcError):
+    """A greedy escape walk exceeded the hard step cap."""
+
+    exit_code = 3
+    label = "no convergence"
+
+
+class SingularDiffusion(SgdmcError):
+    """The diffusion coefficient vanishes somewhere on the state space."""
+
+    exit_code = 4
+    label = "singular diffusion"
+
+    def __init__(self, points):
+        self.points = list(points)
+        super().__init__(f"diffusion coefficient vanishes at {len(self.points)} grid point(s)")
+
+
+class DegenerateDerivative(SgdmcError):
+    """A nonzero component has an identically zero derivative."""
 
 
 class NoAbsorbingSet(SgdmcError):
@@ -50,34 +113,9 @@ class NotFound(SgdmcError):
         super().__init__(f"no certificate with path length <= {ell_max}; gaps: {self.gaps}")
 
 
-class NonTermination(SgdmcError):
-    """A greedy escape walk exceeded the hard step cap."""
-
-
 class DimensionMismatch(SgdmcError):
     """Operator and measure shapes do not match."""
 
 
 class GridMismatch(SgdmcError):
     """Two measures live on different grids."""
-
-
-class NoConvergence(SgdmcError):
-    """An iteration hit max_iter before meeting its tolerance."""
-
-    def __init__(self, max_iter, residual):
-        self.max_iter = max_iter
-        self.residual = residual
-        super().__init__(f"no convergence after {max_iter} iterations (residual {residual:.3e})")
-
-
-class SingularDiffusion(SgdmcError):
-    """The diffusion coefficient vanishes somewhere on the state space."""
-
-    def __init__(self, points):
-        self.points = list(points)
-        super().__init__(f"diffusion coefficient vanishes at {len(self.points)} grid point(s)")
-
-
-class ConfigError(SgdmcError):
-    """A run configuration failed to parse or validate."""

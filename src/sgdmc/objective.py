@@ -12,11 +12,13 @@ from .errors import (
     ConfigError,
     DegenerateDerivative,
     EmptyCriticalSet,
+    InadmissibleStep,
     NonCoercive,
 )
 from .poly import ROOT_TOL, Polynomial, critical_points, extreme_abs_on_interval
 
 A5_TOL = 1e-9
+STATE_SPACE_TOL = 1e-12  # relative slack for points on the state space's boundary
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class SeparableObjective:
                     )
         for i in range(n):
             if all(comps[j][i].is_zero for j in range(len(comps))):
-                raise ValueError(f"summand {i} is identically zero")
+                raise NonCoercive(f"summand {i} is identically zero")
 
     @property
     def dimension(self) -> int:
@@ -166,7 +168,7 @@ def check_step(obj: SeparableObjective, eta: float) -> None:
     """Reject a step size outside (0, 1/K): only there are all maps increasing."""
     eta0 = eta_bound(obj)
     if not 0 < eta < eta0:
-        raise ValueError(
+        raise InadmissibleStep(
             f"step size eta={eta!r} is not in (0, 1/K) with 1/K={eta0!r}"
         )
 
@@ -239,6 +241,14 @@ def _config_number(value, what: str) -> float:
     return x
 
 
+def _config_count(value, what: str) -> int:
+    """A positive whole number from a config value."""
+    x = _config_number(value, what)
+    if not (x >= 1 and x == int(x)):
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return int(x)
+
+
 def config_coefficients(values, what: str) -> list[float]:
     """A list of finite polynomial coefficients from a config value."""
     if not isinstance(values, (list, tuple)):
@@ -246,13 +256,30 @@ def config_coefficients(values, what: str) -> list[float]:
     return [_config_number(c, f"coefficient of {what}") for c in values]
 
 
+def config_point(values, intervals, what: str) -> list[float]:
+    """A point of the state space (one closed interval per dimension) from a
+    config value: one finite number per dimension, each inside its interval
+    up to STATE_SPACE_TOL (a bare number is a one-dimensional point)."""
+    if not isinstance(values, (list, tuple)):
+        values = [values]
+    if len(values) != len(intervals):
+        raise ConfigError(f"{what} must be a list of {len(intervals)} number(s), got {values!r}")
+    point = [_config_number(v, f"coordinate of {what}") for v in values]
+    for x, (lo, hi) in zip(point, intervals):
+        pad = STATE_SPACE_TOL * max(1.0, abs(lo), abs(hi))
+        if not lo - pad <= x <= hi + pad:
+            raise ConfigError(f"{what} = {values!r} lies outside the state space {list(intervals)}")
+    return point
+
+
 def objective_from_config(cfg: dict) -> tuple[SeparableObjective, float]:
     """Build an objective and step size from the JSON-facing dict schema.
 
     Full form: {"dimension": d, "n": n, "components": [[[coeffs]*n]*d], "eta": h}.
     Shortcut:  {"objective": [coeffs], "lambda": lam, "eta": h} expands through
-    lambda_split.  A non-numeric, NaN or infinite eta, lambda or coefficient
-    is a ConfigError.
+    lambda_split.  A non-numeric, NaN or infinite eta, lambda or coefficient,
+    a lambda not above 0, a dimension or n that is not a positive integer, or
+    a components table of another shape is a ConfigError.
     """
     if "eta" not in cfg:
         raise ConfigError("config is missing 'eta'")
@@ -260,18 +287,22 @@ def objective_from_config(cfg: dict) -> tuple[SeparableObjective, float]:
     if "objective" in cfg:
         if "lambda" not in cfg:
             raise ConfigError("shortcut form needs 'lambda'")
-        obj = lambda_split(Polynomial(config_coefficients(cfg["objective"], "'objective'")),
-                           _config_number(cfg["lambda"], "'lambda'"))
+        lam = _config_number(cfg["lambda"], "'lambda'")
+        if not lam > 0:
+            raise ConfigError(f"'lambda' must be positive, got {cfg['lambda']!r}")
+        obj = lambda_split(Polynomial(config_coefficients(cfg["objective"], "'objective'")), lam)
         return obj, eta
     for key in ("dimension", "n", "components"):
         if key not in cfg:
             raise ConfigError(f"config is missing '{key}'")
+    d = _config_count(cfg["dimension"], "'dimension'")
+    n = _config_count(cfg["n"], "'n'")
     rows = cfg["components"]
-    if len(rows) != int(cfg["dimension"]):
+    if not isinstance(rows, list) or len(rows) != d:
         raise ConfigError("components table does not match 'dimension'")
     comps = []
     for row in rows:
-        if len(row) != int(cfg["n"]):
+        if not isinstance(row, list) or len(row) != n:
             raise ConfigError("components table does not match 'n'")
         comps.append(tuple(Polynomial(config_coefficients(cs, "'components'")) for cs in row))
     return SeparableObjective(components=tuple(comps)), eta

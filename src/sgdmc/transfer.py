@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .absorbing import Decomposition
 from .dynamics import MapFamily
-from .errors import DimensionMismatch, GridMismatch, NoConvergence
+from .errors import DimensionMismatch, GridMismatch, GridTooCoarse, NoConvergence
 from .metrics import MetricConfig, d_tilde, metric_config
 
 DEFAULT_TOL_1D = 1e-10
@@ -85,7 +85,7 @@ class Grid:
             for t in decomp.per_dimension[j]:
                 hit = np.flatnonzero((e[:-1] < t.r) & (e[1:] > t.l))
                 if np.any(lab[hit] >= 0):
-                    raise ValueError(
+                    raise GridTooCoarse(
                         "grid too coarse: a cell overlaps two absorbing intervals"
                     )
                 lab[hit] = t.index
@@ -155,11 +155,6 @@ class UlamOperator:
     @property
     def ncells(self) -> int:
         return self.grid.ncells
-
-    def coo_rows(self):
-        """Yield (row, col, value) triples of the nonzero entries."""
-        coo = self.matrix.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
 def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import sgdmc
+from sgdmc import cli
 from sgdmc.cli import main
 from sgdmc.objective import objective_from_config
-from sgdmc.transfer import Grid
+from sgdmc.transfer import Grid, invariant_measure
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
@@ -60,8 +62,9 @@ def test_parse_failure_exit_code(tmp_path):
     *[(c, "--grid", v) for c in ("analyze", "invariant", "basins", "sample", "diffusion")
       for v in ("0", "-3")],
     *[(c, "--steps", v) for c in ("invariant", "sample") for v in ("0", "-5")],
-    *[(c, "--tol", v) for c in ("analyze", "invariant", "basins", "sample", "diffusion")
+    *[(c, "--tol", v) for c in ("invariant", "basins", "sample", "diffusion")
       for v in ("0", "-1e-9", "nan")],
+    *[(c, "--seed", "-1") for c in ("invariant", "sample")],
 ])
 def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, value):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
@@ -83,12 +86,15 @@ def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, v
     (["basins", "--grid", "ten"], 1),
     (["frobnicate"], 1),
     ([], 1),
+    (["analyze", "--tol=0"], 1),
+    (["sweep", "--range", "0.1:1.0:5", "--jobs", "2"], 1),
 ], ids=["help", "version", "command-help", "unknown-flag", "missing-value",
-        "negative-tol-token", "non-integer-grid", "unknown-command", "no-command"])
+        "negative-tol-token", "non-integer-grid", "unknown-command", "no-command",
+        "analyze-has-no-tol", "sweep-has-no-jobs"])
 def test_usage_errors_are_config_errors(tmp_path, capsys, argv, code):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
     out = tmp_path / "o"
-    if argv and argv[0] in ("analyze", "invariant", "basins"):
+    if argv and argv[0] in ("analyze", "invariant", "basins", "sweep"):
         argv = [argv[0], "--config", cfg, "--out", str(out), *argv[1:]]
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -113,18 +119,99 @@ NAN, INF = float("nan"), float("inf")
     ("analyze", {"dimension": 1, "n": 2, "eta": 0.25,
                  "components": [[[1, -2, 1], [1, INF, 1]]]}),
     ("sweep", {"objective": [0.25, 0.0, -0.5, 0.0, NAN]}),
+    ("analyze", {"dimension": "two", "n": 2, "eta": 0.25,
+                 "components": [[[1, -2, 1], [1, 2, 1]]]}),
+    ("analyze", {"dimension": 1, "n": 0, "eta": 0.25, "components": [[]]}),
+    ("analyze", {"dimension": 1, "n": 2, "eta": 0.25, "components": 7}),
+    ("analyze", {"dimension": 1, "n": 2, "eta": 0.25, "components": [7]}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": -0.38, "eta": 0.33}),
+    ("basins", {"objective": DW_COEFFS, "lambda": 0, "eta": 0.33}),
+    ("sweep --range=-0.5:1.0:5", {"objective": DW_COEFFS}),
+    ("sweep --range=0:1.0:5", {"objective": DW_COEFFS}),
+    ("sweep --range=nan:1.0:5", {"objective": DW_COEFFS}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": ["a"]}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": []}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": [5.0]}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": [0.0, 1.0]}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": {"x": 0.0}}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": [NAN]}),
 ], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
         "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
-        "component-inf", "sweep-coefficient-nan"])
+        "component-inf", "sweep-coefficient-nan", "dimension-string", "n-zero",
+        "components-scalar", "components-row-scalar", "lambda-negative", "lambda-zero",
+        "sweep-range-negative", "sweep-range-zero", "sweep-range-nan", "x0-string",
+        "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan"])
 def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "o"
-    extra = ["--range", "0.1:1.0:5"] if command == "sweep" else []
+    command, *extra = command.split()
+    if command == "sweep" and not extra:
+        extra = ["--range", "0.1:1.0:5"]
     assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def _raise_runtime_error(args, problem):
+    raise RuntimeError("unexpected state")
+
+
+DW_CONFIG = {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33}
+LABELS = {1: "config error: ", 2: "assumption violation: ", 3: "no convergence: ",
+          4: "singular diffusion: ", 5: "internal error: "}
+
+
+@pytest.mark.parametrize("code,argv,config,patch", [
+    (0, ["analyze", "--grid", "64"], DW_CONFIG, None),
+    (1, ["analyze"], "{not json", None),
+    (1, ["analyze"], "[0.25, 0.38, 0.33]", None),
+    (1, ["invariant", "--grid", "1"], DW_CONFIG, None),
+    (2, ["analyze"], {**DW_CONFIG, "eta": 0.4}, None),
+    (2, ["analyze"], {"objective": [0, 0, 0, 1.0], "lambda": 0.5, "eta": 0.1}, None),
+    (2, ["analyze"], {"dimension": 2, "n": 2, "eta": 0.1,
+                      "components": [[[1, -2, 1], []], [[1, 2, 1], []]]}, None),
+    (2, ["invariant", "--grid", "64"], {"dimension": 1, "n": 2, "eta": 0.1,
+                                        "components": [[[1, -2, 1], [2, -4, 2]]]}, None),
+    (3, ["invariant", "--grid", "64"], DW_CONFIG,
+     ("invariant_measure", functools.partial(invariant_measure, max_iter=2))),
+    (4, ["diffusion"], {"dimension": 1, "n": 1, "eta": 0.1, "components": [[[0, 0, 1.0]]]},
+     None),
+    (5, ["analyze"], DW_CONFIG, ("cmd_analyze", _raise_runtime_error)),
+], ids=["ok", "unparsable-config", "config-not-object", "grid-too-coarse",
+        "inadmissible-step", "non-coercive", "zero-summand", "shared-critical-point",
+        "no-convergence", "singular-diffusion", "internal-error"])
+def test_every_exit_code(tmp_path, capsys, monkeypatch, code, argv, config, patch):
+    path = tmp_path / "c.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(LABELS[code])
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+    if code == 5:
+        assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_internal_error_traceback_only_at_debug(tmp_path):
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    src = os.path.dirname(os.path.dirname(sgdmc.__file__))
+    script = ("import sys, sgdmc.cli as cli\n"
+              "def fail(args, problem): raise RuntimeError('unexpected state')\n"
+              "cli.cmd_analyze = fail\n"
+              f"sys.exit(cli.main(['analyze', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]))")
+    for level, traced in (("WARNING", False), ("DEBUG", True)):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "SGDMC_LOG": level})
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines()[-1] == "internal error: RuntimeError: unexpected state"
+        assert ("Traceback" in proc.stderr) == traced
 
 
 def test_analyze_deterministic_bytes(tmp_path):
@@ -202,15 +289,6 @@ def test_sweep_degenerate_single_point(tmp_path):
     assert lines[1].startswith("point,")
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
-    out1, out2 = tmp_path / "s", tmp_path / "p"
-    main(["sweep", "--config", cfg, "--out", str(out1), "--range", "0.3:0.5:11"])
-    main(["sweep", "--config", cfg, "--out", str(out2), "--range", "0.3:0.5:11",
-          "--jobs", "2"])
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-
-
 def test_sample_deterministic_and_absorbed(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.2},
                        eta=0.3, x0=[-1.0])
@@ -224,6 +302,18 @@ def test_sample_deterministic_and_absorbed(tmp_path):
     # started inside the left interval: never leaves it
     assert report["rectangle_steps"]["(0,)"] == 5000
     assert report["rectangle_steps"]["(1,)"] == 0
+
+
+def test_sample_scalar_x0_is_a_1d_point(tmp_path):
+    outs = []
+    for x0 in ([-1.0], -1.0):
+        cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.2},
+                           eta=0.3, x0=x0)
+        outs.append(tmp_path / f"o{len(outs)}")
+        assert main(["sample", "--config", cfg, "--out", str(outs[-1]), "--steps", "500",
+                     "--grid", "50"]) == 0
+    for name in ("sample.csv", "sample.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sample_with_invariant_comparison(tmp_path):
