@@ -123,14 +123,15 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """State space I, per-dimension absorbing intervals, product rectangles and
-    (implicitly) the transient remainder B = I minus the rectangles."""
+    """State space I, per-dimension absorbing intervals and (left-moving,
+    right-moving) sets, product rectangles and (implicitly) the transient
+    remainder B = I minus the rectangles.  decompose() builds it."""
 
     intervals: tuple[tuple[float, float], ...]
     per_dimension: tuple[tuple[AbsorbingInterval, ...], ...]
     rectangles: tuple[Rectangle, ...]
     unique: bool
-    left_right: tuple[tuple[IntervalUnion, IntervalUnion], ...] = ()
+    left_right: tuple[tuple[IntervalUnion, IntervalUnion], ...]
 
     @property
     def dimension(self) -> int:

@@ -33,7 +33,7 @@ from .dynamics import (
     uniform_escape_length,
 )
 from .errors import INTERNAL_ERROR, ConfigError, NotFound, SgdmcError
-from .metrics import d_F
+from .metrics import d_F, metric_config
 from .objective import (
     config_coefficients,
     config_point,
@@ -175,11 +175,8 @@ def _invariant_pieces(fam: MapFamily, grid_n, tol):
     decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, grid_n)
     op = ulam_assemble(fam, grid)
-    labels = grid.classify(decomp)
-    results = []
-    for m in range(len(decomp.rectangles)):
-        cells = np.flatnonzero(labels == m)
-        results.append(invariant_measure(op, cells, tol=tol))
+    results = [invariant_measure(op, cells, tol=tol)
+               for cells in metric_config(grid, decomp).rectangle_cells]
     return decomp, grid, op, results
 
 
@@ -370,12 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """--grid, --steps and --tol must be positive and --seed non-negative: a
-    config error, raised before any work starts."""
+    """--grid, --steps and --tol must be positive, --ell-max at least 1 and
+    --seed non-negative: a config error, raised before any work starts."""
     for flag in ("grid", "steps", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not value > 0:  # NaN fails too
             raise ConfigError(f"--{flag} must be positive, got {value}")
+    if getattr(args, "ell_max", 1) < 1:
+        raise ConfigError(f"--ell-max must be at least 1, got {args.ell_max}")
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 

@@ -76,8 +76,7 @@ def _is_constant(p: Polynomial, rel: float = 1e-14) -> bool:
     return all(abs(c) <= rel * scale for c in p.coeffs[1:])
 
 
-def stationary_density(obj: SeparableObjective, eta: float, grid: np.ndarray,
-                       quadrature_tol: float = 1e-10) -> DiffusionProfile:
+def stationary_density(obj: SeparableObjective, eta: float, grid: np.ndarray) -> DiffusionProfile:
     """Normalized stationary density exp(-(2/eta) V) / Z on the grid.
 
     V integrates (Phi' + (2/eta) D') / D.  When D is a constant polynomial

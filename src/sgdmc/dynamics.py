@@ -323,13 +323,10 @@ def _extend_certificate(fam: MapFamily, box, base: SplittingCertificate, alpha,
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Greedy escape paths and lengths over a grid of starting points."""
+    """Greedy escape lengths over a grid of starting points and their max."""
 
     ell_zero: int
-    grid_shape: tuple[int, ...]
     lengths: np.ndarray
-    paths: tuple[Path, ...]
-    worst_start: tuple[float, ...]
 
 
 def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
@@ -344,8 +341,6 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
     _check_in_state_space(fam, x)
-    if not decomp.left_right:
-        raise ValueError("decomposition lacks left/right sets; use decompose()")
     path: list[int] = []
     for j in range(fam.dimension - 1, -1, -1):
         # closed membership counts as absorbed (boundary points never leave);
@@ -410,22 +405,10 @@ def uniform_escape_length(fam: MapFamily, decomp: Decomposition, grid_n: int = 1
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
     shape = tuple(len(a) for a in axes)
     lengths = np.zeros(shape, dtype=int)
-    paths: list[Path] = []
-    worst = (0, tuple(float(a[0]) for a in axes))
     for idx in np.ndindex(*shape):
         pt = tuple(float(axes[j][idx[j]]) for j in range(fam.dimension))
-        path = escape_path(fam, pt, decomp)
-        paths.append(path)
-        lengths[idx] = len(path)
-        if len(path) > worst[0]:
-            worst = (len(path), pt)
-    return EscapeReport(
-        ell_zero=int(lengths.max()),
-        grid_shape=shape,
-        lengths=lengths,
-        paths=tuple(paths),
-        worst_start=worst[1],
-    )
+        lengths[idx] = len(escape_path(fam, pt, decomp))
+    return EscapeReport(ell_zero=int(lengths.max()), lengths=lengths)
 
 
 @dataclass(frozen=True)

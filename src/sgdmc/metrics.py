@@ -11,17 +11,35 @@ import numpy as np
 from .errors import GridMismatch
 
 
-def _check_same_grid(mu, nu):
-    if mu.grid is not nu.grid and mu.grid != nu.grid:
-        raise GridMismatch("measures live on different grids")
+def cdf_sup(a, b) -> float:
+    """max |cumsum(a) - cumsum(b)|: the CDF sup distance of two weight vectors
+    on one 1-d grid."""
+    return float(np.max(np.abs(np.cumsum(a) - np.cumsum(b))))
+
+
+def half_l1(a, b) -> float:
+    """Half the l1 distance of two weight vectors: their total variation."""
+    return 0.5 * float(np.sum(np.abs(a - b)))
+
+
+def _orthant_sup(diff, shape, alpha) -> float:
+    """Sup of |sum of diff| over the grid-anchored alpha-orthant rectangles:
+    cumulative sums along every axis, flipped where alpha is -1."""
+    diff = diff.reshape(shape)
+    for axis, a in enumerate(alpha):
+        if a == -1:
+            diff = np.flip(diff, axis=axis)
+        diff = np.cumsum(diff, axis=axis)
+    return float(np.max(np.abs(diff)))
 
 
 def d_F(mu, nu) -> float:
     """Sup distance of cumulative distributions on a shared 1-d grid."""
-    _check_same_grid(mu, nu)
+    if mu.grid != nu.grid:
+        raise GridMismatch("measures live on different grids")
     if mu.grid.dimension != 1:
         raise GridMismatch("CDF metric is one-dimensional; use d_alpha_rect")
-    return float(np.max(np.abs(np.cumsum(mu.weights) - np.cumsum(nu.weights))))
+    return cdf_sup(mu.weights, nu.weights)
 
 
 def d_alpha_rect(mu, nu, alpha) -> float:
@@ -32,83 +50,58 @@ def d_alpha_rect(mu, nu, alpha) -> float:
     lower bound for the full orthant metric; in one dimension the two coincide
     and equal the CDF sup distance.
     """
-    _check_same_grid(mu, nu)
+    if mu.grid != nu.grid:
+        raise GridMismatch("measures live on different grids")
     d = mu.grid.dimension
     if len(alpha) != d:
         raise GridMismatch(f"alpha has {len(alpha)} signs for a {d}-d grid")
-    diff = (mu.weights - nu.weights).reshape(mu.grid.shape)
-    for axis, a in enumerate(alpha):
-        if a == -1:
-            diff = np.flip(diff, axis=axis)
-        diff = np.cumsum(diff, axis=axis)
-    return float(np.max(np.abs(diff)))
+    return _orthant_sup(mu.weights - nu.weights, mu.grid.shape, alpha)
 
 
 def total_variation(mu, nu) -> float:
     """Discrete total variation: half the l1 distance of cell weights."""
-    _check_same_grid(mu, nu)
-    return 0.5 * float(np.sum(np.abs(mu.weights - nu.weights)))
+    if mu.grid != nu.grid:
+        raise GridMismatch("measures live on different grids")
+    return half_l1(mu.weights, nu.weights)
 
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Orthant signs per rectangle plus the decomposition-aware cell masks."""
+    """The grid's block structure under a decomposition: the cells of each
+    absorbing rectangle, in rectangle order, and the transient cells."""
 
-    alphas: tuple[tuple[int, ...], ...]
     rectangle_cells: tuple[np.ndarray, ...]
     transient_cells: np.ndarray
 
-    def __post_init__(self):
-        for alpha in self.alphas:
-            if alpha and alpha[0] != +1:
-                raise ValueError("orthant signs are normalized to alpha[0] = +1")
-        if len(self.alphas) != len(self.rectangle_cells):
-            raise ValueError("one alpha per rectangle is required")
 
+def metric_config(grid, decomp) -> MetricConfig:
+    """Label the grid once (Grid.classify) and split its cells into the
+    rectangles' blocks and the transient remainder.
 
-def metric_config(grid, decomp, alphas=None) -> MetricConfig:
-    """Build the composite-metric configuration for a grid and decomposition.
-
-    Without certificates the positive orthant is used for every rectangle; in
-    one dimension the choice is immaterial.
+    This is the one place labels become cells: the composite metric, the
+    invariant measures and the absorption iterations all take their blocks
+    from it.  d_tilde compares the absorbing restrictions in the positive
+    orthant; in one dimension the choice is immaterial.
     """
     labels = grid.classify(decomp)
-    rect_cells = tuple(
-        np.flatnonzero(labels == m) for m in range(len(decomp.rectangles))
-    )
-    if alphas is None:
-        alphas = tuple((+1,) * grid.dimension for _ in decomp.rectangles)
     return MetricConfig(
-        alphas=tuple(tuple(a) for a in alphas),
-        rectangle_cells=rect_cells,
+        rectangle_cells=tuple(
+            np.flatnonzero(labels == m) for m in range(len(decomp.rectangles))
+        ),
         transient_cells=np.flatnonzero(labels < 0),
     )
 
 
 def d_tilde(mu, nu, config: MetricConfig) -> float:
     """Total variation of the transient restrictions plus the per-rectangle
-    orthant distances of the absorbing restrictions."""
-    _check_same_grid(mu, nu)
-    total = _tv_on_cells(mu, nu, config.transient_cells)
-    for cells, alpha in zip(config.rectangle_cells, config.alphas):
-        total += _restricted_alpha(mu, nu, cells, alpha)
+    positive-orthant distances of the absorbing restrictions."""
+    if mu.grid != nu.grid:
+        raise GridMismatch("measures live on different grids")
+    transient = config.transient_cells
+    total = half_l1(mu.weights[transient], nu.weights[transient])
+    positive = (+1,) * mu.grid.dimension
+    for cells in config.rectangle_cells:
+        diff = np.zeros_like(mu.weights)
+        diff[cells] = mu.weights[cells] - nu.weights[cells]
+        total += _orthant_sup(diff, mu.grid.shape, positive)
     return float(total)
-
-
-def _tv_on_cells(mu, nu, cells) -> float:
-    if cells.size == 0:
-        return 0.0
-    return 0.5 * float(np.sum(np.abs(mu.weights[cells] - nu.weights[cells])))
-
-
-def _restricted_alpha(mu, nu, cells, alpha) -> float:
-    if cells.size == 0:
-        return 0.0
-    diff = np.zeros_like(mu.weights)
-    diff[cells] = mu.weights[cells] - nu.weights[cells]
-    diff = diff.reshape(mu.grid.shape)
-    for axis, a in enumerate(alpha):
-        if a == -1:
-            diff = np.flip(diff, axis=axis)
-        diff = np.cumsum(diff, axis=axis)
-    return float(np.max(np.abs(diff)))

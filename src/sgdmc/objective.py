@@ -4,7 +4,7 @@ two-map linear splitting used throughout the examples."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     InadmissibleStep,
     NonCoercive,
 )
-from .poly import ROOT_TOL, Polynomial, critical_points, extreme_abs_on_interval
+from .poly import Polynomial, critical_points, extreme_abs_on_interval
 
 A5_TOL = 1e-9
 STATE_SPACE_TOL = 1e-12  # relative slack for points on the state space's boundary
@@ -26,14 +26,12 @@ class CriticalPointReport:
     """Critical points of every component, organized per dimension.
 
     roots[j][i] is the sorted root list of the derivative of component (j, i)
-    (empty for zero components); per dimension, combined[j] is their union and
-    span[j] = (min, max) of the union.
+    (empty for zero components), found to poly.ROOT_TOL; span[j] is the
+    (min, max) of dimension j's roots over all components, the state space.
     """
 
     roots: tuple[tuple[tuple[float, ...], ...], ...]
-    combined: tuple[tuple[float, ...], ...]
     span: tuple[tuple[float, float], ...]
-    root_tol: float = ROOT_TOL
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class SeparableObjective:
     """
 
     components: tuple[tuple[Polynomial, ...], ...]
-    root_tol: float = field(default=ROOT_TOL, compare=False)
 
     def __post_init__(self):
         comps = tuple(tuple(row) for row in self.components)
@@ -81,7 +78,6 @@ class SeparableObjective:
     @cached_property
     def critical_report(self) -> CriticalPointReport:
         roots = []
-        combined = []
         span = []
         for j, row in enumerate(self.components):
             per_comp = []
@@ -90,16 +86,15 @@ class SeparableObjective:
                     per_comp.append(())
                     continue
                 try:
-                    per_comp.append(tuple(critical_points(p, self.root_tol)))
+                    per_comp.append(tuple(critical_points(p)))
                 except DegenerateDerivative as exc:
                     raise NonCoercive(f"component in dimension {j}: {exc}") from exc
             flat = sorted(r for rs in per_comp for r in rs)
             if not flat:
                 raise EmptyCriticalSet(f"dimension {j} has no critical points")
             roots.append(tuple(per_comp))
-            combined.append(tuple(flat))
             span.append((flat[0], flat[-1]))
-        return CriticalPointReport(tuple(roots), tuple(combined), tuple(span), self.root_tol)
+        return CriticalPointReport(tuple(roots), tuple(span))
 
     @cached_property
     def lipschitz_K(self) -> float:

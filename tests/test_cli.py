@@ -65,6 +65,7 @@ def test_parse_failure_exit_code(tmp_path):
     *[(c, "--tol", v) for c in ("invariant", "basins", "sample", "diffusion")
       for v in ("0", "-1e-9", "nan")],
     *[(c, "--seed", "-1") for c in ("invariant", "sample")],
+    *[("analyze", "--ell-max", v) for v in ("0", "-1")],
 ])
 def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, value):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)

@@ -162,15 +162,3 @@ def test_d_tilde_subadditive_on_splits(rng):
         rhs = d_tilde(mu1, nu1, config) + d_tilde(mu2, nu2, config)
         assert lhs <= rhs + 1e-12
 
-
-def test_metric_config_validates_alpha():
-    grid, config = _two_block_config()
-    with pytest.raises(ValueError):
-        metric_config(grid, _decomp_for(), alphas=[(-1,), (+1,)])
-
-
-def _decomp_for():
-    from sgdmc.absorbing import decompose
-    from sgdmc.objective import double_well
-
-    return decompose(double_well(0.2), 0.3)

@@ -1,0 +1,100 @@
+"""Property tests over random coercive objectives: quartics and sextics F,
+split as F + lam*x and F - lam*x, in one and two dimensions, with an
+admissible step and a small grid."""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_anchored_distance, classify_cells
+
+from sgdmc.absorbing import decompose
+from sgdmc.dynamics import MapFamily
+from sgdmc.errors import GridTooCoarse, SgdmcError
+from sgdmc.metrics import d_tilde, metric_config
+from sgdmc.objective import SeparableObjective, eta_bound, lambda_split
+from sgdmc.poly import Polynomial
+from sgdmc.transfer import DiscreteMeasure, Grid, ulam_assemble
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@st.composite
+def split_component(draw):
+    """(F + lam*x, F - lam*x) for a random coercive F of degree 4 or 6; a
+    negative quadratic term makes two wells, and so two rectangles, common."""
+    degree = draw(st.sampled_from([4, 6]))
+    coeffs = [0.0, draw(st.floats(-0.2, 0.2)), draw(st.floats(-1.0, -0.1))]
+    coeffs += [draw(st.floats(-0.3, 0.3)) for _ in range(3, degree)]
+    coeffs.append(draw(st.floats(0.1, 1.0)))
+    lam = draw(st.floats(0.02, 0.6))
+    return lambda_split(Polynomial(coeffs), lam).components[0]
+
+
+@st.composite
+def problems(draw):
+    """A decomposed problem on a small grid: (map family, decomposition, grid)."""
+    dimension = draw(st.sampled_from([1, 2]))
+    rows = tuple(draw(split_component()) for _ in range(dimension))
+    try:
+        obj = SeparableObjective(components=rows)
+        eta = draw(st.floats(0.05, 0.95)) * eta_bound(obj)
+        fam = MapFamily(obj, eta)
+        decomp = decompose(obj, eta)
+    except SgdmcError:
+        assume(False)
+    cells = draw(st.integers(8, 60) if dimension == 1 else st.integers(4, 10))
+    return fam, decomp, Grid.regular(decomp.intervals, cells)
+
+
+def _labels(grid, decomp):
+    try:
+        return grid.classify(decomp)
+    except GridTooCoarse:
+        assume(False)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_classify_matches_per_cell_oracle(problem):
+    _, decomp, grid = problem
+    np.testing.assert_array_equal(_labels(grid, decomp), classify_cells(grid, decomp))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_blocks_partition_the_cells(problem):
+    _, decomp, grid = problem
+    _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    assert len(config.rectangle_cells) == len(decomp.rectangles)
+    blocks = np.concatenate([*config.rectangle_cells, config.transient_cells])
+    np.testing.assert_array_equal(np.sort(blocks), np.arange(grid.ncells))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_ulam_rows_are_stochastic(problem):
+    fam, _, grid = problem
+    op = ulam_assemble(fam, grid)
+    assert op.row_sum_error <= 1e-12
+    assert np.max(np.abs(np.asarray(op.matrix.sum(axis=1)).ravel() - 1.0)) <= 1e-12
+    assert op.matrix.min() >= 0.0
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_d_tilde_matches_per_rectangle_oracle(problem, seed):
+    _, decomp, grid = problem
+    labels = _labels(grid, decomp)
+    rng = np.random.default_rng(seed)
+    mu, nu = (DiscreteMeasure(grid, w / w.sum()) for w in rng.random((2, grid.ncells)))
+    transient = labels < 0
+    expected = 0.5 * np.abs(mu.weights[transient] - nu.weights[transient]).sum()
+    for m in range(len(decomp.rectangles)):
+        inside = labels == m
+        expected += brute_force_anchored_distance(
+            np.where(inside, mu.weights, 0.0), np.where(inside, nu.weights, 0.0),
+            grid.shape, (+1,) * grid.dimension,
+        )
+    assert abs(d_tilde(mu, nu, metric_config(grid, decomp)) - expected) <= 1e-12

@@ -9,9 +9,9 @@ from oracles import classify_cells, direct_absorption, double_well_roots, overla
 
 import sgdmc
 from sgdmc.absorbing import decompose
-from sgdmc.dynamics import MapFamily
+from sgdmc.dynamics import MapFamily, splitting_certificate_multi
 from sgdmc.errors import NoConvergence
-from sgdmc.metrics import d_F
+from sgdmc.metrics import d_F, metric_config
 from sgdmc.objective import SeparableObjective, double_well
 from sgdmc.transfer import (
     DiscreteMeasure,
@@ -279,7 +279,7 @@ def test_mixture_coefficients_cases(dw038_setup):
 
 def test_ulam_absorption_matches_chain_limit(dw038_setup):
     _, _, decomp, _, grid, op = dw038_setup
-    absorption = ulam_absorption(op, decomp)
+    absorption = ulam_absorption(op, metric_config(grid, decomp))
     assert absorption.partition_defect <= 1e-9
     labels = grid.classify(decomp)
     mu = DiscreteMeasure.uniform(grid)
@@ -310,7 +310,7 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
     op = ulam_assemble(MapFamily(obj, eta), grid)
     labels = grid.classify(decomp)
     assert (block_leakage(op, np.flatnonzero(labels >= 0)) > 1e-3) == leaky
-    absorption = ulam_absorption(op, decomp)
+    absorption = ulam_absorption(op, metric_config(grid, decomp))
     expected = direct_absorption(op.matrix, labels, len(decomp.rectangles))
     assert np.max(np.abs(absorption.values - expected)) <= 1e-11
     assert absorption.partition_defect <= 1e-9
@@ -323,7 +323,8 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     _, _, decomp, fam, grid, _ = dw038_setup
     matrix = dual_operator(fam, grid)
     labels = grid.classify(decomp)
-    basins = _absorption_iteration(matrix, grid, labels, 2, 1e-11, 10**6)
+    basins = _absorption_iteration(matrix, grid, metric_config(grid, decomp).rectangle_cells,
+                                   1e-11, 10**6)
     g = np.stack([(labels == m).astype(float) for m in range(2)])
     for _ in range(basins.iterations):
         g = (matrix @ g.T).T
@@ -335,13 +336,13 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
 
 
 def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):
-    # one labelling for the metric and invariant cells, one inside ulam_absorption
+    # one labelling serves the metric, the invariant cells and ulam_absorption
     _, _, decomp, _, grid, op = dw038_setup
     calls = []
     classify = Grid.classify
     monkeypatch.setattr(Grid, "classify", lambda self, d: calls.append(d) or classify(self, d))
     limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=5)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_limit_mixture_fixed_point(dw038_setup):
@@ -359,6 +360,28 @@ def test_limit_mixture_decays(dw02_setup):
                         stop_below=1e-4)
     assert res.decay_log.min() < 1e-3
     assert res.envelope_ratio < 1.0
+
+
+@pytest.mark.parametrize("obj,eta,n,k_max,x0,expected", [
+    (double_well(0.38), 0.33, 10**4, 1000, [0.1447], 0.765),
+    (SeparableObjective(components=double_well(0.38).components * 2), 0.33, 120, 300,
+     [0.1447, 0.1447], 0.765),
+    (double_well(0.38), 0.01, 4000, 2000, [0.1447], None),
+], ids=["dw038-fine", "dw038-2d", "dw038-small-eta"])
+def test_envelope_ratio_fits_above_tolerance_floor(obj, eta, n, k_max, x0, expected):
+    # the logs run far past the floor the invariant measures' tolerance sets;
+    # the fitted rate must not read that plateau's 1.0
+    decomp = decompose(obj, eta)
+    fam = MapFamily(obj, eta)
+    grid = Grid.regular(decomp.intervals, n)
+    res = limit_mixture(ulam_assemble(fam, grid), decomp,
+                        DiscreteMeasure.point_mass(grid, x0), k_max=k_max)
+    assert res.decay_log.size == k_max
+    certs = [splitting_certificate_multi(fam, rect) for rect in decomp.rectangles]
+    certified = max(c.contraction_factor(fam.n) ** (1.0 / c.ell) for c in certs)
+    assert 0.0 < res.envelope_ratio <= certified
+    if expected is not None:
+        assert abs(res.envelope_ratio - expected) <= 2e-3
 
 
 def test_limit_mixture_single_rectangle_equals_invariant():
