@@ -12,7 +12,7 @@ from .errors import (
     InvarianceCheckFailed,
     NoAbsorbingSet,
 )
-from .objective import CriticalPointReport, SeparableObjective, check_step
+from .objective import SeparableObjective, check_step, step_map
 
 BOUNDARY_TOL = 1e-9
 
@@ -49,8 +49,8 @@ class IntervalUnion:
                     pts.append(e)
         return sorted(set(pts))
 
-    def on_boundary(self, x: float, tol: float = BOUNDARY_TOL) -> bool:
-        return any(abs(x - e) <= tol for e in self.boundary())
+    def on_boundary(self, x: float) -> bool:
+        return any(abs(x - e) <= BOUNDARY_TOL for e in self.boundary())
 
 
 def union_of_intervals(pieces) -> IntervalUnion:
@@ -94,10 +94,6 @@ class AbsorbingInterval:
     def __post_init__(self):
         if not self.l < self.r:
             raise ValueError("absorbing interval needs l < r")
-
-    @property
-    def width(self) -> float:
-        return self.r - self.l
 
     def contains(self, x: float, closed: bool = True) -> bool:
         if closed:
@@ -164,11 +160,9 @@ class Decomposition:
         }
 
 
-def state_space(obj: SeparableObjective, report: CriticalPointReport | None = None):
+def state_space(obj: SeparableObjective):
     """Per-dimension closed interval spanned by the critical points."""
-    if report is None:
-        report = obj.critical_report
-    return tuple(report.span)
+    return tuple(obj.critical_report.span)
 
 
 def left_right_sets(obj: SeparableObjective, j: int) -> tuple[IntervalUnion, IntervalUnion]:
@@ -230,6 +224,16 @@ def absorbing_intervals(left: IntervalUnion, right: IntervalUnion, j: int = 0) -
     ]
 
 
+def absorbing_structure(obj: SeparableObjective):
+    """Per dimension, the (L, R) sets and the absorbing intervals: the step
+    size free part of the decomposition, as (left_right, per_dimension)."""
+    left_right, per_dim = [], []
+    for j in range(obj.dimension):
+        left_right.append(left_right_sets(obj, j))
+        per_dim.append(tuple(absorbing_intervals(*left_right[j], j)))
+    return tuple(left_right), tuple(per_dim)
+
+
 def uniqueness_check(obj: SeparableObjective) -> bool:
     """True when every dimension has a component with exactly one critical
     point, which forces a single absorbing rectangle."""
@@ -248,14 +252,8 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
     than l and r no further right than r, per dimension.
     """
     check_step(obj, eta)
-    report = obj.critical_report
-    intervals = state_space(obj, report)
-    per_dim = []
-    lr = []
-    for j in range(obj.dimension):
-        left, right = left_right_sets(obj, j)
-        lr.append((left, right))
-        per_dim.append(tuple(absorbing_intervals(left, right, j)))
+    intervals = state_space(obj)
+    lr, per_dim = absorbing_structure(obj)
 
     rects = []
     for combo in itertools.product(*[range(len(ts)) for ts in per_dim]):
@@ -263,26 +261,24 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
         rects.append(Rectangle(index=combo, box=box))
 
     slack = 1e-12
+    maps = [[step_map(row[i], eta) for row in obj.components] for i in range(obj.n)]
     for rect in rects:
         for i in range(obj.n):
             for j, (lo, hi) in enumerate(rect.box):
-                p = obj.components[j][i]
-                if p.is_zero:
-                    continue
-                dp = p.derivative()
+                phi = maps[i][j]
                 width = hi - lo
-                if lo - (lo - eta * dp(lo)) > slack * max(1.0, width):
+                if lo - phi(lo) > slack * max(1.0, width):
                     raise InvarianceCheckFailed(i, rect.index, (j, lo))
-                if (hi - eta * dp(hi)) - hi > slack * max(1.0, width):
+                if phi(hi) - hi > slack * max(1.0, width):
                     raise InvarianceCheckFailed(i, rect.index, (j, hi))
 
     unique = uniqueness_check(obj)
     decomp = Decomposition(
-        intervals=tuple(intervals),
-        per_dimension=tuple(per_dim),
+        intervals=intervals,
+        per_dimension=per_dim,
         rectangles=tuple(rects),
         unique=unique,
-        left_right=tuple(lr),
+        left_right=lr,
     )
     if unique and decomp.rectangle_count != 1:
         raise NoAbsorbingSet("uniqueness criterion holds but rectangle count != 1")
@@ -291,8 +287,4 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
 
 def rectangle_count_for(obj: SeparableObjective) -> int:
     """Rectangle count straight from the L/R structure (step size free)."""
-    total = 1
-    for j in range(obj.dimension):
-        left, right = left_right_sets(obj, j)
-        total *= len(absorbing_intervals(left, right, j))
-    return total
+    return math.prod(len(ts) for ts in absorbing_structure(obj)[1])

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .absorbing import absorbing_intervals, left_right_sets, rectangle_count_for
+from .absorbing import absorbing_structure, rectangle_count_for
 from .diffusion import density_cell_masses, stationary_density
 from .dynamics import (
     MapFamily,
@@ -54,6 +54,7 @@ from .transfer import (
 log = logging.getLogger("sgdmc")
 
 CSV_BLOCK_ROWS = 256  # 4096 raised diffusion --grid 10000's peak RSS by 1.6 MB
+BISECT_TOL = 1e-6  # width in lambda at which sweep stops refining a count change
 
 
 def _write_csv(path: str, header: list[str], columns, row: str | None = None) -> None:
@@ -140,7 +141,6 @@ def _parse_range(spec: str):
 
 
 def cmd_analyze(args, fam: MapFamily) -> None:
-    started = time.perf_counter()
     decomp = fam.decomposition
     certificates = []
     for rect in decomp.rectangles:
@@ -166,9 +166,7 @@ def cmd_analyze(args, fam: MapFamily) -> None:
         "combined_exponent": 2 * max([escape.ell_zero] + cert_ells) if cert_ells else None,
         "unique": decomp.unique,
     })
-    # timing goes to the log, not the report: output files are byte-stable
-    log.info("analyze: %d rectangle(s), unique=%s, %.3fs", len(decomp.rectangles),
-             decomp.unique, time.perf_counter() - started)
+    log.info("analyze: %d rectangle(s), unique=%s", len(decomp.rectangles), decomp.unique)
 
 
 def _invariant_pieces(fam: MapFamily, grid_n, tol):
@@ -225,7 +223,7 @@ def cmd_invariant(args, fam: MapFamily) -> None:
 def cmd_basins(args, fam: MapFamily) -> None:
     decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, args.grid)
-    basins = basin_functions(fam, grid, decomp, tol=args.tol or 1e-11)
+    basins = basin_functions(fam, grid, decomp, tol=args.tol)
     mu0 = DiscreteMeasure.uniform(grid)
     coeff = mixture_coefficients(basins, mu0)
     report = {
@@ -246,14 +244,14 @@ def cmd_basins(args, fam: MapFamily) -> None:
 
 def _sweep_point(base: Polynomial, lam: float):
     obj = lambda_split(base, lam)
-    ts = absorbing_intervals(*left_right_sets(obj, 0))
+    _, (ts,) = absorbing_structure(obj)
     endpoints = ";".join(f"{t.l:.17g}|{t.r:.17g}" for t in ts)
     return lam, len(ts), eta_bound(obj), endpoints
 
 
-def _bisect_count_change(base: Polynomial, lo, hi, tol=1e-6) -> float:
-    c_lo = rectangle_count_for(lambda_split(base, lo))
-    while hi - lo > tol:
+def _bisect_count_change(base: Polynomial, lo, hi, c_lo: int) -> float:
+    """Where in [lo, hi] the rectangle count changes from c_lo, its value at lo."""
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if rectangle_count_for(lambda_split(base, mid)) == c_lo:
             lo = mid
@@ -268,7 +266,7 @@ def cmd_sweep(args, problem) -> None:
     rows = [("point", lam, cnt, f"{eta0:.17g}", endp) for lam, cnt, eta0, endp in points]
     for (lam_a, cnt_a, *_), (lam_b, cnt_b, *_) in zip(points[:-1], points[1:]):
         if cnt_a != cnt_b:
-            loc = _bisect_count_change(base, lam_a, lam_b)
+            loc = _bisect_count_change(base, lam_a, lam_b, cnt_a)
             rows.append(("bifurcation", loc, cnt_a, "", f"{cnt_a}->{cnt_b}"))
     _write_csv(os.path.join(args.out, "sweep.csv"),
                ["record", "lambda", "count", "eta0", "endpoints"],
@@ -391,7 +389,10 @@ def main(argv=None) -> int:
         _check_flags(args)
         problem = _problem(args, _load_config(args.config))
         os.makedirs(args.out, exist_ok=True)
+        started = time.perf_counter()
         args.func(args, problem)
+        # timing goes to the log, not the outputs: output files are byte-stable
+        log.info("%s: %.3fs", args.command, time.perf_counter() - started)
         return 0
     except SgdmcError as exc:
         log.debug("%s", type(exc).__name__, exc_info=True)

@@ -11,6 +11,8 @@ from .errors import SingularDiffusion
 from .objective import SeparableObjective
 from .poly import Polynomial
 
+CONSTANT_REL_TOL = 1e-14  # _is_constant: coefficients below this share of the largest are zero
+
 
 @dataclass(frozen=True)
 class DiffusionProfile:
@@ -46,7 +48,7 @@ def _diffusion_poly(obj: SeparableObjective) -> Polynomial:
     """Variance of the summand gradients: mean of (f_i')^2 minus (F')^2."""
     acc = Polynomial()
     for p in obj.components[0]:
-        dp = p.derivative() if not p.is_zero else Polynomial()
+        dp = p.derivative()
         acc = acc + (dp * dp)
     acc = acc.scale(1.0 / obj.n)
     fp = _mean_poly(obj).derivative()
@@ -69,11 +71,11 @@ def vanishing_points(diffusion: np.ndarray, grid: np.ndarray, tol: float = 1e-12
     return [float(x) for x in grid[np.asarray(diffusion) < tol]]
 
 
-def _is_constant(p: Polynomial, rel: float = 1e-14) -> bool:
+def _is_constant(p: Polynomial) -> bool:
     if p.degree <= 0:
         return True
     scale = max(abs(c) for c in p.coeffs)
-    return all(abs(c) <= rel * scale for c in p.coeffs[1:])
+    return all(abs(c) <= CONSTANT_REL_TOL * scale for c in p.coeffs[1:])
 
 
 def stationary_density(obj: SeparableObjective, eta: float, grid: np.ndarray) -> DiffusionProfile:

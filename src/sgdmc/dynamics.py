@@ -11,12 +11,13 @@ import numpy as np
 
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, decompose
 from .errors import NonTermination, NotFound, OutOfStateSpace
-from .objective import STATE_SPACE_TOL, SeparableObjective, check_step
+from .objective import SeparableObjective, check_step, state_space_window, step_map
 from .poly import Polynomial, horner_path
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 
 ESCAPE_STEP_CAP = 10**6
+CERTIFICATE_TOL = 1e-9  # slack of verify_certificate's splitting inequalities
 
 
 @dataclass(frozen=True)
@@ -55,49 +56,31 @@ class MapFamily:
     @cached_property
     def phi(self) -> tuple[tuple[Polynomial, ...], ...]:
         """phi[i-1][j] is the coordinate-j polynomial of map i."""
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.dimension):
-                p = self.obj.components[j][i]
-                if p.is_zero:
-                    row.append(Polynomial([0.0, 1.0]))
-                    continue
-                dp = p.derivative()
-                coeffs = [-self.eta * c for c in dp.coeffs]
-                while len(coeffs) < 2:
-                    coeffs.append(0.0)
-                coeffs[1] += 1.0
-                row.append(Polynomial(coeffs))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(step_map(row[i], self.eta) for row in self.obj.components)
+                     for i in range(self.n))
 
     def map_coord(self, i: int, j: int, s: float) -> float:
         """Coordinate-j image of scalar s under map i (1-based i)."""
         return self.phi[i - 1][j](s)
 
 
-def _check_in_state_space(fam: MapFamily, x: np.ndarray, tol: float = STATE_SPACE_TOL):
+def _check_in_state_space(fam: MapFamily, x: np.ndarray):
     for j, (lo, hi) in enumerate(fam.intervals):
-        pad = tol * max(1.0, abs(lo), abs(hi))
-        if x[j] < lo - pad or x[j] > hi + pad:
+        low, high = state_space_window(lo, hi)
+        if x[j] < low or x[j] > high:
             raise OutOfStateSpace(f"coordinate {j}: {x[j]!r} outside [{lo}, {hi}]")
 
 
 def apply_map(fam: MapFamily, i: int, x) -> np.ndarray:
     """One SGD step with summand i from point x (componentwise)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_in_state_space(fam, x)
-    return np.array([fam.map_coord(i, j, x[j]) for j in range(fam.dimension)])
+    return apply_path(fam, (i,), x)
 
 
 def apply_path(fam: MapFamily, path, x) -> np.ndarray:
     """Compose maps along the path, first index applied first."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_in_state_space(fam, x)
-    for i in path:
-        x = np.array([fam.map_coord(i, j, x[j]) for j in range(fam.dimension)])
-    return x
+    return np.array([path_coord(fam, path, j, x[j]) for j in range(fam.dimension)])
 
 
 def path_coord(fam: MapFamily, path, j: int, s: float) -> float:
@@ -177,8 +160,7 @@ def _alpha_corners(box, alpha):
     return hi, lo
 
 
-def verify_certificate(fam: MapFamily, box, cert: SplittingCertificate,
-                       tol: float = 1e-9) -> bool:
+def verify_certificate(fam: MapFamily, box, cert: SplittingCertificate) -> bool:
     """Re-check the splitting inequalities at the alpha-extreme corners."""
     corner_hi, corner_lo = _alpha_corners(box, cert.alpha)
     img_lo = apply_path(fam, cert.path_lo, corner_hi)
@@ -186,9 +168,9 @@ def verify_certificate(fam: MapFamily, box, cert: SplittingCertificate,
     for j, a in enumerate(cert.alpha):
         x0 = cert.split_point[j]
         if a == +1:
-            ok = img_lo[j] <= x0 + tol and img_hi[j] >= x0 - tol
+            ok = img_lo[j] <= x0 + CERTIFICATE_TOL and img_hi[j] >= x0 - CERTIFICATE_TOL
         else:
-            ok = img_lo[j] >= x0 - tol and img_hi[j] <= x0 + tol
+            ok = img_lo[j] >= x0 - CERTIFICATE_TOL and img_hi[j] <= x0 + CERTIFICATE_TOL
         if not ok:
             return False
     return True
@@ -473,14 +455,14 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
 def _membership_series(traj: np.ndarray, decomp: Decomposition) -> np.ndarray:
     """Rectangle index per step (-1 outside all rectangles), vectorized.
 
-    Boxes are padded by a few ulps: orbits converging to a fixed point on a
-    rectangle edge can round one ulp outside it, which is float drift, not a
-    violated absorption property."""
+    Boxes are widened like the state space (state_space_window): orbits
+    converging to a fixed point on a rectangle edge can round one ulp outside
+    it, which is float drift, not a violated absorption property."""
     member = np.full(traj.shape[0], -1, dtype=int)
     for m, rect in enumerate(decomp.rectangles):
         mask = np.ones(traj.shape[0], dtype=bool)
         for j, (lo, hi) in enumerate(rect.box):
-            pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-            mask &= (traj[:, j] >= lo - pad) & (traj[:, j] <= hi + pad)
+            low, high = state_space_window(lo, hi)
+            mask &= (traj[:, j] >= low) & (traj[:, j] <= high)
         member[mask] = m
     return member

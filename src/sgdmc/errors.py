@@ -114,8 +114,8 @@ class NotFound(SgdmcError):
 
 
 class DimensionMismatch(SgdmcError):
-    """Operator and measure shapes do not match."""
+    """A weight vector or map family does not fit the grid's shape."""
 
 
 class GridMismatch(SgdmcError):
-    """Two measures live on different grids."""
+    """Measures, operators or basin functions live on different grids."""

@@ -148,8 +148,6 @@ def lipschitz_constant(obj: SeparableObjective, intervals=None) -> float:
     for j, row in enumerate(obj.components):
         lo, hi = intervals[j]
         for p in row:
-            if p.is_zero:
-                continue
             best = max(best, extreme_abs_on_interval(p.derivative().derivative(), lo, hi))
     return best
 
@@ -166,6 +164,22 @@ def check_step(obj: SeparableObjective, eta: float) -> None:
         raise InadmissibleStep(
             f"step size eta={eta!r} is not in (0, 1/K) with 1/K={eta0!r}"
         )
+
+
+def step_map(p: Polynomial, eta: float) -> Polynomial:
+    """The step x - eta * p'(x) of component p (x itself for a zero p), built
+    coefficient by coefficient: Polynomial addition would turn -0.0 into 0.0."""
+    coeffs = [-eta * c for c in p.derivative().coeffs]
+    coeffs += [0.0] * (2 - len(coeffs))
+    coeffs[1] += 1.0
+    return Polynomial(coeffs)
+
+
+def state_space_window(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened by STATE_SPACE_TOL relative to its largest endpoint:
+    points this close outside are float drift, not escapes."""
+    pad = STATE_SPACE_TOL * max(1.0, abs(lo), abs(hi))
+    return lo - pad, hi + pad
 
 
 def lambda_split(f_poly: Polynomial, lam: float) -> SeparableObjective:
@@ -261,8 +275,8 @@ def config_point(values, intervals, what: str) -> list[float]:
         raise ConfigError(f"{what} must be a list of {len(intervals)} number(s), got {values!r}")
     point = [_config_number(v, f"coordinate of {what}") for v in values]
     for x, (lo, hi) in zip(point, intervals):
-        pad = STATE_SPACE_TOL * max(1.0, abs(lo), abs(hi))
-        if not lo - pad <= x <= hi + pad:
+        low, high = state_space_window(lo, hi)
+        if not low <= x <= high:
             raise ConfigError(f"{what} = {values!r} lies outside the state space {list(intervals)}")
     return point
 

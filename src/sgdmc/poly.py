@@ -113,12 +113,12 @@ def _eval_scale(p: Polynomial, x: float) -> float:
     return max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
 
 
-def real_roots(p: Polynomial, root_tol: float = ROOT_TOL) -> list[float]:
+def real_roots(p: Polynomial) -> list[float]:
     """All real roots of p, ascending, multiple roots reported once.
 
     Between consecutive critical points of p the polynomial is monotone, so a
     sign change brackets exactly one root, refined by bisection.  Breakpoints
-    where |p| falls below root_tol (relative to the evaluation magnitude) are
+    where |p| falls below ROOT_TOL (relative to the evaluation magnitude) are
     sign-touching roots and are reported once; the snap keeps double roots from
     being either missed or double counted.
     """
@@ -130,13 +130,13 @@ def real_roots(p: Polynomial, root_tol: float = ROOT_TOL) -> list[float]:
         return [-p.coeffs[0] / p.coeffs[1]]
 
     bound = p.cauchy_bound()
-    inner = [r for r in real_roots(p.derivative(), root_tol) if -bound < r < bound]
+    inner = [r for r in real_roots(p.derivative()) if -bound < r < bound]
     nodes = [-bound] + sorted(inner) + [bound]
 
     signs = []
     for x in nodes:
         v = p(x)
-        if abs(v) <= root_tol * _eval_scale(p, x):
+        if abs(v) <= ROOT_TOL * _eval_scale(p, x):
             signs.append(0)
         else:
             signs.append(1 if v > 0 else -1)
@@ -158,14 +158,14 @@ def real_roots(p: Polynomial, root_tol: float = ROOT_TOL) -> list[float]:
     return out
 
 
-def critical_points(p: Polynomial, root_tol: float = ROOT_TOL) -> list[float]:
+def critical_points(p: Polynomial) -> list[float]:
     """Sorted real roots of p', i.e. the critical points of p."""
     if p.is_zero:
         raise DegenerateDerivative("zero polynomial")
     dp = p.derivative()
     if dp.is_zero:
         raise DegenerateDerivative("constant polynomial has no critical points")
-    return real_roots(dp, root_tol)
+    return real_roots(dp)
 
 
 def extreme_abs_on_interval(p: Polynomial, lo: float, hi: float) -> float:

@@ -21,6 +21,7 @@ DEFAULT_MAX_ITER = 10**6
 # the last sup change understates the absorption error ~100x at eta = 0.01;
 # 1e-14 keeps ulam_absorption within ~1e-12 of the exact linear solve
 ULAM_ABSORPTION_TOL = 1e-14
+BASIN_TOL = 1e-11  # basin_functions' default stop tolerance
 # a closed block loses only rounding (~1e-16 per step); a block leaking more
 # than this returns a quasi-stationary measure, and invariant_measure warns
 LEAKAGE_WARN = 1e-9
@@ -221,7 +222,7 @@ def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
 def push_forward(op: UlamOperator, mu: DiscreteMeasure) -> DiscreteMeasure:
     """One application of the measure-evolution step."""
     if op.grid != mu.grid:
-        raise DimensionMismatch("operator and measure grids differ")
+        raise GridMismatch("operator and measure grids differ")
     return DiscreteMeasure(mu.grid, op.matrix.T @ mu.weights)
 
 
@@ -349,9 +350,11 @@ def _absorption_iteration(matrix, grid: Grid, rectangle_cells, tol: float,
 
 
 def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
-                    tol: float = 1e-11, max_iter: int = DEFAULT_MAX_ITER) -> BasinFunctions:
+                    tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER) -> BasinFunctions:
     """Absorption eigenfunctions of the exact dual operator: the indicator
     iteration run on the interpolated function-side matrix."""
+    if tol is None:
+        tol = BASIN_TOL
     basins = _absorption_iteration(dual_operator(fam, grid), grid,
                                    metric_config(grid, decomp).rectangle_cells, tol, max_iter)
     if basins.partition_defect > 1e-6:

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -438,3 +439,25 @@ def test_report_round_trips(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert json.loads(json.dumps(payload)) == payload
     assert payload["combined_exponent"] >= 1
+
+
+def test_info_log_times_every_command(tmp_path):
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    src = os.path.dirname(os.path.dirname(sgdmc.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "SGDMC_LOG"}
+    outputs = {}
+    for level in ("default", "INFO"):
+        out = tmp_path / level
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdmc.cli", "invariant", "--config", cfg,
+             "--out", str(out), "--grid", "200"],
+            capture_output=True, text=True,
+            env={**env, "PYTHONPATH": src, **({"SGDMC_LOG": level} if level == "INFO" else {})},
+        )
+        assert proc.returncode == 0
+        if level == "INFO":
+            assert re.fullmatch(r"INFO:sgdmc:invariant: \d+\.\d{3}s", proc.stderr.strip())
+        else:
+            assert proc.stderr == ""
+        outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["INFO"] == outputs["default"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from sgdmc.objective import (
     eighth_order_potential,
     eta_bound,
     lambda_split,
+    crossed_quadratics_2d,
     lipschitz_constant,
     objective_from_config,
+    step_map,
 )
 from sgdmc.poly import Polynomial
 
@@ -173,3 +177,28 @@ def test_eighth_order_potential_constraints():
     assert f.coeffs[8] == 0.78
     assert f.coeffs[4] == pytest.approx(2.8431, abs=1e-12)
     assert f.coeffs[6] == pytest.approx(-2.9354, abs=1e-12)
+
+
+@pytest.mark.parametrize("obj,eta", [(double_well(0.38), 0.33), (crossed_quadratics_2d(), 0.25)],
+                         ids=["double-well", "crossed-quadratics"])
+def test_step_map_coefficient_bits(obj, eta):
+    # coefficient k of x - eta * p'(x) is -eta * (k + 1) * c_{k+1}, plus 1.0
+    # for k = 1; zero coefficients keep their sign (the double well's x^2
+    # term and the crossed quadratics' constant term are -0.0)
+    fam = MapFamily(obj, eta)
+    negative_zeros = 0
+    for j, row in enumerate(obj.components):
+        for i, p in enumerate(row):
+            want = [-eta * ((k + 1) * c) for k, c in enumerate(p.coeffs[1:])]
+            want[1] = want[1] + 1.0
+            got = step_map(p, eta).coeffs
+            assert [c.hex() for c in got] == [c.hex() for c in want]
+            assert [c.hex() for c in fam.phi[i][j].coeffs] == [c.hex() for c in want]
+            negative_zeros += sum(1 for c in got if c == 0.0 and math.copysign(1.0, c) < 0)
+    # both double-well maps and the two x^2 maps of the crossed quadratics
+    assert negative_zeros == 2
+
+
+def test_step_map_of_zero_component_is_identity():
+    coeffs = step_map(Polynomial(), 0.3).coeffs
+    assert [c.hex() for c in coeffs] == [(0.0).hex(), (1.0).hex()]

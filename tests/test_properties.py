@@ -2,16 +2,18 @@
 split as F + lam*x and F - lam*x, in one and two dimensions, with an
 admissible step and a small grid."""
 
+import itertools
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_anchored_distance, classify_cells
 
-from sgdmc.absorbing import decompose
-from sgdmc.dynamics import MapFamily
-from sgdmc.errors import GridTooCoarse, SgdmcError
+from sgdmc.absorbing import decompose, rectangle_count_for
+from sgdmc.dynamics import MapFamily, splitting_certificate_multi, verify_certificate
+from sgdmc.errors import GridTooCoarse, NotFound, SgdmcError
 from sgdmc.metrics import d_tilde, metric_config
-from sgdmc.objective import SeparableObjective, eta_bound, lambda_split
+from sgdmc.objective import SeparableObjective, eta_bound, lambda_split, state_space_window
 from sgdmc.poly import Polynomial
 from sgdmc.transfer import DiscreteMeasure, Grid, ulam_assemble
 
@@ -98,3 +100,47 @@ def test_d_tilde_matches_per_rectangle_oracle(problem, seed):
             grid.shape, (+1,) * grid.dimension,
         )
     assert abs(d_tilde(mu, nu, metric_config(grid, decomp)) - expected) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_rectangles_are_disjoint_and_inside_the_state_space(problem):
+    _, decomp, _ = problem
+    for rect in decomp.rectangles:
+        for (lo, hi), (a, b) in zip(rect.box, decomp.intervals):
+            assert a <= lo < hi <= b
+    for r1, r2 in itertools.combinations(decomp.rectangles, 2):
+        # open boxes meet only if their intervals overlap in every dimension
+        assert any(h1 <= l2 or h2 <= l1 for (l1, h1), (l2, h2) in zip(r1.box, r2.box))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_every_map_sends_corners_into_their_rectangle(problem):
+    # checked on the map family's own polynomials, apart from decompose
+    fam, decomp, _ = problem
+    for rect in decomp.rectangles:
+        for maps in fam.phi:
+            for phi, (lo, hi) in zip(maps, rect.box):
+                low, high = state_space_window(lo, hi)
+                assert low <= phi(lo) <= high
+                assert low <= phi(hi) <= high
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_rectangle_count_is_step_size_free(problem):
+    fam, decomp, _ = problem
+    assert len(decomp.rectangles) == rectangle_count_for(fam.obj)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_found_certificates_verify(problem):
+    fam, decomp, _ = problem
+    for rect in decomp.rectangles:
+        try:
+            cert = splitting_certificate_multi(fam, rect)
+        except NotFound:
+            continue
+        assert verify_certificate(fam, rect.box, cert)

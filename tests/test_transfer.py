@@ -10,7 +10,7 @@ from oracles import classify_cells, direct_absorption, double_well_roots, overla
 import sgdmc
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
-from sgdmc.errors import NoConvergence
+from sgdmc.errors import GridMismatch, NoConvergence
 from sgdmc.metrics import d_F, metric_config
 from sgdmc.objective import SeparableObjective, double_well
 from sgdmc.transfer import (
@@ -158,6 +158,14 @@ def test_push_forward_conserves_mass(dw038_setup, rng):
     out = push_forward(op, mu)
     assert out.mass == pytest.approx(1.0, abs=1e-12)
     assert np.all(out.weights >= 0)
+
+
+def test_push_forward_rejects_measure_on_other_grid(dw038_setup):
+    # the same condition, and the same error, as in mixture_coefficients
+    _, _, decomp, _, _, op = dw038_setup
+    mu = DiscreteMeasure.uniform(Grid.regular(decomp.intervals, 999))
+    with pytest.raises(GridMismatch, match="operator and measure grids differ"):
+        push_forward(op, mu)
 
 
 def test_push_forward_point_mass_stays_in_block(dw038_setup):
