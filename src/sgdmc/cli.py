@@ -43,6 +43,7 @@ from .objective import (
 )
 from .poly import Polynomial
 from .transfer import (
+    MAX_GRID_DIMENSION,
     DiscreteMeasure,
     Grid,
     basin_functions,
@@ -123,6 +124,8 @@ def _problem(args, cfg: dict):
     fam = MapFamily(*objective_from_config(cfg))
     if args.command == "diffusion" and fam.dimension != 1:
         raise ConfigError("diffusion comparison is one-dimensional")
+    if args.command == "basins" and fam.dimension > MAX_GRID_DIMENSION:
+        raise ConfigError("basin functions need a dense grid, offered up to two dimensions")
     if args.command == "sample":
         x0 = config_point(cfg["x0"], fam.intervals, "'x0'") if "x0" in cfg else _centre(fam)
         return fam, x0
@@ -185,7 +188,7 @@ def _d_F_per_rectangle(decomp, measure: DiscreteMeasure, results) -> list[dict]:
 
 
 def cmd_invariant(args, fam: MapFamily) -> None:
-    if fam.dimension > 2:
+    if fam.dimension > MAX_GRID_DIMENSION:
         log.warning(
             "dense grids are limited to two dimensions; falling back to a "
             "seeded trajectory histogram"

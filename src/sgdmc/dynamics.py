@@ -12,7 +12,7 @@ import numpy as np
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, decompose
 from .errors import NonTermination, NotFound, OutOfStateSpace
 from .objective import SeparableObjective, check_step, state_space_window, step_map
-from .poly import Polynomial, horner_path
+from .poly import Polynomial
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 
@@ -107,17 +107,22 @@ def _envelope_with_path(fam: MapFamily, j: int, x: float, ell: int, direction: s
     pick = min if direction == "min" else max
     vals = [float(x)]
     path: list[int] = []
-    cur = float(x)
     for _ in range(ell):
-        best_i, best_v = 1, fam.map_coord(1, j, cur)
-        for i in range(2, fam.n + 1):
-            v = fam.map_coord(i, j, cur)
-            if pick(v, best_v) == v and v != best_v:
-                best_i, best_v = i, v
-        cur = best_v
-        vals.append(cur)
-        path.append(best_i)
+        i, v = _greedy_map(fam, j, vals[-1], pick)
+        vals.append(v)
+        path.append(i)
     return vals, tuple(path)
+
+
+def _greedy_map(fam: MapFamily, j: int, s: float, pick) -> tuple[int, float]:
+    """(i, image) of the first map whose coordinate-j image of s is the pick
+    (min or max) of all the maps' images."""
+    best_i, best_v = 1, fam.map_coord(1, j, s)
+    for i in range(2, fam.n + 1):
+        v = fam.map_coord(i, j, s)
+        if pick(v, best_v) == v and v != best_v:
+            best_i, best_v = i, v
+    return best_i, best_v
 
 
 @dataclass(frozen=True)
@@ -320,6 +325,8 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
     the active coordinate, a target interval reachable through an unbroken
     stretch of the right-moving (or left-moving) set is chosen once, and the
     map with the largest step toward it is applied until the interior is hit.
+    The walk reads the active coordinate alone; the unsettled ones then follow
+    its path, and settled ones are never read again.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
     _check_in_state_space(fam, x)
@@ -327,29 +334,24 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
     for j in range(fam.dimension - 1, -1, -1):
         # closed membership counts as absorbed (boundary points never leave);
         # the walk itself targets the open interior
-        if any(t.contains(x[j], closed=True) for t in decomp.per_dimension[j]):
+        ts = decomp.per_dimension[j]
+        if any(t.contains(x[j], closed=True) for t in ts):
             continue
-        direction = _escape_direction(x[j], decomp.per_dimension[j],
-                                      decomp.left_right[j], j)
-        while not _inside_union(x[j], decomp.per_dimension[j]):
-            best_i, best_step = 0, 0.0
-            for i in range(1, fam.n + 1):
-                step = direction * (fam.map_coord(i, j, x[j]) - x[j])
-                if step > best_step:
-                    best_i, best_step = i, step
-            if best_i == 0:
-                raise NonTermination(
-                    f"no map makes progress at coordinate {j} = {x[j]!r}"
-                )
-            x = [fam.map_coord(best_i, k, s) for k, s in enumerate(x)]
-            path.append(best_i)
+        direction = _escape_direction(x[j], ts, decomp.left_right[j], j)
+        pick = max if direction > 0 else min
+        start = len(path)
+        s = x[j]
+        while not any(t.contains(s, closed=False) for t in ts):
+            i, image = _greedy_map(fam, j, s, pick)
+            if direction * (image - s) <= 0:
+                raise NonTermination(f"no map makes progress at coordinate {j} = {s!r}")
+            s = image
+            path.append(i)
             if len(path) > ESCAPE_STEP_CAP:
                 raise NonTermination(f"escape exceeded {ESCAPE_STEP_CAP} steps")
+        walked = path[start:]
+        x[:j] = [path_coord(fam, walked, k, x[k]) for k in range(j)]
     return tuple(path)
-
-
-def _inside_union(s: float, ts: tuple[AbsorbingInterval, ...]) -> bool:
-    return any(t.contains(s, closed=False) for t in ts)
 
 
 def _escape_direction(s: float, ts, left_right, j: int) -> int:
@@ -415,27 +417,26 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
     _check_in_state_space(fam, x0)
     d = fam.dimension
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.integers(1, fam.n + 1, size=steps)
-    coeffs = [[fam.phi[i][j].coeffs for j in range(d)] for i in range(fam.n)]
+    draws = rng.integers(1, fam.n + 1, size=steps).tolist()
 
+    # separability: each coordinate is its own chain, driven by the shared draws
     traj = np.empty((steps, d), dtype=float)
-    x = [float(v) for v in x0]
-    for k in range(steps):
-        c = coeffs[draws[k] - 1]
-        x = [horner_path(c[j], x[j]) for j in range(d)]
-        traj[k] = x
+    for j in range(d):
+        maps = [None] + [phi[j] for phi in fam.phi]  # 1-based like the draws
+        column = traj[:, j]
+        s = float(x0[j])
+        for k, i in enumerate(draws):
+            s = maps[i](s)
+            column[k] = s
+    del draws
 
     member = _membership_series(traj, decomp)
-    rect_steps: dict[tuple[int, ...], int] = {}
-    for m, rect in enumerate(decomp.rectangles):
-        rect_steps[rect.index] = int(np.count_nonzero(member == m))
-    absorbed = np.flatnonzero(member >= 0)
-    first = int(absorbed[0]) if absorbed.size else None
-    if absorbed.size:
-        tail = member[first:]
-        if np.any(tail != member[first]):
-            k = first + int(np.argmax(tail != member[first]))
-            raise AssertionError(f"absorbing property violated at step {k}")
+    rect_steps = {rect.index: int(np.count_nonzero(member == m))
+                  for m, rect in enumerate(decomp.rectangles)}
+    first = int(np.argmax(member >= 0))  # 0 when no step is absorbed
+    departures = np.flatnonzero(member[first:] != member[first])
+    if departures.size:
+        raise AssertionError(f"absorbing property violated at step {first + departures[0]}")
 
     edges = tuple(np.linspace(lo, hi, grid_n + 1) for lo, hi in fam.intervals)
     hists = tuple(
@@ -448,7 +449,7 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
         histograms=hists,
         rectangle_steps=rect_steps,
         final_point=tuple(float(v) for v in traj[-1]),
-        first_absorbed_step=first,
+        first_absorbed_step=first if member[first] >= 0 else None,
     )
 
 

@@ -3,7 +3,7 @@ two-map linear splitting used throughout the examples."""
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,14 +240,13 @@ def crossed_quadratics_2d() -> SeparableObjective:
 
 
 def _config_number(value, what: str) -> float:
-    """A finite float from a config value; anything else is a ConfigError."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
+    """A finite float from a JSON number; anything else, a boolean or a
+    numeric string included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int beyond floats
         raise ConfigError(f"{what} must be finite, got {value!r}")
-    return x
+    return float(value)
 
 
 def _config_count(value, what: str) -> int:

@@ -176,11 +176,3 @@ def extreme_abs_on_interval(p: Polynomial, lo: float, hi: float) -> float:
         xs += [r for r in real_roots(dp) if lo < r < hi]
     return max(abs(p(x)) for x in xs)
 
-
-def horner_path(coeffs: tuple[float, ...], x: float) -> float:
-    """Standalone Horner kernel used in tight loops."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-

@@ -28,6 +28,8 @@ LEAKAGE_WARN = 1e-9
 # the fitted envelope ratio uses only logged distances this many times above
 # the invariant measures' tolerance (see _fitted_envelope_ratio)
 ENVELOPE_FLOOR = 100
+# dense cell grids (the Ulam and dual operators) stop at two dimensions
+MAX_GRID_DIMENSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +192,11 @@ def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_
 def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
     """Average over the maps of the Kronecker product of the per-dimension
     factors factor_1d(fam, i, j, axes[j]); separability makes this exact."""
+    if len(axes) > MAX_GRID_DIMENSION:
+        raise ValueError(
+            "dense cell grids are offered up to two dimensions; use trajectory "
+            "histograms (sgd_sample) for higher-dimensional problems"
+        )
     acc = None
     for i in range(1, fam.n + 1):
         factors = [factor_1d(fam, i, j, axis) for j, axis in enumerate(axes)]
@@ -209,11 +216,6 @@ def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
     """
     if grid.dimension != fam.dimension:
         raise DimensionMismatch("grid and map family dimensions differ")
-    if grid.dimension > 2:
-        raise ValueError(
-            "dense cell grids are offered up to two dimensions; use trajectory "
-            "histograms (sgd_sample) for higher-dimensional problems"
-        )
     matrix = _kron_average(fam, _map_factor_1d, grid.edges)
     err = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
     return UlamOperator(matrix=matrix, grid=grid, row_sum_error=err)

@@ -1,6 +1,7 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
-direct sparse solves, and per-cell Ulam factors and cell labels.
+direct sparse solves, per-cell Ulam factors and cell labels, and the
+whole-point sampler step and escape walk.
 Everything here deliberately avoids the package's own algorithms."""
 
 from __future__ import annotations
@@ -158,3 +159,60 @@ def classify_cells(grid, decomp) -> np.ndarray:
                     raise ValueError("cell overlaps two rectangles")
                 labels[pos] = m
     return labels
+
+
+def whole_point_sample(fam, x0, steps: int, seed: int, grid_n: int):
+    """The sampler one whole point per step: each draw moves every coordinate
+    through its Polynomial map.  Returns (final point, per-dimension
+    histograms, first step inside a rectangle or None, steps per rectangle)."""
+    from sgdmc.objective import state_space_window
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.integers(1, fam.n + 1, size=steps)
+    traj = np.empty((steps, fam.dimension))
+    x = [float(v) for v in x0]
+    for k in range(steps):
+        x = [fam.phi[draws[k] - 1][j](s) for j, s in enumerate(x)]
+        traj[k] = x
+    hists = [np.histogram(traj[:, j], bins=np.linspace(lo, hi, grid_n + 1))[0]
+             for j, (lo, hi) in enumerate(fam.intervals)]
+    rect_steps = {}
+    first = None
+    for rect in fam.decomposition.rectangles:
+        inside = np.ones(steps, dtype=bool)
+        for j, (lo, hi) in enumerate(rect.box):
+            low, high = state_space_window(lo, hi)
+            inside &= (traj[:, j] >= low) & (traj[:, j] <= high)
+        rect_steps[rect.index] = int(inside.sum())
+        if inside.any():
+            k = int(np.flatnonzero(inside)[0])
+            first = k if first is None else min(first, k)
+    return tuple(float(v) for v in traj[-1]), hists, first, rect_steps
+
+
+def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.ndarray:
+    """Greedy escape lengths over a grid_n-per-dimension grid, walking the
+    whole point: coordinates settle from the last to the first, and every
+    step applies, to all coordinates, the first map with the largest step
+    toward the chosen direction (direction_of(s, intervals, left_right, j))."""
+    axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
+    lengths = np.zeros((grid_n,) * fam.dimension, dtype=int)
+    for idx in np.ndindex(*lengths.shape):
+        x = [float(axes[j][k]) for j, k in enumerate(idx)]
+        steps = 0
+        for j in range(fam.dimension - 1, -1, -1):
+            ts = decomp.per_dimension[j]
+            if any(t.contains(x[j], closed=True) for t in ts):
+                continue
+            direction = direction_of(x[j], ts, decomp.left_right[j], j)
+            while not any(t.contains(x[j], closed=False) for t in ts):
+                best_i, best_step = 0, 0.0
+                for i in range(1, fam.n + 1):
+                    step = direction * (fam.phi[i - 1][j](x[j]) - x[j])
+                    if step > best_step:
+                        best_i, best_step = i, step
+                assert best_i, "no map makes progress"
+                x = [fam.phi[best_i - 1][k](s) for k, s in enumerate(x)]
+                steps += 1
+        lengths[idx] = steps
+    return lengths

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -137,12 +138,22 @@ NAN, INF = float("nan"), float("inf")
     ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": [0.0, 1.0]}),
     ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": {"x": 0.0}}),
     ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": [NAN]}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": 0.38, "eta": "0.33"}),
+    ("analyze", {"objective": DW_COEFFS, "lambda": True, "eta": 0.33}),
+    ("analyze", {"objective": [0.25, 0.0, -0.5, 0.0, "0.25"], "lambda": 0.38, "eta": 0.33}),
+    ("analyze", {"dimension": True, "n": 2, "eta": 0.25,
+                 "components": [[[1, -2, 1], [1, 2, 1]]]}),
+    ("analyze", {"dimension": 1, "n": "2", "eta": 0.25,
+                 "components": [[[1, -2, 1], [1, 2, 1]]]}),
+    ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": False}),
 ], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
         "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
         "component-inf", "sweep-coefficient-nan", "dimension-string", "n-zero",
         "components-scalar", "components-row-scalar", "lambda-negative", "lambda-zero",
         "sweep-range-negative", "sweep-range-zero", "sweep-range-nan", "x0-string",
-        "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan"])
+        "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan",
+        "eta-numeric-string", "lambda-true", "coefficient-numeric-string", "dimension-true",
+        "n-numeric-string", "x0-false"])
 def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "o"
@@ -413,6 +424,20 @@ def test_invariant_dump_operator(tmp_path):
         assert 0 <= int(row) < 4 and 0 <= int(col) < 4
         total += float(value)
     assert total == pytest.approx(4.0, abs=1e-12)  # rows sum to one
+
+
+def test_basins_refuses_more_than_two_dimensions(tmp_path, capsys):
+    f1 = [0.25, 0.2, -0.5, 0.0, 0.25]
+    f2 = [0.25, -0.2, -0.5, 0.0, 0.25]
+    cfg = write_config(tmp_path / "c.json", dimension=3, n=2,
+                       components=[[f1, f2]] * 3, eta=0.1)
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(["basins", "--config", cfg, "--out", str(out), "--grid", "12"]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_invariant_monte_carlo_fallback_3d(tmp_path):

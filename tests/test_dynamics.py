@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_path_extremes, double_well_x0
+from oracles import (
+    brute_force_path_extremes,
+    double_well_x0,
+    whole_point_escape_lengths,
+    whole_point_sample,
+)
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import (
     MapFamily,
+    _escape_direction,
     apply_map,
     apply_path,
     escape_path,
@@ -346,3 +352,30 @@ def test_uniform_escape_additive_over_dimensions():
     one_d = uniform_escape_length(MapFamily(obj1, eta), decompose(obj1, eta), grid_n=60)
     assert two_d.ell_zero <= 2 * one_d.ell_zero
     assert two_d.ell_zero >= one_d.ell_zero
+
+
+@pytest.mark.parametrize("fam,x0,steps", [
+    (MapFamily(double_well(0.38), 0.33), [0.0], 20000),
+    (MapFamily(double_well(0.38), 0.01), [-0.2], 20000),
+    (mixed_2d_family(), [-0.3, 0.1], 20000),
+], ids=["dw-eta-0.33", "dw-eta-0.01", "mixed-2d"])
+def test_sampler_matches_whole_point_oracle(fam, x0, steps):
+    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=7, grid_n=64)
+    s = sgd_sample(fam, x0, steps=steps, seed=7, grid_n=64)
+    assert s.final_point == final
+    assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
+    assert s.first_absorbed_step == first
+    assert s.rectangle_steps == rect_steps
+
+
+@pytest.mark.parametrize("fam,grid_n", [
+    (MapFamily(double_well(0.38), 0.01), 500),
+    (mixed_2d_family(), 25),
+    # both coordinates transient somewhere: settling the second one moves the first
+    (MapFamily(SeparableObjective(components=double_well(0.2).components * 2), 0.2), 25),
+], ids=["dw-eta-0.01", "mixed-2d", "dw-product-2d"])
+def test_escape_lengths_match_whole_point_oracle(fam, grid_n):
+    decomp = fam.decomposition
+    report = uniform_escape_length(fam, decomp, grid_n=grid_n)
+    oracle = whole_point_escape_lengths(fam, decomp, grid_n, _escape_direction)
+    assert np.array_equal(report.lengths, oracle)

@@ -1,0 +1,194 @@
+"""Golden output digests: a fixed set of small CLI runs, each pinned by its
+exit code, its stderr text and the SHA-256 of every file it writes.
+
+A change that alters an output byte must update GOLDEN and say why in
+CHANGES.md.  `PYTHONPATH=src python tests/test_golden.py` prints GOLDEN for the
+current code.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import logging
+import os
+import tempfile
+
+import pytest
+
+from sgdmc.cli import main
+
+DW = [0.25, 0.0, -0.5, 0.0, 0.25]
+
+
+def _split(lam):
+    return [[0.25, lam, -0.5, 0.0, 0.25], [0.25, -lam, -0.5, 0.0, 0.25]]
+
+
+DW_CONFIG = {"objective": DW, "lambda": 0.38, "eta": 0.33}
+# the double well split with lambda 0.2 in x1 (two wells) and 0.55 in x2 (one)
+MIXED_CONFIG = {"dimension": 2, "n": 2, "components": [_split(0.2), _split(0.55)],
+                "eta": 0.2, "x0": [-0.3, 0.1]}
+CUBE_CONFIG = {"dimension": 3, "n": 2, "components": [_split(0.2), _split(0.55), _split(0.3)],
+               "eta": 0.1}
+
+CASES = {
+    "analyze-1d": (DW_CONFIG, ["analyze", "--grid", "500"]),
+    "analyze-2d": (MIXED_CONFIG, ["analyze", "--grid", "100"]),
+    "invariant-1d": (DW_CONFIG, ["invariant", "--grid", "500"]),
+    "invariant-2d": (MIXED_CONFIG, ["invariant", "--grid", "60"]),
+    "invariant-3d-fallback": (CUBE_CONFIG, ["invariant", "--grid", "32", "--steps", "2000",
+                                            "--seed", "1"]),
+    "basins-1d": (DW_CONFIG, ["basins", "--grid", "500"]),
+    "basins-2d": (MIXED_CONFIG, ["basins", "--grid", "60"]),
+    "sample-1d": (DW_CONFIG, ["sample", "--grid", "200", "--steps", "20000", "--seed", "3",
+                              "--compare-invariant"]),
+    "sample-2d": (MIXED_CONFIG, ["sample", "--grid", "50", "--steps", "20000", "--seed", "3"]),
+    "diffusion-1d": (DW_CONFIG, ["diffusion", "--grid", "500"]),
+    "sweep": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:40"]),
+    "inadmissible-eta": ({**DW_CONFIG, "eta": 0.9}, ["analyze", "--grid", "100"]),
+}
+
+# per case: exit code, file digests and stderr text
+GOLDEN = {
+    "analyze-1d": {
+        "exit": 0,
+        "files": {
+            "report.json": "688d0061f4dd23bc427ebc7d8506fdf45c6bd91dbbefe343e2aa8306e8a327cd"
+        },
+        "stderr": ""
+    },
+    "analyze-2d": {
+        "exit": 0,
+        "files": {
+            "report.json": "cdb6b66968c7cab832264bc15a999cf4e04fd5ae76777a5c94f28a0d5a7d8668"
+        },
+        "stderr": ""
+    },
+    "basins-1d": {
+        "exit": 0,
+        "files": {
+            "basin_0.csv": "b067c8c9c8c15d93c23b8c3e688c684148014506a44190619451280d6bef24b0",
+            "basin_1.csv": "6ff445d05ab0035cb144ebc28c10942f3bb211dfb8382fdebd3416c28644e3cf",
+            "basins.json": "a57d4a54b332fca9190be3281758f4b5e40fd6fe0898f13f83b9856d4f66beb4"
+        },
+        "stderr": ""
+    },
+    "basins-2d": {
+        "exit": 0,
+        "files": {
+            "basin_0.csv": "243cb932714bc2e5bdc3697ba1e7502917ff53c9376167aae672e602638eaff7",
+            "basin_1.csv": "ffc3f88c1d1c80a4aaae1a1a7a8f489cf54cd26647dcc769ae9c0545c1e51139",
+            "basins.json": "6ac529b2bfc384719e075776a06eca9e6737efd8caaed7b224d9c71343aa226d"
+        },
+        "stderr": "WARNING:sgdmc.transfer:partition-of-unity defect 2.67e-03 suggests the grid is too coarse for the transient dynamics\n"
+    },
+    "diffusion-1d": {
+        "exit": 0,
+        "files": {
+            "diffusion.csv": "f32ffd655af6650322bb4b7ad6cc93beac0c410e44babc9c9990b7b9e78508fa",
+            "diffusion.json": "658a9e85739a14c513aaf0b06bc418b10b1af42d0556a6716fa6150cbad0395b"
+        },
+        "stderr": ""
+    },
+    "inadmissible-eta": {
+        "exit": 2,
+        "files": {},
+        "stderr": "assumption violation: step size eta=0.9 is not in (0, 1/K) with 1/K=0.334596978976074\n"
+    },
+    "invariant-1d": {
+        "exit": 0,
+        "files": {
+            "invariant.json": "e02b98f29e4a339881edeeb5398885effd91f00a8aac18f7fddc3dce4b8d5e4c",
+            "invariant_0.csv": "d64924e999ce539d980d12aed04ca518891aacb6b956db02f8ff58f5e46f3f5d",
+            "invariant_1.csv": "9a3ec0383e60219a69dae8ef90bb96c5714f6294fcd60a1233fb49350d05a85f"
+        },
+        "stderr": ""
+    },
+    "invariant-2d": {
+        "exit": 0,
+        "files": {
+            "invariant.json": "63ce8899b7f55e660b2f39723524943e2aa0efbd945eeb8c802bfbefea05cfe2",
+            "invariant_0.csv": "cfaacbe66e51e25f30a31936ed5ba6a0456c5abbe365503ddce7f3de470b8152",
+            "invariant_1.csv": "44de90a0a54b733ae8fa360877f807d5f4fd958e33613b5f9fbbbb23ca6c1b0e"
+        },
+        "stderr": ""
+    },
+    "invariant-3d-fallback": {
+        "exit": 0,
+        "files": {
+            "invariant.json": "0f5c0e289fb3bb76e0e139e8b49532b57ece678523a6a0039f91f86c42d81ea4",
+            "invariant_mc_dim0.csv": "9bad3c8d4731b753c3aec3409ccce11444f0705681460748cbeae2942fe25dd9",
+            "invariant_mc_dim1.csv": "af082e9f4618178338689b95ef79e1a174425e1ca11629fa505c03a8050cfa5b",
+            "invariant_mc_dim2.csv": "3e9319dae258d38cbee6fe45515b551370a99b416cc6da4458c80ec3f6315314"
+        },
+        "stderr": "WARNING:sgdmc:dense grids are limited to two dimensions; falling back to a seeded trajectory histogram\n"
+    },
+    "sample-1d": {
+        "exit": 0,
+        "files": {
+            "sample.csv": "470d57a8ccad55677709e4553403bf7a8743d1ab35926fbc656a49308f66e83e",
+            "sample.json": "4a682911d8b7f79a86096f49e62113a17e61699fb7ee5e7ef0e0d6a7f8f563b1"
+        },
+        "stderr": ""
+    },
+    "sample-2d": {
+        "exit": 0,
+        "files": {
+            "sample.json": "4ca117a92415db574eae6b34f71ab35be44ceeb01b751ea3cd281b9bd9fb341b",
+            "sample_dim0.csv": "0bfb380736ec29079caa31221c7b8d599c099dea8a21a6eb4c880900f5557a6d",
+            "sample_dim1.csv": "a7b1b326cafe2e992d27bc5fde85df8820b071c40cf7dd4e1d330bbc10406609"
+        },
+        "stderr": ""
+    },
+    "sweep": {
+        "exit": 0,
+        "files": {
+            "sweep.csv": "5eecf919bac1f218ac8e3e812f535f30b49e28b708f33e99610a7e21201a84c3"
+        },
+        "stderr": ""
+    }
+}
+
+
+def run_case(config, argv) -> dict:
+    """Run one command in this process; return its exit code, its stderr text
+    (log records in logging's basic format, then printed lines) and the
+    SHA-256 of each output file."""
+    logger = logging.getLogger("sgdmc")
+    records = io.StringIO()
+    handler = logging.StreamHandler(records)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    saved_level, saved_propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    logger.propagate = False
+    printed = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out = os.path.join(tmp, "out")
+        try:
+            with contextlib.redirect_stderr(printed):
+                code = main([argv[0], "--config", cfg, "--out", out, *argv[1:]])
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(saved_level)
+            logger.propagate = saved_propagate
+        files = {}
+        if os.path.isdir(out):
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[name] = hashlib.sha256(fh.read()).hexdigest()
+    return {"exit": code, "stderr": records.getvalue() + printed.getvalue(), "files": files}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(case):
+    assert run_case(*CASES[case]) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    digests = {case: run_case(*CASES[case]) for case in sorted(CASES)}
+    print("GOLDEN = " + json.dumps(digests, indent=4, sort_keys=True))

@@ -168,6 +168,13 @@ def test_objective_from_config_errors():
         objective_from_config({"dimension": 1, "n": 1, "components": [[[0, 0, 1]]]})
 
 
+def test_config_number_beyond_float_range_is_config_error():
+    # an integer too large for a float is not finite, not an internal error
+    with pytest.raises(ConfigError, match="finite"):
+        objective_from_config({"objective": [0.25, 0.0, -0.5, 0.0, 0.25],
+                               "lambda": 10**400, "eta": 0.1})
+
+
 def test_eighth_order_potential_constraints():
     f = eighth_order_potential()
     dp = f.derivative()

@@ -566,3 +566,15 @@ def test_invariant_leak_warning_goes_to_stderr(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert proc.stderr.count("quasi-stationary") == 2
+
+
+def test_dense_grids_stop_at_two_dimensions():
+    comp = double_well(0.2).components[0]
+    fam = MapFamily(SeparableObjective(components=(comp,) * 3), 0.1)
+    grid = Grid.regular(fam.intervals, 3)
+    with pytest.raises(ValueError) as ulam:
+        ulam_assemble(fam, grid)
+    with pytest.raises(ValueError) as dual:
+        dual_operator(fam, grid)
+    assert str(dual.value) == str(ulam.value)
+    assert "up to two dimensions" in str(dual.value)
