@@ -8,12 +8,12 @@ __version__ = "0.1.0"
 from .absorbing import (
     AbsorbingInterval,
     Decomposition,
-    IntervalUnion,
     Rectangle,
+    SignChart,
     absorbing_intervals,
     decompose,
-    left_right_sets,
     rectangle_count_for,
+    sign_chart,
     state_space,
     uniqueness_check,
 )

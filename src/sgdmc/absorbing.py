@@ -1,8 +1,10 @@
-"""State-space decomposition: left/right sets, absorbing intervals and the
-product rectangles that partition the state space up to a transient remainder."""
+"""State-space decomposition: sign charts of the left/right sets, absorbing
+intervals and the product rectangles that partition the state space up to
+a transient remainder."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,71 +16,26 @@ from .errors import (
 )
 from .objective import SeparableObjective, check_step, step_map
 
-BOUNDARY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
-class IntervalUnion:
-    """Finite union of disjoint open intervals, sorted by left endpoint.
+class SignChart:
+    """Dimension j's left-moving set L = union of {f_i' > 0} and right-moving
+    set R = union of {f_i' < 0}, read element by element along the line.
 
-    Adjacent intervals may share an endpoint: that endpoint is a deliberately
-    excluded point (a sign-touching critical point), not a representation slip.
+    The elements are the open gaps between the sorted critical points and the
+    points themselves, alternating: gap 0, point 0, gap 1, ..., gap m.
+    left[e] and right[e] say whether element e lies in L and in R.
     """
 
-    intervals: tuple[tuple[float, float], ...]
+    points: tuple[float, ...]
+    left: tuple[bool, ...]
+    right: tuple[bool, ...]
 
-    def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        for a, b in ivs:
-            if not a < b:
-                raise ValueError(f"empty interval ({a}, {b})")
-        for (_, b1), (a2, _) in zip(ivs[:-1], ivs[1:]):
-            if a2 < b1:
-                raise ValueError("intervals overlap")
-        object.__setattr__(self, "intervals", ivs)
-
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.intervals)
-
-    def boundary(self) -> list[float]:
-        """Finite boundary points (open unions never contain them)."""
-        pts = []
-        for a, b in self.intervals:
-            for e in (a, b):
-                if math.isfinite(e):
-                    pts.append(e)
-        return sorted(set(pts))
-
-    def on_boundary(self, x: float) -> bool:
-        return any(abs(x - e) <= BOUNDARY_TOL for e in self.boundary())
-
-
-def union_of_intervals(pieces) -> IntervalUnion:
-    """Union of open intervals as a point set.
-
-    Pieces merge on strict overlap; a shared endpoint merges only when some
-    piece covers it in its interior, so sign-touching points stay excluded."""
-    pieces = sorted((float(a), float(b)) for a, b in pieces if a < b)
-    merged: list[list[float]] = []
-    for a, b in pieces:
-        if merged and (
-            a < merged[-1][1]
-            or (a == merged[-1][1] and any(p < a < q for p, q in pieces))
-        ):
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return IntervalUnion(tuple((a, b) for a, b in merged))
-
-
-def intersect_unions(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
-    pieces = []
-    for a1, b1 in u.intervals:
-        for a2, b2 in v.intervals:
-            lo, hi = max(a1, a2), min(b1, b2)
-            if lo < hi:
-                pieces.append((lo, hi))
-    return IntervalUnion(tuple(sorted(pieces)))
+    def element(self, x: float) -> int:
+        """Index of the element holding x: 2k + 1 for point k, 2k for the gap
+        below it."""
+        k = bisect.bisect_left(self.points, x)
+        return 2 * k + 1 if k < len(self.points) and self.points[k] == x else 2 * k
 
 
 @dataclass(frozen=True)
@@ -119,15 +76,15 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """State space I, per-dimension absorbing intervals and (left-moving,
-    right-moving) sets, product rectangles and (implicitly) the transient
-    remainder B = I minus the rectangles.  decompose() builds it."""
+    """State space I, per-dimension absorbing intervals and sign charts of
+    L and R, product rectangles and (implicitly) the transient remainder
+    B = I minus the rectangles.  decompose() builds it."""
 
     intervals: tuple[tuple[float, float], ...]
     per_dimension: tuple[tuple[AbsorbingInterval, ...], ...]
     rectangles: tuple[Rectangle, ...]
     unique: bool
-    left_right: tuple[tuple[IntervalUnion, IntervalUnion], ...]
+    charts: tuple[SignChart, ...]
 
     @property
     def dimension(self) -> int:
@@ -165,17 +122,21 @@ def state_space(obj: SeparableObjective):
     return tuple(obj.critical_report.span)
 
 
-def left_right_sets(obj: SeparableObjective, j: int) -> tuple[IntervalUnion, IntervalUnion]:
-    """L = union of {f_i' > 0}, R = union of {f_i' < 0} in dimension j.
+def sign_chart(obj: SeparableObjective, j: int) -> SignChart:
+    """L and R of dimension j as one sign chart.
 
-    Sign intervals are read off between consecutive derivative roots; a
-    midpoint evaluation decides the sign of each piece.  Every real point must
-    land in L or R, otherwise the inconsistent-optimization assumption fails.
+    Each component's sign is read off between its own consecutive derivative
+    roots by one evaluation inside the piece (the midpoint when both ends are
+    finite), so a root where the sign only touches zero stays a point of
+    neither sign for that component.  A point takes its flags from the
+    components it is not a root of.  Every point must land in L or R,
+    otherwise the inconsistent-optimization assumption fails.
     """
     obj.check_inconsistent_optimization()
     report = obj.critical_report
-    left_pieces: list[tuple[float, float]] = []
-    right_pieces: list[tuple[float, float]] = []
+    points = sorted(r for rs in report.roots[j] for r in rs)
+    size = 2 * len(points) + 1
+    left, right = [False] * size, [False] * size
     for i, p in enumerate(obj.components[j]):
         if p.is_zero:
             continue
@@ -191,47 +152,49 @@ def left_right_sets(obj: SeparableObjective, j: int) -> tuple[IntervalUnion, Int
             else:
                 x = 0.5 * (a + b)
             s = dp(x)
-            if s > 0:
-                left_pieces.append((a, b))
-            elif s < 0:
-                right_pieces.append((a, b))
-    left = union_of_intervals(left_pieces)
-    right = union_of_intervals(right_pieces)
-    # L and R must cover the line: a boundary point of either union that is
-    # interior to neither is a point where every derivative vanishes
-    for x in left.boundary() + right.boundary():
-        if not (left.contains(x) or right.contains(x)):
+            flags = left if s > 0 else right if s < 0 else None
+            if flags is not None:
+                # the elements strictly between the roots a and b
+                first = 0 if a == -math.inf else 2 * bisect.bisect_left(points, a) + 2
+                last = size - 1 if b == math.inf else 2 * bisect.bisect_left(points, b)
+                flags[first:last + 1] = [True] * (last + 1 - first)
+    for k, x in enumerate(points):
+        if not (left[2 * k + 1] or right[2 * k + 1]):
             raise AssumptionA5Violated(
                 f"dimension {j}: point {x!r} lies in neither L nor R"
             )
-    return left, right
+    return SignChart(tuple(points), tuple(left), tuple(right))
 
 
-def absorbing_intervals(left: IntervalUnion, right: IntervalUnion, j: int = 0) -> list[AbsorbingInterval]:
-    """Components (l, r) of L ∩ R with l on ∂L and r on ∂R, sorted."""
-    both = intersect_unions(left, right)
+def absorbing_intervals(chart: SignChart, j: int = 0) -> list[AbsorbingInterval]:
+    """The bounded components (l, r) of L ∩ R with l outside L and r outside
+    R, sorted.
+
+    A component is a maximal run of elements in both sets; it starts and ends
+    with a gap, since a point takes its flags from components whose pieces
+    cover the gaps on both of its sides.  Endpoints are compared exactly: they
+    are critical points, and distinct critical points lie more than 1e-9 apart.
+    """
+    both = [a and b for a, b in zip(chart.left, chart.right)]
     found = []
-    for lo, hi in both.intervals:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            continue
-        if left.on_boundary(lo) and right.on_boundary(hi):
-            found.append((lo, hi))
+    for e in range(1, len(both), 2):  # point e // 2 opens a run in the gap above
+        if not chart.left[e] and both[e + 1]:
+            end = next((f for f in range(e + 1, len(both)) if not both[f]), None)
+            if end is not None and not chart.right[end]:
+                found.append((chart.points[e // 2], chart.points[end // 2]))
     if not found:
         raise NoAbsorbingSet(f"dimension {j}: no component of L ∩ R qualifies")
     return [
         AbsorbingInterval(l=lo, r=hi, dimension_index=j, index=k)
-        for k, (lo, hi) in enumerate(sorted(found))
+        for k, (lo, hi) in enumerate(found)
     ]
 
 
 def absorbing_structure(obj: SeparableObjective):
-    """Per dimension, the (L, R) sets and the absorbing intervals: the step
-    size free part of the decomposition, as (left_right, per_dimension)."""
-    left_right, per_dim = [], []
-    for j in range(obj.dimension):
-        left_right.append(left_right_sets(obj, j))
-        per_dim.append(tuple(absorbing_intervals(*left_right[j], j)))
-    return tuple(left_right), tuple(per_dim)
+    """Per dimension, the sign chart and the absorbing intervals: the step
+    size free part of the decomposition, as (charts, per_dimension)."""
+    charts = tuple(sign_chart(obj, j) for j in range(obj.dimension))
+    return charts, tuple(tuple(absorbing_intervals(c, j)) for j, c in enumerate(charts))
 
 
 def uniqueness_check(obj: SeparableObjective) -> bool:
@@ -253,7 +216,7 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
     """
     check_step(obj, eta)
     intervals = state_space(obj)
-    lr, per_dim = absorbing_structure(obj)
+    charts, per_dim = absorbing_structure(obj)
 
     rects = []
     for combo in itertools.product(*[range(len(ts)) for ts in per_dim]):
@@ -278,7 +241,7 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
         per_dimension=per_dim,
         rectangles=tuple(rects),
         unique=unique,
-        left_right=lr,
+        charts=charts,
     )
     if unique and decomp.rectangle_count != 1:
         raise NoAbsorbingSet("uniqueness criterion holds but rectangle count != 1")

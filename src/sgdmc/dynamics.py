@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .absorbing import AbsorbingInterval, Decomposition, Rectangle, decompose
+from .absorbing import AbsorbingInterval, Decomposition, Rectangle, SignChart, decompose
 from .errors import NonTermination, NotFound, OutOfStateSpace
 from .objective import SeparableObjective, check_step, state_space_window, step_map
 from .poly import Polynomial
@@ -337,7 +337,7 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
         ts = decomp.per_dimension[j]
         if any(t.contains(x[j], closed=True) for t in ts):
             continue
-        direction = _escape_direction(x[j], ts, decomp.left_right[j], j)
+        direction = _escape_direction(x[j], ts, decomp.charts[j], j)
         pick = max if direction > 0 else min
         start = len(path)
         s = x[j]
@@ -354,26 +354,20 @@ def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
     return tuple(path)
 
 
-def _escape_direction(s: float, ts, left_right, j: int) -> int:
+def _escape_direction(s: float, ts, chart: SignChart, j: int) -> int:
     """+1 to walk right, -1 to walk left.
 
-    Walking right toward T = [l, r] is viable when s sits in a component of the
-    right-moving set that stretches past l (every point of [s, r) then moves
-    right with positive probability).  Symmetrically for walking left.  Theory
-    guarantees at least one direction is viable from every transient point; the
-    nearer viable target wins ties.
+    Walking right toward T = [l, r] is viable when every element of the sign
+    chart from s to l lies in the right-moving set (every point of [s, r) then
+    moves right with positive probability).  Symmetrically for walking left.
+    Theory guarantees at least one direction is viable from every transient
+    point; the nearer viable target wins ties.
     """
-    left_set, right_set = left_right
     right_ts = [t for t in ts if t.l >= s]
     left_ts = [t for t in ts if t.r <= s]
-    can_right = False
-    if right_ts:
-        target = right_ts[0]
-        can_right = any(a < s < b and b > target.l for a, b in right_set.intervals)
-    can_left = False
-    if left_ts:
-        target = left_ts[-1]
-        can_left = any(a < s < b and a < target.r for a, b in left_set.intervals)
+    here = chart.element(s)
+    can_right = bool(right_ts) and all(chart.right[here:chart.element(right_ts[0].l) + 1])
+    can_left = bool(left_ts) and all(chart.left[chart.element(left_ts[-1].r):here + 1])
     if can_right and can_left:
         return +1 if right_ts[0].l - s <= s - left_ts[-1].r else -1
     if can_right:

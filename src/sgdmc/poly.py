@@ -49,10 +49,6 @@ class Polynomial:
         """Exact coefficient differentiation."""
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term."""
-        return Polynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))

@@ -147,10 +147,6 @@ class UlamOperator:
     grid: Grid
     row_sum_error: float
 
-    @property
-    def ncells(self) -> int:
-        return self.grid.ncells
-
 
 def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
     """One-dimensional cell-image transition factor for map i in dimension j.
@@ -352,13 +348,14 @@ def _absorption_iteration(matrix, grid: Grid, rectangle_cells, tol: float,
 
 
 def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
-                    tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER) -> BasinFunctions:
+                    tol: float | None = None) -> BasinFunctions:
     """Absorption eigenfunctions of the exact dual operator: the indicator
     iteration run on the interpolated function-side matrix."""
     if tol is None:
         tol = BASIN_TOL
     basins = _absorption_iteration(dual_operator(fam, grid), grid,
-                                   metric_config(grid, decomp).rectangle_cells, tol, max_iter)
+                                   metric_config(grid, decomp).rectangle_cells, tol,
+                                   DEFAULT_MAX_ITER)
     if basins.partition_defect > 1e-6:
         # cells wider than the smallest transient step let the
         # interpolated dynamics close a spurious loop; refine the grid

@@ -194,7 +194,7 @@ def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.nda
     """Greedy escape lengths over a grid_n-per-dimension grid, walking the
     whole point: coordinates settle from the last to the first, and every
     step applies, to all coordinates, the first map with the largest step
-    toward the chosen direction (direction_of(s, intervals, left_right, j))."""
+    toward the chosen direction (direction_of(s, intervals, chart, j))."""
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
     lengths = np.zeros((grid_n,) * fam.dimension, dtype=int)
     for idx in np.ndindex(*lengths.shape):
@@ -204,7 +204,7 @@ def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.nda
             ts = decomp.per_dimension[j]
             if any(t.contains(x[j], closed=True) for t in ts):
                 continue
-            direction = direction_of(x[j], ts, decomp.left_right[j], j)
+            direction = direction_of(x[j], ts, decomp.charts[j], j)
             while not any(t.contains(x[j], closed=False) for t in ts):
                 best_i, best_step = 0, 0.0
                 for i in range(1, fam.n + 1):

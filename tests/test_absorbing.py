@@ -3,13 +3,11 @@ import pytest
 
 from oracles import double_well_roots, double_well_x0, sign_scan_sets
 from sgdmc.absorbing import (
-    IntervalUnion,
     absorbing_intervals,
     decompose,
-    left_right_sets,
     rectangle_count_for,
+    sign_chart,
     state_space,
-    union_of_intervals,
     uniqueness_check,
 )
 from sgdmc.objective import (
@@ -52,39 +50,35 @@ def test_state_space_crossed_2d():
 
 
 def test_left_right_bernoulli():
-    left, right = left_right_sets(bernoulli_pair(), 0)
-    assert left.intervals == ((-1.0, np.inf),)
-    assert right.intervals == ((-np.inf, 1.0),)
+    chart = sign_chart(bernoulli_pair(), 0)
+    assert chart.points == (-1.0, 1.0)
+    # elements: (-inf, -1), -1, (-1, 1), 1, (1, inf)
+    assert chart.left == (False, False, True, True, True)
+    assert chart.right == (True, True, True, False, False)
+
+
+def _assert_matches_sign_scan(obj):
+    chart = sign_chart(obj, 0)
+    xs, in_l, in_r = sign_scan_sets(obj, 0, -2.0, 2.0, 10_000)
+    for x, wl, wr in zip(xs, in_l, in_r):
+        if min(abs(x - b) for b in chart.points) < 1e-3:
+            continue  # scan resolution near set boundaries
+        assert chart.left[chart.element(x)] == wl
+        assert chart.right[chart.element(x)] == wr
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.55])
 def test_left_right_against_sign_scan(lam):
-    obj = double_well(lam)
-    left, right = left_right_sets(obj, 0)
-    boundary = set(left.boundary()) | set(right.boundary())
-    xs, in_l, in_r = sign_scan_sets(obj, 0, -2.0, 2.0, 10_000)
-    for x, wl, wr in zip(xs, in_l, in_r):
-        if min(abs(x - b) for b in boundary) < 1e-3:
-            continue  # scan resolution near set boundaries
-        assert left.contains(x) == wl
-        assert right.contains(x) == wr
+    _assert_matches_sign_scan(double_well(lam))
 
 
 def test_left_right_eighth_order_sign_scan():
-    obj = eighth_order(0.5)
-    left, right = left_right_sets(obj, 0)
-    boundary = set(left.boundary()) | set(right.boundary())
-    xs, in_l, in_r = sign_scan_sets(obj, 0, -2.0, 2.0, 10_000)
-    for x, wl, wr in zip(xs, in_l, in_r):
-        if min(abs(x - b) for b in boundary) < 1e-3:
-            continue
-        assert left.contains(x) == wl
-        assert right.contains(x) == wr
+    _assert_matches_sign_scan(eighth_order(0.5))
 
 
 def test_absorbing_single_interval_is_state_space():
     obj = double_well(0.55)
-    ts = absorbing_intervals(*left_right_sets(obj, 0))
+    ts = absorbing_intervals(sign_chart(obj, 0))
     x0 = double_well_x0(0.55)
     assert len(ts) == 1
     assert ts[0].l == pytest.approx(-x0, abs=1e-12)
@@ -93,7 +87,7 @@ def test_absorbing_single_interval_is_state_space():
 
 def test_absorbing_two_intervals():
     obj = double_well(0.2)
-    ts = absorbing_intervals(*left_right_sets(obj, 0))
+    ts = absorbing_intervals(sign_chart(obj, 0))
     r = double_well_roots(0.2)  # [x2, x1, x0]
     x2, x0 = r[0], r[2]
     assert len(ts) == 2
@@ -105,14 +99,14 @@ def test_absorbing_two_intervals():
 
 
 def test_absorbing_eighth_order_counts_and_middle():
-    ts = absorbing_intervals(*left_right_sets(eighth_order(0.5), 0))
+    ts = absorbing_intervals(sign_chart(eighth_order(0.5), 0))
     assert len(ts) == 3
     assert ts[1].l < 0.0 < ts[1].r
     assert ts[0].r < 0.0 and ts[2].l > 0.0
-    ts = absorbing_intervals(*left_right_sets(eighth_order(1.6), 0))
+    ts = absorbing_intervals(sign_chart(eighth_order(1.6), 0))
     assert len(ts) == 2
     assert all(not t.contains(0.0) for t in ts)
-    ts = absorbing_intervals(*left_right_sets(eighth_order(7.0), 0))
+    ts = absorbing_intervals(sign_chart(eighth_order(7.0), 0))
     assert len(ts) == 1
 
 
@@ -120,18 +114,18 @@ def test_endpoint_classification():
     # l sits inside R but on the boundary of L; r the other way around
     for lam in (0.2, 0.55):
         obj = double_well(lam)
-        left, right = left_right_sets(obj, 0)
-        for t in absorbing_intervals(left, right):
-            assert right.contains(t.l) and not left.contains(t.l)
-            assert left.contains(t.r) and not right.contains(t.r)
-            assert left.on_boundary(t.l) and right.on_boundary(t.r)
+        chart = sign_chart(obj, 0)
+        for t in absorbing_intervals(chart):
+            assert t.l in chart.points and t.r in chart.points
+            assert chart.right[chart.element(t.l)] and not chart.left[chart.element(t.l)]
+            assert chart.left[chart.element(t.r)] and not chart.right[chart.element(t.r)]
 
 
 def test_local_minimum_containment():
     # the averaged objective decreases into each interval from both ends
     for obj in (double_well(0.2), eighth_order(0.5)):
         mean_dp = obj.mean()[0].derivative()
-        for t in absorbing_intervals(*left_right_sets(obj, 0)):
+        for t in absorbing_intervals(sign_chart(obj, 0)):
             assert mean_dp(t.l) < 0.0
             assert mean_dp(t.r) > 0.0
 
@@ -200,22 +194,22 @@ def test_uniqueness_check_cases():
     assert decompose(double_well(0.55), 0.1).unique is True
 
 
-def test_union_of_intervals_semantics():
-    u = union_of_intervals([(0, 1), (1, 2)])
-    assert u.intervals == ((0.0, 1.0), (1.0, 2.0))  # the shared point stays out
-    assert not u.contains(1.0)
-    u = union_of_intervals([(0, 1), (1, 2), (0.5, 1.5)])
-    assert u.intervals == ((0.0, 2.0),)  # covered by the third piece
-    assert u.contains(1.0)
-    u = union_of_intervals([(0, 2), (1, 1.5)])
-    assert u.intervals == ((0.0, 2.0),)
-
-
-def test_interval_union_invariants():
-    with pytest.raises(ValueError):
-        IntervalUnion(((1.0, 1.0),))
-    with pytest.raises(ValueError):
-        IntervalUnion(((0.0, 2.0), (1.0, 3.0)))
+def test_sign_chart_excludes_touch_point():
+    # (x^4/4 + x^3/3)' = x^2 (x + 1) is positive on both sides of its touch
+    # root at 0, where (x^2/2 - x/2)' = x - 1/2 is negative: the touch point
+    # lies in R but not in L, and the absorbing interval opens there
+    obj = SeparableObjective(components=((Polynomial([0, 0, 0, 1 / 3, 0.25]),
+                                          Polynomial([0, -0.5, 0.5])),))
+    chart = sign_chart(obj, 0)
+    assert len(chart.points) == 3
+    touch = chart.points[1]
+    assert abs(touch) < 1e-12
+    e = chart.element(touch)
+    assert e == 3
+    assert chart.left[e - 1] and chart.left[e + 1] and not chart.left[e]
+    assert chart.right[e]
+    (t,) = absorbing_intervals(chart)
+    assert t.l == touch and t.r == 0.5
 
 
 def test_decomposition_serializes():
@@ -229,7 +223,7 @@ def test_decomposition_serializes():
 
 def test_quadratic_split_single_absorbing_interval():
     obj = lambda_split(Polynomial([0, 0, 1.0]), 1.0)
-    ts = absorbing_intervals(*left_right_sets(obj, 0))
+    ts = absorbing_intervals(sign_chart(obj, 0))
     assert len(ts) == 1
     assert ts[0].l == pytest.approx(-0.5)
     assert ts[0].r == pytest.approx(0.5)

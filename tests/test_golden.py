@@ -31,10 +31,18 @@ MIXED_CONFIG = {"dimension": 2, "n": 2, "components": [_split(0.2), _split(0.55)
                 "eta": 0.2, "x0": [-0.3, 0.1]}
 CUBE_CONFIG = {"dimension": 3, "n": 2, "components": [_split(0.2), _split(0.55), _split(0.3)],
                "eta": 0.1}
+# the eighth-order objective (three rectangles at lambda 0.5)
+EIGHTH_CONFIG = {"objective": [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354000000000005, 0.0, 0.78],
+                 "lambda": 0.5, "eta": 0.02}
+# x^4/4 - x^3/3 has a touch root at 0, which x^2/2 - x/2 covers in R
+TOUCH_CONFIG = {"dimension": 1, "n": 2,
+                "components": [[[0, 0, 0, -1 / 3, 0.25], [0, -0.5, 0.5]]], "eta": 0.1}
 
 CASES = {
     "analyze-1d": (DW_CONFIG, ["analyze", "--grid", "500"]),
     "analyze-2d": (MIXED_CONFIG, ["analyze", "--grid", "100"]),
+    "analyze-eighth": (EIGHTH_CONFIG, ["analyze", "--grid", "200"]),
+    "analyze-touch-root": (TOUCH_CONFIG, ["analyze", "--grid", "200"]),
     "invariant-1d": (DW_CONFIG, ["invariant", "--grid", "500"]),
     "invariant-2d": (MIXED_CONFIG, ["invariant", "--grid", "60"]),
     "invariant-3d-fallback": (CUBE_CONFIG, ["invariant", "--grid", "32", "--steps", "2000",
@@ -46,6 +54,7 @@ CASES = {
     "sample-2d": (MIXED_CONFIG, ["sample", "--grid", "50", "--steps", "20000", "--seed", "3"]),
     "diffusion-1d": (DW_CONFIG, ["diffusion", "--grid", "500"]),
     "sweep": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:40"]),
+    "sweep-eighth": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:40"]),
     "inadmissible-eta": ({**DW_CONFIG, "eta": 0.9}, ["analyze", "--grid", "100"]),
 }
 
@@ -62,6 +71,20 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "report.json": "cdb6b66968c7cab832264bc15a999cf4e04fd5ae76777a5c94f28a0d5a7d8668"
+        },
+        "stderr": ""
+    },
+    "analyze-eighth": {
+        "exit": 0,
+        "files": {
+            "report.json": "255bb2d77803d91d7ed060be789a200f1b3d0c7317c532e1fc4295b9c795b3de"
+        },
+        "stderr": ""
+    },
+    "analyze-touch-root": {
+        "exit": 0,
+        "files": {
+            "report.json": "7d5291341e3c686a2b47a09af6eefa66dd3d29b5b4631100df5f663196b00e10"
         },
         "stderr": ""
     },
@@ -145,6 +168,13 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "sweep.csv": "5eecf919bac1f218ac8e3e812f535f30b49e28b708f33e99610a7e21201a84c3"
+        },
+        "stderr": ""
+    },
+    "sweep-eighth": {
+        "exit": 0,
+        "files": {
+            "sweep.csv": "af03f07c792ec8463ec2ff82542eba5a537df2782af41c167a977906cb67a4f0"
         },
         "stderr": ""
     }

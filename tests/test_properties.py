@@ -129,6 +129,28 @@ def test_every_map_sends_corners_into_their_rectangle(problem):
 
 @PROPERTY_SETTINGS
 @given(problems())
+def test_sign_chart_matches_the_derivative_signs(problem):
+    fam, decomp, _ = problem
+    for j, chart in enumerate(decomp.charts):
+        pts = chart.points
+        # one point inside each gap, the two unbounded gaps included
+        mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
+        probes = [pts[0] - 1.0] + mids + [pts[-1] + 1.0]
+        for k, x in enumerate(probes):
+            slopes = [p.derivative()(x) for p in fam.obj.components[j] if not p.is_zero]
+            assert chart.left[2 * k] == any(v > 0 for v in slopes)
+            assert chart.right[2 * k] == any(v < 0 for v in slopes)
+        for k in range(len(pts)):
+            assert chart.left[2 * k + 1] or chart.right[2 * k + 1]
+        for t in decomp.per_dimension[j]:
+            lo, hi = chart.element(t.l), chart.element(t.r)
+            assert lo % 2 == 1 and hi % 2 == 1  # both ends are chart points
+            assert chart.right[lo] and not chart.left[lo]
+            assert chart.left[hi] and not chart.right[hi]
+
+
+@PROPERTY_SETTINGS
+@given(problems())
 def test_rectangle_count_is_step_size_free(problem):
     fam, decomp, _ = problem
     assert len(decomp.rectangles) == rectangle_count_for(fam.obj)
