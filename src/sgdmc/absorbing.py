@@ -14,7 +14,8 @@ from .errors import (
     InvarianceCheckFailed,
     NoAbsorbingSet,
 )
-from .objective import SeparableObjective, check_step, step_map
+from .objective import SeparableObjective, check_step, lambda_split, step_map
+from .poly import Polynomial, real_roots
 
 
 @dataclass(frozen=True)
@@ -251,3 +252,16 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
 def rectangle_count_for(obj: SeparableObjective) -> int:
     """Rectangle count straight from the L/R structure (step size free)."""
     return math.prod(len(ts) for ts in absorbing_structure(obj)[1])
+
+
+def bifurcations(base: Polynomial, lo: float, hi: float) -> list[tuple[float, int, int]]:
+    """(lambda, count below, count above) at each change of the rectangle
+    count of lambda_split(base, lambda) for lambda in (lo, hi).  L = {F' > -lambda}
+    and R = {F' < lambda} change shape only at the critical values |F'(x)|,
+    F''(x) = 0, of F' = base', so the count is read once between each two."""
+    slope = base.derivative()
+    cuts = sorted({abs(slope(x)) for x in real_roots(slope.derivative())})
+    cuts = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+    counts = [rectangle_count_for(lambda_split(base, 0.5 * (a + b)))
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    return [(lam, a, b) for lam, a, b in zip(cuts[1:-1], counts[:-1], counts[1:]) if a != b]

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .absorbing import absorbing_structure, rectangle_count_for
+from .absorbing import absorbing_structure, bifurcations
 from .diffusion import density_cell_masses, stationary_density
 from .dynamics import (
     MapFamily,
@@ -55,7 +55,6 @@ from .transfer import (
 log = logging.getLogger("sgdmc")
 
 CSV_BLOCK_ROWS = 256  # 4096 raised diffusion --grid 10000's peak RSS by 1.6 MB
-BISECT_TOL = 1e-6  # width in lambda at which sweep stops refining a count change
 
 
 def _write_csv(path: str, header: list[str], columns, row: str | None = None) -> None:
@@ -252,25 +251,12 @@ def _sweep_point(base: Polynomial, lam: float):
     return lam, len(ts), eta_bound(obj), endpoints
 
 
-def _bisect_count_change(base: Polynomial, lo, hi, c_lo: int) -> float:
-    """Where in [lo, hi] the rectangle count changes from c_lo, its value at lo."""
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if rectangle_count_for(lambda_split(base, mid)) == c_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def cmd_sweep(args, problem) -> None:
     base, lams = problem
     points = [_sweep_point(base, lam) for lam in lams.tolist()]
     rows = [("point", lam, cnt, f"{eta0:.17g}", endp) for lam, cnt, eta0, endp in points]
-    for (lam_a, cnt_a, *_), (lam_b, cnt_b, *_) in zip(points[:-1], points[1:]):
-        if cnt_a != cnt_b:
-            loc = _bisect_count_change(base, lam_a, lam_b, cnt_a)
-            rows.append(("bifurcation", loc, cnt_a, "", f"{cnt_a}->{cnt_b}"))
+    rows += [("bifurcation", lam, a, "", f"{a}->{b}")
+             for lam, a, b in bifurcations(base, lams[0], lams[-1])]
     _write_csv(os.path.join(args.out, "sweep.csv"),
                ["record", "lambda", "count", "eta0", "endpoints"],
                list(zip(*rows)), row="{},{:.17g},{},{},{}\n")
@@ -355,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("basins", cmd_basins, "basin functions and mixture coefficients")
 
-    p = command("sweep", cmd_sweep, "parameter sweep with bifurcation refinement",
+    p = command("sweep", cmd_sweep, "parameter sweep with exact bifurcation points",
                 grid=False, tol=False)
     p.add_argument("--range", required=True, help="lo:hi:count")
 

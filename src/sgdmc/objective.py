@@ -212,8 +212,8 @@ def eighth_order_potential() -> Polynomial:
     +-1 and its global minimum at 0.
 
     The quartic/sextic coefficients are solved from those critical-point
-    constraints with the octic coefficient fixed at 0.78; the solved values are
-    exactly c4 = 2.8431 and c6 = -2.9354.
+    constraints with the octic coefficient fixed at 0.78; in floating point the
+    solved values are c4 = 2.8431 and c6 = -2.9354000000000005.
     """
     c8 = 0.78
     c6 = -(8 * c8 * (1.35**4 - 1.0)) / (6 * (1.35**2 - 1.0))

@@ -322,21 +322,28 @@ class BasinFunctions:
     partition_defect: float
 
 
-def _absorption_iteration(matrix, grid: Grid, rectangle_cells, tol: float,
-                          max_iter: int) -> BasinFunctions:
+def _absorption_iteration(matrix, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
     """Iterate g <- matrix g from the indicators of the rectangles' cell
-    blocks until the sup change drops below tol.  The labelled absorbing
-    blocks are closed, so their rows stay at the indicators."""
-    g = np.zeros((len(rectangle_cells), grid.ncells))
-    for m, cells in enumerate(rectangle_cells):
+    blocks until the sup change drops below tol, resetting the absorbing
+    cells to their indicators after every product: absorption there is
+    certain, even where a coarse grid lets a block's rows leak.  The fixed
+    point solves (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B."""
+    absorbing = np.ones(grid.ncells, dtype=bool)
+    absorbing[blocks.transient_cells] = False
+    g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
+    for m, cells in enumerate(blocks.rectangle_cells):
         g[m, cells] = 1.0
+    # reused buffers: allocating fresh ones every step page-faults on 2-d grids
+    g_next, change = np.empty_like(g), np.empty_like(g)
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         # single-vector products give the bits of matrix @ g.T in about
         # half the time of scipy's multi-vector CSR product
-        g_next = np.stack([matrix @ row for row in g])
-        residual = float(np.max(np.abs(g_next - g)))
-        g = g_next
+        np.stack([matrix @ row for row in g], out=g_next)
+        np.copyto(g_next, g, where=absorbing)  # g holds the indicators there
+        np.abs(np.subtract(g_next, g, out=change), out=change)
+        residual = float(change.max())
+        g, g_next = g_next, g
         if residual < tol:
             # the layout of (matrix @ g.T).T: BLAS sums values @ w in layout
             # order, so this keeps the last bits of the mixture coefficients
@@ -344,7 +351,7 @@ def _absorption_iteration(matrix, grid: Grid, rectangle_cells, tol: float,
             defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
             return BasinFunctions(grid=grid, values=g, iterations=it, residual=residual,
                                   partition_defect=defect)
-    raise NoConvergence(max_iter, residual)
+    raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
 def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
@@ -354,14 +361,12 @@ def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
     if tol is None:
         tol = BASIN_TOL
     basins = _absorption_iteration(dual_operator(fam, grid), grid,
-                                   metric_config(grid, decomp).rectangle_cells, tol,
-                                   DEFAULT_MAX_ITER)
+                                   metric_config(grid, decomp), tol)
     if basins.partition_defect > 1e-6:
-        # cells wider than the smallest transient step let the
-        # interpolated dynamics close a spurious loop; refine the grid
         logging.getLogger(__name__).warning(
-            "partition-of-unity defect %.2e suggests the grid is too "
-            "coarse for the transient dynamics", basins.partition_defect,
+            "partition-of-unity defect %.2e: the tolerance is too loose for the "
+            "iteration to converge, or the grid too coarse for the transient "
+            "dynamics", basins.partition_defect,
         )
     return basins
 
@@ -383,23 +388,15 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     """Absorption probabilities of the discrete chain itself, one row per
     rectangle block of blocks = metric_config(op.grid, decomp).
 
-    The indicator iteration of basin_functions on the Ulam matrix with the
-    absorbing rows made absorbing: its k-th iterate is the probability of
-    entering each rectangle within k steps, and its fixed point solves
-    (I - P_BB) g_B = P_{B,T_m} 1 on the transient cells B.
+    The indicator iteration of basin_functions on the Ulam matrix: its k-th
+    iterate is the probability of entering each rectangle within k steps.
     The residual is the last sup change, not an error bound (the error is
     about 1/(1 - r) times larger, r the per-step absorption rate).  These
     coefficients are the ones the discretized evolution converges to, so the
     logged distances in limit mixtures decay to zero rather than plateau at
     the discretization mismatch.
     """
-    absorbing = np.ones(op.grid.ncells)
-    absorbing[blocks.transient_cells] = 0.0
-    # identity rows on the absorbing cells pin them to their indicators even
-    # where a coarse grid lets a labelled block leak into transient cells
-    frozen = sp.diags(1.0 - absorbing) @ op.matrix + sp.diags(absorbing)
-    return _absorption_iteration(frozen, op.grid, blocks.rectangle_cells,
-                                 ULAM_ABSORPTION_TOL, DEFAULT_MAX_ITER)
+    return _absorption_iteration(op.matrix, op.grid, blocks, ULAM_ABSORPTION_TOL)
 
 
 @dataclass(frozen=True)

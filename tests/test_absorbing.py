@@ -4,6 +4,7 @@ import pytest
 from oracles import double_well_roots, double_well_x0, sign_scan_sets
 from sgdmc.absorbing import (
     absorbing_intervals,
+    bifurcations,
     decompose,
     rectangle_count_for,
     sign_chart,
@@ -15,7 +16,9 @@ from sgdmc.objective import (
     bernoulli_pair,
     crossed_quadratics_2d,
     double_well,
+    double_well_potential,
     eighth_order,
+    eighth_order_potential,
     lambda_split,
 )
 from sgdmc.poly import Polynomial
@@ -145,6 +148,17 @@ def test_bifurcation_located_by_bisection():
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(LAM_C, abs=1e-6)
+
+
+def test_bifurcations_are_critical_values_of_the_slope():
+    # F'' vanishes at +-1/sqrt(3), where |F'| = 2/(3 sqrt(3))
+    [(lam, before, after)] = bifurcations(double_well_potential(), 0.1, 1.0)
+    assert lam == pytest.approx(LAM_C, abs=1e-15) and (before, after) == (2, 1)
+    # both eighth-order changes, with no count read between them
+    rows = bifurcations(eighth_order_potential(), 1.0, 2.5)
+    assert [(before, after) for _, before, after in rows] == [(3, 2), (2, 1)]
+    assert [lam for lam, _, _ in rows] == pytest.approx([1.462958066, 1.849169368], abs=1e-9)
+    assert bifurcations(eighth_order_potential(), 1.5, 1.8) == []
 
 
 def test_rectangle_count_independent_of_eta():

@@ -293,6 +293,20 @@ def test_sweep_finds_fold(tmp_path):
     assert abs(lam_star - LAM_C) <= 1e-6
 
 
+@pytest.mark.parametrize("span", ["0.3:8.0:3", "1.0:2.5:2"])
+def test_sweep_coarse_range_reports_both_eighth_order_bifurcations(tmp_path, span):
+    # neither range has a point between the 3->2 and the 2->1 change
+    cfg = write_config(tmp_path / "c.json", objective=EIGHTH_COEFFS, **{"lambda": 0.5},
+                       eta=0.02)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--range", span]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    bif = [l.split(",") for l in lines[1:] if l.startswith("bifurcation")]
+    assert [row[4] for row in bif] == ["3->2", "2->1"]
+    assert [float(row[1]) for row in bif] == pytest.approx([1.462958066, 1.849169368],
+                                                            abs=1e-9)
+
+
 def test_sweep_degenerate_single_point(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
     out = tmp_path / "out"
@@ -388,6 +402,21 @@ def test_basins_command(tmp_path):
     assert meta["partition_defect"] <= 1e-6
     assert meta["uniform_coefficients"][0] == pytest.approx(0.5, abs=1e-6)
     assert (out / "basin_0.csv").exists() and (out / "basin_1.csv").exists()
+
+
+def test_basins_coarse_2d_grid_converges(tmp_path):
+    # at 12 cells per dimension the interpolated absorbing rows of the 2-d
+    # double well leak 2e-2 per step; iterated unheld they never converged
+    split = [[c + d for c, d in zip(DW_COEFFS, [0, s * 0.38, 0, 0, 0])] for s in (1, -1)]
+    cfg = write_config(tmp_path / "c.json", dimension=2, n=2, components=[split, split],
+                       eta=0.33)
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(["basins", "--config", cfg, "--out", str(out), "--grid", "12"]) == 0
+    assert time.perf_counter() - started < 1.0
+    meta = json.loads((out / "basins.json").read_text())
+    assert meta["partition_defect"] <= 1e-9
+    assert len(meta["files"]) == 4
 
 
 def test_grid_csv_layout_2d(tmp_path):

@@ -55,6 +55,9 @@ CASES = {
     "diffusion-1d": (DW_CONFIG, ["diffusion", "--grid", "500"]),
     "sweep": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:40"]),
     "sweep-eighth": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:40"]),
+    # no range point falls between the 3->2 and the 2->1 change
+    "sweep-eighth-coarse": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:3"]),
+    "sweep-eighth-narrow": (EIGHTH_CONFIG, ["sweep", "--range", "1.0:2.5:2"]),
     "inadmissible-eta": ({**DW_CONFIG, "eta": 0.9}, ["analyze", "--grid", "100"]),
 }
 
@@ -91,20 +94,20 @@ GOLDEN = {
     "basins-1d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "b067c8c9c8c15d93c23b8c3e688c684148014506a44190619451280d6bef24b0",
-            "basin_1.csv": "6ff445d05ab0035cb144ebc28c10942f3bb211dfb8382fdebd3416c28644e3cf",
-            "basins.json": "a57d4a54b332fca9190be3281758f4b5e40fd6fe0898f13f83b9856d4f66beb4"
+            "basin_0.csv": "48d3c2f2c16e0155fd5cafeba4f1b2b576072164c63c61d9ba31fee2610db92e",
+            "basin_1.csv": "a5b89828e86e40e66ee04d2f45ee93f4374e3907cd185af5dfec8a63e1afd13f",
+            "basins.json": "116141e6fb18b4815206d4aaa4981d145b5eb197184a2a8c2111c6bde3770c7b"
         },
         "stderr": ""
     },
     "basins-2d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "243cb932714bc2e5bdc3697ba1e7502917ff53c9376167aae672e602638eaff7",
-            "basin_1.csv": "ffc3f88c1d1c80a4aaae1a1a7a8f489cf54cd26647dcc769ae9c0545c1e51139",
-            "basins.json": "6ac529b2bfc384719e075776a06eca9e6737efd8caaed7b224d9c71343aa226d"
+            "basin_0.csv": "68eeb303c2204ac9a00234b1e03afdd8bbbf0ac24bce019657e6ba485f861350",
+            "basin_1.csv": "089cf0ec7d7d67dc47ca04636087fbb21d3724fcf06fff13718427a4b79c4e63",
+            "basins.json": "32d4fefa7cb4e05b3c4f53edcbb7eee18871daf1254217dde395132014dbaced"
         },
-        "stderr": "WARNING:sgdmc.transfer:partition-of-unity defect 2.67e-03 suggests the grid is too coarse for the transient dynamics\n"
+        "stderr": ""
     },
     "diffusion-1d": {
         "exit": 0,
@@ -167,14 +170,28 @@ GOLDEN = {
     "sweep": {
         "exit": 0,
         "files": {
-            "sweep.csv": "5eecf919bac1f218ac8e3e812f535f30b49e28b708f33e99610a7e21201a84c3"
+            "sweep.csv": "2b7f45194b3c73fee5be9a6cd6b22cdd4202d1ed4870e79c36184d3e5862b1a9"
         },
         "stderr": ""
     },
     "sweep-eighth": {
         "exit": 0,
         "files": {
-            "sweep.csv": "af03f07c792ec8463ec2ff82542eba5a537df2782af41c167a977906cb67a4f0"
+            "sweep.csv": "adf9c713318c14600d67321408b859727f602dd29c294f04535070bd0d810402"
+        },
+        "stderr": ""
+    },
+    "sweep-eighth-coarse": {
+        "exit": 0,
+        "files": {
+            "sweep.csv": "bc812a3907dc30c37d7c269624ce75ebecee8921bc4963e9abaf4b8a86582a12"
+        },
+        "stderr": ""
+    },
+    "sweep-eighth-narrow": {
+        "exit": 0,
+        "files": {
+            "sweep.csv": "24b6a1dff04c9fa65076da9e47d78099ec243575ef46686d9ac27b0b09a09c7d"
         },
         "stderr": ""
     }

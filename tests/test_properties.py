@@ -1,6 +1,7 @@
 """Property tests over random coercive objectives: quartics and sextics F,
 split as F + lam*x and F - lam*x, in one and two dimensions, with an
-admissible step and a small grid."""
+admissible step and a small grid; the sign chart also over full-form
+objectives of three or four components."""
 
 import itertools
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_anchored_distance, classify_cells
 
-from sgdmc.absorbing import decompose, rectangle_count_for
+from sgdmc.absorbing import absorbing_structure, bifurcations, decompose, rectangle_count_for
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi, verify_certificate
 from sgdmc.errors import GridTooCoarse, NotFound, SgdmcError
 from sgdmc.metrics import d_tilde, metric_config
@@ -21,16 +22,41 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None, suppress_health_check=[HealthCheck.filter_too_much])
 
 
-@st.composite
-def split_component(draw):
-    """(F + lam*x, F - lam*x) for a random coercive F of degree 4 or 6; a
-    negative quadratic term makes two wells, and so two rectangles, common."""
+def _base_polynomial(draw) -> Polynomial:
+    """A random coercive F of degree 4 or 6; a negative quadratic term makes
+    two wells, and so two rectangles, common."""
     degree = draw(st.sampled_from([4, 6]))
     coeffs = [0.0, draw(st.floats(-0.2, 0.2)), draw(st.floats(-1.0, -0.1))]
     coeffs += [draw(st.floats(-0.3, 0.3)) for _ in range(3, degree)]
     coeffs.append(draw(st.floats(0.1, 1.0)))
-    lam = draw(st.floats(0.02, 0.6))
-    return lambda_split(Polynomial(coeffs), lam).components[0]
+    return Polynomial(coeffs)
+
+
+base_polynomials = st.composite(_base_polynomial)
+
+
+@st.composite
+def split_component(draw):
+    """(F + lam*x, F - lam*x) for a random base polynomial F."""
+    base = _base_polynomial(draw)
+    return lambda_split(base, draw(st.floats(0.02, 0.6))).components[0]
+
+
+@st.composite
+def full_form_component(draw):
+    """Three or four components (x - c)^2, (x - c)^4/4 - (x - c)^2/2 or the
+    touch-root (x - c)^4/4 - (x - c)^3/3, at random centres c: their runs of
+    L ∩ R can close at a point in R, which the lambda-splits rarely draw."""
+    shapes = ([0.0, 0.0, 1.0], [0.0, 0.0, -0.5, 0.0, 0.25], [0.0, 0.0, 0.0, -1 / 3, 0.25])
+    row = []
+    for _ in range(draw(st.integers(3, 4))):
+        shift = Polynomial([-draw(st.floats(-1.5, 1.5)), 1.0])
+        power, acc = Polynomial([1.0]), Polynomial()
+        for c in draw(st.sampled_from(shapes)):
+            acc = acc + power.scale(c)
+            power = power * shift
+        row.append(acc)
+    return tuple(row)
 
 
 @st.composite
@@ -128,21 +154,27 @@ def test_every_map_sends_corners_into_their_rectangle(problem):
 
 
 @PROPERTY_SETTINGS
-@given(problems())
-def test_sign_chart_matches_the_derivative_signs(problem):
-    fam, decomp, _ = problem
-    for j, chart in enumerate(decomp.charts):
+@given(st.one_of(problems().map(lambda problem: problem[0].obj),
+                 st.tuples(full_form_component()).map(SeparableObjective)))
+def test_sign_chart_matches_the_derivative_signs(obj):
+    # read straight off the charts: decompose's invariance check would turn
+    # a wrongly kept run into a rejected draw
+    try:
+        charts, per_dimension = absorbing_structure(obj)
+    except SgdmcError:
+        assume(False)
+    for j, chart in enumerate(charts):
         pts = chart.points
         # one point inside each gap, the two unbounded gaps included
         mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
         probes = [pts[0] - 1.0] + mids + [pts[-1] + 1.0]
         for k, x in enumerate(probes):
-            slopes = [p.derivative()(x) for p in fam.obj.components[j] if not p.is_zero]
+            slopes = [p.derivative()(x) for p in obj.components[j] if not p.is_zero]
             assert chart.left[2 * k] == any(v > 0 for v in slopes)
             assert chart.right[2 * k] == any(v < 0 for v in slopes)
         for k in range(len(pts)):
             assert chart.left[2 * k + 1] or chart.right[2 * k + 1]
-        for t in decomp.per_dimension[j]:
+        for t in per_dimension[j]:
             lo, hi = chart.element(t.l), chart.element(t.r)
             assert lo % 2 == 1 and hi % 2 == 1  # both ends are chart points
             assert chart.right[lo] and not chart.left[lo]
@@ -166,3 +198,23 @@ def test_found_certificates_verify(problem):
         except NotFound:
             continue
         assert verify_certificate(fam, rect.box, cert)
+
+
+@PROPERTY_SETTINGS
+@given(base_polynomials())
+def test_bifurcations_match_the_count_changes_on_a_fine_grid(base):
+    lams = np.linspace(0.01, 2.5, 100)
+    step = lams[1] - lams[0]
+    try:
+        counts = [rectangle_count_for(lambda_split(base, lam)) for lam in lams]
+        rows = bifurcations(base, lams[0], lams[-1])
+    except SgdmcError:
+        assume(False)
+    for k in np.flatnonzero(np.diff(counts)):
+        assert any(lams[k] - step <= lam <= lams[k + 1] + step for lam, _, _ in rows)
+    for lam, before, after in rows:
+        # a row with no other row near it shows on the grid as its change
+        if all(other == lam or abs(other - lam) > 2 * step for other, _, _ in rows):
+            k = int(np.searchsorted(lams, lam))
+            if k + 1 < len(lams):
+                assert (counts[k - 1], counts[k + 1]) == (before, after)
