@@ -75,11 +75,41 @@ def _write_csv(path: str, header: list[str], columns, row: str | None = None) ->
 
 def _write_grid_csv(path: str, grid: Grid, values) -> None:
     """One row per cell, in flattened order: the centre's coordinates, then
-    the value (header x in 1-d, x1..xd otherwise)."""
+    the value (header x in 1-d, x1..xd otherwise), every field as {:.17g}.
+    No float is formatted twice.  Held whole: each axis's centre texts, the
+    texts of the distinct values (distinct by bit pattern, so -0.0 keeps
+    its text -0) and one index per cell into them.  Made CSV_BLOCK_ROWS
+    cells at a time: the lines, by object-array concatenation of those
+    texts, and their one joined write."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
-    coords = [c.ravel() for c in np.meshgrid(*grid.centers, indexing="ij")]
-    _write_csv(path, header + ["value"], [*coords, values])
+    axes = [np.array([f"{c:.17g}," for c in centers.tolist()], dtype=object)
+            for centers in grid.centers]
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = np.array([f"{v:.17g}\n" for v in distinct.view(np.float64).tolist()],
+                     dtype=object)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header + ["value"]) + "\n")
+        for start in range(0, grid.ncells, CSV_BLOCK_ROWS):
+            cells = np.arange(start, min(start + CSV_BLOCK_ROWS, grid.ncells))
+            lines = texts[which[cells]]
+            for axis, k in zip(reversed(axes), reversed(np.unravel_index(cells, grid.shape))):
+                lines = axis[k] + lines
+            fh.write("".join(lines.tolist()))
+
+
+def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
+    """One grid CSV per name into --out; logs, at INFO, the seconds from
+    started to the first write (the compute) apart from the writing, with
+    the rows and bytes written."""
+    computed = time.perf_counter()
+    paths = [os.path.join(args.out, name) for name in names]
+    for path, values in zip(paths, series):
+        _write_grid_csv(path, grid, values)
+    log.info("%s: compute %.3fs, write %.3fs (%d rows, %d bytes)", args.command,
+             computed - started, time.perf_counter() - computed,
+             len(paths) * grid.ncells, sum(os.path.getsize(p) for p in paths))
 
 
 def _write_histograms(out: str, names, summary) -> None:
@@ -201,33 +231,36 @@ def cmd_invariant(args, fam: MapFamily) -> None:
             {"eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
         )
         return
+    started = time.perf_counter()
     decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
+    names = [f"invariant_{m}.csv" for m in range(len(results))]
+    _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
     if args.dump_operator:
         coo = op.matrix.tocoo()
         _write_csv(os.path.join(args.out, "operator.txt"), [], [coo.row, coo.col, coo.data],
                    row="{},{},{:.17g}\n")
-    report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": []}
-    for m, res in enumerate(results):
-        name = f"invariant_{m}.csv"
-        _write_grid_csv(os.path.join(args.out, name), grid, res.measure.weights)
-        report["rectangles"].append(
-            {
-                "index": list(decomp.rectangles[m].index),
-                "file": name,
-                "iterations": res.iterations,
-                "residual": res.residual,
-                "leakage": res.leakage,
-            }
-        )
+    report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": [
+        {
+            "index": list(rect.index),
+            "file": name,
+            "iterations": res.iterations,
+            "residual": res.residual,
+            "leakage": res.leakage,
+        }
+        for rect, name, res in zip(decomp.rectangles, names, results)
+    ]}
     _write_json(os.path.join(args.out, "invariant.json"), report)
 
 
 def cmd_basins(args, fam: MapFamily) -> None:
+    started = time.perf_counter()
     decomp = fam.decomposition
     grid = Grid.regular(decomp.intervals, args.grid)
     basins = basin_functions(fam, grid, decomp, tol=args.tol)
     mu0 = DiscreteMeasure.uniform(grid)
     coeff = mixture_coefficients(basins, mu0)
+    names = [f"basin_{m}.csv" for m in range(basins.values.shape[0])]
+    _write_grid_csvs(args, grid, names, basins.values, started)
     report = {
         "eta": fam.eta,
         "eta0": eta_bound(fam.obj),
@@ -235,12 +268,8 @@ def cmd_basins(args, fam: MapFamily) -> None:
         "residual": basins.residual,
         "partition_defect": basins.partition_defect,
         "uniform_coefficients": [float(c) for c in coeff],
-        "files": [],
+        "files": names,
     }
-    for m in range(basins.values.shape[0]):
-        name = f"basin_{m}.csv"
-        _write_grid_csv(os.path.join(args.out, name), grid, basins.values[m])
-        report["files"].append(name)
     _write_json(os.path.join(args.out, "basins.json"), report)
 
 

@@ -1,7 +1,7 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
-direct sparse solves, per-cell Ulam factors and cell labels, and the
-whole-point sampler step and escape walk.
+direct sparse solves, per-cell Ulam factors and cell labels, the
+whole-point sampler step and escape walk, and the per-row grid CSV writer.
 Everything here deliberately avoids the package's own algorithms."""
 
 from __future__ import annotations
@@ -216,3 +216,16 @@ def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.nda
                 steps += 1
         lengths[idx] = steps
     return lengths
+
+
+def per_row_grid_csv(path, grid, values) -> None:
+    """The grid CSV one row at a time: every centre coordinate and the value
+    formatted with {:.17g} for every cell, in flattened (row-major) order."""
+    d = grid.dimension
+    header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
+    centers, values = grid.centers, np.asarray(values, dtype=float).tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header + ["value"]) + "\n")
+        for pos, cell in enumerate(itertools.product(*[range(n) for n in grid.shape])):
+            coords = [float(c[k]) for c, k in zip(centers, cell)]
+            fh.write(",".join(f"{v:.17g}" for v in coords + [values[pos]]) + "\n")

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import per_row_grid_csv
 
 import sgdmc
 from sgdmc import cli
@@ -495,6 +496,10 @@ def test_report_round_trips(tmp_path):
     assert payload["combined_exponent"] >= 1
 
 
+# the line invariant and basins log at INFO before their total time
+STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
+
+
 def test_info_log_times_every_command(tmp_path):
     cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
     src = os.path.dirname(os.path.dirname(sgdmc.__file__))
@@ -510,8 +515,46 @@ def test_info_log_times_every_command(tmp_path):
         )
         assert proc.returncode == 0
         if level == "INFO":
-            assert re.fullmatch(r"INFO:sgdmc:invariant: \d+\.\d{3}s", proc.stderr.strip())
+            *stages, total = proc.stderr.strip().splitlines()
+            assert re.fullmatch(r"INFO:sgdmc:invariant: \d+\.\d{3}s", total)
+            assert [re.fullmatch(STAGE_LINE, line[len("INFO:sgdmc:"):]) is not None
+                    for line in stages] == [True]
         else:
             assert proc.stderr == ""
         outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs["INFO"] == outputs["default"]
+
+
+@pytest.mark.parametrize("command, pattern", [("invariant", "invariant_*.csv"),
+                                              ("basins", "basin_*.csv")])
+def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, pattern):
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="sgdmc"):
+        assert main([command, "--config", cfg, "--out", str(out), "--grid", "300"]) == 0
+    stages = [m for m in (re.fullmatch(STAGE_LINE, r.getMessage()) for r in caplog.records) if m]
+    assert len(stages) == 1
+    name, rows, size = stages[0].groups()
+    files = sorted(out.glob(pattern))
+    assert name == command and len(files) == 2
+    assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == 600
+    assert int(size) == sum(f.stat().st_size for f in files)
+
+
+# adversarial values for the grid writer, repeated along the cells: signed
+# zeros side by side, the smallest subnormal and a huge value, neighbours one
+# ulp apart, infinities and NaN
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.0, np.nextafter(1.0, 2.0),
+               np.nextafter(1.0, 0.0), 0.1, np.nextafter(0.1, 1.0), np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("shape", [(cli.CSV_BLOCK_ROWS + 3,), (1,), (17, 23), (7, 5, 11)])
+@pytest.mark.parametrize("constant", [False, True])
+def test_grid_csv_matches_per_row_formatting(tmp_path, shape, constant):
+    # a dedupe keyed on float equality would write -0.0 as 0
+    grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
+    assert grid.ncells % cli.CSV_BLOCK_ROWS != 0
+    values = np.full(grid.ncells, 0.1) if constant else np.resize(EDGE_VALUES, grid.ncells)
+    cli._write_grid_csv(str(tmp_path / "new.csv"), grid, values)
+    per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,7 +1,8 @@
 """Property tests over random coercive objectives: quartics and sextics F,
 split as F + lam*x and F - lam*x, in one and two dimensions, with an
 admissible step and a small grid; the sign chart also over full-form
-objectives of three or four components."""
+objectives of three or four components, the bifurcations also over
+three-well sextics."""
 
 import itertools
 
@@ -33,6 +34,17 @@ def _base_polynomial(draw) -> Polynomial:
 
 
 base_polynomials = st.composite(_base_polynomial)
+
+
+@st.composite
+def three_well_polynomials(draw):
+    """A random coercive sextic a2 x^2 - a4 x^4 + a6 x^6 with three wells
+    (a4 > sqrt(3 a2 a6)), tilted by small odd terms that break its symmetry:
+    its lambda-splits show 3->2 changes, which two-well bases never do."""
+    a2, a6 = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    a4 = np.sqrt(3 * a2 * a6) * draw(st.floats(1.05, 2.0))
+    odd = [draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))]
+    return Polynomial([0.0, odd[0], a2, odd[1], -a4, odd[2], a6])
 
 
 @st.composite
@@ -201,7 +213,7 @@ def test_found_certificates_verify(problem):
 
 
 @PROPERTY_SETTINGS
-@given(base_polynomials())
+@given(st.one_of(base_polynomials(), three_well_polynomials()))
 def test_bifurcations_match_the_count_changes_on_a_fine_grid(base):
     lams = np.linspace(0.01, 2.5, 100)
     step = lams[1] - lams[0]
