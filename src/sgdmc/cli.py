@@ -76,15 +76,19 @@ def _write_csv(path: str, header: list[str], columns, row: str | None = None) ->
 def _write_grid_csv(path: str, grid: Grid, values) -> None:
     """One row per cell, in flattened order: the centre's coordinates, then
     the value (header x in 1-d, x1..xd otherwise), every field as {:.17g}.
-    No float is formatted twice.  Held whole: each axis's centre texts, the
-    texts of the distinct values (distinct by bit pattern, so -0.0 keeps
-    its text -0) and one index per cell into them.  Made CSV_BLOCK_ROWS
-    cells at a time: the lines, by object-array concatenation of those
-    texts, and their one joined write."""
+    No float is formatted twice.  Held whole: the texts of the distinct
+    values (distinct by bit pattern, so -0.0 keeps its text -0), one index
+    per cell into them and, in 2-d and up, each axis's centre texts.  Made
+    CSV_BLOCK_ROWS cells at a time: in 1-d, where each centre is used once,
+    the centre texts; the lines, by object-array concatenation of those
+    texts; and their one joined write."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
-    axes = [np.array([f"{c:.17g}," for c in centers.tolist()], dtype=object)
-            for centers in grid.centers]
+
+    def centre_texts(centers):
+        return np.array([f"{c:.17g}," for c in centers.tolist()], dtype=object)
+
+    axes = None if d == 1 else [centre_texts(centers) for centers in grid.centers]
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, which = np.unique(bits, return_inverse=True)
     texts = np.array([f"{v:.17g}\n" for v in distinct.view(np.float64).tolist()],
@@ -94,8 +98,11 @@ def _write_grid_csv(path: str, grid: Grid, values) -> None:
         for start in range(0, grid.ncells, CSV_BLOCK_ROWS):
             cells = np.arange(start, min(start + CSV_BLOCK_ROWS, grid.ncells))
             lines = texts[which[cells]]
-            for axis, k in zip(reversed(axes), reversed(np.unravel_index(cells, grid.shape))):
-                lines = axis[k] + lines
+            if axes is None:
+                lines = centre_texts(grid.centers[0][cells]) + lines
+            else:
+                for axis, k in zip(reversed(axes), reversed(np.unravel_index(cells, grid.shape))):
+                    lines = axis[k] + lines
             fh.write("".join(lines.tolist()))
 
 
@@ -293,10 +300,16 @@ def cmd_sweep(args, problem) -> None:
 
 def cmd_sample(args, problem) -> None:
     fam, x0 = problem
+    started = time.perf_counter()
     summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
+    chained = time.perf_counter()
     names = (["sample.csv"] if fam.dimension == 1
              else [f"sample_dim{j}.csv" for j in range(fam.dimension)])
     _write_histograms(args.out, names, summary)
+    log.info("sample: chain %.3fs (%d steps, %.0f ns/step), write %.3fs (%d rows, %d bytes)",
+             chained - started, summary.steps, (chained - started) / summary.steps * 1e9,
+             time.perf_counter() - chained, sum(h.size for h in summary.histograms),
+             sum(os.path.getsize(os.path.join(args.out, name)) for name in names))
     report = {
         "steps": summary.steps,
         "seed": summary.seed,

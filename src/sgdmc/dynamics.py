@@ -18,6 +18,7 @@ Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 
 ESCAPE_STEP_CAP = 10**6
 CERTIFICATE_TOL = 1e-9  # slack of verify_certificate's splitting inequalities
+SAMPLE_CHUNK = 1 << 16  # sampler steps per block
 
 
 @dataclass(frozen=True)
@@ -405,46 +406,80 @@ class SampleSummary:
 
 def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> SampleSummary:
     """Run the chain with uniform i.i.d. map choices (PCG64 stream) and record
-    a visit histogram; asserts the absorbing property along the way."""
+    a visit histogram; asserts the absorbing property along the way.
+
+    The chain streams in blocks of SAMPLE_CHUNK steps, so its memory does
+    not grow with the number of steps.  Per block it draws the map indices,
+    runs each coordinate's chain through _orbit (separability: each
+    coordinate is its own chain, driven by the shared draws) into a
+    block-sized trajectory buffer, and adds the block's histograms and steps
+    per rectangle to running totals.  The first absorbed step and its
+    rectangle carry over from block to block.  Drawing per block gives the
+    same indices as one draw of all of them: numpy's bounded integer draws
+    take their 32-bit words from the bit generator, which keeps an unused
+    half word from one call to the next."""
     decomp = fam.decomposition
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_in_state_space(fam, x0)
     d = fam.dimension
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.integers(1, fam.n + 1, size=steps).tolist()
-
-    # separability: each coordinate is its own chain, driven by the shared draws
-    traj = np.empty((steps, d), dtype=float)
-    for j in range(d):
-        maps = [None] + [phi[j] for phi in fam.phi]  # 1-based like the draws
-        column = traj[:, j]
-        s = float(x0[j])
-        for k, i in enumerate(draws):
-            s = maps[i](s)
-            column[k] = s
-    del draws
-
-    member = _membership_series(traj, decomp)
-    rect_steps = {rect.index: int(np.count_nonzero(member == m))
-                  for m, rect in enumerate(decomp.rectangles)}
-    first = int(np.argmax(member >= 0))  # 0 when no step is absorbed
-    departures = np.flatnonzero(member[first:] != member[first])
-    if departures.size:
-        raise AssertionError(f"absorbing property violated at step {first + departures[0]}")
-
+    # per coordinate, each map's coefficients from the highest degree down,
+    # 1-based like the draws
+    coeffs = [[()] + [tuple(reversed(phi[j].coeffs)) for phi in fam.phi] for j in range(d)]
     edges = tuple(np.linspace(lo, hi, grid_n + 1) for lo, hi in fam.intervals)
-    hists = tuple(
-        np.histogram(traj[:, j], bins=edges[j])[0] for j in range(d)
-    )
+    hists = [np.zeros(grid_n, dtype=np.intp) for _ in range(d)]
+    counts = np.zeros(len(decomp.rectangles) + 1, dtype=np.intp)  # [0]: outside all
+    point = x0.tolist()
+    first = home = None  # first absorbed step and its rectangle
+    block = np.empty((min(steps, SAMPLE_CHUNK), d))
+    for start in range(0, steps, SAMPLE_CHUNK):
+        picks = rng.integers(1, fam.n + 1, size=min(SAMPLE_CHUNK, steps - start)).tolist()
+        traj = block[:len(picks)]
+        for j in range(d):
+            orbit = _orbit(coeffs[j], picks, point[j])
+            traj[:, j] = orbit
+            point[j] = orbit[-1]
+            hists[j] += np.histogram(traj[:, j], bins=edges[j])[0]
+        member = _membership_series(traj, decomp)
+        counts += np.bincount(member + 1, minlength=counts.size)
+        settled = 0
+        if first is None:
+            absorbed = np.flatnonzero(member >= 0)
+            if not absorbed.size:
+                continue
+            settled = int(absorbed[0])
+            first, home = start + settled, member[settled]
+        departures = np.flatnonzero(member[settled:] != home)
+        if departures.size:
+            raise AssertionError(
+                f"absorbing property violated at step {start + settled + departures[0]}")
     return SampleSummary(
         steps=steps,
         seed=seed,
         bin_edges=edges,
-        histograms=hists,
-        rectangle_steps=rect_steps,
-        final_point=tuple(float(v) for v in traj[-1]),
-        first_absorbed_step=first if member[first] >= 0 else None,
+        histograms=tuple(hists),
+        rectangle_steps={rect.index: int(counts[m + 1])
+                         for m, rect in enumerate(decomp.rectangles)},
+        final_point=tuple(point),
+        first_absorbed_step=first,
     )
+
+
+def _orbit(coeffs, picks, s: float) -> list[float]:
+    """The points s visits when map i = picks[0], picks[1], ... is applied in
+    turn, map i being the polynomial with coefficients coeffs[i] (highest
+    degree first).  Horner from acc = 0.0 does the operations of
+    Polynomial.__call__ in its order, so every finite point is bit-identical
+    to it; one loop serves every degree."""
+    out = []
+    append = out.append
+    for i in picks:
+        acc = 0.0
+        for c in coeffs[i]:
+            acc = acc * s + c
+        s = acc
+        append(s)
+    return out
 
 
 def _membership_series(traj: np.ndarray, decomp: Decomposition) -> np.ndarray:

@@ -496,8 +496,10 @@ def test_report_round_trips(tmp_path):
     assert payload["combined_exponent"] >= 1
 
 
-# the line invariant and basins log at INFO before their total time
+# the lines invariant, basins and sample log at INFO before their total time
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
+SAMPLE_LINE = (r"(sample): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
+               r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
 
 def test_info_log_times_every_command(tmp_path):
@@ -526,19 +528,24 @@ def test_info_log_times_every_command(tmp_path):
 
 
 @pytest.mark.parametrize("command, pattern", [("invariant", "invariant_*.csv"),
-                                              ("basins", "basin_*.csv")])
+                                              ("basins", "basin_*.csv"),
+                                              ("sample", "sample*.csv")])
 def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, pattern):
     cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
     out = tmp_path / "out"
     with caplog.at_level("INFO", logger="sgdmc"):
         assert main([command, "--config", cfg, "--out", str(out), "--grid", "300"]) == 0
-    stages = [m for m in (re.fullmatch(STAGE_LINE, r.getMessage()) for r in caplog.records) if m]
+    line = SAMPLE_LINE if command == "sample" else STAGE_LINE
+    stages = [m for m in (re.fullmatch(line, r.getMessage()) for r in caplog.records) if m]
     assert len(stages) == 1
-    name, rows, size = stages[0].groups()
+    assert re.fullmatch(rf"{command}: \d+\.\d{{3}}s", caplog.records[-1].getMessage())
+    name, *steps, rows, size = stages[0].groups()
     files = sorted(out.glob(pattern))
-    assert name == command and len(files) == 2
-    assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == 600
+    assert name == command and len(files) == (1 if command == "sample" else 2)
+    assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == 300 * len(files)
     assert int(size) == sum(f.stat().st_size for f in files)
+    if steps:
+        assert int(steps[0]) == json.loads((out / "sample.json").read_text())["steps"]
 
 
 # adversarial values for the grid writer, repeated along the cells: signed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from oracles import (
     whole_point_escape_lengths,
     whole_point_sample,
 )
-from sgdmc.absorbing import decompose
+from sgdmc import dynamics
+from sgdmc.absorbing import Rectangle, decompose
 from sgdmc.dynamics import (
+    SAMPLE_CHUNK,
     MapFamily,
     _escape_direction,
     apply_map,
@@ -360,12 +364,58 @@ def test_uniform_escape_additive_over_dimensions():
     (mixed_2d_family(), [-0.3, 0.1], 20000),
 ], ids=["dw-eta-0.33", "dw-eta-0.01", "mixed-2d"])
 def test_sampler_matches_whole_point_oracle(fam, x0, steps):
-    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=7, grid_n=64)
-    s = sgd_sample(fam, x0, steps=steps, seed=7, grid_n=64)
+    _assert_sample_matches_oracle(fam, x0, steps)
+
+
+def _assert_sample_matches_oracle(fam, x0, steps, seed=7):
+    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=64)
+    s = sgd_sample(fam, x0, steps=steps, seed=seed, grid_n=64)
     assert s.final_point == final
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
     assert s.first_absorbed_step == first
     assert s.rectangle_steps == rect_steps
+    return s
+
+
+@pytest.mark.parametrize("chunk,blocks", [(7, 3), (64, 3), (SAMPLE_CHUNK, 1)])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("fam,x0", [
+    (MapFamily(double_well(0.38), 0.33), [0.0]),
+    (mixed_2d_family(), [-0.3, 0.1]),
+], ids=["dw-eta-0.33", "mixed-2d"])
+def test_sampler_blocks_match_whole_point_oracle(monkeypatch, fam, x0, chunk, blocks, offset):
+    # runs ending one step before, at and one step after a block boundary
+    monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
+    _assert_sample_matches_oracle(fam, x0, chunk * blocks + offset)
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 149])
+def test_sampler_carries_first_absorption_across_blocks(monkeypatch, chunk):
+    # from -0.2 at eta=0.01 (seed 7) the chain enters the left rectangle at
+    # step 149: inside a later block, or at the first step of the second one
+    monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", chunk)
+    s = _assert_sample_matches_oracle(MapFamily(double_well(0.38), 0.01), [-0.2], 20000)
+    assert s.first_absorbed_step == 149
+
+
+def test_sampler_reports_departure_at_its_global_step(monkeypatch):
+    # a sub-box of the right absorbing interval is not absorbing: the chain
+    # from the centre enters it in a later block and leaves it, and the
+    # reported step counts from the start of the run
+    fam = MapFamily(double_well(0.38), 0.33)
+    left, right = fam.decomposition.rectangles
+    (lo, hi), = right.box
+    narrow = Rectangle(index=right.index, box=((lo + 0.2 * (hi - lo), hi),))
+    fam.__dict__["decomposition"] = dataclasses.replace(
+        fam.decomposition, rectangles=(left, narrow))
+    monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 7)
+    with pytest.raises(AssertionError, match="absorbing property violated") as info:
+        sgd_sample(fam, [0.0], steps=2000, seed=1)
+    step = int(str(info.value).rsplit(" ", 1)[1])
+    before = sgd_sample(fam, [0.0], steps=step, seed=1)  # no departure yet
+    assert 7 <= before.first_absorbed_step < step
+    with pytest.raises(AssertionError, match=f"violated at step {step}$"):
+        sgd_sample(fam, [0.0], steps=step + 1, seed=1)
 
 
 @pytest.mark.parametrize("fam,grid_n", [

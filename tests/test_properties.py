@@ -1,18 +1,25 @@
 """Property tests over random coercive objectives: quartics and sextics F,
 split as F + lam*x and F - lam*x, in one and two dimensions, with an
-admissible step and a small grid; the sign chart also over full-form
-objectives of three or four components, the bifurcations also over
-three-well sextics."""
+admissible step and a small grid (and short sampler runs in small blocks);
+the sign chart also over full-form objectives of three or four components,
+the bifurcations also over three-well sextics."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_anchored_distance, classify_cells
+from oracles import brute_force_anchored_distance, classify_cells, whole_point_sample
 
+from sgdmc import dynamics
 from sgdmc.absorbing import absorbing_structure, bifurcations, decompose, rectangle_count_for
-from sgdmc.dynamics import MapFamily, splitting_certificate_multi, verify_certificate
+from sgdmc.dynamics import (
+    MapFamily,
+    sgd_sample,
+    splitting_certificate_multi,
+    verify_certificate,
+)
 from sgdmc.errors import GridTooCoarse, NotFound, SgdmcError
 from sgdmc.metrics import d_tilde, metric_config
 from sgdmc.objective import SeparableObjective, eta_bound, lambda_split, state_space_window
@@ -230,3 +237,18 @@ def test_bifurcations_match_the_count_changes_on_a_fine_grid(base):
             k = int(np.searchsorted(lams, lam))
             if k + 1 < len(lams):
                 assert (counts[k - 1], counts[k + 1]) == (before, after)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       st.integers(1, 9), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_sampler_blocks_match_the_whole_point_oracle(problem, where, chunk, steps, seed):
+    fam, _, _ = problem
+    x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(fam.intervals, where)]
+    with mock.patch.object(dynamics, "SAMPLE_CHUNK", chunk):
+        s = sgd_sample(fam, x0, steps=steps, seed=seed, grid_n=16)
+    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=16)
+    assert s.final_point == final
+    assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
+    assert s.first_absorbed_step == first
+    assert s.rectangle_steps == rect_steps

@@ -1,0 +1,135 @@
+"""Paired before/after runs of the benchmark: a base commit against the
+working tree.
+
+    python3 tools/bench_pairs.py --base HEAD --out BENCH_<pr>.json \
+        --pairs dw1d-small-eta=10 --pairs dw1d-fine=3 --pairs dw2d-grid=3
+
+Run from the root of a source checkout. The base commit is exported with
+``git archive`` into a temporary directory, which is removed on exit; the
+repository itself is only read. Each pair runs ``perfbench/run.py --trace 0``
+once in each tree, every tree with its own ``perfbench/`` and ``src/``, back
+to back; the base runs first in pairs 1, 3, 5, ... and the working tree in
+pairs 2, 4, 6, .... The output holds every run's result line (the last line perfbench
+prints) and, per workload and end-to-end metric declared in BENCHMARK.json,
+each side's median and quartiles and the number of pairs the working tree
+wins (ties count for neither side).
+"""
+
+import argparse
+import io
+import json
+import os
+import signal
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: str) -> None:
+    """The files of rev, as committed, under dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's result line, or an incorrect result holding the error."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"correct": False, "error": proc.stderr.strip()[-2000:]}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the working tree's
+    wins over the pairs where both runs measured it."""
+    out = {}
+    for name, better in metrics.items():
+        both = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+                for p in pairs
+                if all(name in p[side].get("metrics", {}) for side in ("base", "change"))]
+        if len(both) < 2:
+            continue
+        base, change = [b for b, _ in both], [c for _, c in both]
+        sign = 1 if better == "lower" else -1
+        out[name] = {
+            "better": better,
+            "pairs": len(both),
+            "base": quartiles(base),
+            "change": quartiles(change),
+            "change_wins": sum(1 for b, c in both if sign * (b - c) > 0),
+            "base_wins": sum(1 for b, c in both if sign * (c - b) > 0),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--pairs", action="append", required=True,
+                        help="WORKLOAD=COUNT, repeatable")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    plan = [(w, int(k)) for w, k in (spec.split("=") for spec in args.pairs)]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    base_rev = git("rev-parse", args.base)
+    # SIGTERM unwinds like Ctrl-C, so the temporary tree is removed either way
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    record = {
+        "base": base_rev,
+        "change": "working tree" + (" (uncommitted changes)" if git("status", "--porcelain") else
+                                    f" at {git('rev-parse', 'HEAD')}"),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        export(base_rev, tmp)
+        trees = {"base": tmp, "change": ROOT}
+        for workload, count in plan:
+            pairs = []
+            for k in range(count):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = bench(trees[side], workload, args.seed, args.seconds)
+                    print(f"{workload} pair {k + 1}/{count} {side}: {json.dumps(pair[side])}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            record["workloads"][workload] = {
+                "all_correct": all(p[side]["correct"] and p[side].get("failed") == 0
+                                   for p in pairs for side in ("base", "change")),
+                "pairs": pairs,
+                "summary": summarize(pairs, metrics),
+            }
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
