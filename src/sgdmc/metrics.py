@@ -22,10 +22,10 @@ def half_l1(a, b) -> float:
     return 0.5 * float(np.sum(np.abs(a - b)))
 
 
-def _orthant_sup(diff, shape, alpha) -> float:
-    """Sup of |sum of diff| over the grid-anchored alpha-orthant rectangles:
-    cumulative sums along every axis, flipped where alpha is -1."""
-    diff = diff.reshape(shape)
+def _orthant_sup(diff, alpha) -> float:
+    """Sup of |sum of diff| over the grid-anchored alpha-orthant rectangles
+    of the shaped array diff: cumulative sums along every axis, flipped where
+    alpha is -1."""
     for axis, a in enumerate(alpha):
         if a == -1:
             diff = np.flip(diff, axis=axis)
@@ -55,7 +55,7 @@ def d_alpha_rect(mu, nu, alpha) -> float:
     d = mu.grid.dimension
     if len(alpha) != d:
         raise GridMismatch(f"alpha has {len(alpha)} signs for a {d}-d grid")
-    return _orthant_sup(mu.weights - nu.weights, mu.grid.shape, alpha)
+    return _orthant_sup((mu.weights - nu.weights).reshape(mu.grid.shape), alpha)
 
 
 def total_variation(mu, nu) -> float:
@@ -68,9 +68,11 @@ def total_variation(mu, nu) -> float:
 @dataclass(frozen=True)
 class MetricConfig:
     """The grid's block structure under a decomposition: the cells of each
-    absorbing rectangle, in rectangle order, and the transient cells."""
+    absorbing rectangle, in rectangle order, their boxes (one slice per axis,
+    holding exactly those cells), and the transient cells."""
 
     rectangle_cells: tuple[np.ndarray, ...]
+    rectangle_boxes: tuple[tuple[slice, ...], ...]
     transient_cells: np.ndarray
 
 
@@ -80,14 +82,17 @@ def metric_config(grid, decomp) -> MetricConfig:
 
     This is the one place labels become cells: the composite metric, the
     invariant measures and the absorption iterations all take their blocks
-    from it.  d_tilde compares the absorbing restrictions in the positive
-    orthant; in one dimension the choice is immaterial.
+    from it; Grid.classify gives a rectangle one run of cells per axis, so
+    its cells fill their bounding box.  d_tilde compares the absorbing
+    restrictions in the positive orthant; in one dimension the choice is
+    immaterial.
     """
     labels = grid.classify(decomp)
+    cells = tuple(np.flatnonzero(labels == m) for m in range(len(decomp.rectangles)))
     return MetricConfig(
-        rectangle_cells=tuple(
-            np.flatnonzero(labels == m) for m in range(len(decomp.rectangles))
-        ),
+        rectangle_cells=cells,
+        rectangle_boxes=tuple(tuple(slice(int(i.min()), int(i.max()) + 1)
+                                    for i in np.unravel_index(c, grid.shape)) for c in cells),
         transient_cells=np.flatnonzero(labels < 0),
     )
 
@@ -97,11 +102,16 @@ def d_tilde(mu, nu, config: MetricConfig) -> float:
     positive-orthant distances of the absorbing restrictions."""
     if mu.grid != nu.grid:
         raise GridMismatch("measures live on different grids")
-    transient = config.transient_cells
-    total = half_l1(mu.weights[transient], nu.weights[transient])
-    positive = (+1,) * mu.grid.dimension
-    for cells in config.rectangle_cells:
-        diff = np.zeros_like(mu.weights)
-        diff[cells] = mu.weights[cells] - nu.weights[cells]
-        total += _orthant_sup(diff, mu.grid.shape, positive)
+    return d_tilde_weights(mu.weights - nu.weights, mu.grid.shape, config)
+
+
+def d_tilde_weights(diff, shape, config: MetricConfig) -> float:
+    """d_tilde from the difference of two weight vectors.  Each rectangle's
+    cumulative sums run over its box only: zero padding would add exact zeros
+    before the box and repeat its sums after it, so the sup keeps its bits."""
+    total = 0.5 * float(np.sum(np.abs(diff[config.transient_cells])))
+    shaped = diff.reshape(shape)
+    positive = (+1,) * len(shape)
+    for box in config.rectangle_boxes:
+        total += _orthant_sup(shaped[box], positive)
     return float(total)

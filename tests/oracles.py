@@ -1,8 +1,10 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
 direct sparse solves, per-cell Ulam factors and cell labels, the
-whole-point sampler step and escape walk, and the per-row grid CSV writer.
-Everything here deliberately avoids the package's own algorithms."""
+whole-point sampler step and escape walk, the per-row grid CSV writer, and
+the zero-padded composite distance.  Everything here deliberately avoids the
+package's own algorithms, except per_step_decay_log, which keeps the
+measure-by-measure loop the limit mixtures' log once ran, to pin its bits."""
 
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from sgdmc import transfer
 
 
 def depressed_cubic_roots(p: float, q: float) -> list[float]:
@@ -229,3 +233,42 @@ def per_row_grid_csv(path, grid, values) -> None:
         for pos, cell in enumerate(itertools.product(*[range(n) for n in grid.shape])):
             coords = [float(c[k]) for c, k in zip(centers, cell)]
             fh.write(",".join(f"{v:.17g}" for v in coords + [values[pos]]) + "\n")
+
+
+def zero_padded_d_tilde(weights_a, weights_b, labels, shape) -> float:
+    """The composite distance with every rectangle's restriction of the
+    difference zero-padded to the whole grid and cumsummed along every axis
+    there, in the summation order of the package's kernel (so equal to the
+    bit); labels are Grid.classify's."""
+    diff = np.asarray(weights_a, dtype=float) - np.asarray(weights_b, dtype=float)
+    total = 0.5 * float(np.sum(np.abs(diff[labels < 0])))
+    for m in range(int(labels.max()) + 1):
+        padded = np.where(labels == m, diff, 0.0).reshape(shape)
+        for axis in range(len(shape)):
+            padded = np.cumsum(padded, axis=axis)
+        total += float(np.max(np.abs(padded)))
+    return float(total)
+
+
+def per_step_decay_log(op, decomp, mu0, k_max: int, stop_below: float = 0.0):
+    """(coefficients, decay_log, envelope_ratio) of limit_mixture computed as
+    a sequence of validated measures: push_forward every step, scored by the
+    zero-padded composite distance."""
+    labels = op.grid.classify(decomp)
+    cells = [np.flatnonzero(labels == m) for m in range(len(decomp.rectangles))]
+    invariants = [transfer.invariant_measure(op, c) for c in cells]
+    basins = transfer.ulam_absorption(op, transfer.metric_config(op.grid, decomp))
+    coeff = transfer.mixture_coefficients(basins, mu0)
+    mix = np.zeros(op.grid.ncells)
+    for c, inv in zip(coeff, invariants):
+        mix += c * inv.measure.weights
+    mu_star = transfer.DiscreteMeasure(op.grid, mix)
+    log, mu = [], mu0
+    for _ in range(k_max):
+        log.append(zero_padded_d_tilde(mu.weights, mu_star.weights, labels, op.grid.shape))
+        if log[-1] < stop_below:
+            break
+        mu = transfer.push_forward(op, mu)
+    log = np.asarray(log)
+    floor = transfer.ENVELOPE_FLOOR * transfer._default_tol(op.grid)
+    return coeff, log, transfer._fitted_envelope_ratio(log, floor)

@@ -10,7 +10,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_anchored_distance, classify_cells, whole_point_sample
+from oracles import (
+    brute_force_anchored_distance,
+    classify_cells,
+    whole_point_sample,
+    zero_padded_d_tilde,
+)
 
 from sgdmc import dynamics
 from sgdmc.absorbing import absorbing_structure, bifurcations, decompose, rectangle_count_for
@@ -145,6 +150,33 @@ def test_d_tilde_matches_per_rectangle_oracle(problem, seed):
             grid.shape, (+1,) * grid.dimension,
         )
     assert abs(d_tilde(mu, nu, metric_config(grid, decomp)) - expected) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_rectangle_boxes_hold_exactly_their_cells(problem):
+    _, decomp, grid = problem
+    _labels(grid, decomp)
+    labels = classify_cells(grid, decomp)
+    config = metric_config(grid, decomp)
+    assert len(config.rectangle_boxes) == len(decomp.rectangles)
+    flat = np.arange(grid.ncells).reshape(grid.shape)
+    for m, box in enumerate(config.rectangle_boxes):
+        assert len(box) == grid.dimension
+        np.testing.assert_array_equal(np.sort(flat[box], axis=None), np.flatnonzero(labels == m))
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_d_tilde_equals_the_zero_padded_oracle(problem, seed):
+    # cumsums over each rectangle's box only: the same bits as over the grid
+    _, decomp, grid = problem
+    labels = _labels(grid, decomp)
+    rng = np.random.default_rng(seed)
+    mu, nu = (DiscreteMeasure(grid, w / w.sum()) for w in rng.random((2, grid.ncells)))
+    config = metric_config(grid, decomp)
+    assert d_tilde(mu, nu, config) == zero_padded_d_tilde(mu.weights, nu.weights, labels,
+                                                           grid.shape)
 
 
 @PROPERTY_SETTINGS

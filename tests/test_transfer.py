@@ -1,11 +1,18 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from oracles import classify_cells, direct_absorption, double_well_roots, overlap_factor_1d
+from oracles import (
+    classify_cells,
+    direct_absorption,
+    double_well_roots,
+    overlap_factor_1d,
+    per_step_decay_log,
+)
 
 import sgdmc
 from sgdmc.absorbing import decompose
@@ -370,6 +377,70 @@ def test_limit_mixture_decays(dw02_setup):
                         stop_below=1e-4)
     assert res.decay_log.min() < 1e-3
     assert res.envelope_ratio < 1.0
+
+
+# small-grid versions of the benchmark's three convergence settings
+DECAY_SETTINGS = {
+    "dw038": (double_well(0.38), 0.33, 300, [0.1447]),
+    "dw038-small-eta": (double_well(0.38), 0.01, 300, [0.1447]),
+    "dw038-2d": (_double_well_product(2), 0.33, 24, [0.1447, -0.3]),
+}
+
+
+def _decay_setting(name):
+    obj, eta, n, x0 = DECAY_SETTINGS[name]
+    decomp = decompose(obj, eta)
+    grid = Grid.regular(decomp.intervals, n)
+    return ulam_assemble(MapFamily(obj, eta), grid), decomp, DiscreteMeasure.point_mass(grid, x0)
+
+
+def _assert_matches_per_step_oracle(op, decomp, mu0, k_max, stop_below=0.0):
+    res = limit_mixture(op, decomp, mu0, k_max=k_max, stop_below=stop_below)
+    coefficients, log, ratio = per_step_decay_log(op, decomp, mu0, k_max, stop_below)
+    assert np.array_equal(res.decay_log, log)
+    assert np.array_equal(res.coefficients, coefficients)
+    assert np.array_equal(res.envelope_ratio, ratio)
+    return res
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 300])
+@pytest.mark.parametrize("setting", sorted(DECAY_SETTINGS))
+def test_limit_mixture_log_matches_per_step_oracle(setting, k_max):
+    # the weight-vector loop keeps the bits of push_forward and the
+    # zero-padded composite distance, step by step
+    res = _assert_matches_per_step_oracle(*_decay_setting(setting), k_max)
+    assert res.decay_log.size == k_max
+
+
+@pytest.mark.parametrize("setting", sorted(DECAY_SETTINGS))
+def test_limit_mixture_log_stops_like_per_step_oracle(setting):
+    op, decomp, mu0 = _decay_setting(setting)
+    full = limit_mixture(op, decomp, mu0, k_max=300).decay_log
+    stop_below = float(np.median(full))
+    res = _assert_matches_per_step_oracle(op, decomp, mu0, 300, stop_below)
+    assert 0 < res.decay_log.size < 300
+    assert res.decay_log[-1] < stop_below <= res.decay_log[:-1].min()
+
+
+def test_limit_mixture_rejects_measure_on_other_grid(dw038_setup):
+    _, _, decomp, _, grid, op = dw038_setup
+    other = Grid.regular(decomp.intervals, grid.ncells + 1)
+    with pytest.raises(GridMismatch):
+        limit_mixture(op, decomp, DiscreteMeasure.uniform(other), k_max=5)
+
+
+def test_limit_mixture_logs_its_stages_at_info(dw038_setup, caplog):
+    _, _, decomp, _, grid, op = dw038_setup
+    with caplog.at_level(logging.WARNING, logger="sgdmc"):
+        limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=5)
+    assert not caplog.records
+    with caplog.at_level(logging.INFO, logger="sgdmc"):
+        res = limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=40, stop_below=1e-3)
+    [record] = caplog.records
+    match = re.fullmatch(r"limit_mixture: invariants \d+\.\d{3}s, absorption \d+\.\d{3}s, "
+                         r"log \d+\.\d{3}s \((\d+) steps, \d+\.\d us/step\)",
+                         record.getMessage())
+    assert match and int(match.group(1)) == res.decay_log.size
 
 
 @pytest.mark.parametrize("obj,eta,n,k_max,x0,expected", [

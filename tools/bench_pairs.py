@@ -5,20 +5,24 @@ working tree.
         --pairs dw1d-small-eta=10 --pairs dw1d-fine=3 --pairs dw2d-grid=3
 
 Run from the root of a source checkout. The base commit is exported with
-``git archive`` into a temporary directory, which is removed on exit; the
-repository itself is only read. Each pair runs ``perfbench/run.py --trace 0``
-once in each tree, every tree with its own ``perfbench/`` and ``src/``, back
-to back; the base runs first in pairs 1, 3, 5, ... and the working tree in
-pairs 2, 4, 6, .... The output holds every run's result line (the last line perfbench
-prints) and, per workload and end-to-end metric declared in BENCHMARK.json,
-each side's median and quartiles and the number of pairs the working tree
-wins (ties count for neither side).
+``git archive``, and the working tree's tracked and untracked non-ignored
+files are copied, into sibling temporary directories, which are removed on
+exit; the repository itself is only read. So both sides run from fresh trees
+on the same footing, with no bytecode caches and no earlier benchmark work
+files. Each pair runs ``perfbench/run.py --trace 0`` once in each tree, every
+tree with its own ``perfbench/`` and ``src/``, back to back; the base runs
+first in pairs 1, 3, 5, ... and the working tree in pairs 2, 4, 6, .... The
+output holds every run's result line (the last line perfbench prints) and,
+per workload and end-to-end metric declared in BENCHMARK.json, each side's
+median and quartiles and the number of pairs the working tree wins (ties
+count for neither side).
 """
 
 import argparse
 import io
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -40,6 +44,17 @@ def export(rev: str, dest: str) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_working_tree(dest: str) -> None:
+    """The working tree's tracked and untracked non-ignored files, as they are
+    on disk, under dest."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in names.split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):  # a tracked file may be deleted
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -107,8 +122,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        export(base_rev, tmp)
-        trees = {"base": tmp, "change": ROOT}
+        trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
+        export(base_rev, trees["base"])
+        copy_working_tree(trees["change"])
         for workload, count in plan:
             pairs = []
             for k in range(count):
