@@ -181,6 +181,7 @@ def _parse_range(spec: str):
 
 def cmd_analyze(args, fam: MapFamily) -> None:
     decomp = fam.decomposition
+    started = time.perf_counter()
     certificates = []
     for rect in decomp.rectangles:
         try:
@@ -193,7 +194,9 @@ def cmd_analyze(args, fam: MapFamily) -> None:
             )
     d = fam.dimension
     escape_grid = args.grid if d == 1 else max(8, int(args.grid ** (1 / d)))
+    certified = time.perf_counter()
     escape = uniform_escape_length(fam, decomp, grid_n=escape_grid)
+    escaped = time.perf_counter()
     cert_ells = [c["ell"] for c in certificates if "ell" in c]
     _write_json(os.path.join(args.out, "report.json"), {
         "version": __version__,
@@ -206,6 +209,10 @@ def cmd_analyze(args, fam: MapFamily) -> None:
         "unique": decomp.unique,
     })
     log.info("analyze: %d rectangle(s), unique=%s", len(decomp.rectangles), decomp.unique)
+    steps = int(escape.lengths.sum())
+    log.info("analyze: certificates %.3fs, escape %.3fs (%d points, %d steps, %.2f us/step)",
+             certified - started, escaped - certified, escape.lengths.size, steps,
+             (escaped - certified) / max(steps, 1) * 1e6)
 
 
 def _invariant_pieces(fam: MapFamily, grid_n, tol):

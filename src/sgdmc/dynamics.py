@@ -105,25 +105,30 @@ def extremal_envelope(fam: MapFamily, j: int, x: float, ell: int, direction: str
 def _envelope_with_path(fam: MapFamily, j: int, x: float, ell: int, direction: str):
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    pick = min if direction == "min" else max
+    sign = +1 if direction == "max" else -1
     vals = [float(x)]
     path: list[int] = []
     for _ in range(ell):
-        i, v = _greedy_map(fam, j, vals[-1], pick)
-        vals.append(v)
-        path.append(i)
+        i, v = _greedy_map(fam, j, vals[-1], sign)
+        vals.append(float(v))
+        path.append(int(i))
     return vals, tuple(path)
 
 
-def _greedy_map(fam: MapFamily, j: int, s: float, pick) -> tuple[int, float]:
-    """(i, image) of the first map whose coordinate-j image of s is the pick
-    (min or max) of all the maps' images."""
-    best_i, best_v = 1, fam.map_coord(1, j, s)
-    for i in range(2, fam.n + 1):
-        v = fam.map_coord(i, j, s)
-        if pick(v, best_v) == v and v != best_v:
-            best_i, best_v = i, v
-    return best_i, best_v
+def _greedy_map(fam: MapFamily, j: int, s, direction):
+    """(i, image) of the first map whose coordinate-j image of s is the
+    largest (direction +1) or the smallest (direction -1) of all the maps'
+    images, i 1-based.  s and direction may be arrays over points, giving
+    one (i, image) per point: argmax keeps the first of tied maps, and
+    negating the images for direction -1 is exact."""
+    images = np.array([phi[j](s) for phi in fam.phi])
+    best = np.argmax(images * direction, axis=0)
+    return best + 1, _take(images, best)
+
+
+def _take(images: np.ndarray, best) -> np.ndarray:
+    """images[best[p], p] per point p (images[best] for one point)."""
+    return np.take_along_axis(images, best[np.newaxis], axis=0)[0]
 
 
 @dataclass(frozen=True)
@@ -318,41 +323,85 @@ class EscapeReport:
 
 
 def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
-    """Greedy path driving x into the interior of the absorbing union.
+    """Greedy path driving x into the interior of the absorbing union: the
+    one-point case of the escape walk (_escape_walk), which records the map
+    of every step."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_in_state_space(fam, x)
+    path: list[int] = []
+    _escape_walk(fam, decomp, x[:, np.newaxis], path)
+    return tuple(path)
+
+
+def _escape_walk(fam: MapFamily, decomp: Decomposition, points: np.ndarray,
+                 path: list[int] | None = None) -> np.ndarray:
+    """Greedy escape lengths of the points (the columns of the (d, P) array
+    points), all walked together one numpy step at a time; with path given
+    (one point), the map index of every step is appended to it.
 
     Coordinates are settled from the last dimension to the first; fixing a
     later coordinate first means the maps applied for earlier coordinates can
     no longer un-fix it (positive invariance of the per-dimension union).  For
-    the active coordinate, a target interval reachable through an unbroken
-    stretch of the right-moving (or left-moving) set is chosen once, and the
-    map with the largest step toward it is applied until the interior is hit.
-    The walk reads the active coordinate alone; the unsettled ones then follow
-    its path, and settled ones are never read again.
+    the active coordinate, each point chooses once a target interval reachable
+    through an unbroken stretch of the right-moving (or left-moving) set;
+    then the points not yet in an open interior take one step together, each
+    applying the first map with the largest step toward its target to the
+    active coordinate and to its unsettled earlier ones.  Settled coordinates
+    are never read again.  Elementwise Horner on float64 arrays does the
+    operations of scalar evaluation, so each length is that of the point
+    walked alone.
+
+    NonTermination names the first point in grid order whose step makes no
+    progress, and fires once any point's path passes ESCAPE_STEP_CAP steps.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-    _check_in_state_space(fam, x)
-    path: list[int] = []
+    x = np.array(points, dtype=float)
+    lengths = np.zeros(x.shape[1], dtype=int)
     for j in range(fam.dimension - 1, -1, -1):
         # closed membership counts as absorbed (boundary points never leave);
         # the walk itself targets the open interior
         ts = decomp.per_dimension[j]
-        if any(t.contains(x[j], closed=True) for t in ts):
+        active = np.flatnonzero(~_in_union(ts, x[j], closed=True))
+        if not active.size:
             continue
-        direction = _escape_direction(x[j], ts, decomp.charts[j], j)
-        pick = max if direction > 0 else min
-        start = len(path)
-        s = x[j]
-        while not any(t.contains(s, closed=False) for t in ts):
-            i, image = _greedy_map(fam, j, s, pick)
-            if direction * (image - s) <= 0:
+        direction = np.array([_escape_direction(s, ts, decomp.charts[j], j)
+                              for s in x[j, active].tolist()])
+        # the active points' coordinates 0..j and path lengths before j
+        walk, prior = x[:j + 1, active], lengths[active]
+        top, steps = prior.max(), 0
+        while True:
+            inside = _in_union(ts, walk[j], closed=False)
+            if inside.any():
+                lengths[active[inside]] = prior[inside] + steps
+                x[:j, active[inside]] = walk[:j, inside]
+                keep = ~inside
+                active, walk, prior, direction = (
+                    active[keep], walk[:, keep], prior[keep], direction[keep])
+                if not active.size:
+                    break
+                top = prior.max()
+            i, image = _greedy_map(fam, j, walk[j], direction)
+            stalled = direction * (image - walk[j]) <= 0
+            if stalled.any():
+                s = float(walk[j, np.argmax(stalled)])
                 raise NonTermination(f"no map makes progress at coordinate {j} = {s!r}")
-            s = image
-            path.append(i)
-            if len(path) > ESCAPE_STEP_CAP:
+            walk[j] = image
+            for k in range(j):
+                walk[k] = _take(np.array([phi[k](walk[k]) for phi in fam.phi]), i - 1)
+            steps += 1
+            if path is not None:
+                path.append(int(i[0]))
+            if top + steps > ESCAPE_STEP_CAP:
                 raise NonTermination(f"escape exceeded {ESCAPE_STEP_CAP} steps")
-        walked = path[start:]
-        x[:j] = [path_coord(fam, walked, k, x[k]) for k in range(j)]
-    return tuple(path)
+    return lengths
+
+
+def _in_union(ts, s: np.ndarray, closed: bool) -> np.ndarray:
+    """Per point of s, whether one of the intervals ts contains it (closed
+    or open), as AbsorbingInterval.contains decides."""
+    inside = np.zeros(s.shape, dtype=bool)
+    for t in ts:
+        inside |= ((t.l <= s) & (s <= t.r)) if closed else ((t.l < s) & (s < t.r))
+    return inside
 
 
 def _escape_direction(s: float, ts, chart: SignChart, j: int) -> int:
@@ -380,13 +429,11 @@ def _escape_direction(s: float, ts, chart: SignChart, j: int) -> int:
 
 def uniform_escape_length(fam: MapFamily, decomp: Decomposition, grid_n: int = 100) -> EscapeReport:
     """Max greedy escape length over a grid of grid_n points per dimension;
-    an upper estimate (for the greedy policy) of the uniform path length."""
+    an upper estimate (for the greedy policy) of the uniform path length.
+    All the grid points walk at once (_escape_walk), in row-major order."""
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
-    shape = tuple(len(a) for a in axes)
-    lengths = np.zeros(shape, dtype=int)
-    for idx in np.ndindex(*shape):
-        pt = tuple(float(axes[j][idx[j]]) for j in range(fam.dimension))
-        lengths[idx] = len(escape_path(fam, pt, decomp))
+    points = np.array([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+    lengths = _escape_walk(fam, decomp, points).reshape(tuple(len(a) for a in axes))
     return EscapeReport(ell_zero=int(lengths.max()), lengths=lengths)
 
 

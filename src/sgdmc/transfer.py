@@ -201,7 +201,9 @@ def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
         for f in factors[1:]:
             full = sp.kron(full, f, format="csr")
         acc = full if acc is None else acc + full
-    return (acc / fam.n).tocsr()
+    # in place, the bits of acc / n (scipy scales by 1 / n) without its copies
+    acc.data *= 1 / fam.n
+    return acc.tocsr()
 
 
 def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
@@ -323,34 +325,57 @@ class BasinFunctions:
     partition_defect: float
 
 
-def _absorption_iteration(matrix, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
-    """Iterate g <- matrix g from the indicators of the rectangles' cell
-    blocks until the sup change drops below tol, resetting the absorbing
-    cells to their indicators after every product: absorption there is
-    certain, even where a coarse grid lets a block's rows leak.  The fixed
-    point solves (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B."""
-    absorbing = np.ones(grid.ncells, dtype=bool)
-    absorbing[blocks.transient_cells] = False
+def _absorption_order(blocks: MetricConfig) -> np.ndarray:
+    """The cells numbered for the absorption kernel: the transient cells
+    first, then each rectangle's cells in rectangle order."""
+    return np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
+
+
+def _transient_rows(matrix, blocks: MetricConfig) -> sp.csr_matrix:
+    """The transient rows of matrix, sliced once, with their column indices
+    renumbered in place (in the matrix's own index dtype) to
+    _absorption_order.  Each row keeps its entries in their stored order, so
+    a product with it sums them in the order of the full matrix's product."""
+    rows = matrix[blocks.transient_cells]
+    position = np.empty(rows.shape[1], dtype=rows.indices.dtype)
+    position[_absorption_order(blocks)] = np.arange(position.size, dtype=position.dtype)
+    rows.indices[:] = position[rows.indices]  # np.take would copy them to intp
+    rows.has_sorted_indices = False
+    return rows
+
+
+def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
+    """Iterate g <- M g from the indicators of the rectangles' cell blocks
+    until the sup change drops below tol, holding the absorbing cells at
+    their indicators: absorption there is certain, even where a coarse grid
+    lets a block's rows leak.  rows = _transient_rows(M, blocks), so only the
+    transient cells, numbered first (_absorption_order), are updated; the
+    values return in cell order once at the end.  The fixed point solves
+    (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B."""
+    b = blocks.transient_cells.size
     g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
+    end = b
     for m, cells in enumerate(blocks.rectangle_cells):
-        g[m, cells] = 1.0
+        g[m, end:end + cells.size] = 1.0
+        end += cells.size
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
-    g_next, change = np.empty_like(g), np.empty_like(g)
+    g_next, change = g.copy(), np.empty((g.shape[0], b))
     residual = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        # single-vector products give the bits of matrix @ g.T in about
-        # half the time of scipy's multi-vector CSR product
-        np.stack([matrix @ row for row in g], out=g_next)
-        np.copyto(g_next, g, where=absorbing)  # g holds the indicators there
-        np.abs(np.subtract(g_next, g, out=change), out=change)
-        residual = float(change.max())
+        # single-vector products give the bits of a multi-vector product in
+        # about half the time
+        for row, out in zip(g, g_next):
+            out[:b] = rows @ row
+        np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
+        residual = float(change.max()) if b else 0.0
         g, g_next = g_next, g
         if residual < tol:
-            # the layout of (matrix @ g.T).T: BLAS sums values @ w in layout
+            g_next[:, _absorption_order(blocks)] = g  # back in cell order
+            # the layout of (M @ g.T).T: BLAS sums values @ w in layout
             # order, so this keeps the last bits of the mixture coefficients
-            g = np.asfortranarray(g)
-            defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
-            return BasinFunctions(grid=grid, values=g, iterations=it, residual=residual,
+            values = np.asfortranarray(g_next)
+            defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+            return BasinFunctions(grid=grid, values=values, iterations=it, residual=residual,
                                   partition_defect=defect)
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
@@ -361,8 +386,10 @@ def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
     iteration run on the interpolated function-side matrix."""
     if tol is None:
         tol = BASIN_TOL
-    basins = _absorption_iteration(dual_operator(fam, grid), grid,
-                                   metric_config(grid, decomp), tol)
+    config = metric_config(grid, decomp)
+    # only the transient rows are kept: the full dual matrix is freed here
+    rows = _transient_rows(dual_operator(fam, grid), config)
+    basins = _absorption_iteration(rows, grid, config, tol)
     if basins.partition_defect > 1e-6:
         logging.getLogger(__name__).warning(
             "partition-of-unity defect %.2e: the tolerance is too loose for the "
@@ -397,7 +424,8 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     logged distances in limit mixtures decay to zero rather than plateau at
     the discretization mismatch.
     """
-    return _absorption_iteration(op.matrix, op.grid, blocks, ULAM_ABSORPTION_TOL)
+    return _absorption_iteration(_transient_rows(op.matrix, blocks), op.grid, blocks,
+                                 ULAM_ABSORPTION_TOL)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ dense sign scans, exhaustive path enumeration, brute-force set distances,
 direct sparse solves, per-cell Ulam factors and cell labels, the
 whole-point sampler step and escape walk, the per-row grid CSV writer, and
 the zero-padded composite distance.  Everything here deliberately avoids the
-package's own algorithms, except per_step_decay_log, which keeps the
-measure-by-measure loop the limit mixtures' log once ran, to pin its bits."""
+package's own algorithms, except per_step_decay_log and
+masked_reset_absorption, which keep the measure-by-measure loop the limit
+mixtures' log once ran and the full-matrix loop the absorption kernel once
+ran, to pin their bits."""
 
 from __future__ import annotations
 
@@ -272,3 +274,28 @@ def per_step_decay_log(op, decomp, mu0, k_max: int, stop_below: float = 0.0):
     log = np.asarray(log)
     floor = transfer.ENVELOPE_FLOOR * transfer._default_tol(op.grid)
     return coeff, log, transfer._fitted_envelope_ratio(log, floor)
+
+
+def masked_reset_absorption(matrix, grid, blocks, tol: float):
+    """BasinFunctions of the absorption kernel as the full-matrix loop ran
+    it: every cell's product, then the absorbing cells reset to their
+    indicators with a masked copy, and the values made Fortran-ordered."""
+    absorbing = np.ones(grid.ncells, dtype=bool)
+    absorbing[blocks.transient_cells] = False
+    g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
+    for m, cells in enumerate(blocks.rectangle_cells):
+        g[m, cells] = 1.0
+    g_next, change = np.empty_like(g), np.empty_like(g)
+    residual = np.inf
+    for it in range(1, transfer.DEFAULT_MAX_ITER + 1):
+        np.stack([matrix @ row for row in g], out=g_next)
+        np.copyto(g_next, g, where=absorbing)  # g holds the indicators there
+        np.abs(np.subtract(g_next, g, out=change), out=change)
+        residual = float(change.max())
+        g, g_next = g_next, g
+        if residual < tol:
+            g = np.asfortranarray(g)
+            defect = float(np.max(np.abs(g.sum(axis=0) - 1.0)))
+            return transfer.BasinFunctions(grid=grid, values=g, iterations=it,
+                                           residual=residual, partition_defect=defect)
+    raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")

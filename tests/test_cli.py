@@ -13,12 +13,15 @@ from oracles import per_row_grid_csv
 import sgdmc
 from sgdmc import cli
 from sgdmc.cli import main
+from sgdmc.dynamics import MapFamily, uniform_escape_length
 from sgdmc.objective import objective_from_config
 from sgdmc.transfer import Grid, invariant_measure
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
+# F + 0.38x and F - 0.38x of the double well F, ascending coefficients
+PRODUCT_ROW = [[0.25, 0.38, -0.5, 0.0, 0.25], [0.25, -0.38, -0.5, 0.0, 0.25]]
 
 
 def write_config(path, **kwargs):
@@ -546,6 +549,42 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, patt
     assert int(size) == sum(f.stat().st_size for f in files)
     if steps:
         assert int(steps[0]) == json.loads((out / "sample.json").read_text())["steps"]
+
+
+ANALYZE_LINE = (r"analyze: certificates \d+\.\d{3}s, escape \d+\.\d{3}s "
+                r"\((\d+) points, (\d+) steps, \d+\.\d{2} us/step\)")
+
+
+@pytest.mark.parametrize("config, grid", [
+    (DW_CONFIG, 300),
+    ({"dimension": 2, "n": 2, "eta": 0.33, "components": [PRODUCT_ROW] * 2}, 100),
+], ids=["1d", "2d"])
+def test_info_log_times_the_analyze_stages(tmp_path, caplog, config, grid):
+    cfg = write_config(tmp_path / "c.json", **config)
+    with caplog.at_level("INFO", logger="sgdmc"):
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--grid", str(grid)]) == 0
+    stages = [m for m in (re.fullmatch(ANALYZE_LINE, r.getMessage()) for r in caplog.records) if m]
+    assert len(stages) == 1
+    assert re.fullmatch(r"analyze: \d+\.\d{3}s", caplog.records[-1].getMessage())
+    fam = MapFamily(*objective_from_config(config))
+    grid_n = grid if fam.dimension == 1 else 10  # analyze walks grid**(1/d) points per axis
+    lengths = uniform_escape_length(fam, fam.decomposition, grid_n=grid_n).lengths
+    assert stages[0].groups() == (str(lengths.size), str(lengths.sum()))
+    assert lengths.sum() > 0
+
+
+def test_analyze_reports_a_stalled_escape_walk(tmp_path, capsys):
+    # at eta = 1e-300 no step moves a point by more than rounding: the walk
+    # stops at the first transient grid point
+    config = {**DW_CONFIG, "eta": 1e-300}
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o"), "--grid", "50"]) == 3
+    fam = MapFamily(*objective_from_config(config))
+    (ts,), ((lo, hi),) = fam.decomposition.per_dimension, fam.intervals
+    first = next(x for x in np.linspace(lo, hi, 50).tolist() if not any(t.contains(x) for t in ts))
+    assert capsys.readouterr().err == (
+        f"no convergence: no map makes progress at coordinate 0 = {first!r}\n")
 
 
 # adversarial values for the grid writer, repeated along the cells: signed

@@ -26,7 +26,7 @@ from sgdmc.dynamics import (
     uniform_escape_length,
     verify_certificate,
 )
-from sgdmc.errors import NotFound, OutOfStateSpace
+from sgdmc.errors import NonTermination, NotFound, OutOfStateSpace
 from sgdmc.objective import (
     SeparableObjective,
     crossed_quadratics_2d,
@@ -429,3 +429,32 @@ def test_escape_lengths_match_whole_point_oracle(fam, grid_n):
     report = uniform_escape_length(fam, decomp, grid_n=grid_n)
     oracle = whole_point_escape_lengths(fam, decomp, grid_n, _escape_direction)
     assert np.array_equal(report.lengths, oracle)
+
+
+@pytest.mark.parametrize("fam,grid_n", [
+    (MapFamily(double_well(0.38), 0.01), 500),
+    (MapFamily(SeparableObjective(components=double_well(0.2).components * 2), 0.2), 25),
+], ids=["dw-eta-0.01", "dw-product-2d"])
+def test_escape_walk_stops_once_a_path_passes_the_cap(monkeypatch, fam, grid_n):
+    # a cap at the longest path lets every walk finish and one step less stops
+    # them; in 2-d the longest path spends steps on both coordinates
+    decomp = fam.decomposition
+    ell_zero = uniform_escape_length(fam, decomp, grid_n=grid_n).ell_zero
+    monkeypatch.setattr(dynamics, "ESCAPE_STEP_CAP", ell_zero)
+    assert uniform_escape_length(fam, decomp, grid_n=grid_n).ell_zero == ell_zero
+    monkeypatch.setattr(dynamics, "ESCAPE_STEP_CAP", ell_zero - 1)
+    with pytest.raises(NonTermination, match=f"^escape exceeded {ell_zero - 1} steps$"):
+        uniform_escape_length(fam, decomp, grid_n=grid_n)
+
+
+def test_greedy_scan_keeps_the_first_of_tied_maps():
+    # f_1 = F + 0.1x^2 and f_2 = F - 0.1x^2 differ only in x^2, so their maps
+    # send 0 to the same point: the walk and both envelopes from 0 take map 1
+    obj = SeparableObjective(components=((Polynomial([0.25, 0.38, -0.4, 0.0, 0.25]),
+                                          Polynomial([0.25, 0.38, -0.6, 0.0, 0.25])),))
+    fam = MapFamily(obj, 0.13)
+    assert fam.map_coord(1, 0, 0.0) == fam.map_coord(2, 0, 0.0)
+    assert escape_path(fam, [0.0], fam.decomposition)[0] == 1
+    assert extremal_envelope(fam, 0, 0.0, 1, "min") == extremal_envelope(fam, 0, 0.0, 1, "max")
+    for direction in ("min", "max"):
+        assert dynamics._envelope_with_path(fam, 0, 0.0, 1, direction)[1] == (1,)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_anchored_distance,
     classify_cells,
+    whole_point_escape_lengths,
     whole_point_sample,
     zero_padded_d_tilde,
 )
@@ -21,8 +22,11 @@ from sgdmc import dynamics
 from sgdmc.absorbing import absorbing_structure, bifurcations, decompose, rectangle_count_for
 from sgdmc.dynamics import (
     MapFamily,
+    _escape_direction,
+    escape_path,
     sgd_sample,
     splitting_certificate_multi,
+    uniform_escape_length,
     verify_certificate,
 )
 from sgdmc.errors import GridTooCoarse, NotFound, SgdmcError
@@ -284,3 +288,19 @@ def test_sampler_blocks_match_the_whole_point_oracle(problem, where, chunk, step
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
     assert s.first_absorbed_step == first
     assert s.rectangle_steps == rect_steps
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.data())
+def test_escape_lengths_match_the_whole_point_oracle(problem, data):
+    # the grid points walked together, and each walked alone by escape_path,
+    # take the whole-point oracle's number of steps
+    fam, decomp, _ = problem
+    grid_n = data.draw(st.integers(2, 40 if fam.dimension == 1 else 12))
+    lengths = uniform_escape_length(fam, decomp, grid_n=grid_n).lengths
+    np.testing.assert_array_equal(
+        lengths, whole_point_escape_lengths(fam, decomp, grid_n, _escape_direction))
+    axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
+    for idx in np.ndindex(*lengths.shape):
+        point = [float(axis[k]) for axis, k in zip(axes, idx)]
+        assert len(escape_path(fam, point, decomp)) == lengths[idx]

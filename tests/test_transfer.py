@@ -10,6 +10,7 @@ from oracles import (
     classify_cells,
     direct_absorption,
     double_well_roots,
+    masked_reset_absorption,
     overlap_factor_1d,
     per_step_decay_log,
 )
@@ -19,12 +20,16 @@ from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
 from sgdmc.errors import GridMismatch, NoConvergence
 from sgdmc.metrics import d_F, metric_config
-from sgdmc.objective import SeparableObjective, double_well
+from sgdmc.objective import SeparableObjective, bernoulli_pair, double_well, lambda_split
+from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
+    BASIN_TOL,
+    ULAM_ABSORPTION_TOL,
     DiscreteMeasure,
     Grid,
     _absorption_iteration,
     _map_factor_1d,
+    _transient_rows,
     basin_functions,
     block_leakage,
     dual_operator,
@@ -333,13 +338,14 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
 
 
 def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
-    # one single-vector product per rectangle, with the absorbing cells reset
-    # to their indicators, gives the bits of one multi-vector product with the
-    # same reset, iterated to convergence
+    # one single-vector product of the transient rows per rectangle gives
+    # the bits of one multi-vector product of every row with the absorbing
+    # cells reset to their indicators, iterated to convergence
     _, _, decomp, fam, grid, _ = dw038_setup
     matrix = dual_operator(fam, grid)
     labels = grid.classify(decomp)
-    basins = _absorption_iteration(matrix, grid, metric_config(grid, decomp), 1e-11)
+    config = metric_config(grid, decomp)
+    basins = _absorption_iteration(_transient_rows(matrix, config), grid, config, 1e-11)
     indicators = np.stack([(labels == m).astype(float) for m in range(2)])
     g = indicators
     for _ in range(basins.iterations):
@@ -350,6 +356,45 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     # the same layout too, so BLAS products with the values keep their bits
     w = DiscreteMeasure.uniform(grid).weights
     assert (basins.values @ w).tobytes() == (g @ w).tobytes()
+
+
+def _product_double_well():
+    comp = double_well(0.38).components[0]
+    return SeparableObjective(components=(comp, comp))
+
+
+@pytest.mark.parametrize("obj,eta,n,rectangles,transient", [
+    (double_well(0.38), 0.33, 1000, 2, True),
+    (double_well(0.38), 0.01, 600, 2, True),
+    (_product_double_well(), 0.33, 40, 4, True),
+    # one rectangle at the left end, transient cells to its right
+    (lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5), 0.23, 200, 1, True),
+    (bernoulli_pair(), 0.25, 50, 1, False),
+], ids=["dw-eta-0.33", "dw-eta-0.01", "dw-product-2d", "one-rectangle", "no-transient"])
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, transient,
+                                                       kernel):
+    # the transient-rows kernel gives the bits, layout and counts of the loop
+    # over every row with the absorbing cells reset after each product
+    fam = MapFamily(obj, eta)
+    decomp = decompose(obj, eta)
+    grid = Grid.regular(decomp.intervals, n)
+    config = metric_config(grid, decomp)
+    assert len(decomp.rectangles) == rectangles
+    assert (config.transient_cells.size > 0) == transient
+    if kernel == "ulam":
+        op = ulam_assemble(fam, grid)
+        got = ulam_absorption(op, config)
+        want = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
+    else:
+        got = basin_functions(fam, grid, decomp)
+        want = masked_reset_absorption(dual_operator(fam, grid), grid, config, BASIN_TOL)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.flags.f_contiguous and got.values.strides == want.values.strides
+    assert (got.iterations, got.residual, got.partition_defect) == (
+        want.iterations, want.residual, want.partition_defect)
+    if not transient:
+        assert (got.iterations, got.residual) == (1, 0.0)
 
 
 def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):

@@ -6,10 +6,10 @@ working tree.
 
 Run from the root of a source checkout. The base commit is exported with
 ``git archive``, and the working tree's tracked and untracked non-ignored
-files are copied, into sibling temporary directories, which are removed on
-exit; the repository itself is only read. So both sides run from fresh trees
-on the same footing, with no bytecode caches and no earlier benchmark work
-files. Each pair runs ``perfbench/run.py --trace 0`` once in each tree, every
+files are copied, into sibling temporary directories (``base`` and ``work``,
+names of equal length), which are removed on exit; the repository itself is
+only read. So both sides run from fresh trees on the same footing, with no
+bytecode caches and no earlier benchmark work files. Each pair runs ``perfbench/run.py --trace 0`` once in each tree, every
 tree with its own ``perfbench/`` and ``src/``, back to back; the base runs
 first in pairs 1, 3, 5, ... and the working tree in pairs 2, 4, 6, .... The
 output holds every run's result line (the last line perfbench prints) and,
@@ -122,7 +122,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
+        # names of equal length, so neither side's paths are longer
+        trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "work")}
         export(base_rev, trees["base"])
         copy_working_tree(trees["change"])
         for workload, count in plan:
