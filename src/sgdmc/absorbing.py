@@ -53,10 +53,11 @@ class AbsorbingInterval:
         if not self.l < self.r:
             raise ValueError("absorbing interval needs l < r")
 
-    def contains(self, x: float, closed: bool = True) -> bool:
+    def contains(self, x, closed: bool = True):
+        """x in [l, r] (closed) or in (l, r), elementwise for an array x."""
         if closed:
-            return self.l <= x <= self.r
-        return self.l < x < self.r
+            return (self.l <= x) & (x <= self.r)
+        return (self.l < x) & (x < self.r)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,8 @@ def _problem(args, cfg: dict):
     fam = MapFamily(*objective_from_config(cfg))
     if args.command == "diffusion" and fam.dimension != 1:
         raise ConfigError("diffusion comparison is one-dimensional")
+    if args.command == "sample" and args.compare_invariant and fam.dimension != 1:
+        raise ConfigError("sample --compare-invariant is one-dimensional")
     if args.command == "basins" and fam.dimension > MAX_GRID_DIMENSION:
         raise ConfigError("basin functions need a dense grid, offered up to two dimensions")
     if args.command == "sample":
@@ -195,7 +197,7 @@ def cmd_analyze(args, fam: MapFamily) -> None:
     d = fam.dimension
     escape_grid = args.grid if d == 1 else max(8, int(args.grid ** (1 / d)))
     certified = time.perf_counter()
-    escape = uniform_escape_length(fam, decomp, grid_n=escape_grid)
+    escape = uniform_escape_length(fam, grid_n=escape_grid)
     escaped = time.perf_counter()
     cert_ells = [c["ell"] for c in certificates if "ell" in c]
     _write_json(os.path.join(args.out, "report.json"), {
@@ -215,19 +217,18 @@ def cmd_analyze(args, fam: MapFamily) -> None:
              (escaped - certified) / max(steps, 1) * 1e6)
 
 
-def _invariant_pieces(fam: MapFamily, grid_n, tol):
-    decomp = fam.decomposition
-    grid = Grid.regular(decomp.intervals, grid_n)
+def _invariant_pieces(fam: MapFamily, grid: Grid, tol):
+    """(Ulam operator on grid, each rectangle's invariant measure).  The grid is labelled
+    first, so a problem with no decomposition fails before assembly on its state space."""
+    blocks = metric_config(grid, fam.decomposition)
     op = ulam_assemble(fam, grid)
-    results = [invariant_measure(op, cells, tol=tol)
-               for cells in metric_config(grid, decomp).rectangle_cells]
-    return decomp, grid, op, results
+    return op, [invariant_measure(op, cells, tol=tol) for cells in blocks.rectangle_cells]
 
 
-def _d_F_per_rectangle(decomp, measure: DiscreteMeasure, results) -> list[dict]:
+def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> list[dict]:
     """d_F from measure to each rectangle's invariant measure."""
     return [{"index": list(rect.index), "d_F": d_F(measure, res.measure)}
-            for rect, res in zip(decomp.rectangles, results)]
+            for rect, res in zip(fam.decomposition.rectangles, results)]
 
 
 def cmd_invariant(args, fam: MapFamily) -> None:
@@ -246,7 +247,8 @@ def cmd_invariant(args, fam: MapFamily) -> None:
         )
         return
     started = time.perf_counter()
-    decomp, grid, op, results = _invariant_pieces(fam, args.grid, args.tol)
+    grid = Grid.regular(fam.intervals, args.grid)
+    op, results = _invariant_pieces(fam, grid, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
     _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
     if args.dump_operator:
@@ -261,16 +263,15 @@ def cmd_invariant(args, fam: MapFamily) -> None:
             "residual": res.residual,
             "leakage": res.leakage,
         }
-        for rect, name, res in zip(decomp.rectangles, names, results)
+        for rect, name, res in zip(fam.decomposition.rectangles, names, results)
     ]}
     _write_json(os.path.join(args.out, "invariant.json"), report)
 
 
 def cmd_basins(args, fam: MapFamily) -> None:
     started = time.perf_counter()
-    decomp = fam.decomposition
-    grid = Grid.regular(decomp.intervals, args.grid)
-    basins = basin_functions(fam, grid, decomp, tol=args.tol)
+    grid = Grid.regular(fam.intervals, args.grid)
+    basins = basin_functions(fam, grid, tol=args.tol)
     mu0 = DiscreteMeasure.uniform(grid)
     coeff = mixture_coefficients(basins, mu0)
     names = [f"basin_{m}.csv" for m in range(basins.values.shape[0])]
@@ -324,12 +325,11 @@ def cmd_sample(args, problem) -> None:
         "first_absorbed_step": summary.first_absorbed_step,
         "rectangle_steps": {str(k): v for k, v in summary.rectangle_steps.items()},
     }
-    if fam.dimension == 1 and args.compare_invariant:
-        decomp, grid, _, results = _invariant_pieces(fam, args.grid, args.tol)
-        hist_measure = DiscreteMeasure(
-            grid, summary.histograms[0].astype(float) / summary.steps
-        )
-        report["invariant_comparison"] = _d_F_per_rectangle(decomp, hist_measure, results)
+    if args.compare_invariant:
+        grid = Grid.regular(fam.intervals, args.grid)
+        _, results = _invariant_pieces(fam, grid, args.tol)
+        hist_measure = DiscreteMeasure(grid, summary.histograms[0].astype(float) / summary.steps)
+        report["invariant_comparison"] = _d_F_per_rectangle(fam, hist_measure, results)
     _write_json(os.path.join(args.out, "sample.json"), report)
 
 
@@ -338,7 +338,8 @@ def cmd_diffusion(args, fam: MapFamily) -> None:
     # exit with its own code even when the exact analysis would also fail
     grid = Grid.regular(fam.intervals, args.grid)
     profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
-    decomp, _, _, results = _invariant_pieces(fam, args.grid, args.tol)
+    _, results = _invariant_pieces(fam, grid, args.tol)
+    decomp = fam.decomposition
     _write_csv(
         os.path.join(args.out, "diffusion.csv"),
         ["x", "Phi", "u", "D", "V", "rho_star"],
@@ -350,7 +351,7 @@ def cmd_diffusion(args, fam: MapFamily) -> None:
         "exact_count": len(decomp.rectangles),
         "diffusion_count": 1,
         "count_mismatch": len(decomp.rectangles) != 1,
-        "per_rectangle_d_F": _d_F_per_rectangle(decomp, rho_measure, results),
+        "per_rectangle_d_F": _d_F_per_rectangle(fam, rho_measure, results),
         "truncation_estimate": profile.truncation_estimate,
     }
     _write_json(os.path.join(args.out, "diffusion.json"), comparison)
@@ -396,19 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", cmd_sample, "seeded trajectory histogram")
     sampling(p, None)
-    p.add_argument("--compare-invariant", action="store_true")
+    p.add_argument("--compare-invariant", action="store_true",
+                   help="also report d_F to each rectangle's invariant measure (1-d only)")
 
     command("diffusion", cmd_diffusion, "stationary density of the surrogate")
     return parser
 
 
 def _check_flags(args) -> None:
-    """--grid, --steps and --tol must be positive, --ell-max at least 1 and
-    --seed non-negative: a config error, raised before any work starts."""
+    """--grid (for diffusion at least 2), --steps and --tol must be positive, --ell-max
+    at least 1 and --seed non-negative: a config error, raised before any work starts."""
     for flag in ("grid", "steps", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not value > 0:  # NaN fails too
             raise ConfigError(f"--{flag} must be positive, got {value}")
+    if args.command == "diffusion" and args.grid < 2:
+        raise ConfigError(f"--grid must be at least 2 for diffusion, got {args.grid}")
     if getattr(args, "ell_max", 1) < 1:
         raise ConfigError(f"--ell-max must be at least 1, got {args.ell_max}")
     if getattr(args, "seed", 0) < 0:

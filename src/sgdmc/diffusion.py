@@ -71,6 +71,11 @@ def vanishing_points(diffusion: np.ndarray, grid: np.ndarray, tol: float = 1e-12
     return [float(x) for x in grid[np.asarray(diffusion) < tol]]
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y over x from x[0] to each point of x."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
 def _is_constant(p: Polynomial) -> bool:
     if p.degree <= 0:
         return True
@@ -105,11 +110,7 @@ def stationary_density(obj: SeparableObjective, eta: float, grid: np.ndarray) ->
     else:
         fine = np.linspace(grid[0], grid[-1], 8 * (len(grid) - 1) + 1)
         integrand = (phi_p.derivative()(fine) + (2.0 / eta) * d_p.derivative()(fine)) / d_p(fine)
-        steps = np.diff(fine)
-        cumulative = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * steps)]
-        )
-        v = cumulative[::8]
+        v = _cumulative_trapezoid(integrand, fine)[::8]
     v = v - v[np.argmin(phi)]
 
     log_rho = -(2.0 / eta) * v
@@ -128,10 +129,7 @@ def stationary_density(obj: SeparableObjective, eta: float, grid: np.ndarray) ->
 def density_cell_masses(profile: DiffusionProfile, edges: np.ndarray) -> np.ndarray:
     """Cell masses of the stationary density on the grid given by edges, read
     off the trapezoid cumulative distribution of the profile."""
-    steps = np.diff(profile.x)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (profile.rho_star[1:] + profile.rho_star[:-1]) * steps)]
-    )
+    cdf = _cumulative_trapezoid(profile.rho_star, profile.x)
     masses = np.diff(np.interp(edges, profile.x, cdf))
     total = masses.sum()
     return masses / total if total > 0 else masses

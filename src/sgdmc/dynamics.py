@@ -322,22 +322,21 @@ class EscapeReport:
     lengths: np.ndarray
 
 
-def escape_path(fam: MapFamily, x, decomp: Decomposition) -> Path:
-    """Greedy path driving x into the interior of the absorbing union: the
-    one-point case of the escape walk (_escape_walk), which records the map
-    of every step."""
+def escape_path(fam: MapFamily, x) -> Path:
+    """Greedy path driving x into the interior of the absorbing union of
+    fam.decomposition: the one-point case of the escape walk (_escape_walk),
+    which records the map of every step."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_in_state_space(fam, x)
     path: list[int] = []
-    _escape_walk(fam, decomp, x[:, np.newaxis], path)
+    _escape_walk(fam, x[:, np.newaxis], path)
     return tuple(path)
 
 
-def _escape_walk(fam: MapFamily, decomp: Decomposition, points: np.ndarray,
-                 path: list[int] | None = None) -> np.ndarray:
+def _escape_walk(fam: MapFamily, points: np.ndarray, path: list[int] | None = None) -> np.ndarray:
     """Greedy escape lengths of the points (the columns of the (d, P) array
-    points), all walked together one numpy step at a time; with path given
-    (one point), the map index of every step is appended to it.
+    points) out of fam.decomposition's transient set, walked together one numpy
+    step at a time; with path given (one point), each step's map is appended.
 
     Coordinates are settled from the last dimension to the first; fixing a
     later coordinate first means the maps applied for earlier coordinates can
@@ -359,11 +358,11 @@ def _escape_walk(fam: MapFamily, decomp: Decomposition, points: np.ndarray,
     for j in range(fam.dimension - 1, -1, -1):
         # closed membership counts as absorbed (boundary points never leave);
         # the walk itself targets the open interior
-        ts = decomp.per_dimension[j]
+        ts = fam.decomposition.per_dimension[j]
         active = np.flatnonzero(~_in_union(ts, x[j], closed=True))
         if not active.size:
             continue
-        direction = np.array([_escape_direction(s, ts, decomp.charts[j], j)
+        direction = np.array([_escape_direction(s, ts, fam.decomposition.charts[j], j)
                               for s in x[j, active].tolist()])
         # the active points' coordinates 0..j and path lengths before j
         walk, prior = x[:j + 1, active], lengths[active]
@@ -397,10 +396,10 @@ def _escape_walk(fam: MapFamily, decomp: Decomposition, points: np.ndarray,
 
 def _in_union(ts, s: np.ndarray, closed: bool) -> np.ndarray:
     """Per point of s, whether one of the intervals ts contains it (closed
-    or open), as AbsorbingInterval.contains decides."""
+    or open)."""
     inside = np.zeros(s.shape, dtype=bool)
     for t in ts:
-        inside |= ((t.l <= s) & (s <= t.r)) if closed else ((t.l < s) & (s < t.r))
+        inside |= t.contains(s, closed)
     return inside
 
 
@@ -427,13 +426,13 @@ def _escape_direction(s: float, ts, chart: SignChart, j: int) -> int:
     raise NonTermination(f"coordinate {j}: no viable escape direction from {s!r}")
 
 
-def uniform_escape_length(fam: MapFamily, decomp: Decomposition, grid_n: int = 100) -> EscapeReport:
-    """Max greedy escape length over a grid of grid_n points per dimension;
-    an upper estimate (for the greedy policy) of the uniform path length.
-    All the grid points walk at once (_escape_walk), in row-major order."""
+def uniform_escape_length(fam: MapFamily, grid_n: int = 100) -> EscapeReport:
+    """Max greedy escape length out of fam.decomposition's transient set over a
+    grid of grid_n points per dimension, walked at once (_escape_walk) in
+    row-major order; an upper estimate (greedy policy) of the uniform path length."""
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
     points = np.array([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
-    lengths = _escape_walk(fam, decomp, points).reshape(tuple(len(a) for a in axes))
+    lengths = _escape_walk(fam, points).reshape(tuple(len(a) for a in axes))
     return EscapeReport(ell_zero=int(lengths.max()), lengths=lengths)
 
 

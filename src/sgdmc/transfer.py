@@ -250,11 +250,10 @@ class InvariantResult:
     leakage: float
 
 
-def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
-                      max_iter: int = DEFAULT_MAX_ITER) -> InvariantResult:
-    """Fixed probability vector of the restricted absorbing block by power
-    iteration from the uniform start; the change between successive iterates is
-    measured in the CDF sup metric (one dimension) or total variation.
+def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> InvariantResult:
+    """Fixed probability vector of the restricted absorbing block by power iteration
+    from the uniform start, at most DEFAULT_MAX_ITER steps; the change between successive
+    iterates is measured in the CDF sup metric (one dimension) or total variation.
 
     A block that leaks more than LEAKAGE_WARN per step (a grid too coarse
     for it to be closed) logs a warning: its leaked mass is renormalised on
@@ -275,7 +274,7 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
         )
     w = np.full(cells.size, 1.0 / cells.size)
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         w_next = sub @ w
         w_next /= w_next.sum()
         residual = distance(w_next, w)
@@ -289,7 +288,7 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None,
                 residual=residual,
                 leakage=leak,
             )
-    raise NoConvergence(max_iter, residual)
+    raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
 def _interp_factor_1d(fam: MapFamily, i: int, j: int, centers: np.ndarray) -> sp.csr_matrix:
@@ -380,13 +379,12 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
-def basin_functions(fam: MapFamily, grid: Grid, decomp: Decomposition,
-                    tol: float | None = None) -> BasinFunctions:
-    """Absorption eigenfunctions of the exact dual operator: the indicator
-    iteration run on the interpolated function-side matrix."""
+def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> BasinFunctions:
+    """Absorption eigenfunctions of the exact dual operator, one per rectangle of
+    fam.decomposition: the indicator iteration run on the interpolated function-side matrix."""
     if tol is None:
         tol = BASIN_TOL
-    config = metric_config(grid, decomp)
+    config = metric_config(grid, fam.decomposition)
     # only the transient rows are kept: the full dual matrix is freed here
     rows = _transient_rows(dual_operator(fam, grid), config)
     basins = _absorption_iteration(rows, grid, config, tol)

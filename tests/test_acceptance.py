@@ -172,7 +172,7 @@ def test_criterion_07_transient_mass_decay():
         op = ulam_assemble(fam, grid)
         labels = grid.classify(decomp)
         transient = labels == -1
-        ell0 = uniform_escape_length(fam, decomp, grid_n=1000).ell_zero
+        ell0 = uniform_escape_length(fam, grid_n=1000).ell_zero
         mu = DiscreteMeasure.uniform(grid)
         masses = [float(mu.weights[transient].sum())]
         while masses[-1] >= 1e-8:
@@ -189,7 +189,7 @@ def test_criterion_07_transient_mass_decay():
 def test_criterion_08_partition_of_unity(dw038_setup):
     with verdict("criterion 08 partition of unity"):
         obj, eta, decomp, fam, grid, op = dw038_setup
-        basins = basin_functions(fam, grid, decomp, tol=1e-11)
+        basins = basin_functions(fam, grid, tol=1e-11)
         labels = grid.classify(decomp)
         assert basins.partition_defect <= 1e-6
         assert np.max(np.abs(basins.values[0, labels == 0] - 1.0)) <= 1e-6

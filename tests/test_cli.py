@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import re
@@ -15,13 +14,16 @@ from sgdmc import cli
 from sgdmc.cli import main
 from sgdmc.dynamics import MapFamily, uniform_escape_length
 from sgdmc.objective import objective_from_config
-from sgdmc.transfer import Grid, invariant_measure
+from sgdmc.transfer import Grid
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
 # F + 0.38x and F - 0.38x of the double well F, ascending coefficients
 PRODUCT_ROW = [[0.25, 0.38, -0.5, 0.0, 0.25], [0.25, -0.38, -0.5, 0.0, 0.25]]
+# the double well split with lambda 0.2 in x1 (two wells) and 0.55 in x2 (one)
+MIXED_CONFIG = {"dimension": 2, "n": 2, "eta": 0.2, "components": [
+    [[0.25, lam, -0.5, 0.0, 0.25], [0.25, -lam, -0.5, 0.0, 0.25]] for lam in (0.2, 0.55)]}
 
 
 def write_config(path, **kwargs):
@@ -70,6 +72,7 @@ def test_parse_failure_exit_code(tmp_path):
     *[(c, "--steps", v) for c in ("invariant", "sample") for v in ("0", "-5")],
     *[(c, "--tol", v) for c in ("invariant", "basins", "sample", "diffusion")
       for v in ("0", "-1e-9", "nan")],
+    ("diffusion", "--grid", "1"),
     *[(c, "--seed", "-1") for c in ("invariant", "sample")],
     *[("analyze", "--ell-max", v) for v in ("0", "-1")],
 ])
@@ -150,6 +153,7 @@ NAN, INF = float("nan"), float("inf")
     ("analyze", {"dimension": 1, "n": "2", "eta": 0.25,
                  "components": [[[1, -2, 1], [1, 2, 1]]]}),
     ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": False}),
+    ("sample --compare-invariant", MIXED_CONFIG),
 ], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
         "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
         "component-inf", "sweep-coefficient-nan", "dimension-string", "n-zero",
@@ -157,7 +161,7 @@ NAN, INF = float("nan"), float("inf")
         "sweep-range-negative", "sweep-range-zero", "sweep-range-nan", "x0-string",
         "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan",
         "eta-numeric-string", "lambda-true", "coefficient-numeric-string", "dimension-true",
-        "n-numeric-string", "x0-false"])
+        "n-numeric-string", "x0-false", "compare-invariant-2d"])
 def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "o"
@@ -185,25 +189,26 @@ LABELS = {1: "config error: ", 2: "assumption violation: ", 3: "no convergence: 
     (1, ["analyze"], "{not json", None),
     (1, ["analyze"], "[0.25, 0.38, 0.33]", None),
     (1, ["invariant", "--grid", "1"], DW_CONFIG, None),
+    (1, ["sample", "--compare-invariant"], MIXED_CONFIG, None),
     (2, ["analyze"], {**DW_CONFIG, "eta": 0.4}, None),
     (2, ["analyze"], {"objective": [0, 0, 0, 1.0], "lambda": 0.5, "eta": 0.1}, None),
     (2, ["analyze"], {"dimension": 2, "n": 2, "eta": 0.1,
                       "components": [[[1, -2, 1], []], [[1, 2, 1], []]]}, None),
     (2, ["invariant", "--grid", "64"], {"dimension": 1, "n": 2, "eta": 0.1,
                                         "components": [[[1, -2, 1], [2, -4, 2]]]}, None),
-    (3, ["invariant", "--grid", "64"], DW_CONFIG,
-     ("invariant_measure", functools.partial(invariant_measure, max_iter=2))),
+    (3, ["invariant", "--grid", "64"], DW_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
     (4, ["diffusion"], {"dimension": 1, "n": 1, "eta": 0.1, "components": [[[0, 0, 1.0]]]},
      None),
-    (5, ["analyze"], DW_CONFIG, ("cmd_analyze", _raise_runtime_error)),
+    (5, ["analyze"], DW_CONFIG, (cli, "cmd_analyze", _raise_runtime_error)),
 ], ids=["ok", "unparsable-config", "config-not-object", "grid-too-coarse",
-        "inadmissible-step", "non-coercive", "zero-summand", "shared-critical-point",
-        "no-convergence", "singular-diffusion", "internal-error"])
+        "compare-invariant-2d", "inadmissible-step", "non-coercive", "zero-summand",
+        "shared-critical-point", "no-convergence", "singular-diffusion", "internal-error"])
+@pytest.mark.filterwarnings("error")
 def test_every_exit_code(tmp_path, capsys, monkeypatch, code, argv, config, patch):
     path = tmp_path / "c.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     if patch is not None:
-        monkeypatch.setattr(cli, *patch)
+        monkeypatch.setattr(*patch)
     assert main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     if code == 0:
@@ -569,7 +574,7 @@ def test_info_log_times_the_analyze_stages(tmp_path, caplog, config, grid):
     assert re.fullmatch(r"analyze: \d+\.\d{3}s", caplog.records[-1].getMessage())
     fam = MapFamily(*objective_from_config(config))
     grid_n = grid if fam.dimension == 1 else 10  # analyze walks grid**(1/d) points per axis
-    lengths = uniform_escape_length(fam, fam.decomposition, grid_n=grid_n).lengths
+    lengths = uniform_escape_length(fam, grid_n=grid_n).lengths
     assert stages[0].groups() == (str(lengths.size), str(lengths.sum()))
     assert lengths.sum() > 0
 

@@ -211,48 +211,45 @@ def test_multi_reduces_to_1d():
 
 
 def test_escape_empty_path_inside(dw02_setup):
-    _, _, decomp, fam = dw02_setup
-    assert escape_path(fam, [1.0], decomp) == ()
+    _, _, _, fam = dw02_setup
+    assert escape_path(fam, [1.0]) == ()
 
 
 def test_escape_lands_in_interior(dw02_setup):
     _, _, decomp, fam = dw02_setup
     for x in np.linspace(-0.85, 0.85, 23):
-        path = escape_path(fam, [float(x)], decomp)
+        path = escape_path(fam, [float(x)])
         img = apply_path(fam, path, [float(x)])
         assert any(r.contains(img, closed=False) for r in decomp.rectangles)
 
 
 def test_escape_length_splits_per_dimension():
     fam2 = mixed_2d_family(eta=0.2)
-    decomp2 = decompose(fam2.obj, 0.2)
-    obj1 = double_well(0.2)
-    decomp1 = decompose(obj1, 0.2)
-    fam1 = MapFamily(obj1, 0.2)
+    fam1 = MapFamily(double_well(0.2), 0.2)
     for x in (-0.5, 0.0, 0.4):
-        two_d = escape_path(fam2, [x, 0.3], decomp2)
-        one_d = escape_path(fam1, [x], decomp1)
+        two_d = escape_path(fam2, [x, 0.3])
+        one_d = escape_path(fam1, [x])
         # second coordinate is already absorbing everywhere, so the whole
         # path serves the first coordinate
         assert len(two_d) == len(one_d)
 
 
 def test_uniform_escape_zero_when_no_transient(bernoulli_setup):
-    _, _, decomp, fam = bernoulli_setup
-    assert uniform_escape_length(fam, decomp, grid_n=101).ell_zero == 0
+    _, _, _, fam = bernoulli_setup
+    assert uniform_escape_length(fam, grid_n=101).ell_zero == 0
 
 
 def test_uniform_escape_grid_stability(dw02_setup):
-    _, _, decomp, fam = dw02_setup
-    a = uniform_escape_length(fam, decomp, grid_n=1000).ell_zero
-    b = uniform_escape_length(fam, decomp, grid_n=2000).ell_zero
+    _, _, _, fam = dw02_setup
+    a = uniform_escape_length(fam, grid_n=1000).ell_zero
+    b = uniform_escape_length(fam, grid_n=2000).ell_zero
     assert abs(a - b) <= 1
 
 
 def test_uniform_escape_monotone_in_eta():
     obj = double_well(0.2)
-    big = uniform_escape_length(MapFamily(obj, 0.3), decompose(obj, 0.3), grid_n=500)
-    small = uniform_escape_length(MapFamily(obj, 0.15), decompose(obj, 0.15), grid_n=500)
+    big = uniform_escape_length(MapFamily(obj, 0.3), grid_n=500)
+    small = uniform_escape_length(MapFamily(obj, 0.15), grid_n=500)
     assert small.ell_zero >= big.ell_zero
 
 
@@ -301,8 +298,8 @@ def test_sampler_avoids_global_minimum_eighth_order():
 def test_sampler_transient_mass_decay(dw02_setup):
     # fraction of seeded runs still transient after multiples of the uniform
     # escape length, compared against the guaranteed geometric factor
-    _, eta, decomp, fam = dw02_setup
-    ell0 = uniform_escape_length(fam, decomp, grid_n=200).ell_zero
+    _, eta, _, fam = dw02_setup
+    ell0 = uniform_escape_length(fam, grid_n=200).ell_zero
     lo, hi = fam.intervals[0]
     starts = np.linspace(lo + 1e-6, hi - 1e-6, 1000)
     horizon = 4 * ell0
@@ -351,9 +348,9 @@ def test_uniform_escape_additive_over_dimensions():
     comp = double_well(0.2).components[0]
     obj2 = SeparableObjective(components=(comp, comp))
     eta = 0.2
-    two_d = uniform_escape_length(MapFamily(obj2, eta), decompose(obj2, eta), grid_n=60)
+    two_d = uniform_escape_length(MapFamily(obj2, eta), grid_n=60)
     obj1 = double_well(0.2)
-    one_d = uniform_escape_length(MapFamily(obj1, eta), decompose(obj1, eta), grid_n=60)
+    one_d = uniform_escape_length(MapFamily(obj1, eta), grid_n=60)
     assert two_d.ell_zero <= 2 * one_d.ell_zero
     assert two_d.ell_zero >= one_d.ell_zero
 
@@ -426,7 +423,7 @@ def test_sampler_reports_departure_at_its_global_step(monkeypatch):
 ], ids=["dw-eta-0.01", "mixed-2d", "dw-product-2d"])
 def test_escape_lengths_match_whole_point_oracle(fam, grid_n):
     decomp = fam.decomposition
-    report = uniform_escape_length(fam, decomp, grid_n=grid_n)
+    report = uniform_escape_length(fam, grid_n=grid_n)
     oracle = whole_point_escape_lengths(fam, decomp, grid_n, _escape_direction)
     assert np.array_equal(report.lengths, oracle)
 
@@ -438,13 +435,12 @@ def test_escape_lengths_match_whole_point_oracle(fam, grid_n):
 def test_escape_walk_stops_once_a_path_passes_the_cap(monkeypatch, fam, grid_n):
     # a cap at the longest path lets every walk finish and one step less stops
     # them; in 2-d the longest path spends steps on both coordinates
-    decomp = fam.decomposition
-    ell_zero = uniform_escape_length(fam, decomp, grid_n=grid_n).ell_zero
+    ell_zero = uniform_escape_length(fam, grid_n=grid_n).ell_zero
     monkeypatch.setattr(dynamics, "ESCAPE_STEP_CAP", ell_zero)
-    assert uniform_escape_length(fam, decomp, grid_n=grid_n).ell_zero == ell_zero
+    assert uniform_escape_length(fam, grid_n=grid_n).ell_zero == ell_zero
     monkeypatch.setattr(dynamics, "ESCAPE_STEP_CAP", ell_zero - 1)
     with pytest.raises(NonTermination, match=f"^escape exceeded {ell_zero - 1} steps$"):
-        uniform_escape_length(fam, decomp, grid_n=grid_n)
+        uniform_escape_length(fam, grid_n=grid_n)
 
 
 def test_greedy_scan_keeps_the_first_of_tied_maps():
@@ -454,7 +450,7 @@ def test_greedy_scan_keeps_the_first_of_tied_maps():
                                           Polynomial([0.25, 0.38, -0.6, 0.0, 0.25])),))
     fam = MapFamily(obj, 0.13)
     assert fam.map_coord(1, 0, 0.0) == fam.map_coord(2, 0, 0.0)
-    assert escape_path(fam, [0.0], fam.decomposition)[0] == 1
+    assert escape_path(fam, [0.0])[0] == 1
     assert extremal_envelope(fam, 0, 0.0, 1, "min") == extremal_envelope(fam, 0, 0.0, 1, "max")
     for direction in ("min", "max"):
         assert dynamics._envelope_with_path(fam, 0, 0.0, 1, direction)[1] == (1,)

@@ -33,7 +33,7 @@ def test_random_tilted_quartics_pipeline(rng):
         op = ulam_assemble(fam, grid)
         assert op.row_sum_error < 1e-12
         cells = np.flatnonzero(grid.classify(decomp) == 0)
-        inv = invariant_measure(op, cells, tol=1e-9, max_iter=200000).measure
+        inv = invariant_measure(op, cells, tol=1e-9).measure
         box = decomp.rectangles[0].box[0]
         summary = sgd_sample(fam, [0.5 * (box[0] + box[1])], steps=200000,
                              seed=trial, grid_n=400)

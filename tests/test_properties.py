@@ -297,10 +297,10 @@ def test_escape_lengths_match_the_whole_point_oracle(problem, data):
     # take the whole-point oracle's number of steps
     fam, decomp, _ = problem
     grid_n = data.draw(st.integers(2, 40 if fam.dimension == 1 else 12))
-    lengths = uniform_escape_length(fam, decomp, grid_n=grid_n).lengths
+    lengths = uniform_escape_length(fam, grid_n=grid_n).lengths
     np.testing.assert_array_equal(
         lengths, whole_point_escape_lengths(fam, decomp, grid_n, _escape_direction))
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in fam.intervals]
     for idx in np.ndindex(*lengths.shape):
         point = [float(axis[k]) for axis, k in zip(axes, idx)]
-        assert len(escape_path(fam, point, decomp)) == lengths[idx]
+        assert len(escape_path(fam, point)) == lengths[idx]

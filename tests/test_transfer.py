@@ -237,11 +237,12 @@ def test_invariant_pair_mirror_symmetric(dw038_setup):
     assert d_F(m0, flipped) <= 2.0 / grid.ncells
 
 
-def test_invariant_no_convergence_raises(dw038_setup):
+def test_invariant_no_convergence_raises(dw038_setup, monkeypatch):
     _, _, decomp, _, grid, op = dw038_setup
     cells = np.flatnonzero(grid.classify(decomp) == 0)
-    with pytest.raises(NoConvergence):
-        invariant_measure(op, cells, tol=1e-16, max_iter=3)
+    monkeypatch.setattr(sgdmc.transfer, "DEFAULT_MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match="^no convergence after 3 iterations"):
+        invariant_measure(op, cells, tol=1e-16)
 
 
 def test_block_leakage_cover_blocks(dw02_setup):
@@ -259,13 +260,13 @@ def test_basins_single_rectangle_constant_one():
     decomp = decompose(obj, eta)
     fam = MapFamily(obj, eta)
     grid = Grid.regular(decomp.intervals, 200)
-    basins = basin_functions(fam, grid, decomp, tol=1e-12)
+    basins = basin_functions(fam, grid, tol=1e-12)
     assert np.allclose(basins.values, 1.0, atol=1e-9)
 
 
 def test_basins_partition_and_pinning(dw038_setup):
     _, _, decomp, fam, grid, _ = dw038_setup
-    basins = basin_functions(fam, grid, decomp, tol=1e-11)
+    basins = basin_functions(fam, grid, tol=1e-11)
     labels = grid.classify(decomp)
     assert basins.partition_defect <= 1e-6
     assert np.max(np.abs(basins.values[0, labels == 0] - 1.0)) <= 1e-9
@@ -277,7 +278,7 @@ def test_basins_partition_and_pinning(dw038_setup):
 
 def test_mixture_coefficients_cases(dw038_setup):
     _, _, decomp, fam, grid, _ = dw038_setup
-    basins = basin_functions(fam, grid, decomp, tol=1e-11)
+    basins = basin_functions(fam, grid, tol=1e-11)
     labels = grid.classify(decomp)
     in_t1 = np.where(labels == 0, 1.0, 0.0)
     mu_t1 = DiscreteMeasure(grid, in_t1 / in_t1.sum())
@@ -387,7 +388,7 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
         got = ulam_absorption(op, config)
         want = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
     else:
-        got = basin_functions(fam, grid, decomp)
+        got = basin_functions(fam, grid)
         want = masked_reset_absorption(dual_operator(fam, grid), grid, config, BASIN_TOL)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.values.flags.f_contiguous and got.values.strides == want.values.strides
@@ -617,7 +618,7 @@ def test_basins_2d_single_rectangle():
     decomp = decompose(obj, 0.25)
     fam = MapFamily(obj, 0.25)
     grid = Grid.regular(decomp.intervals, 16)
-    basins = basin_functions(fam, grid, decomp, tol=1e-12)
+    basins = basin_functions(fam, grid, tol=1e-12)
     assert np.allclose(basins.values, 1.0, atol=1e-12)
 
 
@@ -636,7 +637,7 @@ def test_mixed_2d_two_rectangle_pipeline():
     assert res.coefficients[0] == pytest.approx(0.5, abs=1e-9)
 
     fine = Grid.regular(decomp.intervals, [200, 100])
-    basins = basin_functions(fam, fine, decomp, tol=1e-11)
+    basins = basin_functions(fam, fine, tol=1e-11)
     assert basins.partition_defect <= 1e-6
     c = mixture_coefficients(basins, DiscreteMeasure.uniform(fine))
     assert c[0] == pytest.approx(0.5, abs=1e-6)
@@ -649,16 +650,16 @@ def test_basins_on_coarse_grid_keep_the_partition_of_unity(caplog):
     decomp = decompose(obj, eta)
     coarse = Grid.regular(decomp.intervals, 60)
     with caplog.at_level(logging.WARNING, logger="sgdmc.transfer"):
-        basins = basin_functions(MapFamily(obj, eta), coarse, decomp, tol=1e-12)
+        basins = basin_functions(MapFamily(obj, eta), coarse, tol=1e-12)
     assert basins.partition_defect <= 1e-9
     assert not caplog.records
 
 
 def test_basin_defect_warns_on_loose_tolerance(dw038_setup, caplog):
     # a tolerance this loose stops the iteration well before absorption
-    _, _, decomp, fam, grid, _ = dw038_setup
+    _, _, _, fam, grid, _ = dw038_setup
     with caplog.at_level(logging.WARNING, logger="sgdmc.transfer"):
-        basins = basin_functions(fam, grid, decomp, tol=0.1)
+        basins = basin_functions(fam, grid, tol=0.1)
     assert basins.partition_defect > 1e-6
     [record] = caplog.records
     assert "tolerance is too loose" in record.message
