@@ -27,6 +27,7 @@ from . import __version__
 from .absorbing import absorbing_structure, bifurcations
 from .diffusion import density_cell_masses, stationary_density
 from .dynamics import (
+    ELL_MAX,
     MapFamily,
     sgd_sample,
     splitting_certificate_multi,
@@ -117,14 +118,6 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
     log.info("%s: compute %.3fs, write %.3fs (%d rows, %d bytes)", args.command,
              computed - started, time.perf_counter() - computed,
              len(paths) * grid.ncells, sum(os.path.getsize(p) for p in paths))
-
-
-def _write_histograms(out: str, names, summary) -> None:
-    """One bin_center,count CSV per dimension of a sampled trajectory."""
-    for name, edges, hist in zip(names, summary.bin_edges, summary.histograms):
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        _write_csv(os.path.join(out, name), ["bin_center", "count"], [centers, hist],
-                   row="{:.17g},{}\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -231,23 +224,37 @@ def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> lis
             for rect, res in zip(fam.decomposition.rectangles, results)]
 
 
+def _sample(args, fam: MapFamily, x0, grid: Grid, stem: str):
+    """The chain's SampleSummary, with one bin_center,count CSV per dimension
+    of grid in --out (stem.csv in 1-d, stem_dim<j>.csv otherwise); logs, at
+    INFO, the chain's seconds apart from the writing, with the rows and bytes."""
+    started = time.perf_counter()
+    summary = sgd_sample(fam, x0, args.steps, args.seed, grid)
+    chained = time.perf_counter()
+    names = [f"{stem}.csv"] if grid.dimension == 1 else [
+        f"{stem}_dim{j}.csv" for j in range(grid.dimension)]
+    paths = [os.path.join(args.out, name) for name in names]
+    for path, centers, hist in zip(paths, grid.centers, summary.histograms):
+        _write_csv(path, ["bin_center", "count"], [centers, hist], row="{:.17g},{}\n")
+    log.info("%s: chain %.3fs (%d steps, %.0f ns/step), write %.3fs (%d rows, %d bytes)",
+             args.command, chained - started, summary.steps,
+             (chained - started) / summary.steps * 1e9, time.perf_counter() - chained,
+             sum(grid.shape), sum(os.path.getsize(p) for p in paths))
+    return summary
+
+
 def cmd_invariant(args, fam: MapFamily) -> None:
+    started = time.perf_counter()
+    grid = Grid.regular(fam.intervals, args.grid)
     if fam.dimension > MAX_GRID_DIMENSION:
         log.warning(
             "dense grids are limited to two dimensions; falling back to a "
             "seeded trajectory histogram"
         )
-        summary = sgd_sample(fam, _centre(fam), steps=args.steps, seed=args.seed,
-                             grid_n=args.grid)
-        names = [f"invariant_mc_dim{j}.csv" for j in range(fam.dimension)]
-        _write_histograms(args.out, names, summary)
-        _write_json(
-            os.path.join(args.out, "invariant.json"),
-            {"eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": summary.seed},
-        )
+        summary = _sample(args, fam, _centre(fam), grid, "invariant_mc")
+        _write_json(os.path.join(args.out, "invariant.json"), {
+            "eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": args.seed})
         return
-    started = time.perf_counter()
-    grid = Grid.regular(fam.intervals, args.grid)
     op, results = _invariant_pieces(fam, grid, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
     _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
@@ -308,26 +315,19 @@ def cmd_sweep(args, problem) -> None:
 
 def cmd_sample(args, problem) -> None:
     fam, x0 = problem
-    started = time.perf_counter()
-    summary = sgd_sample(fam, x0, steps=args.steps, seed=args.seed, grid_n=args.grid)
-    chained = time.perf_counter()
-    names = (["sample.csv"] if fam.dimension == 1
-             else [f"sample_dim{j}.csv" for j in range(fam.dimension)])
-    _write_histograms(args.out, names, summary)
-    log.info("sample: chain %.3fs (%d steps, %.0f ns/step), write %.3fs (%d rows, %d bytes)",
-             chained - started, summary.steps, (chained - started) / summary.steps * 1e9,
-             time.perf_counter() - chained, sum(h.size for h in summary.histograms),
-             sum(os.path.getsize(os.path.join(args.out, name)) for name in names))
+    grid = Grid.regular(fam.intervals, args.grid)
+    # the comparison labels the grid before the chain runs: a grid too coarse,
+    # or an invariant measure that does not converge, leaves --out empty
+    results = _invariant_pieces(fam, grid, args.tol)[1] if args.compare_invariant else None
+    summary = _sample(args, fam, x0, grid, "sample")
     report = {
         "steps": summary.steps,
-        "seed": summary.seed,
+        "seed": args.seed,
         "final_point": [float(v) for v in summary.final_point],
         "first_absorbed_step": summary.first_absorbed_step,
         "rectangle_steps": {str(k): v for k, v in summary.rectangle_steps.items()},
     }
     if args.compare_invariant:
-        grid = Grid.regular(fam.intervals, args.grid)
-        _, results = _invariant_pieces(fam, grid, args.tol)
         hist_measure = DiscreteMeasure(grid, summary.histograms[0].astype(float) / summary.steps)
         report["invariant_comparison"] = _d_F_per_rectangle(fam, hist_measure, results)
     _write_json(os.path.join(args.out, "sample.json"), report)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = command("analyze", cmd_analyze, "decomposition, certificates, bounds", tol=False)
-    p.add_argument("--ell-max", type=int, default=64)
+    p.add_argument("--ell-max", type=int, default=ELL_MAX)
 
     p = command("invariant", cmd_invariant, "invariant measure per rectangle")
     p.add_argument("--dump-operator", action="store_true",

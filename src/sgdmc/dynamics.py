@@ -10,13 +10,14 @@ from functools import cached_property
 import numpy as np
 
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, SignChart, decompose
-from .errors import NonTermination, NotFound, OutOfStateSpace
+from .errors import DimensionMismatch, NonTermination, NotFound, OutOfStateSpace
 from .objective import SeparableObjective, check_step, state_space_window, step_map
 from .poly import Polynomial
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 
 ESCAPE_STEP_CAP = 10**6
+ELL_MAX = 64  # default cap on a splitting certificate's path length
 CERTIFICATE_TOL = 1e-9  # slack of verify_certificate's splitting inequalities
 SAMPLE_CHUNK = 1 << 16  # sampler steps per block
 
@@ -187,7 +188,7 @@ def verify_certificate(fam: MapFamily, box, cert: SplittingCertificate) -> bool:
     return True
 
 
-def splitting_length_1d(fam: MapFamily, t: AbsorbingInterval, ell_max: int = 64) -> SplittingCertificate:
+def splitting_length_1d(fam: MapFamily, t: AbsorbingInterval, ell_max: int = ELL_MAX) -> SplittingCertificate:
     """Smallest greedy path length at which the downward envelope from r meets
     the upward envelope from l; the two greedy index sequences are the
     certificate paths and the split point is the midpoint of the crossing."""
@@ -225,7 +226,7 @@ def _perturb_last(fam: MapFamily, j: int, path: Path, prev_hi: float, lo_end: fl
     return None
 
 
-def splitting_certificate_multi(fam: MapFamily, rect: Rectangle, ell_max: int = 64,
+def splitting_certificate_multi(fam: MapFamily, rect: Rectangle, ell_max: int = ELL_MAX,
                                 alphas=None) -> SplittingCertificate:
     """Search the orthant sign vectors (first sign fixed to +1) for a pair of
     paths splitting the rectangle.
@@ -438,21 +439,19 @@ def uniform_escape_length(fam: MapFamily, grid_n: int = 100) -> EscapeReport:
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Single-trajectory summary: per-dimension visit histograms on the state
-    space, time spent per rectangle, and the final point."""
+    """Single-trajectory summary: per-dimension visit histograms on a grid's
+    cells, time spent per rectangle, and the final point."""
 
     steps: int
-    seed: int
-    bin_edges: tuple[np.ndarray, ...]
     histograms: tuple[np.ndarray, ...]
     rectangle_steps: dict[tuple[int, ...], int]
     final_point: tuple[float, ...]
     first_absorbed_step: int | None
 
 
-def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> SampleSummary:
-    """Run the chain with uniform i.i.d. map choices (PCG64 stream) and record
-    a visit histogram; asserts the absorbing property along the way.
+def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary:
+    """Run the chain with uniform i.i.d. map choices (PCG64 stream), counting coordinate
+    j's visits on the transfer.Grid's grid.edges[j]; asserts the absorbing property.
 
     The chain streams in blocks of SAMPLE_CHUNK steps, so its memory does
     not grow with the number of steps.  Per block it draws the map indices,
@@ -468,12 +467,13 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_in_state_space(fam, x0)
     d = fam.dimension
+    if grid.dimension != d:
+        raise DimensionMismatch("grid and map family dimensions differ")
     rng = np.random.Generator(np.random.PCG64(seed))
     # per coordinate, each map's coefficients from the highest degree down,
     # 1-based like the draws
     coeffs = [[()] + [tuple(reversed(phi[j].coeffs)) for phi in fam.phi] for j in range(d)]
-    edges = tuple(np.linspace(lo, hi, grid_n + 1) for lo, hi in fam.intervals)
-    hists = [np.zeros(grid_n, dtype=np.intp) for _ in range(d)]
+    hists = [np.zeros(n, dtype=np.intp) for n in grid.shape]
     counts = np.zeros(len(decomp.rectangles) + 1, dtype=np.intp)  # [0]: outside all
     point = x0.tolist()
     first = home = None  # first absorbed step and its rectangle
@@ -485,7 +485,7 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
             orbit = _orbit(coeffs[j], picks, point[j])
             traj[:, j] = orbit
             point[j] = orbit[-1]
-            hists[j] += np.histogram(traj[:, j], bins=edges[j])[0]
+            hists[j] += np.histogram(traj[:, j], bins=grid.edges[j])[0]
         member = _membership_series(traj, decomp)
         counts += np.bincount(member + 1, minlength=counts.size)
         settled = 0
@@ -501,8 +501,6 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid_n: int = 100) -> 
                 f"absorbing property violated at step {start + settled + departures[0]}")
     return SampleSummary(
         steps=steps,
-        seed=seed,
-        bin_edges=edges,
         histograms=tuple(hists),
         rectangle_steps={rect.index: int(counts[m + 1])
                          for m, rect in enumerate(decomp.rectangles)},

@@ -361,8 +361,9 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
     g_next, change = g.copy(), np.empty((g.shape[0], b))
     residual = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        # single-vector products give the bits of a multi-vector product in
-        # about half the time
+        # one product per rectangle gives the bits of one product on an (N, k) C-order
+        # array and is no slower: in ulam_absorption on a 2-vCPU Xeon (1 thread, best of
+        # 5) equal within noise at 1-d N=4000 and 2-d 300^2, 12% faster at 1-d N=10^4
         for row, out in zip(g, g_next):
             out[:b] = rows @ row
         np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)

@@ -24,6 +24,9 @@ PRODUCT_ROW = [[0.25, 0.38, -0.5, 0.0, 0.25], [0.25, -0.38, -0.5, 0.0, 0.25]]
 # the double well split with lambda 0.2 in x1 (two wells) and 0.55 in x2 (one)
 MIXED_CONFIG = {"dimension": 2, "n": 2, "eta": 0.2, "components": [
     [[0.25, lam, -0.5, 0.0, 0.25], [0.25, -lam, -0.5, 0.0, 0.25]] for lam in (0.2, 0.55)]}
+# the double well split with lambda 0.2 in each of three dimensions
+CUBE_CONFIG = {"dimension": 3, "n": 2, "eta": 0.1, "components": [
+    [[0.25, 0.2, -0.5, 0.0, 0.25], [0.25, -0.2, -0.5, 0.0, 0.25]]] * 3}
 
 
 def write_config(path, **kwargs):
@@ -362,6 +365,25 @@ def test_sample_with_invariant_comparison(tmp_path):
     assert report["invariant_comparison"][0]["d_F"] <= 0.05
 
 
+@pytest.mark.parametrize("grid,patch,code,label", [
+    ("1", None, 1, "config error: grid too coarse"),
+    ("64", (sgdmc.transfer, "DEFAULT_MAX_ITER", 2), 3, "no convergence: "),
+], ids=["grid-too-coarse", "no-convergence"])
+def test_sample_comparison_fails_before_the_chain(tmp_path, capsys, monkeypatch, grid, patch,
+                                                  code, label):
+    # the comparison labels the command's grid and solves on it before the
+    # chain runs: a failure there writes no file into --out
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    out = tmp_path / "out"
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main(["sample", "--config", cfg, "--out", str(out), "--grid", grid,
+                 "--compare-invariant"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(label) and len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_diffusion_reports_count_mismatch(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
     out = tmp_path / "out"
@@ -479,13 +501,7 @@ def test_basins_refuses_more_than_two_dimensions(tmp_path, capsys):
 
 
 def test_invariant_monte_carlo_fallback_3d(tmp_path):
-    dw = [0.25, 0.0, -0.5, 0.0, 0.25]
-    f1 = [0.25, 0.2, -0.5, 0.0, 0.25]
-    f2 = [0.25, -0.2, -0.5, 0.0, 0.25]
-    cfg = write_config(
-        tmp_path / "c.json", dimension=3, n=2,
-        components=[[f1, f2], [f1, f2], [f1, f2]], eta=0.1,
-    )
+    cfg = write_config(tmp_path / "c.json", **CUBE_CONFIG)
     out = tmp_path / "out"
     assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "32",
                  "--steps", "2000", "--seed", "1"]) == 0
@@ -504,9 +520,10 @@ def test_report_round_trips(tmp_path):
     assert payload["combined_exponent"] >= 1
 
 
-# the lines invariant, basins and sample log at INFO before their total time
+# the lines invariant, basins and sample log at INFO before their total time:
+# a sampling command (sample, the invariant fallback) times the chain
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
-SAMPLE_LINE = (r"(sample): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
+SAMPLE_LINE = (r"(\w+): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
                r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
 
@@ -535,25 +552,29 @@ def test_info_log_times_every_command(tmp_path):
     assert outputs["INFO"] == outputs["default"]
 
 
-@pytest.mark.parametrize("command, pattern", [("invariant", "invariant_*.csv"),
-                                              ("basins", "basin_*.csv"),
-                                              ("sample", "sample*.csv")])
-def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, pattern):
-    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+@pytest.mark.parametrize("command, config, pattern, count, line", [
+    ("invariant", DW_CONFIG, "invariant_*.csv", 2, STAGE_LINE),
+    ("basins", DW_CONFIG, "basin_*.csv", 2, STAGE_LINE),
+    ("sample", DW_CONFIG, "sample*.csv", 1, SAMPLE_LINE),
+    ("invariant", CUBE_CONFIG, "invariant_mc_dim*.csv", 3, SAMPLE_LINE),
+], ids=["invariant-invariant_*.csv", "basins-basin_*.csv", "sample-sample*.csv",
+        "invariant-invariant_mc_dim*.csv"])
+def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, config, pattern,
+                                                 count, line):
+    cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "out"
     with caplog.at_level("INFO", logger="sgdmc"):
         assert main([command, "--config", cfg, "--out", str(out), "--grid", "300"]) == 0
-    line = SAMPLE_LINE if command == "sample" else STAGE_LINE
     stages = [m for m in (re.fullmatch(line, r.getMessage()) for r in caplog.records) if m]
     assert len(stages) == 1
     assert re.fullmatch(rf"{command}: \d+\.\d{{3}}s", caplog.records[-1].getMessage())
     name, *steps, rows, size = stages[0].groups()
     files = sorted(out.glob(pattern))
-    assert name == command and len(files) == (1 if command == "sample" else 2)
+    assert name == command and len(files) == count
     assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == 300 * len(files)
     assert int(size) == sum(f.stat().st_size for f in files)
     if steps:
-        assert int(steps[0]) == json.loads((out / "sample.json").read_text())["steps"]
+        assert int(steps[0]) == json.loads((out / f"{command}.json").read_text())["steps"]
 
 
 ANALYZE_LINE = (r"analyze: certificates \d+\.\d{3}s, escape \d+\.\d{3}s "

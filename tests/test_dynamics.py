@@ -26,7 +26,7 @@ from sgdmc.dynamics import (
     uniform_escape_length,
     verify_certificate,
 )
-from sgdmc.errors import NonTermination, NotFound, OutOfStateSpace
+from sgdmc.errors import DimensionMismatch, NonTermination, NotFound, OutOfStateSpace
 from sgdmc.objective import (
     SeparableObjective,
     crossed_quadratics_2d,
@@ -34,6 +34,7 @@ from sgdmc.objective import (
     eighth_order,
 )
 from sgdmc.poly import Polynomial
+from sgdmc.transfer import Grid
 
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
 
@@ -255,30 +256,38 @@ def test_uniform_escape_monotone_in_eta():
 
 def test_sampler_deterministic(dw02_setup):
     _, eta, _, fam = dw02_setup
-    a = sgd_sample(fam, [0.0], steps=5000, seed=123, grid_n=64)
-    b = sgd_sample(fam, [0.0], steps=5000, seed=123, grid_n=64)
+    grid = Grid.regular(fam.intervals, 64)
+    a = sgd_sample(fam, [0.0], steps=5000, seed=123, grid=grid)
+    b = sgd_sample(fam, [0.0], steps=5000, seed=123, grid=grid)
     assert a.final_point == b.final_point
     assert all(np.array_equal(x, y) for x, y in zip(a.histograms, b.histograms))
-    c = sgd_sample(fam, [0.0], steps=5000, seed=124, grid_n=64)
+    c = sgd_sample(fam, [0.0], steps=5000, seed=124, grid=grid)
     assert c.final_point != a.final_point
 
 
 def test_sampler_stays_absorbed(dw02_setup):
     _, _, decomp, fam = dw02_setup
-    summary = sgd_sample(fam, [1.0], steps=20000, seed=5, grid_n=100)
+    grid = Grid.regular(fam.intervals, 100)
+    summary = sgd_sample(fam, [1.0], steps=20000, seed=5, grid=grid)
     assert summary.first_absorbed_step == 0
     assert summary.rectangle_steps[(1,)] == 20000
     assert summary.rectangle_steps[(0,)] == 0
     t1 = decomp.rectangles[1].box[0]
-    edges = summary.bin_edges[0]
+    edges = grid.edges[0]
     outside = (edges[1:] <= t1[0]) | (edges[:-1] >= t1[1])
     assert summary.histograms[0][outside].sum() == 0
 
 
 def test_sampler_histogram_sums_to_steps(dw02_setup):
     _, _, _, fam = dw02_setup
-    s = sgd_sample(fam, [0.2], steps=3000, seed=9, grid_n=50)
+    s = sgd_sample(fam, [0.2], steps=3000, seed=9, grid=Grid.regular(fam.intervals, 50))
     assert s.histograms[0].sum() == 3000
+
+
+def test_sampler_rejects_a_grid_of_another_dimension(dw02_setup):
+    _, _, _, fam = dw02_setup
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
+        sgd_sample(fam, [0.2], steps=10, seed=9, grid=Grid.regular(fam.intervals * 2, 4))
 
 
 def test_sampler_avoids_global_minimum_eighth_order():
@@ -287,11 +296,11 @@ def test_sampler_avoids_global_minimum_eighth_order():
     obj = eighth_order(1.6)
     eta = 0.018  # admissible: 1/K is about 0.0196
     fam = MapFamily(obj, eta)
-    s = sgd_sample(fam, [1.2], steps=20000, seed=11, grid_n=200)
+    grid = Grid.regular(fam.intervals, 200)
+    s = sgd_sample(fam, [1.2], steps=20000, seed=11, grid=grid)
     assert s.first_absorbed_step is not None
     assert s.rectangle_steps[(1,)] == 20000 - s.first_absorbed_step
-    centers = 0.5 * (s.bin_edges[0][:-1] + s.bin_edges[0][1:])
-    near_zero = np.abs(centers) < 0.5
+    near_zero = np.abs(grid.centers[0]) < 0.5
     assert s.histograms[0][near_zero].sum() <= s.first_absorbed_step
 
 
@@ -304,8 +313,9 @@ def test_sampler_transient_mass_decay(dw02_setup):
     starts = np.linspace(lo + 1e-6, hi - 1e-6, 1000)
     horizon = 4 * ell0
     absorbed_at = []
+    grid = Grid.regular(fam.intervals, 8)
     for run, x0 in enumerate(starts):
-        s = sgd_sample(fam, [float(x0)], steps=horizon, seed=run, grid_n=8)
+        s = sgd_sample(fam, [float(x0)], steps=horizon, seed=run, grid=grid)
         absorbed_at.append(s.first_absorbed_step if s.first_absorbed_step is not None
                            else horizon + 1)
     absorbed_at = np.array(absorbed_at)
@@ -320,13 +330,13 @@ def test_sampler_long_run_matches_invariant_histogram():
     lam, eta = 2.0, 0.0698
     obj = double_well(lam)
     fam = MapFamily(obj, eta)
-    summary = sgd_sample(fam, [0.0], steps=10**6, seed=2024, grid_n=500)
 
     from sgdmc.metrics import d_F
-    from sgdmc.transfer import DiscreteMeasure, Grid, invariant_measure, ulam_assemble
+    from sgdmc.transfer import DiscreteMeasure, invariant_measure, ulam_assemble
 
     decomp = decompose(obj, eta)
     grid = Grid.regular(decomp.intervals, 500)
+    summary = sgd_sample(fam, [0.0], steps=10**6, seed=2024, grid=grid)
     op = ulam_assemble(fam, grid)
     cells = np.flatnonzero(grid.classify(decomp) == 0)
     inv = invariant_measure(op, cells).measure
@@ -366,7 +376,7 @@ def test_sampler_matches_whole_point_oracle(fam, x0, steps):
 
 def _assert_sample_matches_oracle(fam, x0, steps, seed=7):
     final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=64)
-    s = sgd_sample(fam, x0, steps=steps, seed=seed, grid_n=64)
+    s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, 64))
     assert s.final_point == final
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
     assert s.first_absorbed_step == first
@@ -406,13 +416,14 @@ def test_sampler_reports_departure_at_its_global_step(monkeypatch):
     fam.__dict__["decomposition"] = dataclasses.replace(
         fam.decomposition, rectangles=(left, narrow))
     monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 7)
+    grid = Grid.regular(fam.intervals, 100)
     with pytest.raises(AssertionError, match="absorbing property violated") as info:
-        sgd_sample(fam, [0.0], steps=2000, seed=1)
+        sgd_sample(fam, [0.0], steps=2000, seed=1, grid=grid)
     step = int(str(info.value).rsplit(" ", 1)[1])
-    before = sgd_sample(fam, [0.0], steps=step, seed=1)  # no departure yet
+    before = sgd_sample(fam, [0.0], steps=step, seed=1, grid=grid)  # no departure yet
     assert 7 <= before.first_absorbed_step < step
     with pytest.raises(AssertionError, match=f"violated at step {step}$"):
-        sgd_sample(fam, [0.0], steps=step + 1, seed=1)
+        sgd_sample(fam, [0.0], steps=step + 1, seed=1, grid=grid)
 
 
 @pytest.mark.parametrize("fam,grid_n", [

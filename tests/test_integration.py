@@ -36,7 +36,7 @@ def test_random_tilted_quartics_pipeline(rng):
         inv = invariant_measure(op, cells, tol=1e-9).measure
         box = decomp.rectangles[0].box[0]
         summary = sgd_sample(fam, [0.5 * (box[0] + box[1])], steps=200000,
-                             seed=trial, grid_n=400)
+                             seed=trial, grid=grid)
         hist = DiscreteMeasure(grid, summary.histograms[0] / summary.steps)
         assert d_F(hist, inv) <= 0.08, f"trial {trial}"
 
@@ -58,6 +58,6 @@ def test_three_map_family_pipeline():
     assert op.row_sum_error < 1e-12
     cells = np.flatnonzero(grid.classify(decomp) == 0)
     inv = invariant_measure(op, cells, tol=1e-10).measure
-    summary = sgd_sample(fam, [0.0], steps=300000, seed=99, grid_n=600)
+    summary = sgd_sample(fam, [0.0], steps=300000, seed=99, grid=grid)
     hist = DiscreteMeasure(grid, summary.histograms[0] / summary.steps)
     assert d_F(hist, inv) <= 0.05

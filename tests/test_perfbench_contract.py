@@ -36,7 +36,10 @@ def test_traced_function_resolves(module, name):
     ("convergence", {"grid": 300, "k_max": 30}, "transfer.limit_mixture"),
     ("analyze", {"grid": 200}, "dynamics.uniform_escape_length"),
     ("basins", {"grid": 200}, "transfer.basin_functions"),
-], ids=["convergence", "analyze", "basins"])
+    ("invariant", {"grid": 200}, "transfer.invariant_measure"),
+    # the tracer's counter reads the summary's steps
+    ("sample", {"grid": 200, "steps": 1000}, "dynamics.sgd_sample"),
+], ids=["convergence", "analyze", "basins", "invariant", "sample"])
 def test_child_runs_a_traced_operation(tmp_path, op, params, span):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(RUN.WORKLOADS["dw1d-fine"]["config"]))
@@ -51,3 +54,5 @@ def test_child_runs_a_traced_operation(tmp_path, op, params, span):
     result = json.loads((tmp_path / "result.json").read_text())
     assert (result["rc"], result["error"]) == (0, None)
     assert {spec["root_span"], span} <= {s[0] for s in result["spans"]}
+    if op == "sample":
+        assert [s[5] for s in result["spans"] if s[0] == span] == [{"steps": 1000}]

@@ -282,7 +282,7 @@ def test_sampler_blocks_match_the_whole_point_oracle(problem, where, chunk, step
     fam, _, _ = problem
     x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(fam.intervals, where)]
     with mock.patch.object(dynamics, "SAMPLE_CHUNK", chunk):
-        s = sgd_sample(fam, x0, steps=steps, seed=seed, grid_n=16)
+        s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, 16))
     final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=16)
     assert s.final_point == final
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
