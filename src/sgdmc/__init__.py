@@ -14,7 +14,6 @@ from .absorbing import (
     decompose,
     rectangle_count_for,
     sign_chart,
-    state_space,
     uniqueness_check,
 )
 from .diffusion import (

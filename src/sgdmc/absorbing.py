@@ -89,10 +89,6 @@ class Decomposition:
     charts: tuple[SignChart, ...]
 
     @property
-    def dimension(self) -> int:
-        return len(self.intervals)
-
-    @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(ts) for ts in self.per_dimension)
 
@@ -117,11 +113,6 @@ class Decomposition:
             "counts": list(self.counts),
             "unique": self.unique,
         }
-
-
-def state_space(obj: SeparableObjective):
-    """Per-dimension closed interval spanned by the critical points."""
-    return tuple(obj.critical_report.span)
 
 
 def sign_chart(obj: SeparableObjective, j: int) -> SignChart:
@@ -217,7 +208,7 @@ def decompose(obj: SeparableObjective, eta: float) -> Decomposition:
     than l and r no further right than r, per dimension.
     """
     check_step(obj, eta)
-    intervals = state_space(obj)
+    intervals = obj.critical_report.span
     charts, per_dim = absorbing_structure(obj)
 
     rects = []

@@ -137,10 +137,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _centre(fam: MapFamily) -> list[float]:
-    return [0.5 * (a + b) for a, b in fam.intervals]
-
-
 def _problem(args, cfg: dict):
     """The validated problem a command runs on: a MapFamily, for sample with
     its start point, for sweep the base polynomial and the lambda values."""
@@ -155,10 +151,12 @@ def _problem(args, cfg: dict):
         raise ConfigError("diffusion comparison is one-dimensional")
     if args.command == "sample" and args.compare_invariant and fam.dimension != 1:
         raise ConfigError("sample --compare-invariant is one-dimensional")
-    if args.command == "basins" and fam.dimension > MAX_GRID_DIMENSION:
-        raise ConfigError("basin functions need a dense grid, offered up to two dimensions")
+    if args.command in ("invariant", "basins") and fam.dimension > MAX_GRID_DIMENSION:
+        raise ConfigError(f"{args.command} needs a dense grid, offered up to two dimensions; "
+                          "sample gives a trajectory histogram")
     if args.command == "sample":
-        x0 = config_point(cfg["x0"], fam.intervals, "'x0'") if "x0" in cfg else _centre(fam)
+        x0 = (config_point(cfg["x0"], fam.intervals, "'x0'") if "x0" in cfg
+              else [0.5 * (a + b) for a, b in fam.intervals])
         return fam, x0
     return fam
 
@@ -224,37 +222,9 @@ def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> lis
             for rect, res in zip(fam.decomposition.rectangles, results)]
 
 
-def _sample(args, fam: MapFamily, x0, grid: Grid, stem: str):
-    """The chain's SampleSummary, with one bin_center,count CSV per dimension
-    of grid in --out (stem.csv in 1-d, stem_dim<j>.csv otherwise); logs, at
-    INFO, the chain's seconds apart from the writing, with the rows and bytes."""
-    started = time.perf_counter()
-    summary = sgd_sample(fam, x0, args.steps, args.seed, grid)
-    chained = time.perf_counter()
-    names = [f"{stem}.csv"] if grid.dimension == 1 else [
-        f"{stem}_dim{j}.csv" for j in range(grid.dimension)]
-    paths = [os.path.join(args.out, name) for name in names]
-    for path, centers, hist in zip(paths, grid.centers, summary.histograms):
-        _write_csv(path, ["bin_center", "count"], [centers, hist], row="{:.17g},{}\n")
-    log.info("%s: chain %.3fs (%d steps, %.0f ns/step), write %.3fs (%d rows, %d bytes)",
-             args.command, chained - started, summary.steps,
-             (chained - started) / summary.steps * 1e9, time.perf_counter() - chained,
-             sum(grid.shape), sum(os.path.getsize(p) for p in paths))
-    return summary
-
-
 def cmd_invariant(args, fam: MapFamily) -> None:
     started = time.perf_counter()
     grid = Grid.regular(fam.intervals, args.grid)
-    if fam.dimension > MAX_GRID_DIMENSION:
-        log.warning(
-            "dense grids are limited to two dimensions; falling back to a "
-            "seeded trajectory histogram"
-        )
-        summary = _sample(args, fam, _centre(fam), grid, "invariant_mc")
-        _write_json(os.path.join(args.out, "invariant.json"), {
-            "eta": fam.eta, "monte_carlo": True, "steps": summary.steps, "seed": args.seed})
-        return
     op, results = _invariant_pieces(fam, grid, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
     _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
@@ -319,7 +289,18 @@ def cmd_sample(args, problem) -> None:
     # the comparison labels the grid before the chain runs: a grid too coarse,
     # or an invariant measure that does not converge, leaves --out empty
     results = _invariant_pieces(fam, grid, args.tol)[1] if args.compare_invariant else None
-    summary = _sample(args, fam, x0, grid, "sample")
+    started = time.perf_counter()
+    summary = sgd_sample(fam, x0, args.steps, args.seed, grid)
+    chained = time.perf_counter()
+    names = ["sample.csv"] if grid.dimension == 1 else [
+        f"sample_dim{j}.csv" for j in range(grid.dimension)]
+    paths = [os.path.join(args.out, name) for name in names]
+    for path, centers, hist in zip(paths, grid.centers, summary.histograms):
+        _write_csv(path, ["bin_center", "count"], [centers, hist], row="{:.17g},{}\n")
+    log.info("sample: chain %.3fs (%d steps, %.0f ns/step), write %.3fs (%d rows, %d bytes)",
+             chained - started, summary.steps, (chained - started) / summary.steps * 1e9,
+             time.perf_counter() - chained, sum(grid.shape),
+             sum(os.path.getsize(p) for p in paths))
     report = {
         "steps": summary.steps,
         "seed": args.seed,
@@ -377,17 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def sampling(p, steps_help):
-        p.add_argument("--steps", type=int, default=10**5, help=steps_help)
-        p.add_argument("--seed", type=int, default=0)
-
     p = command("analyze", cmd_analyze, "decomposition, certificates, bounds", tol=False)
     p.add_argument("--ell-max", type=int, default=ELL_MAX)
 
     p = command("invariant", cmd_invariant, "invariant measure per rectangle")
     p.add_argument("--dump-operator", action="store_true",
                    help="also write the transition matrix as row,col,value text")
-    sampling(p, "trajectory length for the d>2 histogram fallback")
 
     command("basins", cmd_basins, "basin functions and mixture coefficients")
 
@@ -396,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="lo:hi:count")
 
     p = command("sample", cmd_sample, "seeded trajectory histogram")
-    sampling(p, None)
+    p.add_argument("--steps", type=int, default=10**5)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare-invariant", action="store_true",
                    help="also report d_F to each rectangle's invariant measure (1-d only)")
 

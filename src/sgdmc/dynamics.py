@@ -61,10 +61,6 @@ class MapFamily:
         return tuple(tuple(step_map(row[i], self.eta) for row in self.obj.components)
                      for i in range(self.n))
 
-    def map_coord(self, i: int, j: int, s: float) -> float:
-        """Coordinate-j image of scalar s under map i (1-based i)."""
-        return self.phi[i - 1][j](s)
-
 
 def _check_in_state_space(fam: MapFamily, x: np.ndarray):
     for j, (lo, hi) in enumerate(fam.intervals):
@@ -88,7 +84,7 @@ def apply_path(fam: MapFamily, path, x) -> np.ndarray:
 def path_coord(fam: MapFamily, path, j: int, s: float) -> float:
     """Coordinate-j image of scalar s under the path (separability shortcut)."""
     for i in path:
-        s = fam.map_coord(i, j, s)
+        s = fam.phi[i - 1][j](s)
     return s
 
 
@@ -220,7 +216,7 @@ def _perturb_last(fam: MapFamily, j: int, path: Path, prev_hi: float, lo_end: fl
     for i in range(1, fam.n + 1):
         if i == path[-1]:
             continue
-        v = fam.map_coord(i, j, prev_hi)
+        v = fam.phi[i - 1][j](prev_hi)
         if v >= lo_end:
             return path[:-1] + (i,), v
     return None
@@ -457,12 +453,13 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     not grow with the number of steps.  Per block it draws the map indices,
     runs each coordinate's chain through _orbit (separability: each
     coordinate is its own chain, driven by the shared draws) into a
-    block-sized trajectory buffer, and adds the block's histograms and steps
-    per rectangle to running totals.  The first absorbed step and its
-    rectangle carry over from block to block.  Drawing per block gives the
-    same indices as one draw of all of them: numpy's bounded integer draws
-    take their 32-bit words from the bit generator, which keeps an unused
-    half word from one call to the next."""
+    block-sized trajectory buffer, and adds the block's histograms to running
+    totals.  The first absorbed step and its rectangle carry over from block
+    to block; every step from it on lies in that rectangle (the absorbing
+    property, checked), so the steps per rectangle need no count.  Drawing
+    per block gives the same indices as one draw of all of them: numpy's
+    bounded integer draws take their 32-bit words from the bit generator,
+    which keeps an unused half word from one call to the next."""
     decomp = fam.decomposition
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_in_state_space(fam, x0)
@@ -474,7 +471,6 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     # 1-based like the draws
     coeffs = [[()] + [tuple(reversed(phi[j].coeffs)) for phi in fam.phi] for j in range(d)]
     hists = [np.zeros(n, dtype=np.intp) for n in grid.shape]
-    counts = np.zeros(len(decomp.rectangles) + 1, dtype=np.intp)  # [0]: outside all
     point = x0.tolist()
     first = home = None  # first absorbed step and its rectangle
     block = np.empty((min(steps, SAMPLE_CHUNK), d))
@@ -487,7 +483,6 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
             point[j] = orbit[-1]
             hists[j] += np.histogram(traj[:, j], bins=grid.edges[j])[0]
         member = _membership_series(traj, decomp)
-        counts += np.bincount(member + 1, minlength=counts.size)
         settled = 0
         if first is None:
             absorbed = np.flatnonzero(member >= 0)
@@ -502,7 +497,7 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     return SampleSummary(
         steps=steps,
         histograms=tuple(hists),
-        rectangle_steps={rect.index: int(counts[m + 1])
+        rectangle_steps={rect.index: steps - first if m == home else 0
                          for m, rect in enumerate(decomp.rectangles)},
         final_point=tuple(point),
         first_absorbed_step=first,

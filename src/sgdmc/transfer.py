@@ -350,7 +350,12 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
     lets a block's rows leak.  rows = _transient_rows(M, blocks), so only the
     transient cells, numbered first (_absorption_order), are updated; the
     values return in cell order once at the end.  The fixed point solves
-    (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B."""
+    (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B.  With one rectangle
+    every path is absorbed by it, so its values are ones and nothing is iterated:
+    over a metastable transient well the iteration stalls or stops far below 1."""
+    if len(blocks.rectangle_cells) == 1:
+        return BasinFunctions(grid=grid, values=np.ones((1, grid.ncells), order="F"),
+                              iterations=0, residual=0.0, partition_defect=0.0)
     b = blocks.transient_cells.size
     g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
     end = b

@@ -120,7 +120,7 @@ def overlap_factor_1d(fam, i: int, j: int, edges) -> sp.csr_matrix:
     of each cell's image interval falling into each grid cell, clipped mass
     returned to the boundary cell, a wholly outside image sent to the nearest
     boundary cell."""
-    img = np.array([fam.map_coord(i, j, float(e)) for e in edges])
+    img = np.array([fam.phi[i - 1][j](float(e)) for e in edges])
     n = len(edges) - 1
     a, b = edges[0], edges[-1]
     rows, cols, vals = [], [], []

@@ -8,7 +8,6 @@ from sgdmc.absorbing import (
     decompose,
     rectangle_count_for,
     sign_chart,
-    state_space,
     uniqueness_check,
 )
 from sgdmc.objective import (
@@ -36,18 +35,18 @@ def mixed_2d():
 
 
 def test_state_space_bernoulli():
-    assert state_space(bernoulli_pair())[0] == pytest.approx((-1.0, 1.0))
+    assert bernoulli_pair().critical_report.span[0] == pytest.approx((-1.0, 1.0))
 
 
 def test_state_space_double_well():
     x0 = double_well_x0(0.55)
-    lo, hi = state_space(double_well(0.55))[0]
+    lo, hi = double_well(0.55).critical_report.span[0]
     assert lo == pytest.approx(-x0, abs=1e-12)
     assert hi == pytest.approx(x0, abs=1e-12)
 
 
 def test_state_space_crossed_2d():
-    spans = state_space(crossed_quadratics_2d())
+    spans = crossed_quadratics_2d().critical_report.span
     assert spans[0] == pytest.approx((0.0, 1.0))
     assert spans[1] == pytest.approx((0.0, 1.0))
 

@@ -13,7 +13,8 @@ import sgdmc
 from sgdmc import cli
 from sgdmc.cli import main
 from sgdmc.dynamics import MapFamily, uniform_escape_length
-from sgdmc.objective import objective_from_config
+from sgdmc.objective import eta_bound, lambda_split, objective_from_config
+from sgdmc.poly import Polynomial
 from sgdmc.transfer import Grid
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
@@ -72,11 +73,11 @@ def test_parse_failure_exit_code(tmp_path):
 @pytest.mark.parametrize("command,flag,value", [
     *[(c, "--grid", v) for c in ("analyze", "invariant", "basins", "sample", "diffusion")
       for v in ("0", "-3")],
-    *[(c, "--steps", v) for c in ("invariant", "sample") for v in ("0", "-5")],
+    *[("sample", "--steps", v) for v in ("0", "-5")],
     *[(c, "--tol", v) for c in ("invariant", "basins", "sample", "diffusion")
       for v in ("0", "-1e-9", "nan")],
     ("diffusion", "--grid", "1"),
-    *[(c, "--seed", "-1") for c in ("invariant", "sample")],
+    ("sample", "--seed", "-1"),
     *[("analyze", "--ell-max", v) for v in ("0", "-1")],
 ])
 def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, value):
@@ -101,9 +102,10 @@ def test_out_of_range_flags_are_config_errors(tmp_path, capsys, command, flag, v
     ([], 1),
     (["analyze", "--tol=0"], 1),
     (["sweep", "--range", "0.1:1.0:5", "--jobs", "2"], 1),
+    (["invariant", "--steps", "5"], 1),
 ], ids=["help", "version", "command-help", "unknown-flag", "missing-value",
         "negative-tol-token", "non-integer-grid", "unknown-command", "no-command",
-        "analyze-has-no-tol", "sweep-has-no-jobs"])
+        "analyze-has-no-tol", "sweep-has-no-jobs", "invariant-has-no-steps"])
 def test_usage_errors_are_config_errors(tmp_path, capsys, argv, code):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
     out = tmp_path / "o"
@@ -486,29 +488,34 @@ def test_invariant_dump_operator(tmp_path):
     assert total == pytest.approx(4.0, abs=1e-12)  # rows sum to one
 
 
-def test_basins_refuses_more_than_two_dimensions(tmp_path, capsys):
-    f1 = [0.25, 0.2, -0.5, 0.0, 0.25]
-    f2 = [0.25, -0.2, -0.5, 0.0, 0.25]
-    cfg = write_config(tmp_path / "c.json", dimension=3, n=2,
-                       components=[[f1, f2]] * 3, eta=0.1)
+@pytest.mark.parametrize("command", ["basins", "invariant"])
+def test_grid_commands_refuse_more_than_two_dimensions(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json", **CUBE_CONFIG)
     out = tmp_path / "out"
     started = time.perf_counter()
-    assert main(["basins", "--config", cfg, "--out", str(out), "--grid", "12"]) == 1
+    assert main([command, "--config", cfg, "--out", str(out), "--grid", "12"]) == 1
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {command} needs a dense grid")
+    assert "sample" in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
-def test_invariant_monte_carlo_fallback_3d(tmp_path):
-    cfg = write_config(tmp_path / "c.json", **CUBE_CONFIG)
+def test_basins_on_one_rectangle_are_ones(tmp_path, caplog):
+    # a metastable transient well beside the one rectangle: the iteration read
+    # values near 0 there, and a partition defect of 1, as converged
+    coeffs = [0.0, 0.15, -0.5, 0.1, 0.25]
+    eta = 0.3 * eta_bound(lambda_split(Polynomial(coeffs), 0.2))
+    cfg = write_config(tmp_path / "c.json", objective=coeffs, **{"lambda": 0.2}, eta=eta)
     out = tmp_path / "out"
-    assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "32",
-                 "--steps", "2000", "--seed", "1"]) == 0
-    meta = json.loads((out / "invariant.json").read_text())
-    assert meta["monte_carlo"] is True
-    for j in range(3):
-        assert (out / f"invariant_mc_dim{j}.csv").exists()
+    with caplog.at_level("WARNING", logger="sgdmc"):
+        assert main(["basins", "--config", cfg, "--out", str(out), "--grid", "200"]) == 0
+    assert not caplog.records  # no partition-defect warning
+    report = json.loads((out / "basins.json").read_text())
+    assert report["files"] == ["basin_0.csv"]
+    assert (report["iterations"], report["partition_defect"]) == (0, 0.0)
+    values = np.loadtxt(out / "basin_0.csv", delimiter=",", skiprows=1)[:, 1]
+    assert values.size == 200 and np.all(values == 1.0)
 
 
 def test_report_round_trips(tmp_path):
@@ -521,7 +528,7 @@ def test_report_round_trips(tmp_path):
 
 
 # the lines invariant, basins and sample log at INFO before their total time:
-# a sampling command (sample, the invariant fallback) times the chain
+# invariant and basins time the compute, sample the chain
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
 SAMPLE_LINE = (r"(\w+): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
                r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
@@ -556,9 +563,9 @@ def test_info_log_times_every_command(tmp_path):
     ("invariant", DW_CONFIG, "invariant_*.csv", 2, STAGE_LINE),
     ("basins", DW_CONFIG, "basin_*.csv", 2, STAGE_LINE),
     ("sample", DW_CONFIG, "sample*.csv", 1, SAMPLE_LINE),
-    ("invariant", CUBE_CONFIG, "invariant_mc_dim*.csv", 3, SAMPLE_LINE),
+    ("sample", CUBE_CONFIG, "sample_dim*.csv", 3, SAMPLE_LINE),
 ], ids=["invariant-invariant_*.csv", "basins-basin_*.csv", "sample-sample*.csv",
-        "invariant-invariant_mc_dim*.csv"])
+        "sample-sample_dim*.csv"])
 def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, config, pattern,
                                                  count, line):
     cfg = write_config(tmp_path / "c.json", **config)
@@ -630,3 +637,21 @@ def test_grid_csv_matches_per_row_formatting(tmp_path, shape, constant):
     cli._write_grid_csv(str(tmp_path / "new.csv"), grid, values)
     per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    # the first code block under "## CLI": one "sgdmc <command>" line per
+    # command, continued on the lines that follow it
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("sgdmc "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    parsed = {name: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed

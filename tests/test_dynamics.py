@@ -460,7 +460,7 @@ def test_greedy_scan_keeps_the_first_of_tied_maps():
     obj = SeparableObjective(components=((Polynomial([0.25, 0.38, -0.4, 0.0, 0.25]),
                                           Polynomial([0.25, 0.38, -0.6, 0.0, 0.25])),))
     fam = MapFamily(obj, 0.13)
-    assert fam.map_coord(1, 0, 0.0) == fam.map_coord(2, 0, 0.0)
+    assert fam.phi[0][0](0.0) == fam.phi[1][0](0.0)
     assert escape_path(fam, [0.0])[0] == 1
     assert extremal_envelope(fam, 0, 0.0, 1, "min") == extremal_envelope(fam, 0, 0.0, 1, "max")
     for direction in ("min", "max"):

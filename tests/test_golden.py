@@ -45,13 +45,14 @@ CASES = {
     "analyze-touch-root": (TOUCH_CONFIG, ["analyze", "--grid", "200"]),
     "invariant-1d": (DW_CONFIG, ["invariant", "--grid", "500"]),
     "invariant-2d": (MIXED_CONFIG, ["invariant", "--grid", "60"]),
-    "invariant-3d-fallback": (CUBE_CONFIG, ["invariant", "--grid", "32", "--steps", "2000",
-                                            "--seed", "1"]),
+    # dense grids stop at two dimensions: invariant refuses, sample histograms
+    "invariant-3d": (CUBE_CONFIG, ["invariant", "--grid", "32"]),
     "basins-1d": (DW_CONFIG, ["basins", "--grid", "500"]),
     "basins-2d": (MIXED_CONFIG, ["basins", "--grid", "60"]),
     "sample-1d": (DW_CONFIG, ["sample", "--grid", "200", "--steps", "20000", "--seed", "3",
                               "--compare-invariant"]),
     "sample-2d": (MIXED_CONFIG, ["sample", "--grid", "50", "--steps", "20000", "--seed", "3"]),
+    "sample-3d": (CUBE_CONFIG, ["sample", "--grid", "32", "--steps", "2000", "--seed", "1"]),
     "diffusion-1d": (DW_CONFIG, ["diffusion", "--grid", "500"]),
     "sweep": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:40"]),
     "sweep-eighth": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:40"]),
@@ -140,15 +141,10 @@ GOLDEN = {
         },
         "stderr": ""
     },
-    "invariant-3d-fallback": {
-        "exit": 0,
-        "files": {
-            "invariant.json": "0f5c0e289fb3bb76e0e139e8b49532b57ece678523a6a0039f91f86c42d81ea4",
-            "invariant_mc_dim0.csv": "9bad3c8d4731b753c3aec3409ccce11444f0705681460748cbeae2942fe25dd9",
-            "invariant_mc_dim1.csv": "af082e9f4618178338689b95ef79e1a174425e1ca11629fa505c03a8050cfa5b",
-            "invariant_mc_dim2.csv": "3e9319dae258d38cbee6fe45515b551370a99b416cc6da4458c80ec3f6315314"
-        },
-        "stderr": "WARNING:sgdmc:dense grids are limited to two dimensions; falling back to a seeded trajectory histogram\n"
+    "invariant-3d": {
+        "exit": 1,
+        "files": {},
+        "stderr": "config error: invariant needs a dense grid, offered up to two dimensions; sample gives a trajectory histogram\n"
     },
     "sample-1d": {
         "exit": 0,
@@ -164,6 +160,16 @@ GOLDEN = {
             "sample.json": "4ca117a92415db574eae6b34f71ab35be44ceeb01b751ea3cd281b9bd9fb341b",
             "sample_dim0.csv": "0bfb380736ec29079caa31221c7b8d599c099dea8a21a6eb4c880900f5557a6d",
             "sample_dim1.csv": "a7b1b326cafe2e992d27bc5fde85df8820b071c40cf7dd4e1d330bbc10406609"
+        },
+        "stderr": ""
+    },
+    "sample-3d": {
+        "exit": 0,
+        "files": {
+            "sample.json": "193a0f7f3dfbda17c7333395909212a08b7d1894b19ffc2c538ac20abe624d05",
+            "sample_dim0.csv": "9bad3c8d4731b753c3aec3409ccce11444f0705681460748cbeae2942fe25dd9",
+            "sample_dim1.csv": "af082e9f4618178338689b95ef79e1a174425e1ca11629fa505c03a8050cfa5b",
+            "sample_dim2.csv": "3e9319dae258d38cbee6fe45515b551370a99b416cc6da4458c80ec3f6315314"
         },
         "stderr": ""
     },

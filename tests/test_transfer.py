@@ -16,11 +16,18 @@ from oracles import (
 )
 
 import sgdmc
+from sgdmc import transfer
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
 from sgdmc.errors import GridMismatch, NoConvergence
 from sgdmc.metrics import d_F, metric_config
-from sgdmc.objective import SeparableObjective, bernoulli_pair, double_well, lambda_split
+from sgdmc.objective import (
+    SeparableObjective,
+    bernoulli_pair,
+    double_well,
+    eta_bound,
+    lambda_split,
+)
 from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     BASIN_TOL,
@@ -376,7 +383,8 @@ def _product_double_well():
 def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, transient,
                                                        kernel):
     # the transient-rows kernel gives the bits, layout and counts of the loop
-    # over every row with the absorbing cells reset after each product
+    # over every row with the absorbing cells reset after each product; one
+    # rectangle absorbs every path, so its values are exact ones, not iterated
     fam = MapFamily(obj, eta)
     decomp = decompose(obj, eta)
     grid = Grid.regular(decomp.intervals, n)
@@ -386,16 +394,46 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
     if kernel == "ulam":
         op = ulam_assemble(fam, grid)
         got = ulam_absorption(op, config)
-        want = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
+        matrix, tol = op.matrix, ULAM_ABSORPTION_TOL
     else:
         got = basin_functions(fam, grid)
-        want = masked_reset_absorption(dual_operator(fam, grid), grid, config, BASIN_TOL)
+        matrix, tol = dual_operator(fam, grid), BASIN_TOL
+    assert got.values.flags.f_contiguous
+    if rectangles == 1:
+        assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
+        assert (got.iterations, got.residual, got.partition_defect) == (0, 0.0, 0.0)
+        return
+    want = masked_reset_absorption(matrix, grid, config, tol)
     assert got.values.tobytes() == want.values.tobytes()
-    assert got.values.flags.f_contiguous and got.values.strides == want.values.strides
+    assert got.values.strides == want.values.strides
     assert (got.iterations, got.residual, got.partition_defect) == (
         want.iterations, want.residual, want.partition_defect)
-    if not transient:
-        assert (got.iterations, got.residual) == (1, 0.0)
+
+
+# one rectangle beside a metastable transient well, where every absorption
+# probability is 1: the iteration stopped with values near 0 over the well
+# (F = 0.15x - 0.5x^2 + 0.1x^3 + 0.25x^4 split with lambda 0.2, eta = 0.3/K, at
+# 200 cells), or ran on to its cap (the quartic, a property-test draw, at 60
+# cells; the cap is lowered so that a run that iterates fails fast)
+@pytest.mark.parametrize("base,lam,eta,n", [
+    (Polynomial([0.0, 0.15, -0.5, 0.1, 0.25]), 0.2, None, 200),
+    (Polynomial([0.0, 0.0, -0.6227985087468401, -0.24410836861904522, 0.7926207427614061]),
+     0.31240005889122724, 0.18770969786532948, 60),
+], ids=["metastable-well", "stalling-quartic"])
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_one_rectangle_absorbs_every_cell(monkeypatch, base, lam, eta, n, kernel):
+    monkeypatch.setattr(transfer, "DEFAULT_MAX_ITER", 10**4)
+    obj = lambda_split(base, lam)
+    fam = MapFamily(obj, 0.3 * eta_bound(obj) if eta is None else eta)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    assert len(fam.decomposition.rectangles) == 1 and config.transient_cells.size > 0
+    if kernel == "ulam":
+        got = ulam_absorption(ulam_assemble(fam, grid), config)
+    else:
+        got = basin_functions(fam, grid)
+    assert np.all(got.values == 1.0) and got.values.shape == (1, n)
+    assert (got.iterations, got.partition_defect) == (0, 0.0)
 
 
 def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):
