@@ -274,13 +274,20 @@ def _sweep_point(base: Polynomial, lam: float):
 
 def cmd_sweep(args, problem) -> None:
     base, lams = problem
+    started = time.perf_counter()
     points = [_sweep_point(base, lam) for lam in lams.tolist()]
+    scanned = time.perf_counter()
+    found = bifurcations(base, lams[0], lams[-1])
+    searched = time.perf_counter()
     rows = [("point", lam, cnt, f"{eta0:.17g}", endp) for lam, cnt, eta0, endp in points]
-    rows += [("bifurcation", lam, a, "", f"{a}->{b}")
-             for lam, a, b in bifurcations(base, lams[0], lams[-1])]
-    _write_csv(os.path.join(args.out, "sweep.csv"),
-               ["record", "lambda", "count", "eta0", "endpoints"],
+    rows += [("bifurcation", lam, a, "", f"{a}->{b}") for lam, a, b in found]
+    path = os.path.join(args.out, "sweep.csv")
+    _write_csv(path, ["record", "lambda", "count", "eta0", "endpoints"],
                list(zip(*rows)), row="{},{:.17g},{},{},{}\n")
+    log.info("sweep: points %.3fs (%d lambda values), bifurcations %.3fs (%d found), "
+             "write %.3fs (%d rows, %d bytes)", scanned - started, len(points),
+             searched - scanned, len(found), time.perf_counter() - searched, len(rows),
+             os.path.getsize(path))
 
 
 def cmd_sample(args, problem) -> None:
@@ -317,17 +324,13 @@ def cmd_sample(args, problem) -> None:
 def cmd_diffusion(args, fam: MapFamily) -> None:
     # the density is computed first: a vanishing diffusion coefficient must
     # exit with its own code even when the exact analysis would also fail
+    started = time.perf_counter()
     grid = Grid.regular(fam.intervals, args.grid)
     profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
+    rho_measure = DiscreteMeasure(grid, density_cell_masses(profile, grid.edges[0]))
+    densities = time.perf_counter()
     _, results = _invariant_pieces(fam, grid, args.tol)
     decomp = fam.decomposition
-    _write_csv(
-        os.path.join(args.out, "diffusion.csv"),
-        ["x", "Phi", "u", "D", "V", "rho_star"],
-        [profile.x, profile.phi, profile.u, profile.diffusion, profile.potential,
-         profile.rho_star],
-    )
-    rho_measure = DiscreteMeasure(grid, density_cell_masses(profile, grid.edges[0]))
     comparison = {
         "exact_count": len(decomp.rectangles),
         "diffusion_count": 1,
@@ -335,6 +338,18 @@ def cmd_diffusion(args, fam: MapFamily) -> None:
         "per_rectangle_d_F": _d_F_per_rectangle(fam, rho_measure, results),
         "truncation_estimate": profile.truncation_estimate,
     }
+    compared = time.perf_counter()
+    path = os.path.join(args.out, "diffusion.csv")
+    _write_csv(
+        path,
+        ["x", "Phi", "u", "D", "V", "rho_star"],
+        [profile.x, profile.phi, profile.u, profile.diffusion, profile.potential,
+         profile.rho_star],
+    )
+    log.info("diffusion: density %.3fs, invariant %.3fs (%d rectangles), "
+             "write %.3fs (%d rows, %d bytes)", densities - started, compared - densities,
+             len(results), time.perf_counter() - compared, len(profile.x),
+             os.path.getsize(path))
     _write_json(os.path.join(args.out, "diffusion.json"), comparison)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -451,12 +451,16 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
 
     The chain streams in blocks of SAMPLE_CHUNK steps, so its memory does
     not grow with the number of steps.  Per block it draws the map indices,
-    runs each coordinate's chain through _orbit (separability: each
-    coordinate is its own chain, driven by the shared draws) into a
+    runs each coordinate's chain through its orbit kernel (separability:
+    each coordinate is its own chain, driven by the shared draws) into a
     block-sized trajectory buffer, and adds the block's histograms to running
-    totals.  The first absorbed step and its rectangle carry over from block
-    to block; every step from it on lies in that rectangle (the absorbing
-    property, checked), so the steps per rectangle need no count.  Drawing
+    totals.  A coordinate's kernel is _orbit's unrolled Horner step for the
+    width of its widest map, run over _horner_table's coefficients (each map
+    padded to that width with leading +0.0), so every point is bit-identical
+    to Polynomial.__call__ applied step by step.  The first absorbed step
+    and its rectangle carry over from block to block; every step from it on
+    lies in that rectangle (the absorbing property, checked), so the steps
+    per rectangle need no count.  Drawing
     per block gives the same indices as one draw of all of them: numpy's
     bounded integer draws take their 32-bit words from the bit generator,
     which keeps an unused half word from one call to the next."""
@@ -467,9 +471,8 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     if grid.dimension != d:
         raise DimensionMismatch("grid and map family dimensions differ")
     rng = np.random.Generator(np.random.PCG64(seed))
-    # per coordinate, each map's coefficients from the highest degree down,
-    # 1-based like the draws
-    coeffs = [[()] + [tuple(reversed(phi[j].coeffs)) for phi in fam.phi] for j in range(d)]
+    tables = [_horner_table([phi[j] for phi in fam.phi]) for j in range(d)]
+    kernels = [_orbit(len(table[1])) for table in tables]
     hists = [np.zeros(n, dtype=np.intp) for n in grid.shape]
     point = x0.tolist()
     first = home = None  # first absorbed step and its rectangle
@@ -478,7 +481,7 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
         picks = rng.integers(1, fam.n + 1, size=min(SAMPLE_CHUNK, steps - start)).tolist()
         traj = block[:len(picks)]
         for j in range(d):
-            orbit = _orbit(coeffs[j], picks, point[j])
+            orbit = kernels[j](tables[j], picks, point[j])
             traj[:, j] = orbit
             point[j] = orbit[-1]
             hists[j] += np.histogram(traj[:, j], bins=grid.edges[j])[0]
@@ -504,21 +507,45 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     )
 
 
-def _orbit(coeffs, picks, s: float) -> list[float]:
-    """The points s visits when map i = picks[0], picks[1], ... is applied in
-    turn, map i being the polynomial with coefficients coeffs[i] (highest
-    degree first).  Horner from acc = 0.0 does the operations of
-    Polynomial.__call__ in its order, so every finite point is bit-identical
-    to it; one loop serves every degree."""
-    out = []
-    append = out.append
-    for i in picks:
-        acc = 0.0
-        for c in coeffs[i]:
-            acc = acc * s + c
-        s = acc
-        append(s)
-    return out
+def _horner_table(maps) -> list:
+    """Each polynomial's coefficients from the highest degree down, padded
+    with leading +0.0 to the widest one's, 1-based like the sampler's draws
+    (entry 0 is never read).
+
+    Padding keeps the bits of Polynomial.__call__ at finite points: Horner
+    from acc = +-0.0 turns a nonzero leading coefficient c into exactly
+    0.0 * s + c = c, and a padded +0.0 leaves the accumulator at +0.0 until
+    the first real coefficient (-0.0 + 0.0 is +0.0), so both start at that
+    coefficient and do the same operations from there."""
+    rows = [tuple(reversed(p.coeffs)) for p in maps]
+    width = max(map(len, rows))
+    return [None] + [(0.0,) * (width - len(row)) + row for row in rows]
+
+
+@cache
+def _orbit(width: int):
+    """The orbit kernel for coefficient tuples of the given width, compiled
+    once per width on first use (not at import): kernel(table, picks, s) is
+    the list of points s visits when map i = picks[0], picks[1], ... is
+    applied in turn, map i having coefficients table[i] (see _horner_table
+    for the padding and why its points are Polynomial.__call__'s bits).
+
+    Each step is Horner unrolled from the leading coefficient, for width 4
+    s = ((c0 * s + c1) * s + c2) * s + c3, one expression with no inner loop
+    over the coefficients.  The interpreter's cost per step is most of the
+    sampler's time: on a 2-vCPU Xeon a block of 2^16 steps takes about
+    140-185 ns per step on the double-well (cubic) maps and 310-330 ns on
+    eighth_order's degree-7 maps, against 240-330 and 520-560 ns through a
+    generic loop over each map's coefficient tuple."""
+    cs = [f"c{k}" for k in range(width)]
+    step = cs[0]
+    for c in cs[1:]:
+        step = f"({step}) * s + {c}"
+    namespace: dict = {}
+    exec(f"def orbit(table, picks, s):\n"
+         f"    return [s := {step} for {', '.join(cs)}, in map(table.__getitem__, picks)]\n",
+         namespace)
+    return namespace["orbit"]
 
 
 def _membership_series(traj: np.ndarray, decomp: Decomposition) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.summarize: per-metric quartiles and pair wins."""
+"""tools/bench_pairs: per-metric quartiles and pair wins (summarize), and the
+operation medians read off perfbench's output (parse_run)."""
 
 import importlib.util
 import os
@@ -48,3 +49,35 @@ def test_better_higher_flips_the_wins(better, wins):
                                 {"wall_ref_s": better})["wall_ref_s"]
     assert (out["better"], out["change_wins"], out["base_wins"]) == (better, *wins)
     assert out["change"]["median"] == 2.0
+
+
+# the tail of perfbench/run.py --trace 0 output, shortened
+PERFBENCH_STDOUT = """\
+error_rate 0/12 = 0
+setup_s                      0.349739 s     median of n=12 (min 0.314587, max 0.398368)
+wall_ref_s                    1.04075 s     median of n=2 (min 1.02054, max 1.06095)
+wall_s                        1.57808 s     median of n=2 (min 1.53094, max 1.62522)
+peak_rss_mb                   74.1152 MB    median of n=2 (min 74.0508, max 74.1797)
+analyze_ref_s               0.0186408 s     median of n=2 (min 0.0186027, max 0.0186789)
+analyze_s                   0.0335931 s     median of n=2 (min 0.0280382, max 0.0391479)
+sample_ref_s                  {sample} s     median of n=2 (min 0.42258, max 0.492861)
+sample_s                      0.64333 s     median of n=2 (min 0.614009, max 0.67265)
+wall_s per pass: 1.53094 1.62522
+{{"correct": true, "attempted": 12, "failed": 0, "metrics": {{"wall_ref_s": {{"value": 1.04}}}}}}
+"""
+
+
+def test_operation_medians_are_kept_per_run_and_summarized():
+    runs = [bench_pairs.parse_run(PERFBENCH_STDOUT.format(sample=v), "") for v in
+            ("0.45772", "0.28", "0.46", "0.27", "0.47", "0.29")]
+    assert runs[0]["metrics"] == {"wall_ref_s": {"value": 1.04}}
+    assert runs[0]["operations"] == {"analyze_ref_s": {"value": 0.0186408},
+                                     "sample_ref_s": {"value": 0.45772}}
+    pairs = [{"base": b, "change": c} for b, c in zip(runs[::2], runs[1::2])]
+    out = bench_pairs.summarize(pairs, {"sample_ref_s": "lower"}, "operations")["sample_ref_s"]
+    assert (out["change_wins"], out["base"]["median"], out["change"]["median"]) == (3, 0.46, 0.28)
+
+
+def test_a_run_without_a_result_line_keeps_the_error():
+    assert bench_pairs.parse_run("error_rate 0/0 = 0\n", "Traceback: boom\n") == {
+        "correct": False, "error": "Traceback: boom"}

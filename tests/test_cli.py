@@ -584,6 +584,41 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
         assert int(steps[0]) == json.loads((out / f"{command}.json").read_text())["steps"]
 
 
+SWEEP_LINE = (r"sweep: points \d+\.\d{3}s \((\d+) lambda values\), bifurcations "
+              r"\d+\.\d{3}s \((\d+) found\), write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
+DIFFUSION_LINE = (r"diffusion: density \d+\.\d{3}s, invariant \d+\.\d{3}s \((\d+) rectangles\), "
+                  r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "--range", "0.1:1.0:40"], SWEEP_LINE),
+    (["diffusion", "--grid", "300"], DIFFUSION_LINE),
+], ids=["sweep", "diffusion"])
+def test_info_log_times_the_sweep_and_diffusion_stages(tmp_path, caplog, argv, line):
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    outputs = {}
+    for level in ("WARNING", "INFO"):
+        out = tmp_path / level
+        caplog.clear()
+        with caplog.at_level(level, logger="sgdmc"):
+            assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["INFO"] == outputs["WARNING"]  # logging changes no output byte
+    stages = [m for m in (re.fullmatch(line, r.getMessage()) for r in caplog.records) if m]
+    assert len(stages) == 1
+    assert re.fullmatch(rf"{argv[0]}: \d+\.\d{{3}}s", caplog.records[-1].getMessage())
+    *counts, rows, size = map(int, stages[0].groups())
+    csv = out / f"{argv[0]}.csv"
+    records = csv.read_text().splitlines()[1:]
+    assert (rows, size) == (len(records), csv.stat().st_size)
+    if argv[0] == "sweep":
+        kinds = [r.split(",", 1)[0] for r in records]
+        assert counts == [kinds.count("point"), kinds.count("bifurcation")] == [40, 1]
+    else:
+        assert counts == [json.loads((out / "diffusion.json").read_text())["exact_count"]] == [2]
+        assert rows == 300
+
+
 ANALYZE_LINE = (r"analyze: certificates \d+\.\d{3}s, escape \d+\.\d{3}s "
                 r"\((\d+) points, (\d+) steps, \d+\.\d{2} us/step\)")
 

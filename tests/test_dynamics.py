@@ -369,7 +369,8 @@ def test_uniform_escape_additive_over_dimensions():
     (MapFamily(double_well(0.38), 0.33), [0.0], 20000),
     (MapFamily(double_well(0.38), 0.01), [-0.2], 20000),
     (mixed_2d_family(), [-0.3, 0.1], 20000),
-], ids=["dw-eta-0.33", "dw-eta-0.01", "mixed-2d"])
+    (MapFamily(eighth_order(1.6), 0.018), [1.2], 20000),  # degree-7 maps
+], ids=["dw-eta-0.33", "dw-eta-0.01", "mixed-2d", "eighth-order"])
 def test_sampler_matches_whole_point_oracle(fam, x0, steps):
     _assert_sample_matches_oracle(fam, x0, steps)
 
@@ -377,11 +378,30 @@ def test_sampler_matches_whole_point_oracle(fam, x0, steps):
 def _assert_sample_matches_oracle(fam, x0, steps, seed=7):
     final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=64)
     s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, 64))
-    assert s.final_point == final
+    # by bits: == would equate -0.0 and 0.0
+    assert [v.hex() for v in s.final_point] == [v.hex() for v in final]
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))
     assert s.first_absorbed_step == first
     assert s.rectangle_steps == rect_steps
     return s
+
+
+# 0.5 x - 0.0 needs padding to width 4 and maps -0.0 to -0.0; the cubic, with
+# -0.0 coefficients, maps -0.0 to +0.0
+SIGNED_ZERO_MAPS = (Polynomial([-0.0, 0.5]), Polynomial([0.0, 1.01, -0.0, -0.01]))
+
+
+@pytest.mark.parametrize("s", [-0.0, 0.0, -0.7, 0.4])
+def test_orbit_kernel_matches_polynomial_step_by_step(s):
+    table = dynamics._horner_table(SIGNED_ZERO_MAPS)
+    assert [len(row) for row in table[1:]] == [4, 4]
+    picks = [1, 2, 1] + np.random.default_rng(3).integers(1, 3, size=2000).tolist()
+    orbit = dynamics._orbit(4)(table, picks, s)
+    expected = []
+    for i in picks:
+        s = SIGNED_ZERO_MAPS[i - 1](s)
+        expected.append(s)
+    assert [v.hex() for v in orbit] == [v.hex() for v in expected]
 
 
 @pytest.mark.parametrize("chunk,blocks", [(7, 3), (64, 3), (SAMPLE_CHUNK, 1)])

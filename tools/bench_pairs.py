@@ -15,13 +15,17 @@ first in pairs 1, 3, 5, ... and the working tree in pairs 2, 4, 6, .... The
 output holds every run's result line (the last line perfbench prints) and,
 per workload and end-to-end metric declared in BENCHMARK.json, each side's
 median and quartiles and the number of pairs the working tree wins (ties
-count for neither side).
+count for neither side). Each run also keeps the ``<op>_ref_s`` median of
+every operation, which perfbench prints above its result line, and each
+workload summarizes them the same way under ``operations``: recorded
+figures that show which operation a saving sits in, read by no gate.
 """
 
 import argparse
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -31,6 +35,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# an operation's median as perfbench prints it, e.g.
+# "sample_ref_s                0.279 s     median of n=4 (min 0.27, max 0.29)"
+OPERATION_LINE = re.compile(r"(\w+_ref_s) +(\S+) +s +median of ")
 
 
 def git(*args: str) -> str:
@@ -63,11 +70,21 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    return parse_run(proc.stdout, proc.stderr)
+
+
+def parse_run(stdout: str, stderr: str) -> dict:
+    """The result line, with each operation's median under "operations" in
+    the shape of its metrics; an incorrect result holding the error if
+    there is no result line."""
+    lines = stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {"correct": False, "error": proc.stderr.strip()[-2000:]}
+        return {"correct": False, "error": stderr.strip()[-2000:]}
+    result["operations"] = {m[1]: {"value": float(m[2])} for m in map(OPERATION_LINE.match, lines)
+                            if m and m[1] != "wall_ref_s"}  # wall_ref_s is end to end
+    return result
 
 
 def quartiles(values: list[float]) -> dict:
@@ -75,14 +92,15 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the working tree's
-    wins over the pairs where both runs measured it."""
+def summarize(pairs: list[dict], metrics: dict[str, str], key: str = "metrics") -> dict:
+    """Per metric (read from each run's key): each side's median and
+    quartiles, and the working tree's wins over the pairs where both runs
+    measured it."""
     out = {}
     for name, better in metrics.items():
-        both = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+        both = [(p["base"][key][name]["value"], p["change"][key][name]["value"])
                 for p in pairs
-                if all(name in p[side].get("metrics", {}) for side in ("base", "change"))]
+                if all(name in p[side].get(key, {}) for side in ("base", "change"))]
         if len(both) < 2:
             continue
         base, change = [b for b, _ in both], [c for _, c in both]
@@ -127,7 +145,7 @@ def main(argv=None) -> int:
         export(base_rev, trees["base"])
         copy_working_tree(trees["change"])
         for workload, count in plan:
-            pairs = []
+            pairs, operations = [], set()
             for k in range(count):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
@@ -135,12 +153,15 @@ def main(argv=None) -> int:
                     pair[side] = bench(trees[side], workload, args.seed, args.seconds)
                     print(f"{workload} pair {k + 1}/{count} {side}: {json.dumps(pair[side])}",
                           file=sys.stderr, flush=True)
+                    operations.update(pair[side].get("operations", {}))
                 pairs.append(pair)
             record["workloads"][workload] = {
                 "all_correct": all(p[side]["correct"] and p[side].get("failed") == 0
                                    for p in pairs for side in ("base", "change")),
                 "pairs": pairs,
                 "summary": summarize(pairs, metrics),
+                "operations": summarize(pairs, dict.fromkeys(sorted(operations), "lower"),
+                                        "operations"),
             }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
