@@ -94,10 +94,11 @@ def _write_grid_csv(path: str, grid: Grid, values) -> None:
     distinct, which = np.unique(bits, return_inverse=True)
     texts = np.array([f"{v:.17g}\n" for v in distinct.view(np.float64).tolist()],
                      dtype=object)
+    ncells = grid.ncells
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header + ["value"]) + "\n")
-        for start in range(0, grid.ncells, CSV_BLOCK_ROWS):
-            cells = np.arange(start, min(start + CSV_BLOCK_ROWS, grid.ncells))
+        for start in range(0, ncells, CSV_BLOCK_ROWS):
+            cells = np.arange(start, min(start + CSV_BLOCK_ROWS, ncells))
             lines = texts[which[cells]]
             if axes is None:
                 lines = centre_texts(grid.centers[0][cells]) + lines
@@ -369,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--grid", type=int, default=1000, help="cells per dimension")
         if tol:
-            p.add_argument("--tol", type=float, default=None, help="iteration tolerance")
+            p.add_argument("--tol", type=float, default=None,
+                           help="stop tolerance of the solves that iterate; narrow-band "
+                           "solves are direct (GTH) and ignore it")
         p.set_defaults(func=func)
         return p
 
@@ -397,12 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """--grid (for diffusion at least 2), --steps and --tol must be positive, --ell-max
-    at least 1 and --seed non-negative: a config error, raised before any work starts."""
+    """--grid (for diffusion at least 2), --steps and --tol must be positive and finite,
+    --ell-max at least 1 and --seed non-negative: a config error, raised before any work
+    starts."""
     for flag in ("grid", "steps", "tol"):
         value = getattr(args, flag, None)
-        if value is not None and not value > 0:  # NaN fails too
-            raise ConfigError(f"--{flag} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:  # NaN fails too
+            raise ConfigError(f"--{flag} must be positive and finite, got {value}")
     if args.command == "diffusion" and args.grid < 2:
         raise ConfigError(f"--grid must be at least 2 for diffusion, got {args.grid}")
     if getattr(args, "ell_max", 1) < 1:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 
 from .absorbing import Decomposition
 from .dynamics import MapFamily
@@ -19,8 +20,9 @@ from .metrics import MetricConfig, cdf_sup, d_tilde, d_tilde_weights, half_l1, m
 DEFAULT_TOL_1D = 1e-10
 DEFAULT_TOL_ND = 1e-8
 DEFAULT_MAX_ITER = 10**6
-# the last sup change understates the absorption error ~100x at eta = 0.01;
-# 1e-14 keeps ulam_absorption within ~1e-12 of the exact linear solve
+# the iteration's last sup change understates its absorption error ~100x at
+# eta = 0.01; 1e-14 keeps an iterated ulam_absorption within ~1e-12 of the
+# exact linear solve
 ULAM_ABSORPTION_TOL = 1e-14
 BASIN_TOL = 1e-11  # basin_functions' default stop tolerance
 # a closed block loses only rounding (~1e-16 per step); a block leaking more
@@ -31,6 +33,11 @@ LEAKAGE_WARN = 1e-9
 ENVELOPE_FLOOR = 100
 # dense cell grids (the Ulam and dual operators) stop at two dimensions
 MAX_GRID_DIMENSION = 2
+# widest half-bandwidth w solved by GTH elimination rather than iterated: the
+# elimination costs about w^2 per cell, while the iteration's step count falls
+# as 1/w; on the double well at N = 4000 GTH is the faster at w = 27 and the
+# slower at w = 40
+GTH_MAX_BAND = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +257,103 @@ class InvariantResult:
     leakage: float
 
 
+def _entry_rows(matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order and in
+    the matrix's index dtype."""
+    return np.repeat(np.arange(matrix.shape[0], dtype=matrix.indices.dtype),
+                     np.diff(matrix.indptr))
+
+
+def _half_bandwidth(rows: np.ndarray, cols: np.ndarray, where=True) -> int:
+    """Largest |column - row| over the entries at (rows, cols) where `where`
+    holds; 0 for none."""
+    offsets = cols - rows
+    return int(np.max(np.abs(offsets, out=offsets), where=where, initial=0))
+
+
+def _gth_eliminate(store: np.ndarray, w: int, pivots: int) -> np.ndarray | None:
+    """GTH state reduction (Grassmann, Taksar & Heyman 1985) of the first
+    `pivots` states of a chain, in order, in place on row band storage: row i
+    of store holds the chain's entries (i, i - w .. i + w), then its exits
+    (one column per absorbing set), and w + 1 zero rows pad the end.  Each
+    state k passes its mass on to the states after it, (i, j) += m_ik (k, j)
+    with the multiplier m_ik = (i, k) / S_k left in place of (i, k), where the
+    pivot S_k is the sum of k's remaining row and exits, never 1 - (k, k): no
+    step subtracts.  Returns the pivots (1 for the states not eliminated), or
+    None at a zero pivot, which a closed class makes."""
+    width = store.shape[1]
+    flat = store.reshape(-1)
+    step = flat.itemsize
+    # entry (k + r, k + s), r and s in 0..w, sits at flat[k width + r (width - 1) + s + w]
+    window = as_strided(flat[w:], shape=(pivots, w + 1, w + 1),
+                        strides=(width * step, (width - 1) * step, step))
+    below, ahead, trail = window[:, 1:, :1], window[:, 0, 1:], window[:, 1:, 1:]
+    # state k's remaining row (k, k + 1 .. k + w) and its exits are contiguous
+    rest = as_strided(flat[w + 1:], shape=(pivots, width - w - 1), strides=(width * step, step))
+    exits = store[:, 2 * w + 1:]
+    exits_below = as_strided(exits[1:], shape=(pivots, w, exits.shape[1]),
+                             strides=(width * step, width * step, step))
+    has_exits = exits.shape[1] > 0
+    pivot = np.ones(store.shape[0] - w - 1)
+    for k in range(pivots):
+        s = np.add.reduce(rest[k])
+        if not s > 0:
+            return None
+        share = below[k]
+        share /= s
+        trail[k] += share * ahead[k]
+        if has_exits:
+            exits_below[k] += share * exits[k]
+        pivot[k] = s
+    return pivot
+
+
+def _band_store(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, n: int, w: int,
+                width: int) -> np.ndarray:
+    """The (n + w + 1, width) store of _gth_eliminate holding values at
+    (rows, columns), columns already shifted to the store's (c - r + w for
+    a band entry); repeated positions are summed."""
+    return np.bincount(np.multiply(rows, width, dtype=np.intp) + columns, weights=values,
+                       minlength=(n + w + 1) * width).reshape(-1, width)
+
+
+def _gth_stationary(block, w: int) -> np.ndarray | None:
+    """Stationary probability vector of an n-state CSR block with
+    half-bandwidth w: GTH eliminates its first n - 1 states, then
+    back-substitution from pi = 1 at the last state gives pi_k = sum_i pi_i
+    m_ik over the states i after k; None at a zero pivot."""
+    n, width, rows = block.shape[0], 2 * w + 1, _entry_rows(block)
+    store = _band_store(rows, block.indices - rows + w, block.data, n, w, width)
+    if _gth_eliminate(store, w, n - 1) is None:
+        return None
+    # the multipliers m_(k + r)k, r in 1..w, that column k holds below the pivot
+    step = store.itemsize
+    shares = as_strided(store.reshape(-1)[w + width - 1:], shape=(n, w),
+                        strides=(width * step, (width - 1) * step))
+    pi = np.zeros(n + w)
+    pi[n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
+        pi[k] = shares[k] @ pi[k + 1:k + w + 1]
+    return pi[:n] / pi[:n].sum()
+
+
 def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> InvariantResult:
-    """Fixed probability vector of the restricted absorbing block by power iteration
-    from the uniform start, at most DEFAULT_MAX_ITER steps; the change between successive
-    iterates is measured in the CDF sup metric (one dimension) or total variation.
+    """Fixed probability vector of the restricted absorbing block.
+
+    Where the block's half-bandwidth w (read off its entries) is at most
+    GTH_MAX_BAND, GTH elimination solves for it directly (iterations 0),
+    with small componentwise relative error and no stop rule.  Otherwise,
+    and at a zero pivot, power iteration from the uniform start runs until
+    one step changes the measure by less than tol, at most DEFAULT_MAX_ITER
+    steps; the change is measured in the CDF sup metric (one dimension) or
+    total variation.  Either way the residual is that change, one step
+    further from the result: an estimate, not an error bound, since the
+    error can be larger by about 1/(1 - |lambda_2|).
 
     A block that leaks more than LEAKAGE_WARN per step (a grid too coarse
-    for it to be closed) logs a warning: its leaked mass is renormalised on
-    every step, so the result is quasi-stationary rather than invariant."""
+    for it to be closed) logs a warning and is iterated: its leaked mass is
+    renormalised on every step, so the result is quasi-stationary rather
+    than invariant.  Logs its solver at INFO."""
     cells = np.asarray(cells, dtype=int)
     if cells.size == 0:
         raise ValueError("empty cell block")
@@ -267,12 +363,33 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> Inva
     block = op.matrix[cells][:, cells]
     sub = sp.csr_matrix(block).T
     leak = _leakage(block)
+    logger = logging.getLogger(__name__)
     if leak > LEAKAGE_WARN:
-        logging.getLogger(__name__).warning(
+        logger.warning(
             "absorbing block leaks %.2e of its mass per step, so the grid is "
             "too coarse for it to be closed; the measure is quasi-stationary", leak,
         )
-    w = np.full(cells.size, 1.0 / cells.size)
+    band = _half_bandwidth(_entry_rows(block), block.indices)
+    w = _gth_stationary(block, band) if leak <= LEAKAGE_WARN and band <= GTH_MAX_BAND else None
+    if w is not None:
+        logger.info("invariant_measure: gth (n=%d, w=%d)", cells.size, band)
+        w_next = sub @ w
+        w_next /= w_next.sum()
+        iterations, residual = 0, distance(w_next, w)
+    else:
+        w, iterations, residual = _power_iteration(sub, tol, distance)
+        logger.info("invariant_measure: iteration (%d steps)", iterations)
+    full = np.zeros(op.grid.ncells)
+    full[cells] = w
+    return InvariantResult(measure=DiscreteMeasure(op.grid, full), iterations=iterations,
+                           residual=residual, leakage=leak)
+
+
+def _power_iteration(sub, tol: float, distance) -> tuple[np.ndarray, int, float]:
+    """(w, steps, last change) of w <- sub w / |sub w| from the uniform start,
+    stopped once a step changes w by less than tol in distance; raises
+    NoConvergence after DEFAULT_MAX_ITER steps."""
+    w = np.full(sub.shape[0], 1.0 / sub.shape[0])
     residual = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
         w_next = sub @ w
@@ -280,14 +397,7 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> Inva
         residual = distance(w_next, w)
         w = w_next
         if residual < tol:
-            full = np.zeros(op.grid.ncells)
-            full[cells] = w
-            return InvariantResult(
-                measure=DiscreteMeasure(op.grid, full),
-                iterations=it,
-                residual=residual,
-                leakage=leak,
-            )
+            return w, it, residual
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
@@ -343,6 +453,29 @@ def _transient_rows(matrix, blocks: MetricConfig) -> sp.csr_matrix:
     return rows
 
 
+def _indicators(grid: Grid, blocks: MetricConfig) -> np.ndarray:
+    """One row per rectangle, in _absorption_order: the indicator of the
+    rectangle's cells, zero on the transient cells."""
+    g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
+    end = blocks.transient_cells.size
+    for m, cells in enumerate(blocks.rectangle_cells):
+        g[m, end:end + cells.size] = 1.0
+        end += cells.size
+    return g
+
+
+def _basins(g, grid: Grid, blocks: MetricConfig, iterations: int,
+            residual: float) -> BasinFunctions:
+    """BasinFunctions of the values g, given in _absorption_order."""
+    # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
+    # this keeps the last bits of the mixture coefficients
+    values = np.empty(g.shape, order="F")
+    values[:, _absorption_order(blocks)] = g  # back in cell order
+    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+    return BasinFunctions(grid=grid, values=values, iterations=iterations, residual=residual,
+                          partition_defect=defect)
+
+
 def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
     """Iterate g <- M g from the indicators of the rectangles' cell blocks
     until the sup change drops below tol, holding the absorbing cells at
@@ -357,11 +490,7 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
         return BasinFunctions(grid=grid, values=np.ones((1, grid.ncells), order="F"),
                               iterations=0, residual=0.0, partition_defect=0.0)
     b = blocks.transient_cells.size
-    g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
-    end = b
-    for m, cells in enumerate(blocks.rectangle_cells):
-        g[m, end:end + cells.size] = 1.0
-        end += cells.size
+    g = _indicators(grid, blocks)
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
     g_next, change = g.copy(), np.empty((g.shape[0], b))
     residual = np.inf
@@ -375,25 +504,72 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
         residual = float(change.max()) if b else 0.0
         g, g_next = g_next, g
         if residual < tol:
-            g_next[:, _absorption_order(blocks)] = g  # back in cell order
-            # the layout of (M @ g.T).T: BLAS sums values @ w in layout
-            # order, so this keeps the last bits of the mixture coefficients
-            values = np.asfortranarray(g_next)
-            defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
-            return BasinFunctions(grid=grid, values=values, iterations=it, residual=residual,
-                                  partition_defect=defect)
+            return _basins(g, grid, blocks, it, residual)
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
+def _gth_absorption(rows, blocks: MetricConfig, w: int) -> np.ndarray | None:
+    """Absorption probabilities of the b transient cells, (b, rectangles), from
+    rows = _transient_rows(M, blocks) with half-bandwidth w among the transient
+    cells: GTH eliminates them in grid order, each rectangle's cells folded
+    into one exit column, then back-substitution gives g_k = (y_k + sum_j
+    (k, j) g_j) / S_k over the cells j after k, y_k being k's exits as reduced;
+    None at a zero pivot."""
+    b, columns, entry_rows = rows.shape[0], rows.indices, _entry_rows(rows)
+    width = 2 * w + 1 + len(blocks.rectangle_cells)
+    # rectangle m's cells are numbered from starts[m] in _absorption_order
+    starts = b + np.cumsum([0] + [cells.size for cells in blocks.rectangle_cells[:-1]])
+    shifted = np.where(columns < b, columns - entry_rows + w,
+                       2 * w + np.searchsorted(starts, columns, side="right"))
+    store = _band_store(entry_rows, shifted, rows.data, b, w, width)
+    pivot = _gth_eliminate(store, w, b)
+    if pivot is None:
+        return None
+    scaled = store[:b, w + 1:] / pivot[:, None]
+    ahead, exits = scaled[:, :w], scaled[:, w:]
+    g = np.zeros((b + w, exits.shape[1]))
+    for k in range(b - 1, -1, -1):
+        g[k] = exits[k] + ahead[k] @ g[k + 1:k + w + 1]
+    return g[:b]
+
+
+def _absorption(rows, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
+    """The absorption probabilities for basin_functions and ulam_absorption
+    (name), from rows = _transient_rows(M, blocks).  With two or more
+    rectangles and a half-bandwidth among the transient cells of at most
+    GTH_MAX_BAND, GTH solves for them directly: iterations 0, and a residual
+    that is the sup change one more step of the iteration would make.
+    Otherwise, and at a zero pivot (a closed class among the transient
+    cells), _absorption_iteration runs to tol.  Logs the solver at INFO."""
+    b = rows.shape[0]
+    w = _half_bandwidth(_entry_rows(rows), rows.indices, where=rows.indices < b)
+    logger = logging.getLogger(__name__)
+    if len(blocks.rectangle_cells) > 1 and b and w <= GTH_MAX_BAND:
+        g_b = _gth_absorption(rows, blocks, w)
+        if g_b is not None:
+            logger.info("%s: gth (n=%d, w=%d)", name, b, w)
+            g = _indicators(grid, blocks)
+            g[:, :b] = g_b.T
+            residual = max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
+            return _basins(g, grid, blocks, 0, residual)
+    basins = _absorption_iteration(rows, grid, blocks, tol)
+    logger.info("%s: iteration (%d steps)", name, basins.iterations)
+    return basins
+
+
 def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> BasinFunctions:
-    """Absorption eigenfunctions of the exact dual operator, one per rectangle of
-    fam.decomposition: the indicator iteration run on the interpolated function-side matrix."""
+    """Absorption eigenfunctions of the exact dual operator, one per rectangle
+    of fam.decomposition: the absorption probabilities of the interpolated
+    function-side matrix, by GTH elimination where its transient band is
+    narrow and otherwise by the indicator iteration run to tol (BASIN_TOL
+    by default); see _absorption.  The residual is the sup change one more
+    step of the iteration would make, not an error bound."""
     if tol is None:
         tol = BASIN_TOL
     config = metric_config(grid, fam.decomposition)
     # only the transient rows are kept: the full dual matrix is freed here
     rows = _transient_rows(dual_operator(fam, grid), config)
-    basins = _absorption_iteration(rows, grid, config, tol)
+    basins = _absorption(rows, grid, config, tol, "basin_functions")
     if basins.partition_defect > 1e-6:
         logging.getLogger(__name__).warning(
             "partition-of-unity defect %.2e: the tolerance is too loose for the "
@@ -420,16 +596,19 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     """Absorption probabilities of the discrete chain itself, one row per
     rectangle block of blocks = metric_config(op.grid, decomp).
 
-    The indicator iteration of basin_functions on the Ulam matrix: its k-th
-    iterate is the probability of entering each rectangle within k steps.
-    The residual is the last sup change, not an error bound (the error is
-    about 1/(1 - r) times larger, r the per-step absorption rate).  These
-    coefficients are the ones the discretized evolution converges to, so the
-    logged distances in limit mixtures decay to zero rather than plateau at
-    the discretization mismatch.
+    Solved as in basin_functions, on the Ulam matrix: by GTH elimination
+    where the transient band is narrow, otherwise by the indicator
+    iteration, whose k-th iterate is the probability of entering each
+    rectangle within k steps, run to ULAM_ABSORPTION_TOL.  The residual is
+    the sup change one more step of that iteration would make at the
+    result, not an error bound (the iteration's error is about 1/(1 - r)
+    times larger, r the per-step absorption rate).  These coefficients are
+    the ones the discretized evolution converges to, so the logged
+    distances in limit mixtures decay to zero rather than plateau at the
+    discretization mismatch.
     """
-    return _absorption_iteration(_transient_rows(op.matrix, blocks), op.grid, blocks,
-                                 ULAM_ABSORPTION_TOL)
+    return _absorption(_transient_rows(op.matrix, blocks), op.grid, blocks,
+                       ULAM_ABSORPTION_TOL, "ulam_absorption")
 
 
 @dataclass(frozen=True)
@@ -485,12 +664,12 @@ def _fitted_envelope_ratio(log: np.ndarray, floor: float) -> float:
     of the steps whose d_k exceeds floor (0.0 when fewer than 4 do).
 
     The floor is ENVELOPE_FLOOR times the invariant measures' tolerance.  The
-    limit mixture is only as accurate as its invariant measures, whose power
-    iterations stop once a step changes them by less than that tolerance, so
-    the logged distances level off near it (8e-11 on the double well at
-    tol 1e-10; 4.9e-9 at eta = 0.01, where the blocks mix slowly); fitted
-    there, the flat tail reads 1.0.  The ratio estimates the observed decay;
-    it is not a bound."""
+    limit mixture is only as accurate as its invariant measures.  Where they
+    iterate, their power iterations stop once a step changes them by less
+    than that tolerance, so the logged distances level off near it (8e-11 on
+    the double well at tol 1e-10); fitted there, the flat tail reads 1.0.
+    Where GTH solves them the distances decay below the floor to rounding.
+    The ratio estimates the observed decay; it is not a bound."""
     live = np.flatnonzero(log > floor)
     if live.size < 4:
         return 0.0

@@ -13,6 +13,7 @@ import sgdmc
 from sgdmc import cli
 from sgdmc.cli import main
 from sgdmc.dynamics import MapFamily, uniform_escape_length
+from sgdmc.metrics import metric_config
 from sgdmc.objective import eta_bound, lambda_split, objective_from_config
 from sgdmc.poly import Polynomial
 from sgdmc.transfer import Grid
@@ -75,7 +76,7 @@ def test_parse_failure_exit_code(tmp_path):
       for v in ("0", "-3")],
     *[("sample", "--steps", v) for v in ("0", "-5")],
     *[(c, "--tol", v) for c in ("invariant", "basins", "sample", "diffusion")
-      for v in ("0", "-1e-9", "nan")],
+      for v in ("0", "-1e-9", "nan", "inf")],
     ("diffusion", "--grid", "1"),
     ("sample", "--seed", "-1"),
     *[("analyze", "--ell-max", v) for v in ("0", "-1")],
@@ -201,7 +202,8 @@ LABELS = {1: "config error: ", 2: "assumption violation: ", 3: "no convergence: 
                       "components": [[[1, -2, 1], []], [[1, 2, 1], []]]}, None),
     (2, ["invariant", "--grid", "64"], {"dimension": 1, "n": 2, "eta": 0.1,
                                         "components": [[[1, -2, 1], [2, -4, 2]]]}, None),
-    (3, ["invariant", "--grid", "64"], DW_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
+    # at 500 cells the blocks' band is too wide for GTH, so they iterate
+    (3, ["invariant", "--grid", "500"], DW_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
     (4, ["diffusion"], {"dimension": 1, "n": 1, "eta": 0.1, "components": [[[0, 0, 1.0]]]},
      None),
     (5, ["analyze"], DW_CONFIG, (cli, "cmd_analyze", _raise_runtime_error)),
@@ -369,7 +371,7 @@ def test_sample_with_invariant_comparison(tmp_path):
 
 @pytest.mark.parametrize("grid,patch,code,label", [
     ("1", None, 1, "config error: grid too coarse"),
-    ("64", (sgdmc.transfer, "DEFAULT_MAX_ITER", 2), 3, "no convergence: "),
+    ("500", (sgdmc.transfer, "DEFAULT_MAX_ITER", 2), 3, "no convergence: "),
 ], ids=["grid-too-coarse", "no-convergence"])
 def test_sample_comparison_fails_before_the_chain(tmp_path, capsys, monkeypatch, grid, patch,
                                                   code, label):
@@ -530,6 +532,9 @@ def test_report_round_trips(tmp_path):
 # the lines invariant, basins and sample log at INFO before their total time:
 # invariant and basins time the compute, sample the chain
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
+# the line each invariant, basin and absorption solve logs at INFO
+SOLVER_LINE = (r"(invariant_measure|basin_functions|ulam_absorption): "
+               r"(?:gth \(n=(\d+), w=(\d+)\)|iteration \((\d+) steps\))")
 SAMPLE_LINE = (r"(\w+): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
                r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
@@ -549,10 +554,12 @@ def test_info_log_times_every_command(tmp_path):
         )
         assert proc.returncode == 0
         if level == "INFO":
-            *stages, total = proc.stderr.strip().splitlines()
+            *solves, stage, total = proc.stderr.strip().splitlines()
             assert re.fullmatch(r"INFO:sgdmc:invariant: \d+\.\d{3}s", total)
-            assert [re.fullmatch(STAGE_LINE, line[len("INFO:sgdmc:"):]) is not None
-                    for line in stages] == [True]
+            assert re.fullmatch(STAGE_LINE, stage[len("INFO:sgdmc:"):])
+            # before them, one line per rectangle names its solve's solver
+            assert [re.fullmatch(SOLVER_LINE, line[len("INFO:sgdmc.transfer:"):]) is not None
+                    for line in solves] == [True, True]
         else:
             assert proc.stderr == ""
         outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -582,6 +589,39 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
     assert int(size) == sum(f.stat().st_size for f in files)
     if steps:
         assert int(steps[0]) == json.loads((out / f"{command}.json").read_text())["steps"]
+
+
+@pytest.mark.parametrize("command, eta, grid, solver", [
+    ("invariant", 0.01, 300, "gth"),
+    ("invariant", 0.33, 1000, "iteration"),
+    ("basins", 0.01, 300, "gth"),
+    ("basins", 0.33, 1000, "iteration"),
+])
+def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver):
+    # GTH where the band is narrow (eta = 0.01), the iteration where it is wide
+    config = {**DW_CONFIG, "eta": eta}
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="sgdmc"):
+        assert main([command, "--config", write_config(tmp_path / "c.json", **config),
+                     "--out", str(out), "--grid", str(grid)]) == 0
+    solves = [m.groups() for m in (re.fullmatch(SOLVER_LINE, r.getMessage())
+                                   for r in caplog.records) if m]
+    fam = MapFamily(*objective_from_config(config))
+    blocks = metric_config(Grid.regular(fam.intervals, grid), fam.decomposition)
+    if command == "invariant":
+        steps = [r["iterations"] for r in json.loads((out / "invariant.json").read_text())[
+            "rectangles"]]
+        names, sizes = ["invariant_measure"] * 2, [c.size for c in blocks.rectangle_cells]
+    else:
+        steps = [json.loads((out / "basins.json").read_text())["iterations"]]
+        names, sizes = ["basin_functions"], [blocks.transient_cells.size]
+    assert [name for name, *_ in solves] == names
+    for (_, n, w, iterations), size, step in zip(solves, sizes, steps):
+        if solver == "gth":
+            assert (int(n), step, iterations) == (size, 0, None)
+            assert int(w) <= sgdmc.transfer.GTH_MAX_BAND
+        else:
+            assert (n, int(iterations)) == (None, step) and step > 0
 
 
 SWEEP_LINE = (r"sweep: points \d+\.\d{3}s \((\d+) lambda values\), bifurcations "

@@ -150,7 +150,7 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "sample.csv": "470d57a8ccad55677709e4553403bf7a8743d1ab35926fbc656a49308f66e83e",
-            "sample.json": "4a682911d8b7f79a86096f49e62113a17e61699fb7ee5e7ef0e0d6a7f8f563b1"
+            "sample.json": "7423f416a9441b08584c943ee9f941d4efb29cb81e053035d3e1fff8726a29e2"
         },
         "stderr": ""
     },

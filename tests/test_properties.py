@@ -18,7 +18,7 @@ from oracles import (
     zero_padded_d_tilde,
 )
 
-from sgdmc import dynamics
+from sgdmc import dynamics, transfer
 from sgdmc.absorbing import absorbing_structure, bifurcations, decompose, rectangle_count_for
 from sgdmc.dynamics import (
     MapFamily,
@@ -29,11 +29,21 @@ from sgdmc.dynamics import (
     uniform_escape_length,
     verify_certificate,
 )
-from sgdmc.errors import GridTooCoarse, NotFound, SgdmcError
-from sgdmc.metrics import d_tilde, metric_config
+from sgdmc.errors import GridTooCoarse, NoConvergence, NotFound, SgdmcError
+from sgdmc.metrics import cdf_sup, d_tilde, half_l1, metric_config
 from sgdmc.objective import SeparableObjective, eta_bound, lambda_split, state_space_window
 from sgdmc.poly import Polynomial
-from sgdmc.transfer import DiscreteMeasure, Grid, ulam_assemble
+from sgdmc.transfer import (
+    DiscreteMeasure,
+    Grid,
+    _absorption_iteration,
+    _transient_rows,
+    basin_functions,
+    dual_operator,
+    invariant_measure,
+    ulam_absorption,
+    ulam_assemble,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -326,3 +336,49 @@ def test_escape_lengths_match_the_whole_point_oracle(problem, data):
     for idx in np.ndindex(*lengths.shape):
         point = [float(axis[k]) for axis, k in zip(axes, idx)]
         assert len(escape_path(fam, point)) == lengths[idx]
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_gth_matches_the_tight_iteration(problem):
+    # GTH on every band (the limit lifted) against the iteration at a tight
+    # stop, where the iteration converges within its cap
+    fam, decomp, grid = problem
+    _labels(grid, decomp)
+    op = ulam_assemble(fam, grid)
+    config = metric_config(grid, decomp)
+    distance = cdf_sup if grid.dimension == 1 else half_l1
+    with mock.patch.object(transfer, "GTH_MAX_BAND", grid.ncells):
+        for cells in config.rectangle_cells:
+            gth = invariant_measure(op, cells)
+            if gth.iterations > 0:  # a leaky block iterates either way
+                continue
+            # a block mixing slower than this leaves the 1e-14 stop up to 2e-10 off
+            with mock.patch.object(transfer, "GTH_MAX_BAND", -1), \
+                    mock.patch.object(transfer, "DEFAULT_MAX_ITER", 5_000):
+                tight = _converged(lambda: invariant_measure(op, cells, tol=1e-14))
+            assert gth.residual <= 1e-14
+            if tight is not None:
+                assert distance(gth.measure.weights, tight.measure.weights) <= 1e-11
+        for matrix, solve in ((op.matrix, lambda: ulam_absorption(op, config)),
+                              (dual_operator(fam, grid), lambda: basin_functions(fam, grid))):
+            gth = solve()
+            assert gth.residual <= 1e-14
+            rows = _transient_rows(matrix, config)
+            with mock.patch.object(transfer, "DEFAULT_MAX_ITER", 20_000):
+                tight = _converged(lambda: _absorption_iteration(rows, grid, config, 1e-14))
+            if tight is None:
+                continue
+            # the held iterate rises toward the fixed point, and its partition
+            # defect bounds the rest of the way, cell by cell
+            gap = gth.values - tight.values
+            assert gap.min() >= -1e-14
+            assert np.all(gap <= 1.0 - tight.values.sum(axis=0) + 1e-14)
+
+
+def _converged(solve):
+    """solve(), or None where it raises NoConvergence."""
+    try:
+        return solve()
+    except NoConvergence:
+        return None

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sgdmc.objective import (
     SeparableObjective,
     bernoulli_pair,
     double_well,
+    eighth_order,
     eta_bound,
     lambda_split,
 )
@@ -338,11 +340,15 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
     op = ulam_assemble(MapFamily(obj, eta), grid)
     labels = grid.classify(decomp)
     assert (block_leakage(op, np.flatnonzero(labels >= 0)) > 1e-3) == leaky
-    absorption = ulam_absorption(op, metric_config(grid, decomp))
+    config = metric_config(grid, decomp)
     expected = direct_absorption(op.matrix, labels, len(decomp.rectangles))
+    # the iteration, called directly: ulam_absorption takes GTH on narrow bands
+    absorption = _absorption_iteration(_transient_rows(op.matrix, config), grid, config,
+                                       ULAM_ABSORPTION_TOL)
     assert np.max(np.abs(absorption.values - expected)) <= 1e-11
     assert absorption.partition_defect <= 1e-9
     assert absorption.iterations > 0
+    assert np.max(np.abs(ulam_absorption(op, config).values - expected)) <= 1e-11
 
 
 def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
@@ -364,6 +370,78 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     # the same layout too, so BLAS products with the values keep their bits
     w = DiscreteMeasure.uniform(grid).weights
     assert (basins.values @ w).tobytes() == (g @ w).tobytes()
+
+
+# GTH's shapes: bands of at most GTH_MAX_BAND among the transient cells
+@pytest.mark.parametrize("obj,eta,n", [
+    (double_well(0.38), 0.01, 4000),
+    (double_well(0.38), 0.01, 200),
+    (double_well(0.38), 0.33, 200),
+    # at 10 cells the straddling absorbing cells send 1.2% of their mass out
+    (double_well(0.38), 0.33, 10),
+    (eighth_order(0.5), 0.02, 500),
+], ids=["dw-eta-0.01", "dw-eta-0.01-coarse", "dw-eta-0.33", "dw-leaky-coarse", "eighth-order"])
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_gth_absorption_matches_direct_solve(obj, eta, n, kernel):
+    fam = MapFamily(obj, eta)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    if kernel == "ulam":
+        op = ulam_assemble(fam, grid)
+        got, matrix = ulam_absorption(op, config), op.matrix
+    else:
+        got, matrix = basin_functions(fam, grid), dual_operator(fam, grid)
+    assert got.iterations == 0
+    expected = direct_absorption(matrix, grid.classify(fam.decomposition),
+                                 len(fam.decomposition.rectangles))
+    assert np.max(np.abs(got.values - expected)) <= 1e-13
+    assert got.partition_defect <= 1e-13
+    # one more step of the iteration would change the values by no more than rounding
+    assert got.residual <= 1e-14
+    assert got.values.flags.f_contiguous
+
+
+def test_gth_invariant_matches_a_tight_iteration(monkeypatch):
+    # at eta = 0.01 the blocks mix slowly, so the default stop left the power
+    # iteration 4.9e-9 off; GTH lands within rounding of a 1e-15 stop
+    fam = MapFamily(double_well(0.38), 0.01)
+    grid = Grid.regular(fam.intervals, 4000)
+    op = ulam_assemble(fam, grid)
+    for cells in metric_config(grid, fam.decomposition).rectangle_cells:
+        got = invariant_measure(op, cells)
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "GTH_MAX_BAND", -1)
+            tight = invariant_measure(op, cells, tol=1e-15)
+        assert (got.iterations, tight.iterations > 0) == (0, True)
+        assert d_F(got.measure, tight.measure) <= 1e-12
+        assert got.residual <= 1e-14
+
+
+@pytest.mark.parametrize("obj,eta,n,solver", [
+    (double_well(0.38), 0.01, 4000, "gth"),
+    (double_well(0.38), 0.33, 10_000, "iteration"),
+    (_double_well_product(2), 0.33, 300, "iteration"),
+], ids=["dw1d-small-eta", "dw1d-fine", "dw2d-grid"])
+def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, solver):
+    # the benchmark's shapes: every invariant and absorption solve of the
+    # narrow band takes GTH; on the wide ones each iterates, here for one step
+    monkeypatch.setattr(transfer, "DEFAULT_MAX_ITER", 1)
+    fam = MapFamily(obj, eta)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    op = ulam_assemble(fam, grid)
+    solves = [partial(invariant_measure, op, cells) for cells in config.rectangle_cells]
+    solves += [partial(ulam_absorption, op, config), partial(basin_functions, fam, grid)]
+    for solve in solves:
+        caplog.clear()
+        if solver == "iteration":
+            with pytest.raises(NoConvergence):
+                solve()
+            continue
+        with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+            assert solve().iterations == 0
+        [record] = caplog.records
+        assert re.fullmatch(r"\w+: gth \(n=\d+, w=14\)", record.getMessage())
 
 
 def _product_double_well():
@@ -398,6 +476,10 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
     else:
         got = basin_functions(fam, grid)
         matrix, tol = dual_operator(fam, grid), BASIN_TOL
+    if eta == 0.01:
+        # the public call takes GTH on this narrow band: pin the kernel itself
+        assert got.iterations == 0
+        got = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
     assert got.values.flags.f_contiguous
     if rectangles == 1:
         assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
@@ -520,7 +602,11 @@ def test_limit_mixture_logs_its_stages_at_info(dw038_setup, caplog):
     assert not caplog.records
     with caplog.at_level(logging.INFO, logger="sgdmc"):
         res = limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=40, stop_below=1e-3)
-    [record] = caplog.records
+    # each solve names its solver, then the stage line
+    *solves, record = caplog.records
+    assert [r.getMessage() for r in solves] == [
+        *(f"invariant_measure: iteration ({inv.iterations} steps)" for inv in res.invariants),
+        "ulam_absorption: iteration (119 steps)"]
     match = re.fullmatch(r"limit_mixture: invariants \d+\.\d{3}s, absorption \d+\.\d{3}s, "
                          r"log \d+\.\d{3}s \((\d+) steps, \d+\.\d us/step\)",
                          record.getMessage())
