@@ -122,9 +122,11 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """payload as strict JSON: a NaN or infinity raises ValueError (an
+    internal error, exit 5) before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_config(path: str) -> dict:

@@ -69,16 +69,19 @@ def total_variation(mu, nu) -> float:
 class MetricConfig:
     """The grid's block structure under a decomposition: the cells of each
     absorbing rectangle, in rectangle order, their boxes (one slice per axis,
-    holding exactly those cells), and the transient cells."""
+    holding exactly those cells), the transient cells, and per axis the
+    absorbing interval of each of its cells, -1 where none
+    (Grid.axis_labels)."""
 
     rectangle_cells: tuple[np.ndarray, ...]
     rectangle_boxes: tuple[tuple[slice, ...], ...]
     transient_cells: np.ndarray
+    axis_labels: tuple[np.ndarray, ...]
 
 
 def metric_config(grid, decomp) -> MetricConfig:
-    """Label the grid once (Grid.classify) and split its cells into the
-    rectangles' blocks and the transient remainder.
+    """Label the grid once (Grid.classify, from Grid.axis_labels) and split
+    its cells into the rectangles' blocks and the transient remainder.
 
     This is the one place labels become cells: the composite metric, the
     invariant measures and the absorption iterations all take their blocks
@@ -87,13 +90,21 @@ def metric_config(grid, decomp) -> MetricConfig:
     restrictions in the positive orthant; in one dimension the choice is
     immaterial.
     """
-    labels = grid.classify(decomp)
-    cells = tuple(np.flatnonzero(labels == m) for m in range(len(decomp.rectangles)))
+    return label_blocks(grid.classify(decomp), len(decomp.rectangles), grid.shape,
+                        grid.axis_labels(decomp))
+
+
+def label_blocks(labels, count: int, shape, axis_labels) -> MetricConfig:
+    """The MetricConfig of count rectangles from the cell labels of a grid
+    of the given shape (rectangle number per flattened cell, -1 for
+    transient) and its per-axis labels."""
+    cells = tuple(np.flatnonzero(labels == m) for m in range(count))
     return MetricConfig(
         rectangle_cells=cells,
         rectangle_boxes=tuple(tuple(slice(int(i.min()), int(i.max()) + 1)
-                                    for i in np.unravel_index(c, grid.shape)) for c in cells),
+                                    for i in np.unravel_index(c, shape)) for c in cells),
         transient_cells=np.flatnonzero(labels < 0),
+        axis_labels=tuple(axis_labels),
     )
 
 

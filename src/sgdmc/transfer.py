@@ -15,7 +15,15 @@ from numpy.lib.stride_tricks import as_strided
 from .absorbing import Decomposition
 from .dynamics import MapFamily
 from .errors import DimensionMismatch, GridMismatch, GridTooCoarse, NoConvergence
-from .metrics import MetricConfig, cdf_sup, d_tilde, d_tilde_weights, half_l1, metric_config
+from .metrics import (
+    MetricConfig,
+    cdf_sup,
+    d_tilde,
+    d_tilde_weights,
+    half_l1,
+    label_blocks,
+    metric_config,
+)
 
 DEFAULT_TOL_1D = 1e-10
 DEFAULT_TOL_ND = 1e-8
@@ -38,6 +46,8 @@ MAX_GRID_DIMENSION = 2
 # as 1/w; on the double well at N = 4000 GTH is the faster at w = 27 and the
 # slower at w = 40
 GTH_MAX_BAND = 32
+# _gth_stationary rescales its back-substitution by this power of two
+GTH_RESCALE = 2.0**600
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +92,12 @@ class Grid:
             and all(np.array_equal(a, b) for a, b in zip(self.edges, other.edges))
         )
 
-    def classify(self, decomp: Decomposition) -> np.ndarray:
-        """Rectangle label per flattened cell, -1 for transient cells.
-
-        A cell belongs to a rectangle when it overlaps it with positive volume
-        in every dimension, so boundary-straddling cells count as absorbing;
-        on fine enough grids this keeps the labeled absorbing blocks closed
-        under the discrete dynamics (no flow back into the labeled transient
-        cells).  Coarse grids can leak; block_leakage measures it.
-        """
+    def axis_labels(self, decomp: Decomposition) -> tuple[np.ndarray, ...]:
+        """Per axis, the absorbing interval of each of its cells (the
+        interval's index in its dimension), -1 for none.  A cell belongs to
+        an interval when it overlaps it with positive length, so
+        boundary-straddling cells count as absorbing; raises GridTooCoarse
+        where a cell overlaps two."""
         per_dim = []
         for j, e in enumerate(self.edges):
             lab = np.full(len(e) - 1, -1, dtype=int)
@@ -102,12 +109,24 @@ class Grid:
                     )
                 lab[hit] = t.index
             per_dim.append(lab)
+        return tuple(per_dim)
+
+    def classify(self, decomp: Decomposition) -> np.ndarray:
+        """Rectangle label per flattened cell, -1 for transient cells.
+
+        A cell belongs to a rectangle when it belongs to the rectangle's
+        interval on every axis (axis_labels), so boundary-straddling cells
+        count as absorbing; on fine enough grids this keeps the labeled
+        absorbing blocks closed under the discrete dynamics (no flow back
+        into the labeled transient cells).  Coarse grids can leak;
+        block_leakage measures it.
+        """
         # rectangle number per combination of interval labels; the extra
         # trailing slot per dimension is where label -1 (transient) lands
         table = np.full([len(ts) + 1 for ts in decomp.per_dimension], -1, dtype=int)
         for m, rect in enumerate(decomp.rectangles):
             table[rect.index] = m
-        return table[np.ix_(*per_dim)].ravel()
+        return table[np.ix_(*self.axis_labels(decomp))].ravel()
 
 
 @dataclass(frozen=True)
@@ -321,7 +340,12 @@ def _gth_stationary(block, w: int) -> np.ndarray | None:
     """Stationary probability vector of an n-state CSR block with
     half-bandwidth w: GTH eliminates its first n - 1 states, then
     back-substitution from pi = 1 at the last state gives pi_k = sum_i pi_i
-    m_ik over the states i after k; None at a zero pivot."""
+    m_ik over the states i after k.  A measure can span more than the range
+    of a double (1e-321 from end to peak at eta = 0.001), so whenever an
+    entry passes GTH_RESCALE the tail computed so far is divided by it, an
+    exact power of two that keeps the tail's ratios (the recurrence is
+    linear).  None at a zero pivot, or where the result is not a finite
+    probability vector all the same."""
     n, width, rows = block.shape[0], 2 * w + 1, _entry_rows(block)
     store = _band_store(rows, block.indices - rows + w, block.data, n, w, width)
     if _gth_eliminate(store, w, n - 1) is None:
@@ -334,7 +358,13 @@ def _gth_stationary(block, w: int) -> np.ndarray | None:
     pi[n - 1] = 1.0
     for k in range(n - 2, -1, -1):
         pi[k] = shares[k] @ pi[k + 1:k + w + 1]
-    return pi[:n] / pi[:n].sum()
+        if pi[k] > GTH_RESCALE:
+            pi[k:n] /= GTH_RESCALE
+    total = pi[:n].sum()
+    if not 0 < total < np.inf:
+        return None
+    pi = pi[:n] / total
+    return pi if np.all(np.isfinite(pi)) else None
 
 
 def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> InvariantResult:
@@ -440,17 +470,22 @@ def _absorption_order(blocks: MetricConfig) -> np.ndarray:
     return np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
 
 
-def _transient_rows(matrix, blocks: MetricConfig) -> sp.csr_matrix:
-    """The transient rows of matrix, sliced once, with their column indices
-    renumbered in place (in the matrix's own index dtype) to
-    _absorption_order.  Each row keeps its entries in their stored order, so
-    a product with it sums them in the order of the full matrix's product."""
-    rows = matrix[blocks.transient_cells]
+def _renumbered(rows, order: np.ndarray) -> sp.csr_matrix:
+    """rows with their column indices renumbered in place (in the matrix's
+    own index dtype) to their positions in order.  Each row keeps its
+    entries in their stored order, so a product with it sums them in the
+    order of the full matrix's product."""
     position = np.empty(rows.shape[1], dtype=rows.indices.dtype)
-    position[_absorption_order(blocks)] = np.arange(position.size, dtype=position.dtype)
+    position[order] = np.arange(position.size, dtype=position.dtype)
     rows.indices[:] = position[rows.indices]  # np.take would copy them to intp
     rows.has_sorted_indices = False
     return rows
+
+
+def _transient_rows(matrix, blocks: MetricConfig) -> sp.csr_matrix:
+    """The transient rows of matrix, sliced once, with their columns
+    renumbered to _absorption_order."""
+    return _renumbered(matrix[blocks.transient_cells], _absorption_order(blocks))
 
 
 def _indicators(grid: Grid, blocks: MetricConfig) -> np.ndarray:
@@ -464,16 +499,39 @@ def _indicators(grid: Grid, blocks: MetricConfig) -> np.ndarray:
     return g
 
 
-def _basins(g, grid: Grid, blocks: MetricConfig, iterations: int,
+def _basins(g, grid: Grid, order: np.ndarray, iterations: int,
             residual: float) -> BasinFunctions:
-    """BasinFunctions of the values g, given in _absorption_order."""
+    """BasinFunctions of the values g, whose columns are the cells of order."""
     # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
     # this keeps the last bits of the mixture coefficients
     values = np.empty(g.shape, order="F")
-    values[:, _absorption_order(blocks)] = g  # back in cell order
+    values[:, order] = g  # back in cell order
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return BasinFunctions(grid=grid, values=values, iterations=iterations, residual=residual,
                           partition_defect=defect)
+
+
+def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
+    """(g, steps, last change) of g[:, :b] <- rows @ g, b = rows.shape[0],
+    iterated until the sup change drops below tol, with g[:, b:] held: the
+    columns of rows are numbered like those of g, the b updated cells
+    first.  Raises NoConvergence after DEFAULT_MAX_ITER steps."""
+    b = rows.shape[0]
+    # reused buffers: allocating fresh ones every step page-faults on 2-d grids
+    g_next, change = g.copy(), np.empty((g.shape[0], b))
+    residual = np.inf
+    for it in range(1, DEFAULT_MAX_ITER + 1):
+        # one product per rectangle gives the bits of one product on an (N, k) C-order
+        # array and is no slower: in ulam_absorption on a 2-vCPU Xeon (1 thread, best of
+        # 5) equal within noise at 1-d N=4000 and 2-d 300^2, 12% faster at 1-d N=10^4
+        for row, out in zip(g, g_next):
+            out[:b] = rows @ row
+        np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
+        residual = float(change.max()) if b else 0.0
+        g, g_next = g_next, g
+        if residual < tol:
+            return g, it, residual
+    raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
 def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
@@ -489,87 +547,179 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
     if len(blocks.rectangle_cells) == 1:
         return BasinFunctions(grid=grid, values=np.ones((1, grid.ncells), order="F"),
                               iterations=0, residual=0.0, partition_defect=0.0)
-    b = blocks.transient_cells.size
-    g = _indicators(grid, blocks)
-    # reused buffers: allocating fresh ones every step page-faults on 2-d grids
-    g_next, change = g.copy(), np.empty((g.shape[0], b))
-    residual = np.inf
-    for it in range(1, DEFAULT_MAX_ITER + 1):
-        # one product per rectangle gives the bits of one product on an (N, k) C-order
-        # array and is no slower: in ulam_absorption on a 2-vCPU Xeon (1 thread, best of
-        # 5) equal within noise at 1-d N=4000 and 2-d 300^2, 12% faster at 1-d N=10^4
-        for row, out in zip(g, g_next):
-            out[:b] = rows @ row
-        np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
-        residual = float(change.max()) if b else 0.0
-        g, g_next = g_next, g
-        if residual < tol:
-            return _basins(g, grid, blocks, it, residual)
-    raise NoConvergence(DEFAULT_MAX_ITER, residual)
+    g, iterations, residual = _held_iteration(rows, _indicators(grid, blocks), tol)
+    return _basins(g, grid, _absorption_order(blocks), iterations, residual)
 
 
-def _gth_absorption(rows, blocks: MetricConfig, w: int) -> np.ndarray | None:
-    """Absorption probabilities of the b transient cells, (b, rectangles), from
-    rows = _transient_rows(M, blocks) with half-bandwidth w among the transient
-    cells: GTH eliminates them in grid order, each rectangle's cells folded
-    into one exit column, then back-substitution gives g_k = (y_k + sum_j
-    (k, j) g_j) / S_k over the cells j after k, y_k being k's exits as reduced;
-    None at a zero pivot."""
-    b, columns, entry_rows = rows.shape[0], rows.indices, _entry_rows(rows)
-    width = 2 * w + 1 + len(blocks.rectangle_cells)
-    # rectangle m's cells are numbered from starts[m] in _absorption_order
-    starts = b + np.cumsum([0] + [cells.size for cells in blocks.rectangle_cells[:-1]])
-    shifted = np.where(columns < b, columns - entry_rows + w,
-                       2 * w + np.searchsorted(starts, columns, side="right"))
-    store = _band_store(entry_rows, shifted, rows.data, b, w, width)
+def _gth_absorption(rows, held: np.ndarray, w: int) -> np.ndarray | None:
+    """The fixed point of _held_iteration on its b updated cells, (b, k),
+    from rows numbered as there, with half-bandwidth w among the updated
+    cells, and held = the k functions' values on the held cells.  GTH
+    eliminates the updated cells in grid order with one exit column per
+    function, m's holding sum_j (i, j) g_m(j) over the held cells j; then
+    back-substitution gives g_i = (y_i + sum_j (i, j) g_j) / S_i over the
+    cells j after i, y_i being i's exits as reduced.  None at a zero pivot.
+    With indicators held, exit column m sums row i's entries in rectangle m
+    in their stored order (a product with 1, or an added 0)."""
+    b, columns, entry_rows, k = rows.shape[0], rows.indices, _entry_rows(rows), held.shape[0]
+    width = 2 * w + 1 + k
+    inside = columns < b
+    out_rows, out_cols, out_vals = entry_rows[~inside], columns[~inside] - b, rows.data[~inside]
+    store = _band_store(
+        np.concatenate([entry_rows[inside]] + [out_rows] * k),
+        np.concatenate([columns[inside] - entry_rows[inside] + w]
+                       + [np.full(out_rows.size, 2 * w + 1 + m) for m in range(k)]),
+        np.concatenate([rows.data[inside]] + [out_vals * h[out_cols] for h in held]),
+        b, w, width)
     pivot = _gth_eliminate(store, w, b)
     if pivot is None:
         return None
     scaled = store[:b, w + 1:] / pivot[:, None]
     ahead, exits = scaled[:, :w], scaled[:, w:]
-    g = np.zeros((b + w, exits.shape[1]))
-    for k in range(b - 1, -1, -1):
-        g[k] = exits[k] + ahead[k] @ g[k + 1:k + w + 1]
+    g = np.zeros((b + w, k))
+    for i in range(b - 1, -1, -1):
+        g[i] = exits[i] + ahead[i] @ g[i + 1:i + w + 1]
     return g[:b]
 
 
-def _absorption(rows, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
-    """The absorption probabilities for basin_functions and ulam_absorption
-    (name), from rows = _transient_rows(M, blocks).  With two or more
-    rectangles and a half-bandwidth among the transient cells of at most
-    GTH_MAX_BAND, GTH solves for them directly: iterations 0, and a residual
-    that is the sup change one more step of the iteration would make.
-    Otherwise, and at a zero pivot (a closed class among the transient
-    cells), _absorption_iteration runs to tol.  Logs the solver at INFO."""
+def _gth_held(rows, g: np.ndarray) -> tuple[int, float] | None:
+    """Solve in place for the updated values g[:, :b] of _held_iteration's
+    fixed point by GTH elimination where the half-bandwidth w among the b
+    updated cells is at most GTH_MAX_BAND: returns (w, residual), the
+    residual being the sup change one more step of the iteration would
+    make.  None, with g unchanged, for no updated cells, a wider band or a
+    zero pivot (a closed class among the updated cells)."""
     b = rows.shape[0]
     w = _half_bandwidth(_entry_rows(rows), rows.indices, where=rows.indices < b)
-    logger = logging.getLogger(__name__)
-    if len(blocks.rectangle_cells) > 1 and b and w <= GTH_MAX_BAND:
-        g_b = _gth_absorption(rows, blocks, w)
-        if g_b is not None:
-            logger.info("%s: gth (n=%d, w=%d)", name, b, w)
-            g = _indicators(grid, blocks)
-            g[:, :b] = g_b.T
-            residual = max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
-            return _basins(g, grid, blocks, 0, residual)
+    if not b or w > GTH_MAX_BAND:
+        return None
+    g_b = _gth_absorption(rows, g[:, b:], w)
+    if g_b is None:
+        return None
+    g[:, :b] = g_b.T
+    return w, max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
+
+
+def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
+                          tol: float) -> tuple[BasinFunctions, str]:
+    """The absorption probabilities from rows = _transient_rows(M, blocks),
+    and the solver as the INFO line names it.  With two or more rectangles
+    and a half-bandwidth among the transient cells of at most GTH_MAX_BAND,
+    GTH solves for them directly: iterations 0, and a residual that is the
+    sup change one more step of the iteration would make.  Otherwise, and
+    at a zero pivot, _absorption_iteration runs to tol."""
+    if len(blocks.rectangle_cells) > 1:
+        g = _indicators(grid, blocks)
+        solved = _gth_held(rows, g)
+        if solved is not None:
+            w, residual = solved
+            return (_basins(g, grid, _absorption_order(blocks), 0, residual),
+                    f"gth (n={rows.shape[0]}, w={w})")
     basins = _absorption_iteration(rows, grid, blocks, tol)
-    logger.info("%s: iteration (%d steps)", name, basins.iterations)
+    return basins, f"iteration ({basins.iterations} steps)"
+
+
+def _axis_chain(matrix, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
+    """Axis j's own chain, lumped from the cell chain matrix on a grid of
+    the given shape: the rows of one slab of cells (every other coordinate
+    0), their columns summed over the other axes.  Exact for a chain that is
+    an average of Kronecker products of stochastic factors, up to rounding:
+    the rows of each factor sum to 1."""
+    index = [0] * len(shape)
+    index[j] = np.arange(shape[j])
+    slab = matrix[np.ravel_multi_index(tuple(index), shape)]
+    columns = np.unravel_index(slab.indices, shape)[j]
+    lumped = sp.csr_matrix((slab.data, columns, slab.indptr), shape=(shape[j], shape[j]))
+    lumped.sum_duplicates()
+    return lumped
+
+
+def _face_rows(matrix, grid: Grid, blocks: MetricConfig):
+    """What the solve by faces takes from the 2-d cell chain matrix: each
+    axis's chain (_axis_chain) with its blocks, and the rows of the cells
+    transient on both axes, which order numbers first, their columns
+    renumbered to order.  None with one rectangle, or where an axis's
+    absorbing blocks leak more than LEAKAGE_WARN."""
+    if len(blocks.rectangle_cells) == 1:
+        return None
+    axes = [(_axis_chain(matrix, grid.shape, j),
+             label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
+            for j, labels in enumerate(blocks.axis_labels)]
+    if any(_leakage(chain[cells][:, cells]) > LEAKAGE_WARN
+           for chain, config in axes for cells in config.rectangle_cells):
+        return None
+    joint = np.logical_and.outer(*(labels < 0 for labels in blocks.axis_labels)).ravel()
+    order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
+    return axes, _renumbered(matrix[order[:np.count_nonzero(joint)]], order), order
+
+
+def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
+                     tol: float) -> tuple[BasinFunctions, str]:
+    """The absorption probabilities of a 2-d cell chain by its faces, from
+    _face_rows, and the INFO line's text.
+
+    Each axis's cell process is a chain of its own (lumpable, Kemeny & Snell
+    1960), and a coordinate that has entered its absorbing block stays there
+    while the blocks are closed.  So on every cell with an absorbing axis the
+    values are known from the axes' 1-d absorption probabilities g1 and g2
+    (_transient_absorption, GTH where the band is narrow): rectangle (a, b),
+    numbered row-major like decompose's rectangles, takes g1_a(x1) g2_b(x2)
+    there, which is 1 or 0 on both axes' blocks, g2_b(x2) or 0 where x1 is
+    in a block, and g1_a(x1) or 0 where x2 is.  Only the b cells transient
+    on both axes are solved, every rectangle's function from 0 with those
+    face values held, by GTH where their band is narrow and otherwise by
+    _held_iteration to tol (iterations is its step count).  Nothing
+    subtracts, so the values stay in [0, 1]."""
+    values, solvers = [], []
+    for j, (chain, config) in enumerate(axes):
+        basins, solver = _transient_absorption(_transient_rows(chain, config),
+                                               Grid((grid.edges[j],)), config, tol)
+        values.append(basins.values)
+        solvers.append(solver.split(" ", 1)[0])
+    g1, g2 = values
+    b = rows.shape[0]
+    g = (g1[:, None, :, None] * g2[None, :, None, :]).reshape(-1, grid.ncells)[:, order]
+    g[:, :b] = 0.0
+    solved = _gth_held(rows, g)
+    if solved is None:
+        g, iterations, residual = _held_iteration(rows, g, tol)
+        joint_solver = f"{iterations} steps"
+    else:
+        (w, residual), iterations = solved, 0
+        joint_solver = f"gth w={w}"
+    return (_basins(g, grid, order, iterations, residual),
+            f"faces (axis solvers {'/'.join(solvers)}, joint n={b}, {joint_solver})")
+
+
+def _absorption(matrix, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
+    """The absorption probabilities of the cell chain matrix for
+    basin_functions and ulam_absorption (name): by faces in two dimensions
+    where every axis's absorbing blocks are closed (_face_absorption),
+    otherwise on all the transient cells (_transient_absorption).  Logs the
+    solver at INFO."""
+    faces = _face_rows(matrix, grid, blocks) if grid.dimension == 2 else None
+    rows = _transient_rows(matrix, blocks) if faces is None else None
+    del matrix  # basin_functions' full dual matrix is freed here
+    if faces is None:
+        basins, solver = _transient_absorption(rows, grid, blocks, tol)
+    else:
+        basins, solver = _face_absorption(*faces, grid, tol)
+    logging.getLogger(__name__).info("%s: %s", name, solver)
     return basins
 
 
 def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> BasinFunctions:
     """Absorption eigenfunctions of the exact dual operator, one per rectangle
     of fam.decomposition: the absorption probabilities of the interpolated
-    function-side matrix, by GTH elimination where its transient band is
-    narrow and otherwise by the indicator iteration run to tol (BASIN_TOL
-    by default); see _absorption.  The residual is the sup change one more
-    step of the iteration would make, not an error bound."""
+    function-side matrix, by faces in two dimensions where the blocks are
+    closed, by GTH elimination where the transient band is narrow, and
+    otherwise by the indicator iteration run to tol (BASIN_TOL by default);
+    see _absorption.  The residual is the sup change one more step of the
+    iteration would make, not an error bound."""
     if tol is None:
         tol = BASIN_TOL
     config = metric_config(grid, fam.decomposition)
-    # only the transient rows are kept: the full dual matrix is freed here
-    rows = _transient_rows(dual_operator(fam, grid), config)
-    basins = _absorption(rows, grid, config, tol, "basin_functions")
+    basins = _absorption(dual_operator(fam, grid), grid, config, tol, "basin_functions")
     if basins.partition_defect > 1e-6:
         logging.getLogger(__name__).warning(
             "partition-of-unity defect %.2e: the tolerance is too loose for the "
@@ -596,19 +746,19 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     """Absorption probabilities of the discrete chain itself, one row per
     rectangle block of blocks = metric_config(op.grid, decomp).
 
-    Solved as in basin_functions, on the Ulam matrix: by GTH elimination
-    where the transient band is narrow, otherwise by the indicator
-    iteration, whose k-th iterate is the probability of entering each
-    rectangle within k steps, run to ULAM_ABSORPTION_TOL.  The residual is
-    the sup change one more step of that iteration would make at the
-    result, not an error bound (the iteration's error is about 1/(1 - r)
-    times larger, r the per-step absorption rate).  These coefficients are
-    the ones the discretized evolution converges to, so the logged
-    distances in limit mixtures decay to zero rather than plateau at the
-    discretization mismatch.
+    Solved as in basin_functions, on the Ulam matrix: by faces in two
+    dimensions where the blocks are closed, by GTH elimination where the
+    transient band is narrow, otherwise by the indicator iteration, whose
+    k-th iterate is the probability of entering each rectangle within k
+    steps, run to ULAM_ABSORPTION_TOL.  The residual is the sup change one
+    more step of that iteration would make at the result, not an error
+    bound (the iteration's error is about 1/(1 - r) times larger, r the
+    per-step absorption rate).  These coefficients are the ones the
+    discretized evolution converges to, so the logged distances in limit
+    mixtures decay to zero rather than plateau at the discretization
+    mismatch.
     """
-    return _absorption(_transient_rows(op.matrix, blocks), op.grid, blocks,
-                       ULAM_ABSORPTION_TOL, "ulam_absorption")
+    return _absorption(op.matrix, op.grid, blocks, ULAM_ABSORPTION_TOL, "ulam_absorption")
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,31 @@ def test_basins_command(tmp_path):
     assert (out / "basin_0.csv").exists() and (out / "basin_1.csv").exists()
 
 
+def test_invariant_on_long_blocks_at_small_eta(tmp_path):
+    # at eta = 0.003 a block's measure spans more than the range of a double:
+    # GTH's back-substitution passed 1e308 and wrote NaN rows with exit 0
+    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.003)
+    out = tmp_path / "out"
+    assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "4000"]) == 0
+    report = json.loads((out / "invariant.json").read_text())
+    assert len(report["rectangles"]) == 2
+    for rect in report["rectangles"]:
+        assert np.isfinite(rect["residual"]) and rect["residual"] <= 1e-14
+        w = np.loadtxt(out / rect["file"], delimiter=",", skiprows=1, usecols=-1)
+        assert np.all(np.isfinite(w)) and w.min() >= 0.0
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nan_in_a_json_payload_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # strict JSON: a NaN is refused before the file is written, exit 5
+    monkeypatch.setattr(cli, "eta_bound", lambda obj: float("nan"))
+    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.33)
+    out = tmp_path / "out"
+    assert main(["basins", "--config", cfg, "--out", str(out), "--grid", "50"]) == 5
+    assert "internal error: ValueError" in capsys.readouterr().err
+    assert not (out / "basins.json").exists()
+
+
 def test_basins_coarse_2d_grid_converges(tmp_path):
     # at 12 cells per dimension the interpolated absorbing rows of the 2-d
     # double well leak 2e-2 per step; iterated unheld they never converged

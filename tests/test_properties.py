@@ -382,3 +382,60 @@ def _converged(solve):
         return solve()
     except NoConvergence:
         return None
+
+
+def _axis_absorption(fam, grid, j, kernel):
+    """(matrix, absorption values) of axis j's own 1-d problem, its
+    components and the step on the axis's cells, for kernel "dual"
+    (basin_functions) or "ulam" (ulam_absorption)."""
+    axis_fam = MapFamily(SeparableObjective(components=(fam.obj.components[j],)), fam.eta)
+    axis_grid = Grid((grid.edges[j],))
+    if kernel == "dual":
+        return dual_operator(axis_fam, axis_grid), basin_functions(axis_fam, axis_grid).values
+    op = ulam_assemble(axis_fam, axis_grid)
+    config = metric_config(axis_grid, axis_fam.decomposition)
+    return op.matrix, ulam_absorption(op, config).values
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_2d_absorption_has_the_axis_marginals_and_faces(problem):
+    # each axis's cell process is the axis's own 1-d chain, and where its
+    # absorbing blocks are closed a coordinate that enters one stays: summed
+    # over axis 2's rectangles the 2-d absorption is axis 1's (marginals),
+    # and on a cell with an absorbing axis rectangle (a, b) takes g1_a g2_b,
+    # 1 or 0 on that axis (faces); the solve by faces and the joint solve
+    # over every transient cell both hold them
+    fam, decomp, grid = problem
+    assume(grid.dimension == 2)
+    _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
+    op = ulam_assemble(fam, grid)
+    solves = {"dual": (dual_operator(fam, grid), lambda: basin_functions(fam, grid),
+                       transfer.BASIN_TOL),
+              "ulam": (op.matrix, lambda: ulam_absorption(op, config),
+                       transfer.ULAM_ABSORPTION_TOL)}
+    for kernel, (matrix, solve, tol) in solves.items():
+        try:
+            axes = [_axis_absorption(fam, grid, j, kernel) for j in range(2)]
+        except SgdmcError:
+            continue
+        blocks = [(chain, np.flatnonzero(labels == t))
+                  for (chain, _), labels in zip(axes, config.axis_labels)
+                  for t in range(labels.max() + 1)]
+        if any(transfer._leakage(chain[cells][:, cells]) > transfer.LEAKAGE_WARN
+               for chain, cells in blocks):
+            continue
+        g1, g2 = (values for _, values in axes)
+        faces = g1[:, None, :, None] * g2[None, :, None, :]
+        shape = (len(g1), len(g2)) + grid.shape
+        rows = _transient_rows(matrix, config)
+        joint_solve = transfer._transient_absorption(rows, grid, config, tol)[0]
+        for basins in (solve(), joint_solve):
+            values = basins.values.reshape(shape)
+            assert np.max(np.abs(values.sum(axis=1) - g1[:, :, None])) <= 1e-12
+            assert np.max(np.abs(values.sum(axis=0) - g2[:, None, :])) <= 1e-12
+            assert np.max(np.abs(values - faces)[:, :, ~joint], initial=0.0) <= 1e-12
+            assert 0.0 <= values.min() and values.max() <= 1.0 + 1e-15
+

@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from oracles import (
     classify_cells,
     direct_absorption,
@@ -417,6 +418,36 @@ def test_gth_invariant_matches_a_tight_iteration(monkeypatch):
         assert got.residual <= 1e-14
 
 
+def _birth_death(n: int, up: float) -> sp.csr_matrix:
+    """The chain on n states that steps up with probability up and down
+    otherwise, staying put where it cannot move."""
+    diagonal = np.zeros(n)
+    diagonal[0], diagonal[-1] = 1.0 - up, up
+    return sp.diags([np.full(n - 1, 1.0 - up), diagonal, np.full(n - 1, up)], [-1, 0, 1],
+                    format="csr")
+
+
+def test_gth_stationary_rescales_a_measure_wider_than_a_double():
+    # pushed toward state 0 at 9 to 1, pi_k is proportional to 9^-k: from
+    # pi = 1 at the last of 400 states the back-substitution passes 1e308,
+    # which left NaN; rescaled by exact powers of two it lands within
+    # rounding of the closed form, the states below 1e-300 aside
+    n = 400
+    got = transfer._gth_stationary(_birth_death(n, 0.1), 1)
+    k = np.arange(n)
+    expected = (8 / 9) * 9.0 ** -k / (1 - 9.0 ** -n)
+    assert np.all(np.isfinite(got)) and got.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-300)
+
+
+def test_gth_stationary_declines_a_non_finite_measure(monkeypatch):
+    # with the rescale off the measure overflows: None, so the power
+    # iteration runs instead of a NaN measure being returned
+    monkeypatch.setattr(transfer, "GTH_RESCALE", np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert transfer._gth_stationary(_birth_death(400, 0.1), 1) is None
+
+
 @pytest.mark.parametrize("obj,eta,n,solver", [
     (double_well(0.38), 0.01, 4000, "gth"),
     (double_well(0.38), 0.33, 10_000, "iteration"),
@@ -477,8 +508,11 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
         got = basin_functions(fam, grid)
         matrix, tol = dual_operator(fam, grid), BASIN_TOL
     if eta == 0.01:
-        # the public call takes GTH on this narrow band: pin the kernel itself
         assert got.iterations == 0
+    if eta == 0.01 or grid.dimension == 2:
+        # the public call takes GTH on this narrow band, and the faces on this
+        # closed 2-d grid (test_face_absorption_matches_the_joint_kernel):
+        # pin the kernel itself
         got = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
     assert got.values.flags.f_contiguous
     if rectangles == 1:
@@ -765,6 +799,103 @@ def test_mixed_2d_two_rectangle_pipeline():
     assert basins.partition_defect <= 1e-6
     c = mixture_coefficients(basins, DiscreteMeasure.uniform(fine))
     assert c[0] == pytest.approx(0.5, abs=1e-6)
+
+
+def _axis_leakage(matrix, grid, config) -> float:
+    """Max mass a row of one axis's absorbing block sends outside it, over
+    the axes' own chains lumped from matrix."""
+    leaks = [0.0]
+    for j, labels in enumerate(config.axis_labels):
+        chain = transfer._axis_chain(matrix, grid.shape, j)
+        for t in range(labels.max() + 1):
+            cells = np.flatnonzero(labels == t)
+            leaks.append(transfer._leakage(chain[cells][:, cells]))
+    return max(leaks)
+
+
+@pytest.mark.parametrize("n", [120, 300])
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
+    # dw2d-grid's problem, whose blocks are closed on both axes: the faces
+    # give the joint kernel's values to within its stop error, in [0, 1] up
+    # to rounding, iterating only the cells transient on both axes, in fewer
+    # steps; the INFO line names the path, the axis solvers and the joint work
+    fam = MapFamily(_double_well_product(2), 0.33)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    if kernel == "ulam":
+        op = ulam_assemble(fam, grid)
+        solve, matrix, tol, bound = partial(ulam_absorption, op, config), op.matrix, \
+            ULAM_ABSORPTION_TOL, 1e-12
+    else:
+        solve, matrix, tol, bound = partial(basin_functions, fam, grid), \
+            dual_operator(fam, grid), BASIN_TOL, 1e-10
+    assert _axis_leakage(matrix, grid, config) <= transfer.LEAKAGE_WARN
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        got = solve()
+    [record] = caplog.records
+    found = re.fullmatch(r"\w+: faces \(axis solvers gth/gth, joint n=(\d+), (\d+) steps\)",
+                         record.getMessage())
+    joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
+    assert found and (int(found[1]), int(found[2])) == (joint.sum(), got.iterations)
+    assert got.partition_defect <= 1e-10
+    assert 0.0 <= got.values.min() and got.values.max() <= 1.0 + 1e-15
+    assert got.values.flags.f_contiguous
+    if n == 120:
+        want = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
+        assert np.max(np.abs(got.values - want.values)) <= bound
+        assert 0 < got.iterations < want.iterations
+
+
+@pytest.mark.parametrize("obj,eta,n,solver", [
+    (SeparableObjective(components=(double_well(0.2).components[0],
+                                    double_well(0.55).components[0])), 0.2, 60, "iteration"),
+    (_double_well_product(2), 0.33, 12, "gth"),
+], ids=["mixed-60", "dw2d-12"])
+def test_leaky_axes_keep_the_joint_path(caplog, obj, eta, n, solver):
+    # the dual's absorbing blocks leak on an axis here (3.6e-2 and 1.0e-2 of
+    # a row's mass per step), so the faces do not hold: basin_functions
+    # solves over every transient cell as before, by the held iteration
+    # (the bits of the masked-reset loop) or by GTH
+    fam = MapFamily(obj, eta)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    matrix = dual_operator(fam, grid)
+    assert _axis_leakage(matrix, grid, config) > 1e-3
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        got = basin_functions(fam, grid)
+    [record] = caplog.records
+    assert record.getMessage().startswith(f"basin_functions: {solver} (")
+    if solver == "iteration":
+        want = masked_reset_absorption(matrix, grid, config, BASIN_TOL)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.iterations == want.iterations
+    else:
+        want = direct_absorption(matrix, grid.classify(fam.decomposition),
+                                 len(config.rectangle_cells))
+        assert np.max(np.abs(got.values - want)) <= 1e-13
+
+
+def test_2d_invariant_marginals_are_the_axis_invariants():
+    # the axes' cell processes are their own 1-d chains, so the marginals of
+    # each rectangle's invariant measure are its intervals' 1-d invariant
+    # measures, although the measure is far from their product; both axes
+    # carry the same double well, so axis 1's measures serve both
+    comp = double_well(0.38).components[0]
+    fam = MapFamily(SeparableObjective(components=(comp, comp)), 0.33)
+    grid = Grid.regular(fam.intervals, 60)
+    op = ulam_assemble(fam, grid)
+    config = metric_config(grid, fam.decomposition)
+    axis_fam = MapFamily(SeparableObjective(components=(comp,)), 0.33)
+    axis_op = ulam_assemble(axis_fam, Grid((grid.edges[0],)))
+    axis = [invariant_measure(axis_op, np.flatnonzero(config.axis_labels[0] == t),
+                              tol=1e-14).measure.weights for t in range(2)]
+    for rect, cells in zip(fam.decomposition.rectangles, config.rectangle_cells):
+        weights = invariant_measure(op, cells, tol=1e-14).measure.weights.reshape(grid.shape)
+        a, b = rect.index
+        assert np.max(np.abs(weights.sum(axis=1) - axis[a])) <= 1e-13
+        assert np.max(np.abs(weights.sum(axis=0) - axis[b])) <= 1e-13
+        assert 0.5 * np.abs(weights - np.outer(axis[a], axis[b])).sum() > 0.1
 
 
 def test_basins_on_coarse_grid_keep_the_partition_of_unity(caplog):
