@@ -15,6 +15,7 @@ optimization / step-size bound), 3 no convergence, 4 singular diffusion,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -56,6 +57,7 @@ from .transfer import (
 log = logging.getLogger("sgdmc")
 
 CSV_BLOCK_ROWS = 256  # 4096 raised diffusion --grid 10000's peak RSS by 1.6 MB
+GRID_CSV_BLOCK = 2048  # 4096 ran no faster and raised basins --grid 10000's peak RSS by 0.5 MB
 
 
 def _write_csv(path: str, header: list[str], columns, row: str | None = None) -> None:
@@ -74,51 +76,47 @@ def _write_csv(path: str, header: list[str], columns, row: str | None = None) ->
             fh.writelines(map(row.format, *block))
 
 
-def _write_grid_csv(path: str, grid: Grid, values) -> None:
-    """One row per cell, in flattened order: the centre's coordinates, then
-    the value (header x in 1-d, x1..xd otherwise), every field as {:.17g}.
-    No float is formatted twice.  Held whole: the texts of the distinct
-    values (distinct by bit pattern, so -0.0 keeps its text -0), one index
-    per cell into them and, in 2-d and up, each axis's centre texts.  Made
-    CSV_BLOCK_ROWS cells at a time: in 1-d, where each centre is used once,
-    the centre texts; the lines, by object-array concatenation of those
-    texts; and their one joined write."""
-    d = grid.dimension
+def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
+    """One grid CSV per name into --out, written side by side: a row per cell
+    in flattened order, the centre's coordinates then the value (header x in
+    1-d, x1..xd otherwise), every field as {:.17g}.  No float is formatted
+    twice: the files share the centre texts (made per block in 1-d, whole per
+    axis otherwise), and each formats its distinct values once, distinct by
+    bit pattern so that -0.0 keeps its text -0.  Each block of GRID_CSV_BLOCK
+    cells is one (cells, d + 1) object array of references to those texts,
+    joined once per file.  Logs, at INFO, the seconds from started to the
+    first write (the compute) apart from the writing, with rows and bytes."""
+    computed = time.perf_counter()
+    d, ncells = grid.dimension, grid.ncells
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
 
-    def centre_texts(centers):
-        return np.array([f"{c:.17g}," for c in centers.tolist()], dtype=object)
+    def texts(floats, end: str):
+        return np.array([f"{v:.17g}{end}" for v in floats.tolist()], dtype=object)
 
-    axes = None if d == 1 else [centre_texts(centers) for centers in grid.centers]
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, which = np.unique(bits, return_inverse=True)
-    texts = np.array([f"{v:.17g}\n" for v in distinct.view(np.float64).tolist()],
-                     dtype=object)
-    ncells = grid.ncells
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header + ["value"]) + "\n")
-        for start in range(0, ncells, CSV_BLOCK_ROWS):
-            cells = np.arange(start, min(start + CSV_BLOCK_ROWS, ncells))
-            lines = texts[which[cells]]
-            if axes is None:
-                lines = centre_texts(grid.centers[0][cells]) + lines
-            else:
-                for axis, k in zip(reversed(axes), reversed(np.unravel_index(cells, grid.shape))):
-                    lines = axis[k] + lines
-            fh.write("".join(lines.tolist()))
-
-
-def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
-    """One grid CSV per name into --out; logs, at INFO, the seconds from
-    started to the first write (the compute) apart from the writing, with
-    the rows and bytes written."""
-    computed = time.perf_counter()
+    axes = None if d == 1 else [texts(centers, ",") for centers in grid.centers]
+    uniques = (np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                         return_inverse=True) for values in series)
+    columns = [(texts(distinct.view(np.float64), "\n"), which) for distinct, which in uniques]
     paths = [os.path.join(args.out, name) for name in names]
-    for path, values in zip(paths, series):
-        _write_grid_csv(path, grid, values)
+    fields = np.empty((min(GRID_CSV_BLOCK, ncells), d + 1), dtype=object)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="\n")) for p in paths]
+        for fh in files:
+            fh.write(",".join(header + ["value"]) + "\n")
+        for start in range(0, ncells, GRID_CSV_BLOCK):
+            stop = min(start + GRID_CSV_BLOCK, ncells)
+            block = fields[:stop - start]
+            if axes is None:
+                block[:, 0] = texts(grid.centers[0][start:stop], ",")
+            else:
+                for j, k in enumerate(np.unravel_index(np.arange(start, stop), grid.shape)):
+                    block[:, j] = axes[j][k]
+            for fh, (text, which) in zip(files, columns):
+                block[:, d] = text[which[start:stop]]
+                fh.write("".join(block.ravel().tolist()))
     log.info("%s: compute %.3fs, write %.3fs (%d rows, %d bytes)", args.command,
              computed - started, time.perf_counter() - computed,
-             len(paths) * grid.ncells, sum(os.path.getsize(p) for p in paths))
+             len(paths) * ncells, sum(os.path.getsize(p) for p in paths))
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -1,7 +1,9 @@
-"""tools/bench_pairs: per-metric quartiles and pair wins (summarize), and the
-operation medians read off perfbench's output (parse_run)."""
+"""tools/bench_pairs: per-metric quartiles and pair wins (summarize), the
+operation medians read off perfbench's output (parse_run), and the exit
+status that names failed runs (main, with perfbench and git stood in for)."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -81,3 +83,32 @@ def test_operation_medians_are_kept_per_run_and_summarized():
 def test_a_run_without_a_result_line_keeps_the_error():
     assert bench_pairs.parse_run("error_rate 0/0 = 0\n", "Traceback: boom\n") == {
         "correct": False, "error": "Traceback: boom"}
+
+
+@pytest.mark.parametrize("bad,status,named", [
+    ({}, 0, []),
+    # pair 2 runs the working tree first: calls 3 (change) and 4 (base)
+    ({3: {"failed": 1}, 4: {"correct": False}}, 1, ["wl pair 2 base", "wl pair 2 change"]),
+])
+def test_a_failed_run_is_named_and_exits_1_after_the_record(tmp_path, monkeypatch, capsys,
+                                                              bad, status, named):
+    calls = []
+
+    def bench(tree, workload, seed, seconds):
+        calls.append(os.path.basename(tree))
+        return {"correct": True, "failed": 0, "metrics": {"wall_ref_s": {"value": 1.0}},
+                **bad.get(len(calls), {})}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "wl=2"]) == status
+    assert calls == ["base", "work", "work", "base"]
+    record = json.loads(out.read_text())
+    assert record["workloads"]["wl"]["all_correct"] == (not named)
+    reported = [line.split(": ", 1)[1] for line in capsys.readouterr().err.splitlines()
+                if line.startswith("incorrect or failed operations: ")]
+    assert reported == named

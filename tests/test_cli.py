@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -727,16 +728,24 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.0, np.nextafter(1.0, 2.0),
                np.nextafter(1.0, 0.0), 0.1, np.nextafter(0.1, 1.0), np.inf, -np.inf, np.nan]
 
 
-@pytest.mark.parametrize("shape", [(cli.CSV_BLOCK_ROWS + 3,), (1,), (17, 23), (7, 5, 11)])
-@pytest.mark.parametrize("constant", [False, True])
-def test_grid_csv_matches_per_row_formatting(tmp_path, shape, constant):
-    # a dedupe keyed on float equality would write -0.0 as 0
+@pytest.mark.parametrize("shape", [(5,), (cli.GRID_CSV_BLOCK,), (cli.GRID_CSV_BLOCK + 1,),
+                                   (67, 71), (17, 13, 19)])
+@pytest.mark.parametrize("several", [False, True])
+def test_grid_csv_matches_per_row_formatting(tmp_path, shape, several):
+    # one file, or several written side by side in one call: the edge values,
+    # a constant and a series that differs from cell to cell; blocks end
+    # inside a row in 2-d and 3-d, and a dedupe keyed on float equality
+    # would write -0.0 as 0
     grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
-    assert grid.ncells % cli.CSV_BLOCK_ROWS != 0
-    values = np.full(grid.ncells, 0.1) if constant else np.resize(EDGE_VALUES, grid.ncells)
-    cli._write_grid_csv(str(tmp_path / "new.csv"), grid, values)
-    per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    series = [np.resize(EDGE_VALUES, grid.ncells)]
+    if several:
+        series += [np.full(grid.ncells, 0.1), np.sin(np.arange(grid.ncells))]
+    names = [f"new_{m}.csv" for m in range(len(series))]
+    args = argparse.Namespace(command="basins", out=str(tmp_path))
+    cli._write_grid_csvs(args, grid, names, series, time.perf_counter())
+    for name, values in zip(names, series):
+        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_readme_cli_synopsis_matches_the_parser():

@@ -31,7 +31,13 @@ from sgdmc.dynamics import (
 )
 from sgdmc.errors import GridTooCoarse, NoConvergence, NotFound, SgdmcError
 from sgdmc.metrics import cdf_sup, d_tilde, half_l1, metric_config
-from sgdmc.objective import SeparableObjective, eta_bound, lambda_split, state_space_window
+from sgdmc.objective import (
+    SeparableObjective,
+    double_well,
+    eta_bound,
+    lambda_split,
+    state_space_window,
+)
 from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     DiscreteMeasure,
@@ -374,6 +380,25 @@ def test_gth_matches_the_tight_iteration(problem):
             gap = gth.values - tight.values
             assert gap.min() >= -1e-14
             assert np.all(gap <= 1.0 - tight.values.sum(axis=0) + 1e-14)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(st.floats(0.1, 0.38), st.floats(np.log(0.001), np.log(0.01)), st.integers(2000, 8000))
+def test_long_1d_blocks_at_small_eta_have_probability_measures(lam, log_eta, n):
+    # at small eta a block is thousands of cells long and its measure can
+    # span past a double's range; GTH solves every narrow band all the same
+    fam = MapFamily(double_well(lam), float(np.exp(log_eta)))
+    grid = Grid.regular(fam.intervals, n)
+    op = ulam_assemble(fam, grid)
+    for cells in metric_config(grid, fam.decomposition).rectangle_cells:
+        got = invariant_measure(op, cells)
+        weights = got.measure.weights
+        assert np.all(np.isfinite(weights)) and weights.min() >= 0.0
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        block = op.matrix[cells][:, cells]
+        if transfer._half_bandwidth(transfer._entry_rows(block),
+                                    block.indices) <= transfer.GTH_MAX_BAND:
+            assert got.iterations == 0
 
 
 def _converged(solve):

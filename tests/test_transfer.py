@@ -402,10 +402,12 @@ def test_gth_absorption_matches_direct_solve(obj, eta, n, kernel):
     assert got.values.flags.f_contiguous
 
 
-def test_gth_invariant_matches_a_tight_iteration(monkeypatch):
+@pytest.mark.parametrize("eta", [0.01, 0.003])
+def test_gth_invariant_matches_a_tight_iteration(monkeypatch, eta):
     # at eta = 0.01 the blocks mix slowly, so the default stop left the power
-    # iteration 4.9e-9 off; GTH lands within rounding of a 1e-15 stop
-    fam = MapFamily(double_well(0.38), 0.01)
+    # iteration 4.9e-9 off; GTH lands within rounding of a 1e-15 stop, also
+    # at eta = 0.003, where a block's measure spans past a double's range
+    fam = MapFamily(double_well(0.38), eta)
     grid = Grid.regular(fam.intervals, 4000)
     op = ulam_assemble(fam, grid)
     for cells in metric_config(grid, fam.decomposition).rectangle_cells:

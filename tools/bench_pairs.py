@@ -18,7 +18,9 @@ median and quartiles and the number of pairs the working tree wins (ties
 count for neither side). Each run also keeps the ``<op>_ref_s`` median of
 every operation, which perfbench prints above its result line, and each
 workload summarizes them the same way under ``operations``: recorded
-figures that show which operation a saving sits in, read by no gate.
+figures that show which operation a saving sits in, read by no gate. The
+exit status is 1, after the output is written, when any run is incorrect or
+has failed operations; each such run is named on stderr.
 """
 
 import argparse
@@ -85,6 +87,20 @@ def parse_run(stdout: str, stderr: str) -> dict:
     result["operations"] = {m[1]: {"value": float(m[2])} for m in map(OPERATION_LINE.match, lines)
                             if m and m[1] != "wall_ref_s"}  # wall_ref_s is end to end
     return result
+
+
+def run_ok(run: dict) -> bool:
+    """Whether a run is correct with no failed operation."""
+    return run["correct"] and run.get("failed") == 0
+
+
+def failed_runs(record: dict) -> list[str]:
+    """The name, as "<workload> pair <k> <side>", of each run that is not
+    run_ok."""
+    return [f"{workload} pair {k + 1} {side}"
+            for workload, entry in record["workloads"].items()
+            for k, pair in enumerate(entry["pairs"])
+            for side in ("base", "change") if not run_ok(pair[side])]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -156,8 +172,7 @@ def main(argv=None) -> int:
                     operations.update(pair[side].get("operations", {}))
                 pairs.append(pair)
             record["workloads"][workload] = {
-                "all_correct": all(p[side]["correct"] and p[side].get("failed") == 0
-                                   for p in pairs for side in ("base", "change")),
+                "all_correct": all(run_ok(p[side]) for p in pairs for side in ("base", "change")),
                 "pairs": pairs,
                 "summary": summarize(pairs, metrics),
                 "operations": summarize(pairs, dict.fromkeys(sorted(operations), "lower"),
@@ -166,7 +181,10 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0
+    failed = failed_runs(record)
+    for name in failed:
+        print(f"incorrect or failed operations: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
