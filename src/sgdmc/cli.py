@@ -43,7 +43,7 @@ from .objective import (
     lambda_split,
     objective_from_config,
 )
-from .poly import Polynomial
+from .poly import Polynomial, isolation_counts
 from .transfer import (
     MAX_GRID_DIMENSION,
     DiscreteMeasure,
@@ -146,7 +146,10 @@ def _problem(args, cfg: dict):
             raise ConfigError("sweep requires the linear-splitting config form")
         base = Polynomial(config_coefficients(cfg["objective"], "'objective'"))
         lambda_split(base, 1.0)  # validates coercivity up front
-        return base, np.linspace(*_parse_range(args.range))
+        lams = np.linspace(*_parse_range(args.range))
+        # and the coefficients' range: the last lambda has the widest root bounds
+        lambda_split(base, lams[-1]).critical_report
+        return base, lams
     fam = MapFamily(*objective_from_config(cfg))
     if args.command == "diffusion" and fam.dimension != 1:
         raise ConfigError("diffusion comparison is one-dimensional")
@@ -275,9 +278,10 @@ def _sweep_point(base: Polynomial, lam: float):
 
 def cmd_sweep(args, problem) -> None:
     base, lams = problem
-    started = time.perf_counter()
+    started, isolated = time.perf_counter(), isolation_counts()
     points = [_sweep_point(base, lam) for lam in lams.tolist()]
     scanned = time.perf_counter()
+    computed, reused = (b - a for a, b in zip(isolated, isolation_counts()))
     found = bifurcations(base, lams[0], lams[-1])
     searched = time.perf_counter()
     rows = [("point", lam, cnt, f"{eta0:.17g}", endp) for lam, cnt, eta0, endp in points]
@@ -285,10 +289,10 @@ def cmd_sweep(args, problem) -> None:
     path = os.path.join(args.out, "sweep.csv")
     _write_csv(path, ["record", "lambda", "count", "eta0", "endpoints"],
                list(zip(*rows)), row="{},{:.17g},{},{},{}\n")
-    log.info("sweep: points %.3fs (%d lambda values), bifurcations %.3fs (%d found), "
-             "write %.3fs (%d rows, %d bytes)", scanned - started, len(points),
-             searched - scanned, len(found), time.perf_counter() - searched, len(rows),
-             os.path.getsize(path))
+    log.info("sweep: points %.3fs (%d lambda values; %d isolations, %d reused), "
+             "bifurcations %.3fs (%d found), write %.3fs (%d rows, %d bytes)",
+             scanned - started, len(points), computed, reused, searched - scanned, len(found),
+             time.perf_counter() - searched, len(rows), os.path.getsize(path))
 
 
 def cmd_sample(args, problem) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 from .absorbing import AbsorbingInterval, Decomposition, Rectangle, SignChart, decompose
 from .errors import DimensionMismatch, NonTermination, NotFound, OutOfStateSpace
 from .objective import SeparableObjective, check_step, state_space_window, step_map
-from .poly import Polynomial
+from .poly import Polynomial, compile_horner
 
 Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 
@@ -525,27 +525,19 @@ def _horner_table(maps) -> list:
 @cache
 def _orbit(width: int):
     """The orbit kernel for coefficient tuples of the given width, compiled
-    once per width on first use (not at import): kernel(table, picks, s) is
-    the list of points s visits when map i = picks[0], picks[1], ... is
+    once per width on first use (not at import): kernel(table, picks, x) is
+    the list of points x visits when map i = picks[0], picks[1], ... is
     applied in turn, map i having coefficients table[i] (see _horner_table
     for the padding and why its points are Polynomial.__call__'s bits).
 
-    Each step is Horner unrolled from the leading coefficient, for width 4
-    s = ((c0 * s + c1) * s + c2) * s + c3, one expression with no inner loop
-    over the coefficients.  The interpreter's cost per step is most of the
-    sampler's time: on a 2-vCPU Xeon a block of 2^16 steps takes about
+    Each step is compile_horner's unrolled Horner expression, with no inner
+    loop over the coefficients.  The interpreter's cost per step is most of
+    the sampler's time: on a 2-vCPU Xeon a block of 2^16 steps takes about
     140-185 ns per step on the double-well (cubic) maps and 310-330 ns on
     eighth_order's degree-7 maps, against 240-330 and 520-560 ns through a
     generic loop over each map's coefficient tuple."""
-    cs = [f"c{k}" for k in range(width)]
-    step = cs[0]
-    for c in cs[1:]:
-        step = f"({step}) * s + {c}"
-    namespace: dict = {}
-    exec(f"def orbit(table, picks, s):\n"
-         f"    return [s := {step} for {', '.join(cs)}, in map(table.__getitem__, picks)]\n",
-         namespace)
-    return namespace["orbit"]
+    return compile_horner(width, "def kernel(table, picks, x):\n"
+                          "    return [x := {horner} for {cs}, in map(table.__getitem__, picks)]\n")
 
 
 def _membership_series(traj: np.ndarray, decomp: Decomposition) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
-from .errors import DegenerateDerivative
+from .errors import ConfigError, DegenerateDerivative
 
 ROOT_TOL = 1e-12
+ROOTS_MEMO_SIZE = 1024  # distinct polynomials whose roots real_roots keeps
 
 
 def _strip(coeffs) -> tuple[float, ...]:
@@ -88,25 +91,55 @@ class Polynomial:
         return 1.0 + max((abs(c / lead) for c in self.coeffs[:-1]), default=0.0)
 
 
+def compile_horner(width: int, source: str):
+    """The function kernel that source defines, in whose text {cs} stands for
+    the names c0, c1, ... of width coefficients from the leading one down and
+    {horner} for Horner's rule at x unrolled on them, for width 4
+    ((c0 * x + c1) * x + c2) * x + c3: one expression, no loop over the
+    coefficients.  At a finite x it has the bits of Polynomial.__call__,
+    whose first step x * 0.0 * x + c0 is exactly a nonzero c0."""
+    cs = [f"c{k}" for k in range(width)]
+    horner = cs[0]
+    for c in cs[1:]:
+        horner = f"({horner}) * x + {c}"
+    namespace: dict = {}
+    exec(source.format(cs=", ".join(cs), horner=horner), namespace)
+    return namespace["kernel"]
+
+
+@cache
+def _bisector(width: int):
+    # _bisect's loop for width coefficients, compiled on first use
+    return compile_horner(width, """def kernel(coeffs, lo, hi, up):
+    {cs}, = coeffs
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+        v = {horner}
+        if v == 0.0:
+            return x
+        if (v > 0.0) == up:
+            lo = x
+        else:
+            hi = x
+    return 0.5 * (lo + hi) + 0.0  # +0.0 normalizes -0.0
+""")
+
+
 def _bisect(p: Polynomial, lo: float, hi: float, s_lo: float) -> float:
     # p has opposite signs at lo and hi; p is monotone on [lo, hi].
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        v = p(mid)
-        if v == 0.0:
-            return mid
-        if (v > 0.0) == (s_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) + 0.0  # +0.0 normalizes -0.0
+    return _bisector(len(p.coeffs))(p.coeffs[::-1], lo, hi, s_lo > 0.0)
 
 
 def _eval_scale(p: Polynomial, x: float) -> float:
     # magnitude of the terms entering the Horner sum; calibrates "zero"
-    return max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
+    try:
+        return max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
+    except OverflowError:
+        raise ConfigError(f"coefficients span too wide a range for double precision: "
+                          f"isolating the real roots of {list(p.coeffs)} overflows at "
+                          f"|x| = {abs(x):.3g}") from None
 
 
 def real_roots(p: Polynomial) -> list[float]:
@@ -116,14 +149,23 @@ def real_roots(p: Polynomial) -> list[float]:
     sign change brackets exactly one root, refined by bisection.  Breakpoints
     where |p| falls below ROOT_TOL (relative to the evaluation magnitude) are
     sign-touching roots and are reported once; the snap keeps double roots from
-    being either missed or double counted.
+    being either missed or double counted.  The roots of the last
+    ROOTS_MEMO_SIZE distinct polynomials are kept, keyed on the coefficients'
+    bit patterns (x + 0.0 has the root -0.0, x - 0.0 the root 0.0); each
+    call returns a fresh list.
     """
+    return list(_isolate(struct.pack(f"{len(p.coeffs)}d", *p.coeffs)))
+
+
+@lru_cache(maxsize=ROOTS_MEMO_SIZE)
+def _isolate(key: bytes) -> tuple[float, ...]:
+    p = Polynomial(struct.unpack(f"{len(key) // 8}d", key))
     if p.is_zero:
         raise DegenerateDerivative("zero polynomial has no isolated roots")
     if p.degree == 0:
-        return []
+        return ()
     if p.degree == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
+        return (-p.coeffs[0] / p.coeffs[1],)
 
     bound = p.cauchy_bound()
     inner = [r for r in real_roots(p.derivative()) if -bound < r < bound]
@@ -151,7 +193,13 @@ def real_roots(p: Polynomial) -> list[float]:
     for r in roots:
         if not out or r - out[-1] > sep:
             out.append(r)
-    return out
+    return tuple(out)
+
+
+def isolation_counts() -> tuple[int, int]:
+    """(computed, reused): real_roots' isolations so far, the memo's misses and hits."""
+    info = _isolate.cache_info()
+    return info.misses, info.hits
 
 
 def critical_points(p: Polynomial) -> list[float]:

@@ -6,7 +6,9 @@ the zero-padded composite distance.  Everything here deliberately avoids the
 package's own algorithms, except per_step_decay_log and
 masked_reset_absorption, which keep the measure-by-measure loop the limit
 mixtures' log once ran and the full-matrix loop the absorption kernel once
-ran, to pin their bits."""
+ran, and scalar_bisect and scalar_real_roots, which keep root isolation's
+unmemoized recursion and its bisection through Polynomial.__call__, to pin
+their bits."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sgdmc import transfer
+from sgdmc import poly, transfer
 
 
 def depressed_cubic_roots(p: float, q: float) -> list[float]:
@@ -299,3 +301,48 @@ def masked_reset_absorption(matrix, grid, blocks, tol: float):
             return transfer.BasinFunctions(grid=grid, values=g, iterations=it,
                                            residual=residual, partition_defect=defect)
     raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")
+
+
+def scalar_bisect(p, lo: float, hi: float, s_lo: float) -> float:
+    """Bisection of p on [lo, hi], evaluating p through Polynomial.__call__."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        v = p(mid)
+        if v == 0.0:
+            return mid
+        if (v > 0.0) == (s_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) + 0.0
+
+
+def scalar_real_roots(p) -> list[float]:
+    """poly.real_roots without its memo, recursing into itself and bisecting
+    with scalar_bisect."""
+    if p.degree == 0:
+        return []
+    if p.degree == 1:
+        return [-p.coeffs[0] / p.coeffs[1]]
+    bound = p.cauchy_bound()
+    inner = [r for r in scalar_real_roots(p.derivative()) if -bound < r < bound]
+    nodes = [-bound] + sorted(inner) + [bound]
+    signs = []
+    for x in nodes:
+        v = p(x)
+        scale = max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
+        signs.append(0 if abs(v) <= poly.ROOT_TOL * scale else 1 if v > 0 else -1)
+    roots = [x for x, s in zip(nodes, signs) if s == 0]
+    idx = [k for k, s in enumerate(signs) if s != 0]
+    for a, b in zip(idx[:-1], idx[1:]):
+        if signs[a] * signs[b] < 0:
+            roots.append(scalar_bisect(p, nodes[a], nodes[b], p(nodes[a])))
+    roots.sort()
+    out: list[float] = []
+    sep = 1e-9 * max(1.0, bound)
+    for r in roots:
+        if not out or r - out[-1] > sep:
+            out.append(r)
+    return out

@@ -11,7 +11,7 @@ import pytest
 from oracles import per_row_grid_csv
 
 import sgdmc
-from sgdmc import cli
+from sgdmc import cli, poly
 from sgdmc.cli import main
 from sgdmc.dynamics import MapFamily, uniform_escape_length
 from sgdmc.metrics import metric_config
@@ -20,6 +20,8 @@ from sgdmc.poly import Polynomial
 from sgdmc.transfer import Grid
 
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
+# F' + 0.38 = 0.38 - x + 4e-150 x^3 has the root bound 2.5e149, whose cube overflows
+RANGE_OVERFLOW_CONFIG = {"objective": [0.25, 0, -0.5, 0, 1e-150], "lambda": 0.38, "eta": 0.01}
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
 # F + 0.38x and F - 0.38x of the double well F, ascending coefficients
@@ -161,6 +163,8 @@ NAN, INF = float("nan"), float("inf")
                  "components": [[[1, -2, 1], [1, 2, 1]]]}),
     ("sample", {"objective": DW_COEFFS, "lambda": 0.38, "eta": 0.33, "x0": False}),
     ("sample --compare-invariant", MIXED_CONFIG),
+    ("analyze", RANGE_OVERFLOW_CONFIG),
+    ("sweep --range=0.1:1:3", RANGE_OVERFLOW_CONFIG),
 ], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
         "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
         "component-inf", "sweep-coefficient-nan", "dimension-string", "n-zero",
@@ -168,7 +172,8 @@ NAN, INF = float("nan"), float("inf")
         "sweep-range-negative", "sweep-range-zero", "sweep-range-nan", "x0-string",
         "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan",
         "eta-numeric-string", "lambda-true", "coefficient-numeric-string", "dimension-true",
-        "n-numeric-string", "x0-false", "compare-invariant-2d"])
+        "n-numeric-string", "x0-false", "compare-invariant-2d", "coefficient-range",
+        "sweep-coefficient-range"])
 def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "o"
@@ -650,8 +655,9 @@ def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver
             assert (n, int(iterations)) == (None, step) and step > 0
 
 
-SWEEP_LINE = (r"sweep: points \d+\.\d{3}s \((\d+) lambda values\), bifurcations "
-              r"\d+\.\d{3}s \((\d+) found\), write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
+SWEEP_LINE = (r"sweep: points \d+\.\d{3}s \((\d+) lambda values; \d+ isolations, \d+ reused\), "
+              r"bifurcations \d+\.\d{3}s \((\d+) found\), write \d+\.\d{3}s \((\d+) rows, "
+              r"(\d+) bytes\)")
 DIFFUSION_LINE = (r"diffusion: density \d+\.\d{3}s, invariant \d+\.\d{3}s \((\d+) rectangles\), "
                   r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
@@ -683,6 +689,27 @@ def test_info_log_times_the_sweep_and_diffusion_stages(tmp_path, caplog, argv, l
     else:
         assert counts == [json.loads((out / "diffusion.json").read_text())["exact_count"]] == [2]
         assert rows == 300
+
+
+def test_sweep_log_counts_isolations_computed_and_reused(tmp_path, caplog):
+    # every lambda's components share F'' and F''', so of the four root
+    # isolations per lambda only F' +- lambda are new, and the last lambda's
+    # pair was isolated up front by the coefficient-range check
+    cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
+    poly._isolate.cache_clear()
+    counts = []
+    for run in ("cold", "warm"):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="sgdmc"):
+            assert main(["sweep", "--range", "0.1:1.0:40", "--config", cfg,
+                         "--out", str(tmp_path / run)]) == 0
+        line, = (m for m in (re.match(r"sweep: points \S+ \(40 lambda values; (\d+) isolations, "
+                                      r"(\d+) reused\)", r.getMessage())
+                             for r in caplog.records) if m)
+        counts.append(tuple(map(int, line.groups())))
+    assert counts == [(2 * 39, 4 * 40), (0, 4 * 40)]
+    assert (tmp_path / "cold" / "sweep.csv").read_bytes() == (
+        tmp_path / "warm" / "sweep.csv").read_bytes()
 
 
 ANALYZE_LINE = (r"analyze: certificates \d+\.\d{3}s, escape \d+\.\d{3}s "

@@ -55,11 +55,18 @@ CASES = {
     "sample-3d": (CUBE_CONFIG, ["sample", "--grid", "32", "--steps", "2000", "--seed", "1"]),
     "diffusion-1d": (DW_CONFIG, ["diffusion", "--grid", "500"]),
     "sweep": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:40"]),
+    # the benchmark's own range
+    "sweep-400": (DW_CONFIG, ["sweep", "--range", "0.1:1.0:400"]),
     "sweep-eighth": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:40"]),
     # no range point falls between the 3->2 and the 2->1 change
     "sweep-eighth-coarse": (EIGHTH_CONFIG, ["sweep", "--range", "0.3:8.0:3"]),
     "sweep-eighth-narrow": (EIGHTH_CONFIG, ["sweep", "--range", "1.0:2.5:2"]),
     "inadmissible-eta": ({**DW_CONFIG, "eta": 0.9}, ["analyze", "--grid", "100"]),
+    # x^4 / 1e150: the cube of F' +- lambda's root bound 2.5e149 overflows
+    "coefficient-range": ({**DW_CONFIG, "objective": [0.25, 0, -0.5, 0, 1e-150], "eta": 0.01},
+                          ["analyze", "--grid", "100"]),
+    "sweep-coefficient-range": ({"objective": [0.25, 0, -0.5, 0, 1e-150]},
+                                ["sweep", "--range", "0.1:1:3"]),
 }
 
 # per case: exit code, file digests and stderr text
@@ -109,6 +116,11 @@ GOLDEN = {
             "basins.json": "32d4fefa7cb4e05b3c4f53edcbb7eee18871daf1254217dde395132014dbaced"
         },
         "stderr": ""
+    },
+    "coefficient-range": {
+        "exit": 1,
+        "files": {},
+        "stderr": "config error: coefficients span too wide a range for double precision: isolating the real roots of [0.38, -1.0, 0.0, 4e-150] overflows at |x| = 2.5e+149\n"
     },
     "diffusion-1d": {
         "exit": 0,
@@ -179,6 +191,18 @@ GOLDEN = {
             "sweep.csv": "2b7f45194b3c73fee5be9a6cd6b22cdd4202d1ed4870e79c36184d3e5862b1a9"
         },
         "stderr": ""
+    },
+    "sweep-400": {
+        "exit": 0,
+        "files": {
+            "sweep.csv": "245683f9fd683adbba3c7c3352ba31d2dd3d38767b9974fb1ddc6b56c6c75959"
+        },
+        "stderr": ""
+    },
+    "sweep-coefficient-range": {
+        "exit": 1,
+        "files": {},
+        "stderr": "config error: coefficients span too wide a range for double precision: isolating the real roots of [1.0, -1.0, 0.0, 4e-150] overflows at |x| = 2.5e+149\n"
     },
     "sweep-eighth": {
         "exit": 0,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import double_well_roots
-from sgdmc.errors import DegenerateDerivative
+from oracles import double_well_roots, scalar_bisect, scalar_real_roots
+from sgdmc import poly
+from sgdmc.errors import ConfigError, DegenerateDerivative
 from sgdmc.poly import Polynomial, critical_points, real_roots
 
 DW = Polynomial([0.25, 0.0, -0.5, 0.0, 0.25])  # (1 - x^2)^2 / 4
@@ -127,3 +130,65 @@ def test_poly_arithmetic():
     assert (a + b).coeffs == (1.0, 2.0, 3.0)
     assert (a * b).coeffs == (0.0, 0.0, 3.0, 6.0)
     assert (a - a).is_zero
+
+
+# coefficients with signed zeros; the leading one is kept away from 0 so that
+# the root bounds stay far inside double precision
+coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+leading = st.one_of(st.floats(-4.0, -0.05), st.floats(0.05, 4.0))
+
+
+@st.composite
+def polynomials(draw):
+    degree = draw(st.integers(1, 8))
+    return Polynomial([draw(coefficient) for _ in range(degree)] + [draw(leading)])
+
+
+def hexes(xs):
+    return [x.hex() for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+def test_compiled_bisection_matches_scalar_bisection(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    s_lo = p(lo)
+    assert poly._bisect(p, lo, hi, s_lo).hex() == scalar_bisect(p, lo, hi, s_lo).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_memoized_real_roots_match_scalar_real_roots(p):
+    expected = hexes(scalar_real_roots(p))
+    assert hexes(real_roots(p)) == expected
+    assert hexes(real_roots(p)) == expected  # from the memo
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+def test_memo_keys_on_bit_patterns(order):
+    # Polynomial([0.0, 1.0]) == Polynomial([-0.0, 1.0]), but their roots are
+    # -0.0 / 1.0 = -0.0 and 0.0
+    poly._isolate.cache_clear()
+    for _ in range(2):
+        for c in order:
+            assert hexes(real_roots(Polynomial([c, 1.0]))) == [(-c).hex()]
+
+
+def test_memo_returns_a_fresh_list():
+    roots = real_roots(DW)
+    expected = list(roots)
+    roots[0] = 3.0
+    roots.append(7.0)
+    assert real_roots(DW) == expected
+
+
+def test_range_overflow_is_a_config_error_and_not_memoized():
+    # the root bound 2.5e149 of 1 - x + 4e-150 x^3: its cube overflows
+    p = Polynomial([1.0, -1.0, 0.0, 4e-150])
+    poly._isolate.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="too wide a range"):
+            real_roots(p)
+    # p, p' and p'' on the first call and p again on the second: p' and p''
+    # were kept, the failure was not
+    assert poly.isolation_counts() == (4, 1)
