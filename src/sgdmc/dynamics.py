@@ -4,6 +4,7 @@ extremal envelopes, splitting certificates, escape paths and the sampler."""
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -19,7 +20,11 @@ Path = tuple[int, ...]  # map indices, 1-based, applied left to right
 ESCAPE_STEP_CAP = 10**6
 ELL_MAX = 64  # default cap on a splitting certificate's path length
 CERTIFICATE_TOL = 1e-9  # slack of verify_certificate's splitting inequalities
-SAMPLE_CHUNK = 1 << 16  # sampler steps per block
+SAMPLE_CHUNK = 1 << 16  # sampler steps per scalar block
+SAMPLE_LANES = 512  # lanes per super-block at the shortest lane length
+SAMPLE_LANE_STEPS = 4096  # shortest lane; a super-block is SAMPLE_LANES times as many draws
+LANE_CHUNK = 64  # lane steps per buffer
+NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -449,62 +454,339 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     """Run the chain with uniform i.i.d. map choices (PCG64 stream), counting coordinate
     j's visits on the transfer.Grid's grid.edges[j]; asserts the absorbing property.
 
-    The chain streams in blocks of SAMPLE_CHUNK steps, so its memory does
-    not grow with the number of steps.  Per block it draws the map indices,
-    runs each coordinate's chain through its orbit kernel (separability:
-    each coordinate is its own chain, driven by the shared draws) into a
-    block-sized trajectory buffer, and adds the block's histograms to running
-    totals.  A coordinate's kernel is _orbit's unrolled Horner step for the
-    width of its widest map, run over _horner_table's coefficients (each map
-    padded to that width with leading +0.0), so every point is bit-identical
-    to Polynomial.__call__ applied step by step.  The first absorbed step
-    and its rectangle carry over from block to block; every step from it on
-    lies in that rectangle (the absorbing property, checked), so the steps
-    per rectangle need no count.  Drawing
-    per block gives the same indices as one draw of all of them: numpy's
-    bounded integer draws take their 32-bit words from the bit generator,
-    which keeps an unused half word from one call to the next."""
-    decomp = fam.decomposition
+    Until the chain is absorbed it runs in scalar blocks of SAMPLE_CHUNK
+    steps: each coordinate's orbit kernel, _orbit, walks the block's draws
+    one point at a time (separability: each coordinate is its own chain,
+    driven by the shared draws).  From then on the draws come in super-blocks
+    of up to SAMPLE_LANES * SAMPLE_LANE_STEPS, each run as K numpy lanes of L
+    steps.  Lane s starts at the chain's current point on draws s*L to
+    s*L + L - 1, so lane 0 is the chain and lane s > 0 a guess.  A fix-up,
+    vectorised over the lanes, then runs the true chain of each segment s
+    from lane s - 1's end beside a replay of the guess until the two have
+    the same bits.
+
+    Why the result is exact: two points with the same bits, stepped on the
+    same draws by the same floating-point operations, keep the same bits,
+    so from the match on the guess is the chain, and the histogram swaps the
+    guess's bins before the match for the true chain's.  The lanes do
+    _orbit's operations in its order (_lane_kernel), and _orbit has the bits
+    of Polynomial.__call__ applied step by step.  The match is tested, not
+    assumed: a super-block in which a lane does not match within its L
+    steps, or a lane leaves the home rectangle's window, runs again through
+    _orbit, which reports a departure at its global step; L then doubles.
+
+    Why it is fast: the maps contract on an absorbing rectangle (the
+    splitting condition), so chains driven by the same draws come together,
+    in floating point bit for bit: on the double well after about 19/eta
+    steps.  The fix-up covers that stretch of each lane, and one numpy step
+    advances hundreds of lanes.  A probe picks L: the home rectangle's two
+    ends, run through _orbit on the super-block's first draws, must meet
+    within L/2 steps.  Where they do not meet within half the longest lane,
+    4 * SAMPLE_LANE_STEPS (at least SAMPLE_LANES / 4 lanes), the
+    super-block runs through _orbit.
+
+    The draws are held as small integers and the lanes in LANE_CHUNK-step
+    buffers, so memory does not grow with the number of steps.  Drawing per
+    block gives the same indices as one draw of all of them: numpy's bounded
+    integer draws take their 32-bit words from the bit generator, which
+    keeps an unused half word from one call to the next.  The first absorbed
+    step and its rectangle carry over from block to block; every step from
+    it on lies in that rectangle (the absorbing property, checked), so the
+    steps per rectangle need no count."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_in_state_space(fam, x0)
-    d = fam.dimension
-    if grid.dimension != d:
+    if grid.dimension != fam.dimension:
         raise DimensionMismatch("grid and map family dimensions differ")
+    chain = _Chain(fam, grid, x0.tolist())
     rng = np.random.Generator(np.random.PCG64(seed))
-    tables = [_horner_table([phi[j] for phi in fam.phi]) for j in range(d)]
-    kernels = [_orbit(len(table[1])) for table in tables]
-    hists = [np.zeros(n, dtype=np.intp) for n in grid.shape]
-    point = x0.tolist()
-    first = home = None  # first absorbed step and its rectangle
-    block = np.empty((min(steps, SAMPLE_CHUNK), d))
-    for start in range(0, steps, SAMPLE_CHUNK):
-        picks = rng.integers(1, fam.n + 1, size=min(SAMPLE_CHUNK, steps - start)).tolist()
-        traj = block[:len(picks)]
-        for j in range(d):
-            orbit = kernels[j](tables[j], picks, point[j])
-            traj[:, j] = orbit
-            point[j] = orbit[-1]
-            hists[j] += np.histogram(traj[:, j], bins=grid.edges[j])[0]
-        member = _membership_series(traj, decomp)
+    done = 0
+    while done < steps:
+        size = SAMPLE_CHUNK if chain.home is None else SAMPLE_LANES * SAMPLE_LANE_STEPS
+        draws = _draw(rng, fam.n, min(size, steps - done))
+        if chain.home is None:
+            chain.scalar(draws, done)
+        else:
+            chain.super_block(draws, done)
+        done += len(draws)
+    chain.log(steps)
+    return SampleSummary(
+        steps=steps,
+        histograms=tuple(chain.hists),
+        rectangle_steps={rect.index: steps - chain.first if m == chain.home else 0
+                         for m, rect in enumerate(fam.decomposition.rectangles)},
+        final_point=tuple(chain.point),
+        first_absorbed_step=chain.first,
+    )
+
+
+def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """The next size map indices in 1..n, held in the smallest integer type
+    that fits n, drawn SAMPLE_CHUNK at a time."""
+    draws = np.empty(size, dtype=np.min_scalar_type(n))
+    for start in range(0, size, SAMPLE_CHUNK):
+        draws[start:start + SAMPLE_CHUNK] = rng.integers(
+            1, n + 1, size=min(SAMPLE_CHUNK, size - start))
+    return draws
+
+
+class _Chain:
+    """sgd_sample's state between blocks: the point, the histograms, the
+    first absorbed step and its rectangle (home), the shortest lane length
+    still allowed, and what the INFO line reports."""
+
+    def __init__(self, fam: MapFamily, grid, point: list[float]):
+        self.decomp = fam.decomposition
+        self.edges = grid.edges
+        self.point = point
+        self.hists = [np.zeros(n, dtype=np.intp) for n in grid.shape]
+        self.tables = [_horner_table([phi[j] for phi in fam.phi]) for j in range(fam.dimension)]
+        self.kernels = [_orbit(len(table[1])) for table in self.tables]
+        self.first = self.home = None
+        self.lane_steps = SAMPLE_LANE_STEPS
+        self.scalar_blocks = 0
+        self.lane_shape = None  # (K, L) of the last lane super-block
+        self.coalesced: list[np.ndarray] = []  # steps to each fixed-up lane's match
+        self.plans = [_lane_plan(table) for table in self.tables]
+        self.traj = np.empty((len(point), 0))  # the scalar blocks' buffer, kept
+        self.held = None
+
+    def log(self, steps: int):
+        logger = logging.getLogger(__name__)
+        if not self.coalesced:
+            logger.info("sgd_sample: scalar (%d steps)", steps)
+            return
+        met = np.concatenate(self.coalesced)
+        logger.info("sgd_sample: lanes (K=%d, L=%d, coalesced median %d / max %d steps, "
+                    "%d scalar blocks)", *self.lane_shape, np.median(met), met.max(),
+                    self.scalar_blocks)
+
+    def scalar(self, draws: np.ndarray, start: int):
+        """Run the draws through _orbit in blocks of SAMPLE_CHUNK; start is
+        the global step of the first."""
+        for offset in range(0, len(draws), SAMPLE_CHUNK):
+            self._block(draws[offset:offset + SAMPLE_CHUNK].tolist(), start + offset)
+
+    def _block(self, picks: list, start: int):
+        if self.traj.shape[1] < len(picks):
+            self.traj = np.empty((len(self.point), len(picks)))
+        traj = self.traj[:, :len(picks)]  # one row per coordinate
+        for j, (table, kernel) in enumerate(zip(self.tables, self.kernels)):
+            orbit = kernel(table, picks, self.point[j])
+            traj[j] = orbit
+            self.point[j] = orbit[-1]
+            # held until the next orbit replaces it: freeing 2^16 floats at
+            # once returns their arenas to the system, faulted in again next
+            self.held = orbit
+        self.scalar_blocks += 1
+        member = _membership_series(traj.T, self.decomp)
+        for j, row in enumerate(traj):
+            self.hists[j] += _sorted_counts(row, self.edges[j])
         settled = 0
-        if first is None:
+        if self.first is None:
             absorbed = np.flatnonzero(member >= 0)
             if not absorbed.size:
-                continue
+                return
             settled = int(absorbed[0])
-            first, home = start + settled, member[settled]
-        departures = np.flatnonzero(member[settled:] != home)
+            self.first, self.home = start + settled, member[settled]
+        departures = np.flatnonzero(member[settled:] != self.home)
         if departures.size:
             raise AssertionError(
                 f"absorbing property violated at step {start + settled + departures[0]}")
-    return SampleSummary(
-        steps=steps,
-        histograms=tuple(hists),
-        rectangle_steps={rect.index: steps - first if m == home else 0
-                         for m, rect in enumerate(decomp.rectangles)},
-        final_point=tuple(point),
-        first_absorbed_step=first,
-    )
+
+    def super_block(self, draws: np.ndarray, start: int):
+        """Run the draws as lanes where the probe allows and every lane
+        matches; the rest, or all of them, through _orbit."""
+        lanes = self._lanes(draws)
+        if lanes is not None:
+            if self._run_lanes(lanes):
+                draws, start = draws[lanes.size:], start + lanes.size
+            else:
+                self.lane_steps *= 2
+        self.scalar(draws, start)
+
+    def _lanes(self, draws: np.ndarray) -> np.ndarray | None:
+        """The draws as a (K, L) array of K >= 2 lanes, L the shortest
+        allowed length at least twice the probe's meeting step; None where
+        the probe's ends do not meet in time or the windows overlap.  The
+        probe runs twice, on the first two windows of longest / 2 draws, and
+        keeps the later meeting: one run can meet early by chance."""
+        longest = 4 * SAMPLE_LANE_STEPS
+        if self.lane_steps > longest or self._windows is None:
+            return None
+        probe, meet = longest // 2, 0
+        for window in draws[:probe], draws[probe:2 * probe]:
+            step = self._meeting_step(window)
+            if step is None:
+                return None
+            meet = max(meet, step)
+        length = self.lane_steps
+        while 2 * meet > length:
+            length *= 2
+        lanes = len(draws) // length
+        return draws[:lanes * length].reshape(lanes, length) if lanes >= 2 else None
+
+    @cached_property
+    def _windows(self) -> list[tuple[float, float]] | None:
+        """Home's box widened like _membership_series's, per coordinate;
+        None where it meets another rectangle's, since a point in both counts
+        as the later rectangle's there."""
+        windows = [[state_space_window(lo, hi) for lo, hi in rect.box]
+                   for rect in self.decomp.rectangles]
+        home = windows[self.home]
+        for m, other in enumerate(windows):
+            if m != self.home and all(lo <= b_hi and b_lo <= hi
+                                      for (lo, hi), (b_lo, b_hi) in zip(home, other)):
+                return None
+        return home
+
+    def _meeting_step(self, draws: np.ndarray) -> int | None:
+        """Steps after which _orbit, run from both ends of the home
+        rectangle on the draws, has the same bits at both in every
+        coordinate; None if the draws run out first."""
+        piece = max(1, SAMPLE_LANE_STEPS // 2)
+        meet = 0
+        for j, ends in enumerate(self.decomp.rectangles[self.home].box):
+            for offset in range(0, len(draws), piece):
+                picks = draws[offset:offset + piece].tolist()
+                lo, hi = (self.kernels[j](self.tables[j], picks, end) for end in ends)
+                same = np.flatnonzero(np.array(lo).view(np.int64) == np.array(hi).view(np.int64))
+                if same.size:
+                    meet = max(meet, offset + int(same[0]) + 1)
+                    break
+                ends = lo[-1], hi[-1]
+            else:
+                return None
+        return meet
+
+    def _run_lanes(self, lanes: np.ndarray) -> bool:
+        """Run the (K, L) lanes in every coordinate and fix them up; on
+        success add their histograms, move the point to the last lane's end
+        and return True.  Nothing changes on failure."""
+        self.held = None  # lanes build no orbit lists
+        work = np.empty(2 * lanes.shape[0] * min(LANE_CHUNK, lanes.shape[1]))
+        runs = []
+        for j in range(len(self.point)):
+            run = self._lane_coordinate(j, lanes, work)
+            if run is None:
+                return False
+            runs.append(run)
+        for j, (hist, end, _) in enumerate(runs):
+            self.hists[j] += hist
+            self.point[j] = end
+        self.coalesced.append(np.max([met for *_, met in runs], axis=0))
+        self.lane_shape = lanes.shape
+        return True
+
+    def _lane_coordinate(self, j: int, lanes: np.ndarray, work: np.ndarray):
+        """Coordinate j of the lanes: (histogram, the last lane's end,
+        steps to each lane s >= 1's match), or None where a lane does not
+        match or a true or guessed point leaves the home window."""
+        kernel, coeffs = self.plans[j]
+        low, high = self._windows[j]
+        edges = self.edges[j]
+        hist = np.zeros(len(edges) - 1, dtype=np.intp)
+        width, length = lanes.shape
+        x = np.full(width, self.point[j])
+        for t in range(0, length, LANE_CHUNK):
+            picks = lanes[:, t:t + LANE_CHUNK].T
+            out = work[:picks.size].reshape(picks.shape)
+            kernel(x, out, *_gather(coeffs, picks))
+            if not (low <= out.min() and out.max() <= high):  # NaN fails too
+                return None
+            x = out[-1].copy()
+            hist += _sorted_counts(out, edges)
+        ends = x
+        # fix-up: the true chain of segment s from lane s - 1's end (out[0])
+        # beside the replayed guess from the super-block's start (out[1])
+        active = np.arange(1, width)
+        x = np.stack([ends[:-1], np.full(width - 1, self.point[j])])
+        met = np.zeros(width - 1, dtype=np.intp)
+        for t in range(0, length, LANE_CHUNK):
+            picks = lanes[active, t:t + LANE_CHUNK].T
+            out = work[:2 * picks.size].reshape(2, *picks.shape)
+            kernel(x, out.transpose(1, 0, 2), *_gather(coeffs, picks))
+            true, guess = out
+            if not (low <= true.min() and true.max() <= high):
+                return None
+            # by bits: == would equate -0.0 and 0.0
+            same = true.view(np.int64) == guess.view(np.int64)
+            matched = same[-1]
+            met[active[matched] - 1] = t + 1 + same[:, matched].argmax(axis=0)
+            active, x = active[~matched], out[:, -1][:, ~matched]
+            # from a lane's match on, its true and guessed bins cancel
+            hist += _sorted_counts(true, edges)
+            hist -= _sorted_counts(guess, edges)
+            if not active.size:
+                return hist, float(ends[-1]), met
+        return None
+
+
+def _sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(values, bins=edges)[0] by np.histogram's own method,
+    with the sort done in place (values must be contiguous): where each
+    edge falls among the sorted values, the last edge inclusive.  Sorting in
+    place spares the block-sized copies np.histogram makes, whose memory the
+    allocator can hand back to the system and fault in again every block."""
+    values = values.reshape(-1)
+    values.sort()
+    return np.diff(np.concatenate((values.searchsorted(edges[:-1], "left"),
+                                   values.searchsorted(edges[-1:], "right"))))
+
+
+def _gather(coeffs: list, picks: np.ndarray) -> list:
+    """Each coefficient for the picked maps: a shared one as it is, the rest
+    gathered into an array shaped like picks."""
+    return [c if isinstance(c, float) else c.take(picks) for c in coeffs]
+
+
+def _lane_plan(table: list):
+    """(_lane_kernel for the table's coefficients, one operand per
+    coefficient): a float where every map has the same bits there, else
+    the coefficient of each map, 1-based like the table."""
+    columns = np.array(table[1:]).T
+    plan, coeffs = "", []
+    for k, column in enumerate(columns):
+        bits = column.view(np.int64)
+        if (bits == bits[0]).all():
+            plan += "z" if k and bits[0] == NEGATIVE_ZERO_BITS else "s"
+            coeffs.append(float(column[0]))
+        else:
+            plan += "v"
+            coeffs.append(np.concatenate([[0.0], column]))
+    return _lane_kernel(plan), coeffs
+
+
+@cache
+def _lane_kernel(plan: str):
+    """The lane kernel for a coefficient plan, one letter per coefficient
+    from the leading one down: v gathered per step, s shared, z a shared
+    -0.0 after the leading one.  kernel(x, out, c0, c1, ...) fills out[t]
+    with the step from out[t - 1] (from x for t = 0), a v coefficient
+    giving one row per step.
+
+    Each step is compile_horner's unrolled Horner rule in ufuncs with out=:
+    c0 * x, then + c1, * x, + c2, ... in that order, so every lane value
+    has the bits of _orbit's.  The add of a z coefficient is left out:
+    v + -0.0 is v, bit for bit, also for v = +-0.0."""
+    varying = [f"c{k}" for k, p in enumerate(plan) if p == "v"]
+    rows = [f"r{k}" for k, p in enumerate(plan) if p == "v"]
+
+    def operand(k):
+        return f"r{k}" if plan[k] == "v" else f"c{k}"
+
+    body = [f"mul(x, {operand(0)}, out=acc)" if len(plan) > 1 else f"copyto(acc, {operand(0)})"]
+    for k in range(1, len(plan)):
+        if k > 1:
+            body.append("mul(acc, x, out=acc)")
+        if plan[k] != "z":
+            body.append(f"add(acc, {operand(k)}, out=acc)")
+    source = (f"def kernel(x, out, {', '.join(f'c{k}' for k in range(len(plan)))}):\n"
+              f"    for acc, {''.join(r + ', ' for r in rows)}in zip(out, {', '.join(varying)}):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "        x = acc\n")
+    namespace = {"mul": np.multiply, "add": np.add, "copyto": np.copyto}
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 def _horner_table(maps) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -137,9 +138,12 @@ def _eval_scale(p: Polynomial, x: float) -> float:
     try:
         return max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
     except OverflowError:
-        raise ConfigError(f"coefficients span too wide a range for double precision: "
-                          f"isolating the real roots of {list(p.coeffs)} overflows at "
-                          f"|x| = {abs(x):.3g}") from None
+        raise _span_error(p, f"at |x| = {abs(x):.3g}") from None
+
+
+def _span_error(p: Polynomial, where: str) -> ConfigError:
+    return ConfigError(f"coefficients span too wide a range for double precision: "
+                       f"isolating the real roots of {list(p.coeffs)} overflows {where}")
 
 
 def real_roots(p: Polynomial) -> list[float]:
@@ -168,6 +172,8 @@ def _isolate(key: bytes) -> tuple[float, ...]:
         return (-p.coeffs[0] / p.coeffs[1],)
 
     bound = p.cauchy_bound()
+    if bound == math.inf:  # a coefficient ratio overflowed; the nodes would be NaN
+        raise _span_error(p, "in the root bound")
     inner = [r for r in real_roots(p.derivative()) if -bound < r < bound]
     nodes = [-bound] + sorted(inner) + [bound]
 

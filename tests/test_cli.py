@@ -22,6 +22,8 @@ from sgdmc.transfer import Grid
 DW_COEFFS = [0.25, 0.0, -0.5, 0.0, 0.25]
 # F' + 0.38 = 0.38 - x + 4e-150 x^3 has the root bound 2.5e149, whose cube overflows
 RANGE_OVERFLOW_CONFIG = {"objective": [0.25, 0, -0.5, 0, 1e-150], "lambda": 0.38, "eta": 0.01}
+# 1 / 4e-310 overflows: the root bound of F' + lambda is infinite
+SUBNORMAL_LEAD_CONFIG = {"objective": [0.25, 0, -0.5, 0, 1e-310], "lambda": 0.38, "eta": 0.01}
 EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
 # F + 0.38x and F - 0.38x of the double well F, ascending coefficients
@@ -165,6 +167,8 @@ NAN, INF = float("nan"), float("inf")
     ("sample --compare-invariant", MIXED_CONFIG),
     ("analyze", RANGE_OVERFLOW_CONFIG),
     ("sweep --range=0.1:1:3", RANGE_OVERFLOW_CONFIG),
+    ("analyze", SUBNORMAL_LEAD_CONFIG),
+    ("sweep --range=0.1:1:3", SUBNORMAL_LEAD_CONFIG),
 ], ids=["eta-string", "eta-nan", "eta-inf", "eta-null", "lambda-string", "lambda-nan",
         "lambda-minus-inf", "coefficient-string", "coefficient-nan", "objective-scalar",
         "component-inf", "sweep-coefficient-nan", "dimension-string", "n-zero",
@@ -173,7 +177,8 @@ NAN, INF = float("nan"), float("inf")
         "x0-empty", "x0-outside", "x0-too-long", "x0-object", "x0-nan",
         "eta-numeric-string", "lambda-true", "coefficient-numeric-string", "dimension-true",
         "n-numeric-string", "x0-false", "compare-invariant-2d", "coefficient-range",
-        "sweep-coefficient-range"])
+        "sweep-coefficient-range", "coefficient-subnormal-lead",
+        "sweep-coefficient-subnormal-lead"])
 def test_bad_config_numbers_are_config_errors(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "o"
@@ -653,6 +658,35 @@ def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver
             assert int(w) <= sgdmc.transfer.GTH_MAX_BAND
         else:
             assert (n, int(iterations)) == (None, step) and step > 0
+
+
+CHAIN_LINE = (r"sgd_sample: (?:lanes \(K=(\d+), L=(\d+), coalesced median (\d+) / max (\d+) "
+              r"steps, (\d+) scalar blocks\)|scalar \((\d+) steps\))")
+
+
+@pytest.mark.parametrize("config, path", [
+    # the double well's rectangle ends meet in about 30 steps
+    (DW_CONFIG, "lanes"),
+    # the one-well coordinate's chains never meet bit for bit
+    (MIXED_CONFIG, "scalar"),
+], ids=["lanes", "scalar"])
+def test_info_log_names_the_sampler_path(tmp_path, caplog, config, path):
+    out = tmp_path / "out"
+    steps = 100_000  # a first scalar block of 65536 steps, then one super-block
+    with caplog.at_level("INFO", logger="sgdmc"):
+        assert main(["sample", "--config", write_config(tmp_path / "c.json", **config),
+                     "--out", str(out), "--grid", "50", "--steps", str(steps)]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    (chain,) = [(k, m) for k, m in enumerate(messages) if m.startswith("sgd_sample: ")]
+    assert re.fullmatch(SAMPLE_LINE, messages[chain[0] + 1])  # the sample: stage line follows
+    k, length, median, top, blocks, scalar_steps = re.fullmatch(CHAIN_LINE, chain[1]).groups()
+    if path == "lanes":
+        assert k is not None and 2 <= int(k) <= sgdmc.dynamics.SAMPLE_LANES
+        assert int(length) == sgdmc.dynamics.SAMPLE_LANE_STEPS
+        assert int(k) * int(length) <= steps - sgdmc.dynamics.SAMPLE_CHUNK
+        assert 0 < int(median) <= int(top) < int(length) and int(blocks) >= 2
+    else:
+        assert int(scalar_steps) == steps
 
 
 SWEEP_LINE = (r"sweep: points \d+\.\d{3}s \((\d+) lambda values; \d+ isolations, \d+ reused\), "

@@ -67,6 +67,9 @@ CASES = {
                           ["analyze", "--grid", "100"]),
     "sweep-coefficient-range": ({"objective": [0.25, 0, -0.5, 0, 1e-150]},
                                 ["sweep", "--range", "0.1:1:3"]),
+    # x^4 * 1e-310: the root bound of F' +- lambda, 1 + 1 / 4e-310, overflows
+    "coefficient-subnormal-lead": ({**DW_CONFIG, "objective": [0.25, 0, -0.5, 0, 1e-310],
+                                    "eta": 0.01}, ["analyze", "--grid", "100"]),
 }
 
 # per case: exit code, file digests and stderr text
@@ -121,6 +124,11 @@ GOLDEN = {
         "exit": 1,
         "files": {},
         "stderr": "config error: coefficients span too wide a range for double precision: isolating the real roots of [0.38, -1.0, 0.0, 4e-150] overflows at |x| = 2.5e+149\n"
+    },
+    "coefficient-subnormal-lead": {
+        "exit": 1,
+        "files": {},
+        "stderr": "config error: coefficients span too wide a range for double precision: isolating the real roots of [0.38, -1.0, 0.0, 4e-310] overflows in the root bound\n"
     },
     "diffusion-1d": {
         "exit": 0,

@@ -314,11 +314,23 @@ def test_the_state_space_box_has_one_value(fam):
 
 
 @PROPERTY_SETTINGS
-@given(families, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
-       st.integers(1, 9), st.integers(1, 80), st.integers(0, 2**32 - 1))
-def test_sampler_blocks_match_the_whole_point_oracle(fam, where, chunk, steps, seed):
-    x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(fam.intervals, where)]
-    with mock.patch.object(dynamics, "SAMPLE_CHUNK", chunk):
+@given(families, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), st.booleans(),
+       st.integers(1, 9), st.integers(2, 6), st.integers(1, 96), st.integers(1, 9),
+       st.integers(0, 3), st.integers(0, 200), st.integers(0, 2**32 - 1), st.booleans())
+def test_sampler_blocks_match_the_whole_point_oracle(fam, where, inside, chunk, lanes, length,
+                                                     lane_chunk, blocks, extra, seed, forced):
+    # scalar blocks of a few steps, then up to three lane super-blocks and a
+    # tail; started inside a rectangle, the chain is absorbed in the first
+    # block.  Forced, the probe lets every super-block of two or more lanes
+    # run as lanes, also where they cannot match
+    box = fam.decomposition.rectangles[0].box if inside else fam.intervals
+    x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(box, where)]
+    steps = chunk + blocks * lanes * length + extra
+    constants = {"SAMPLE_CHUNK": chunk, "SAMPLE_LANES": lanes, "SAMPLE_LANE_STEPS": length,
+                 "LANE_CHUNK": lane_chunk}
+    with mock.patch.multiple(dynamics, **constants), mock.patch.object(
+            dynamics._Chain, "_meeting_step",
+            (lambda self, draws: 0) if forced else dynamics._Chain._meeting_step):
         s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, 16))
     final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=16)
     # by bits: == would equate -0.0 and 0.0
