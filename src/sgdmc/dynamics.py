@@ -454,16 +454,18 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     """Run the chain with uniform i.i.d. map choices (PCG64 stream), counting coordinate
     j's visits on the transfer.Grid's grid.edges[j]; asserts the absorbing property.
 
-    Until the chain is absorbed it runs in scalar blocks of SAMPLE_CHUNK
-    steps: each coordinate's orbit kernel, _orbit, walks the block's draws
-    one point at a time (separability: each coordinate is its own chain,
-    driven by the shared draws).  From then on the draws come in super-blocks
-    of up to SAMPLE_LANES * SAMPLE_LANE_STEPS, each run as K numpy lanes of L
-    steps.  Lane s starts at the chain's current point on draws s*L to
-    s*L + L - 1, so lane 0 is the chain and lane s > 0 a guess.  A fix-up,
-    vectorised over the lanes, then runs the true chain of each segment s
-    from lane s - 1's end beside a replay of the guess until the two have
-    the same bits.
+    Until the chain is absorbed it runs in scalar blocks, the first of
+    SAMPLE_LANE_STEPS / 4 steps and each next one twice as long, all of them
+    at most SAMPLE_CHUNK, so that a chain absorbed within a few hundred steps
+    starts its lanes soon: each coordinate's orbit kernel, _orbit, walks the
+    block's draws one point at a time (separability: each coordinate is its
+    own chain, driven by the shared draws).  From then on the draws come in
+    super-blocks of up to SAMPLE_LANES * SAMPLE_LANE_STEPS, each run as K
+    numpy lanes of L steps.  Lane s starts at the chain's current point on
+    draws s*L to s*L + L - 1, so lane 0 is the chain and lane s > 0 a guess.  A
+    fix-up, vectorised over the lanes, then runs the true chain of each
+    segment s from lane s - 1's end beside a replay of the guess until the two
+    have the same bits.
 
     Why the result is exact: two points with the same bits, stepped on the
     same draws by the same floating-point operations, keep the same bits,
@@ -499,12 +501,13 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
         raise DimensionMismatch("grid and map family dimensions differ")
     chain = _Chain(fam, grid, x0.tolist())
     rng = np.random.Generator(np.random.PCG64(seed))
-    done = 0
+    done, scalar = 0, min(SAMPLE_CHUNK, max(1, SAMPLE_LANE_STEPS // 4))
     while done < steps:
-        size = SAMPLE_CHUNK if chain.home is None else SAMPLE_LANES * SAMPLE_LANE_STEPS
+        size = scalar if chain.home is None else SAMPLE_LANES * SAMPLE_LANE_STEPS
         draws = _draw(rng, fam.n, min(size, steps - done))
         if chain.home is None:
             chain.scalar(draws, done)
+            scalar = min(2 * scalar, SAMPLE_CHUNK)
         else:
             chain.super_block(draws, done)
         done += len(draws)

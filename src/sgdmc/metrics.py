@@ -22,15 +22,17 @@ def half_l1(a, b) -> float:
     return 0.5 * float(np.sum(np.abs(a - b)))
 
 
-def _orthant_sup(diff, alpha) -> float:
-    """Sup of |sum of diff| over the grid-anchored alpha-orthant rectangles
-    of the shaped array diff: cumulative sums along every axis, flipped where
-    alpha is -1."""
-    for axis, a in enumerate(alpha):
+def _orthant_sups(diffs, alpha) -> np.ndarray:
+    """Per row of diffs, a (rows, *shape) array, the sup of |sum| over the
+    grid-anchored alpha-orthant rectangles of that row: cumulative sums
+    along every cell axis, flipped where alpha is -1.  Each row keeps its own
+    sequential order and the max is exact, so a row's sup has the bits of
+    scoring that row alone."""
+    for axis, a in enumerate(alpha, start=1):
         if a == -1:
-            diff = np.flip(diff, axis=axis)
-        diff = np.cumsum(diff, axis=axis)
-    return float(np.max(np.abs(diff)))
+            diffs = np.flip(diffs, axis=axis)
+        diffs = np.cumsum(diffs, axis=axis)
+    return np.max(np.abs(diffs, out=diffs).reshape(len(diffs), -1), axis=1)
 
 
 def d_F(mu, nu) -> float:
@@ -55,7 +57,7 @@ def d_alpha_rect(mu, nu, alpha) -> float:
     d = mu.grid.dimension
     if len(alpha) != d:
         raise GridMismatch(f"alpha has {len(alpha)} signs for a {d}-d grid")
-    return _orthant_sup((mu.weights - nu.weights).reshape(mu.grid.shape), alpha)
+    return float(_orthant_sups((mu.weights - nu.weights).reshape(1, *mu.grid.shape), alpha)[0])
 
 
 def total_variation(mu, nu) -> float:
@@ -113,16 +115,24 @@ def d_tilde(mu, nu, config: MetricConfig) -> float:
     positive-orthant distances of the absorbing restrictions."""
     if mu.grid != nu.grid:
         raise GridMismatch("measures live on different grids")
-    return d_tilde_weights(mu.weights - nu.weights, mu.grid.shape, config)
+    return float(d_tilde_rows((mu.weights - nu.weights)[None], mu.grid.shape, config)[0])
 
 
-def d_tilde_weights(diff, shape, config: MetricConfig) -> float:
-    """d_tilde from the difference of two weight vectors.  Each rectangle's
-    cumulative sums run over its box only: zero padding would add exact zeros
-    before the box and repeat its sums after it, so the sup keeps its bits."""
-    total = 0.5 * float(np.sum(np.abs(diff[config.transient_cells])))
-    shaped = diff.reshape(shape)
+def d_tilde_rows(diffs, shape, config: MetricConfig) -> np.ndarray:
+    """d_tilde of every row of diffs, a C-ordered (rows, cells) array of
+    weight-vector differences, with the bits of scoring each row alone.
+
+    np.take gathers the transient cells into a C-ordered copy, so each row's
+    sum is the pairwise sum of that row alone (a fancy index over axis 1 can
+    come back non-contiguous and sum in another order).  Each rectangle's
+    positive-orthant sups (_orthant_sups) run over its box only: zero
+    padding would add exact zeros before the box and repeat its sums after
+    it, so the sup keeps its bits.  The rectangles' sups are added in
+    rectangle order."""
+    transient = np.take(diffs, config.transient_cells, axis=1)
+    total = 0.5 * np.sum(np.abs(transient, out=transient), axis=1)
+    shaped = diffs.reshape(len(diffs), *shape)
     positive = (+1,) * len(shape)
     for box in config.rectangle_boxes:
-        total += _orthant_sup(shaped[box], positive)
-    return float(total)
+        total += _orthant_sups(shaped[(slice(None), *box)], positive)
+    return total

@@ -19,7 +19,7 @@ from .metrics import (
     MetricConfig,
     cdf_sup,
     d_tilde,
-    d_tilde_weights,
+    d_tilde_rows,
     half_l1,
     label_blocks,
     metric_config,
@@ -48,6 +48,8 @@ MAX_GRID_DIMENSION = 2
 GTH_MAX_BAND = 32
 # _gth_stationary rescales its back-substitution by this power of two
 GTH_RESCALE = 2.0**600
+# cells in limit_mixture's block of logged iterates (512 KB of doubles)
+LOG_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -775,7 +777,10 @@ def limit_mixture(op: UlamOperator, decomp: Decomposition, mu0: DiscreteMeasure,
     """Assemble the limiting mixture of the discrete chain and log the
     composite distance of the evolving measure to it, step by step: d_tilde
     scores mu0, then the bare weight vector evolves (the bits of push_forward)
-    and d_tilde's kernel scores it.  Logs each stage's seconds at INFO."""
+    into the rows of a block of up to LOG_BLOCK_CELLS cells (at least one
+    row), and d_tilde_rows scores the whole block at once with the bits of
+    one row at a time.  The log keeps the scores up to the first below
+    stop_below, and at most k_max.  Logs each stage's seconds at INFO."""
     config = metric_config(op.grid, decomp)
     started = time.perf_counter()
     invariants = [invariant_measure(op, cells) for cells in config.rectangle_cells]
@@ -787,12 +792,17 @@ def limit_mixture(op: UlamOperator, decomp: Decomposition, mu0: DiscreteMeasure,
         mix += c * inv.measure.weights
     mu_star = DiscreteMeasure(op.grid, mix)
     absorbed = time.perf_counter()
-    step, w, diff = op.matrix.T, mu0.weights, np.empty_like(mu_star.weights)
+    step, w = op.matrix.T, mu0.weights
+    block = np.empty((max(1, LOG_BLOCK_CELLS // op.grid.ncells), op.grid.ncells))
     log = [d_tilde(mu0, mu_star, config)] if k_max > 0 else []
     while log and not log[-1] < stop_below and len(log) < k_max:
-        w = step @ w
-        np.subtract(w, mu_star.weights, out=diff)
-        log.append(d_tilde_weights(diff, op.grid.shape, config))
+        diffs = block[:k_max - len(log)]
+        for row in diffs:
+            row[:] = w = step @ w
+        diffs -= mu_star.weights
+        scores = d_tilde_rows(diffs, op.grid.shape, config)
+        below = np.flatnonzero(scores < stop_below)
+        log.extend(scores[:below[0] + 1 if below.size else None].tolist())
     logged = time.perf_counter()
     logging.getLogger(__name__).info(
         "limit_mixture: invariants %.3fs, absorption %.3fs, log %.3fs (%d steps, %.1f us/step)",

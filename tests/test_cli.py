@@ -672,7 +672,7 @@ CHAIN_LINE = (r"sgd_sample: (?:lanes \(K=(\d+), L=(\d+), coalesced median (\d+) 
 ], ids=["lanes", "scalar"])
 def test_info_log_names_the_sampler_path(tmp_path, caplog, config, path):
     out = tmp_path / "out"
-    steps = 100_000  # a first scalar block of 65536 steps, then one super-block
+    steps = 100_000  # a first scalar block of 1024 steps, then one super-block
     with caplog.at_level("INFO", logger="sgdmc"):
         assert main(["sample", "--config", write_config(tmp_path / "c.json", **config),
                      "--out", str(out), "--grid", "50", "--steps", str(steps)]) == 0
@@ -683,7 +683,9 @@ def test_info_log_names_the_sampler_path(tmp_path, caplog, config, path):
     if path == "lanes":
         assert k is not None and 2 <= int(k) <= sgdmc.dynamics.SAMPLE_LANES
         assert int(length) == sgdmc.dynamics.SAMPLE_LANE_STEPS
-        assert int(k) * int(length) <= steps - sgdmc.dynamics.SAMPLE_CHUNK
+        # the chain is absorbed in the first scalar block, and the lanes take
+        # every whole lane of the draws after it
+        assert int(k) == (steps - sgdmc.dynamics.SAMPLE_LANE_STEPS // 4) // int(length)
         assert 0 < int(median) <= int(top) < int(length) and int(blocks) >= 2
     else:
         assert int(scalar_steps) == steps

@@ -453,158 +453,6 @@ def test_sampler_reports_departure_at_its_global_step(monkeypatch):
         sgd_sample(fam, [0.0], steps=step + 1, seed=1, grid=grid)
 
 
-def product_double_well(eta=0.33):
-    component = double_well(0.38).components[0]
-    return MapFamily(SeparableObjective(components=(component, component)), eta)
-
-
-LANE_LINE = (r"sgd_sample: lanes \(K=(\d+), L=(\d+), coalesced median (\d+) / max (\d+) steps, "
-             r"(\d+) scalar blocks\)")
-
-
-def _lane_constants(monkeypatch, lanes, length, chunk=5):
-    # short scalar blocks, so that lanes run soon after absorption, and lane
-    # buffers of a few steps, so that chunks end inside the lanes
-    monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 50)
-    monkeypatch.setattr(dynamics, "SAMPLE_LANES", lanes)
-    monkeypatch.setattr(dynamics, "SAMPLE_LANE_STEPS", length)
-    monkeypatch.setattr(dynamics, "LANE_CHUNK", chunk)
-
-
-def _force_lanes(monkeypatch):
-    # the probe reports that the home rectangle's ends meet at once
-    monkeypatch.setattr(dynamics._Chain, "_meeting_step", lambda self, draws: 0)
-
-
-def _spy_lane_runs(monkeypatch) -> list:
-    """(lane shape, success) of every lane super-block, in order."""
-    runs = []
-    run_lanes = dynamics._Chain._run_lanes
-
-    def spy(self, lanes):
-        runs.append((lanes.shape, run_lanes(self, lanes)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(dynamics._Chain, "_run_lanes", spy)
-    return runs
-
-
-def _sampler_line(caplog) -> str:
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "sgdmc.dynamics"]
-    return line
-
-
-LANE_ROWS = [
-    (MapFamily(double_well(0.38), 0.33), [0.0], True),
-    (MapFamily(double_well(0.38), 0.01), [-0.2], False),  # meeting takes ~1900 steps
-    (mixed_2d_family(), [-0.3, 0.1], False),  # its one-well coordinate never meets
-    (MapFamily(eighth_order(1.6), 0.018), [1.2], True),  # degree-7 maps
-    (product_double_well(), [0.0, 0.0], True),
-]
-
-
-@pytest.mark.parametrize("lanes,length", [(6, 7), (5, 64)])
-@pytest.mark.parametrize("forced", [False, True], ids=["probed", "forced"])
-@pytest.mark.parametrize("fam,x0,couples", LANE_ROWS,
-                         ids=["dw-eta-0.33", "dw-eta-0.01", "mixed-2d", "eighth-order", "dw-2d"])
-def test_lanes_match_whole_point_oracle(monkeypatch, caplog, fam, x0, couples, lanes, length,
-                                        forced):
-    # every point by its bits, whether the lanes match, fall back or never run
-    _lane_constants(monkeypatch, lanes, length)
-    if forced:
-        _force_lanes(monkeypatch)
-    with caplog.at_level("INFO", logger="sgdmc.dynamics"):
-        _assert_sample_matches_oracle(fam, x0, 5000)
-    line = _sampler_line(caplog)
-    if length == 64 and not forced:
-        # the probe admits the maps whose rectangle ends meet in about 30 steps
-        match = re.fullmatch(LANE_LINE, line)
-        assert bool(match) == couples, line
-        if match:
-            k, length_, median, top, blocks = map(int, match.groups())
-            assert 2 <= k <= lanes and length_ == length
-            assert 0 < median <= top < length and blocks >= 1
-        else:
-            assert line == "sgd_sample: scalar (5000 steps)"
-
-
-def test_lanes_that_do_not_meet_fall_back(monkeypatch, caplog):
-    # at eta = 0.01 lanes of 7 steps cannot meet: each lane super-block runs
-    # again through _orbit and L doubles; at 4 * 7 steps a super-block of
-    # 6 * 7 draws holds one lane, so the rest of the run is scalar
-    _lane_constants(monkeypatch, 6, 7)
-    _force_lanes(monkeypatch)
-    runs = _spy_lane_runs(monkeypatch)
-    with caplog.at_level("INFO", logger="sgdmc.dynamics"):
-        _assert_sample_matches_oracle(MapFamily(double_well(0.38), 0.01), [-0.2], 3000)
-    assert runs == [((6, 7), False), ((3, 14), False)]
-    assert _sampler_line(caplog) == "sgd_sample: scalar (3000 steps)"
-
-
-def test_lanes_report_departure_at_its_global_step(monkeypatch):
-    # the chain leaves the narrowed box inside a lane super-block, which runs
-    # again through _orbit: the step reported is the scalar path's
-    fam = _narrow_right_rectangle()
-    grid = Grid.regular(fam.intervals, 100)
-    _lane_constants(monkeypatch, 1, 64)  # no super-block holds two lanes
-    with pytest.raises(AssertionError, match="absorbing property violated") as info:
-        sgd_sample(fam, [0.0], steps=5000, seed=1, grid=grid)
-    step = int(str(info.value).rsplit(" ", 1)[1])
-    _lane_constants(monkeypatch, 5, 64)
-    runs = _spy_lane_runs(monkeypatch)
-    with pytest.raises(AssertionError, match=f"violated at step {step}$"):
-        sgd_sample(fam, [0.0], steps=5000, seed=1, grid=grid)
-    assert runs and runs[-1][1] is False
-    before = sgd_sample(fam, [0.0], steps=step, seed=1, grid=grid)  # no departure yet
-    assert before.first_absorbed_step < 50 <= step  # absorbed in the first scalar block
-    with pytest.raises(AssertionError, match=f"violated at step {step}$"):
-        sgd_sample(fam, [0.0], steps=step + 1, seed=1, grid=grid)
-
-
-def test_lanes_tell_signed_zeros_apart(monkeypatch):
-    # both maps fix +-0.0; the first keeps the sign of a zero, the second
-    # turns -0.0 into +0.0.  From -0.0, lane 0 meets the second map and ends
-    # at +0.0, while lane 1's draws are all the first map: its guess stays
-    # -0.0 beside a true chain at +0.0, equal by == but never by bits, so
-    # the super-block falls back and the final point is +0.0
-    fam = MapFamily(double_well(0.38), 0.33)
-    fam.__dict__["phi"] = tuple((p,) for p in SIGNED_ZERO_MAPS)
-    fam.__dict__["decomposition"] = dataclasses.replace(
-        fam.decomposition, rectangles=(Rectangle(index=(0,), box=((-0.5, 0.5),)),))
-    _lane_constants(monkeypatch, 2, 7)
-    monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 1)
-    _force_lanes(monkeypatch)
-    runs = _spy_lane_runs(monkeypatch)
-
-    def draws(seed):
-        return np.random.Generator(np.random.PCG64(seed)).integers(1, 3, size=15).tolist()
-
-    seed = next(seed for seed in range(10**4)
-                if draws(seed)[0] == 1 and 2 in draws(seed)[1:8] and draws(seed)[8:] == [1] * 7)
-    s = _assert_sample_matches_oracle(fam, [-0.0], 15, seed=seed)
-    assert s.final_point[0].hex() == "0x0.0p+0"
-    assert runs == [((2, 7), False)]
-
-
-@pytest.mark.parametrize("maps", [
-    SIGNED_ZERO_MAPS,
-    MapFamily(double_well(0.38), 0.01).phi,
-    MapFamily(eighth_order(1.6), 0.018).phi,
-], ids=["signed-zero", "double-well", "eighth-order"])
-def test_lane_kernel_matches_orbit(maps):
-    # six lanes of 300 steps, each on its own draws, against _orbit by bits
-    maps = [m[0] if isinstance(m, tuple) else m for m in maps]
-    table = dynamics._horner_table(maps)
-    kernel, coeffs = dynamics._lane_plan(table)
-    picks = np.random.default_rng(3).integers(1, len(maps) + 1, size=(300, 6)).astype(np.uint8)
-    starts = np.array([-0.0, 0.0, -0.7, 0.4, 5e-324, -1e-300])
-    out = np.empty(picks.shape)
-    kernel(starts, out, *dynamics._gather(coeffs, picks))
-    for lane, s in enumerate(starts.tolist()):
-        orbit = dynamics._orbit(len(table[1]))(table, picks[:, lane].tolist(), s)
-        assert [v.hex() for v in out[:, lane].tolist()] == [v.hex() for v in orbit]
-
-
 @pytest.mark.parametrize("fam,grid_n", [
     (MapFamily(double_well(0.38), 0.01), 500),
     (mixed_2d_family(), 25),
@@ -676,6 +524,19 @@ def test_lanes_match_whole_point_oracle(monkeypatch, caplog, fam, x0, couples, l
                                         forced):
     # every point by its bits, whether the lanes match, fall back or never run
     _lane_constants(monkeypatch, lanes, length)
+    probes, runs = [], []  # every probe's meeting step; (L, its probe's) of every lane run
+    meeting, run_lanes = dynamics._Chain._meeting_step, dynamics._Chain._run_lanes
+
+    def probe(self, draws):
+        probes.append(meeting(self, draws))
+        return probes[-1]
+
+    def run(self, lanes):
+        runs.append((lanes.shape[1], max(probes[-2:], default=0)))
+        return run_lanes(self, lanes)
+
+    monkeypatch.setattr(dynamics._Chain, "_meeting_step", probe)
+    monkeypatch.setattr(dynamics._Chain, "_run_lanes", run)
     if forced:
         _force_lanes(monkeypatch)
     with caplog.at_level("INFO", logger="sgdmc.dynamics"):
@@ -687,8 +548,13 @@ def test_lanes_match_whole_point_oracle(monkeypatch, caplog, fam, x0, couples, l
         assert bool(match) == couples, line
         if match:
             k, length_, median, top, blocks = map(int, match.groups())
-            assert 2 <= k <= lanes and length_ == length
+            assert 2 <= k <= lanes and length_ == runs[-1][0]
             assert 0 < median <= top < length and blocks >= 1
+            # each L is the shortest of length, 2 * length, ... at least twice
+            # the later of its super-block's two probe meetings
+            for lane_length, meet in runs:
+                assert 2 * meet <= lane_length
+                assert lane_length == length or lane_length < 4 * meet
         else:
             assert line == "sgd_sample: scalar (5000 steps)"
 

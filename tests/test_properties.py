@@ -30,7 +30,7 @@ from sgdmc.dynamics import (
     verify_certificate,
 )
 from sgdmc.errors import GridTooCoarse, NoConvergence, NotFound, SgdmcError
-from sgdmc.metrics import cdf_sup, d_tilde, half_l1, metric_config
+from sgdmc.metrics import cdf_sup, d_tilde, d_tilde_rows, half_l1, metric_config
 from sgdmc.objective import (
     SeparableObjective,
     double_well,
@@ -213,6 +213,22 @@ def test_d_tilde_equals_the_zero_padded_oracle(problem, seed):
 
 
 @PROPERTY_SETTINGS
+@given(problems(), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_d_tilde_rows_equal_the_zero_padded_oracle(problem, rows, seed):
+    # one pass over a block of differences keeps each row's own bits
+    _, decomp, grid = problem
+    labels = _labels(grid, decomp)
+    rng = np.random.default_rng(seed)
+    weights = rng.random((rows + 1, grid.ncells))
+    weights /= weights.sum(axis=1, keepdims=True)
+    *measures, target = weights
+    scores = d_tilde_rows(weights[:-1] - target, grid.shape, metric_config(grid, decomp))
+    assert scores.shape == (rows,)
+    for score, w in zip(scores.tolist(), measures):
+        assert score == zero_padded_d_tilde(w, target, labels, grid.shape)
+
+
+@PROPERTY_SETTINGS
 @given(problems())
 def test_rectangles_are_disjoint_and_inside_the_state_space(problem):
     _, decomp, _ = problem
@@ -315,24 +331,32 @@ def test_the_state_space_box_has_one_value(fam):
 
 @PROPERTY_SETTINGS
 @given(families, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), st.booleans(),
-       st.integers(1, 9), st.integers(2, 6), st.integers(1, 96), st.integers(1, 9),
-       st.integers(0, 3), st.integers(0, 200), st.integers(0, 2**32 - 1), st.booleans())
+       st.integers(1, 9), st.integers(2, 6), st.integers(1, 512), st.integers(1, 9),
+       st.integers(0, 3), st.integers(0, 200), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([16, 4096]))
 def test_sampler_blocks_match_the_whole_point_oracle(fam, where, inside, chunk, lanes, length,
-                                                     lane_chunk, blocks, extra, seed, forced):
+                                                     lane_chunk, blocks, extra, seed, forced,
+                                                     cells):
     # scalar blocks of a few steps, then up to three lane super-blocks and a
     # tail; started inside a rectangle, the chain is absorbed in the first
-    # block.  Forced, the probe lets every super-block of two or more lanes
-    # run as lanes, also where they cannot match
+    # block, so the super-blocks line up with the draws.  Forced, the probe
+    # lets every super-block of two or more lanes run as lanes, also where
+    # they cannot match.  Lanes of up to 512 steps leave room for the 75-250
+    # steps these families' lanes take to meet, so super-blocks match, and on
+    # 4096 cells a lane's guessed and true points fall in different cells
+    # until they meet, so the histograms see the fix-up's every step
     box = fam.decomposition.rectangles[0].box if inside else fam.intervals
     x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(box, where)]
-    steps = chunk + blocks * lanes * length + extra
+    # the first scalar block holds min(chunk, length // 4) draws (at least one)
+    first = min(chunk, max(1, length // 4))
+    steps = first + blocks * lanes * length + extra
     constants = {"SAMPLE_CHUNK": chunk, "SAMPLE_LANES": lanes, "SAMPLE_LANE_STEPS": length,
                  "LANE_CHUNK": lane_chunk}
     with mock.patch.multiple(dynamics, **constants), mock.patch.object(
             dynamics._Chain, "_meeting_step",
             (lambda self, draws: 0) if forced else dynamics._Chain._meeting_step):
-        s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, 16))
-    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=16)
+        s = sgd_sample(fam, x0, steps=steps, seed=seed, grid=Grid.regular(fam.intervals, cells))
+    final, hists, first, rect_steps = whole_point_sample(fam, x0, steps, seed=seed, grid_n=cells)
     # by bits: == would equate -0.0 and 0.0
     assert [v.hex() for v in s.final_point] == [v.hex() for v in final]
     assert all(np.array_equal(a, b) for a, b in zip(s.histograms, hists))

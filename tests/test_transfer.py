@@ -624,6 +624,56 @@ def test_limit_mixture_log_stops_like_per_step_oracle(setting):
     assert res.decay_log[-1] < stop_below <= res.decay_log[:-1].min()
 
 
+def _spy_log_blocks(monkeypatch) -> list:
+    """The cells of the buffer behind every block limit_mixture scores."""
+    cells = []
+    d_tilde_rows = transfer.d_tilde_rows
+
+    def spy(diffs, shape, config):
+        cells.append((diffs if diffs.base is None else diffs.base).size)
+        return d_tilde_rows(diffs, shape, config)
+
+    monkeypatch.setattr(transfer, "d_tilde_rows", spy)
+    return cells
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("setting", sorted(DECAY_SETTINGS))
+def test_limit_mixture_blocks_match_per_step_oracle(monkeypatch, setting, rows):
+    # blocks of rows iterates: logs that end inside a block, on its last row
+    # and one row into the next, and stops on a block's first and last rows
+    op, decomp, mu0 = _decay_setting(setting)
+    monkeypatch.setattr(transfer, "LOG_BLOCK_CELLS", rows * op.grid.ncells)
+    cells = _spy_log_blocks(monkeypatch)
+    for k_max in sorted({0, 1, rows, rows + 1, 300}):
+        full = _assert_matches_per_step_oracle(op, decomp, mu0, k_max).decay_log
+        assert full.size == k_max
+    assert set(cells) == {rows * op.grid.ncells}
+    # block b holds the log's entries 1 + b * rows to (b + 1) * rows
+    for row in (1, rows):
+        end = next((b * rows + row for b in range(1, 300 // rows - 1)
+                    if full[b * rows + row] < full[:b * rows + row].min()), None)
+        assert end is not None
+        stop_below = float(full[:end].min())
+        res = _assert_matches_per_step_oracle(op, decomp, mu0, 300, stop_below)
+        assert res.decay_log.size == end + 1
+
+
+@pytest.mark.parametrize("obj,n,block", [
+    (double_well(0.38), 4000, 16 * 4000),
+    # a row of 300^2 cells is over LOG_BLOCK_CELLS alone: the block is that row
+    (_double_well_product(2), 300, 300**2),
+], ids=["1d-4000", "2d-300"])
+def test_limit_mixture_block_holds_at_most_its_cells(monkeypatch, obj, n, block):
+    decomp = decompose(obj, 0.33)
+    grid = Grid.regular(decomp.intervals, n)
+    op = ulam_assemble(MapFamily(obj, 0.33), grid)
+    cells = _spy_log_blocks(monkeypatch)
+    res = limit_mixture(op, decomp, DiscreteMeasure.uniform(grid), k_max=40)
+    assert res.decay_log.size == 40
+    assert set(cells) == {block} and block <= max(transfer.LOG_BLOCK_CELLS, grid.ncells)
+
+
 def test_limit_mixture_rejects_measure_on_other_grid(dw038_setup):
     _, _, decomp, _, grid, op = dw038_setup
     other = Grid.regular(decomp.intervals, grid.ncells + 1)
