@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="stop tolerance of the solves that iterate; narrow-band "
-                           "solves are direct (GTH) and ignore it")
+                           "solves are direct (GTH, banded) and ignore it")
         p.set_defaults(func=func)
         return p
 

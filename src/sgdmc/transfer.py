@@ -41,11 +41,20 @@ LEAKAGE_WARN = 1e-9
 ENVELOPE_FLOOR = 100
 # dense cell grids (the Ulam and dual operators) stop at two dimensions
 MAX_GRID_DIMENSION = 2
-# widest half-bandwidth w solved by GTH elimination rather than iterated: the
-# elimination costs about w^2 per cell, while the iteration's step count falls
-# as 1/w; on the double well at N = 4000 GTH is the faster at w = 27 and the
-# slower at w = 40
+# widest half-bandwidth w of an absorbing block whose invariant measure GTH
+# elimination solves rather than the power iteration: the elimination costs
+# about w^2 per cell, while the iteration's step count falls as 1/w; on the
+# double well at N = 4000 GTH is the faster at w = 27 and the slower at w = 40
 GTH_MAX_BAND = 32
+# absorption is solved directly, by _banded_solve, where w^3 <= this times b
+# (w the half-bandwidth among the b updated cells), and iterated otherwise:
+# the direct work grows as b w^2 and the iteration's falls as the band
+# widens; on the double well at eta = 0.33, N = 1000 (w = 102) the direct
+# solve took 3.3 ms and the iteration 3.0 ms, a crossover near 2000 b
+BANDED_WORK_RATIO = 1000
+# smallest block of _banded_solve: a narrower one pays more Python steps
+# than its smaller solves save
+BANDED_MIN_BLOCK = 16
 # _gth_stationary rescales its back-substitution by this power of two
 GTH_RESCALE = 2.0**600
 # cells in limit_mixture's block of logged iterates (512 KB of doubles)
@@ -292,16 +301,15 @@ def _half_bandwidth(rows: np.ndarray, cols: np.ndarray, where=True) -> int:
     return int(np.max(np.abs(offsets, out=offsets), where=where, initial=0))
 
 
-def _gth_eliminate(store: np.ndarray, w: int, pivots: int) -> np.ndarray | None:
+def _gth_eliminate(store: np.ndarray, w: int, pivots: int) -> bool:
     """GTH state reduction (Grassmann, Taksar & Heyman 1985) of the first
-    `pivots` states of a chain, in order, in place on row band storage: row i
-    of store holds the chain's entries (i, i - w .. i + w), then its exits
-    (one column per absorbing set), and w + 1 zero rows pad the end.  Each
-    state k passes its mass on to the states after it, (i, j) += m_ik (k, j)
-    with the multiplier m_ik = (i, k) / S_k left in place of (i, k), where the
-    pivot S_k is the sum of k's remaining row and exits, never 1 - (k, k): no
-    step subtracts.  Returns the pivots (1 for the states not eliminated), or
-    None at a zero pivot, which a closed class makes."""
+    `pivots` states of a chain, in order, in place on row band storage
+    (_band_store): row i of store holds the chain's entries (i, i - w .. i +
+    w), and w + 1 zero rows pad the end.  Each state k passes its mass on to
+    the states after it, (i, j) += m_ik (k, j) with the multiplier m_ik =
+    (i, k) / S_k left in place of (i, k), where the pivot S_k is the sum of
+    k's remaining row, never 1 - (k, k): no step subtracts.  False at a zero
+    pivot, which a closed class makes."""
     width = store.shape[1]
     flat = store.reshape(-1)
     step = flat.itemsize
@@ -309,31 +317,23 @@ def _gth_eliminate(store: np.ndarray, w: int, pivots: int) -> np.ndarray | None:
     window = as_strided(flat[w:], shape=(pivots, w + 1, w + 1),
                         strides=(width * step, (width - 1) * step, step))
     below, ahead, trail = window[:, 1:, :1], window[:, 0, 1:], window[:, 1:, 1:]
-    # state k's remaining row (k, k + 1 .. k + w) and its exits are contiguous
-    rest = as_strided(flat[w + 1:], shape=(pivots, width - w - 1), strides=(width * step, step))
-    exits = store[:, 2 * w + 1:]
-    exits_below = as_strided(exits[1:], shape=(pivots, w, exits.shape[1]),
-                             strides=(width * step, width * step, step))
-    has_exits = exits.shape[1] > 0
-    pivot = np.ones(store.shape[0] - w - 1)
     for k in range(pivots):
-        s = np.add.reduce(rest[k])
+        s = np.add.reduce(ahead[k])
         if not s > 0:
-            return None
+            return False
         share = below[k]
         share /= s
         trail[k] += share * ahead[k]
-        if has_exits:
-            exits_below[k] += share * exits[k]
-        pivot[k] = s
-    return pivot
+    return True
 
 
-def _band_store(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, n: int, w: int,
-                width: int) -> np.ndarray:
-    """The (n + w + 1, width) store of _gth_eliminate holding values at
-    (rows, columns), columns already shifted to the store's (c - r + w for
-    a band entry); repeated positions are summed."""
+def _band_store(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, n: int,
+                w: int) -> np.ndarray:
+    """The (n + w + 1, 2w + 1) store of _gth_eliminate holding values at
+    (rows, columns) of an n-state chain with half-bandwidth w, columns
+    already shifted to the store's (c - r + w); repeated positions are
+    summed."""
+    width = 2 * w + 1
     return np.bincount(np.multiply(rows, width, dtype=np.intp) + columns, weights=values,
                        minlength=(n + w + 1) * width).reshape(-1, width)
 
@@ -348,12 +348,12 @@ def _gth_stationary(block, w: int) -> np.ndarray | None:
     exact power of two that keeps the tail's ratios (the recurrence is
     linear).  None at a zero pivot, or where the result is not a finite
     probability vector all the same."""
-    n, width, rows = block.shape[0], 2 * w + 1, _entry_rows(block)
-    store = _band_store(rows, block.indices - rows + w, block.data, n, w, width)
-    if _gth_eliminate(store, w, n - 1) is None:
+    n, rows = block.shape[0], _entry_rows(block)
+    store = _band_store(rows, block.indices - rows + w, block.data, n, w)
+    if not _gth_eliminate(store, w, n - 1):
         return None
     # the multipliers m_(k + r)k, r in 1..w, that column k holds below the pivot
-    step = store.itemsize
+    width, step = store.shape[1], store.itemsize
     shares = as_strided(store.reshape(-1)[w + width - 1:], shape=(n, w),
                         strides=(width * step, (width - 1) * step))
     pi = np.zeros(n + w)
@@ -433,10 +433,22 @@ def _power_iteration(sub, tol: float, distance) -> tuple[np.ndarray, int, float]
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
 
 
-def _interp_factor_1d(fam: MapFamily, i: int, j: int, centers: np.ndarray) -> sp.csr_matrix:
-    """Linear-interpolation matrix W with (W g)(c) = g(phi_i^{(j)}(center_c))."""
+def _interp_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Linear-interpolation matrix W with (W g)(c) = g(phi_i^{(j)}(center_c))
+    at the centres of the cells with these edges.  The image of a cell in an
+    absorbing interval's block (Grid.axis_labels) is first clamped to the
+    block's range of centres: on [l, r] the basin function is the indicator,
+    so the clamp changes no value there, and it keeps the block's rows
+    inside the block, where a boundary-straddling cell or an image past the
+    block's last centre would otherwise interpolate with a transient centre."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
     x = fam.phi[i - 1][j](centers)
     n = len(centers)
+    for t in fam.decomposition.per_dimension[j]:
+        # the block [lo, hi): the cells that overlap [l, r] with positive length
+        lo = max(int(np.searchsorted(edges, t.l, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(edges, t.r, side="left")), n)
+        np.clip(x[lo:hi], centers[lo], centers[hi - 1], out=x[lo:hi])
     idx = np.clip(np.searchsorted(centers, x) - 1, 0, n - 2)
     left = centers[idx]
     right = centers[idx + 1]
@@ -452,7 +464,7 @@ def _interp_factor_1d(fam: MapFamily, i: int, j: int, centers: np.ndarray) -> sp
 def dual_operator(fam: MapFamily, grid: Grid) -> sp.csr_matrix:
     """Matrix of the function-side operator at cell centers: averaging the map
     images with multilinear interpolation for off-center evaluations."""
-    return _kron_average(fam, _interp_factor_1d, grid.centers)
+    return _kron_average(fam, _interp_factor_1d, grid.edges)
 
 
 @dataclass(frozen=True)
@@ -517,8 +529,11 @@ def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, f
     """(g, steps, last change) of g[:, :b] <- rows @ g, b = rows.shape[0],
     iterated until the sup change drops below tol, with g[:, b:] held: the
     columns of rows are numbered like those of g, the b updated cells
-    first.  Raises NoConvergence after DEFAULT_MAX_ITER steps."""
+    first.  With no updated cells nothing is iterated: 0 steps.  Raises
+    NoConvergence after DEFAULT_MAX_ITER steps."""
     b = rows.shape[0]
+    if not b:
+        return g, 0, 0.0
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
     g_next, change = g.copy(), np.empty((g.shape[0], b))
     residual = np.inf
@@ -529,7 +544,7 @@ def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, f
         for row, out in zip(g, g_next):
             out[:b] = rows @ row
         np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
-        residual = float(change.max()) if b else 0.0
+        residual = float(change.max())
         g, g_next = g_next, g
         if residual < tol:
             return g, it, residual
@@ -553,70 +568,89 @@ def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) ->
     return _basins(g, grid, _absorption_order(blocks), iterations, residual)
 
 
-def _gth_absorption(rows, held: np.ndarray, w: int) -> np.ndarray | None:
-    """The fixed point of _held_iteration on its b updated cells, (b, k),
-    from rows numbered as there, with half-bandwidth w among the updated
-    cells, and held = the k functions' values on the held cells.  GTH
-    eliminates the updated cells in grid order with one exit column per
-    function, m's holding sum_j (i, j) g_m(j) over the held cells j; then
-    back-substitution gives g_i = (y_i + sum_j (i, j) g_j) / S_i over the
-    cells j after i, y_i being i's exits as reduced.  None at a zero pivot.
-    With indicators held, exit column m sums row i's entries in rectangle m
-    in their stored order (a product with 1, or an added 0)."""
-    b, columns, entry_rows, k = rows.shape[0], rows.indices, _entry_rows(rows), held.shape[0]
-    width = 2 * w + 1 + k
-    inside = columns < b
-    out_rows, out_cols, out_vals = entry_rows[~inside], columns[~inside] - b, rows.data[~inside]
-    store = _band_store(
-        np.concatenate([entry_rows[inside]] + [out_rows] * k),
-        np.concatenate([columns[inside] - entry_rows[inside] + w]
-                       + [np.full(out_rows.size, 2 * w + 1 + m) for m in range(k)]),
-        np.concatenate([rows.data[inside]] + [out_vals * h[out_cols] for h in held]),
-        b, w, width)
-    pivot = _gth_eliminate(store, w, b)
-    if pivot is None:
-        return None
-    scaled = store[:b, w + 1:] / pivot[:, None]
-    ahead, exits = scaled[:, :w], scaled[:, w:]
-    g = np.zeros((b + w, k))
-    for i in range(b - 1, -1, -1):
-        g[i] = exits[i] + ahead[i] @ g[i + 1:i + w + 1]
-    return g[:b]
+def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+    """The solution x, (b, k), of (I - R) x = f, R the block of rows (b of
+    them, entry_rows = _entry_rows(rows)) among their first b columns, every
+    entry of which lies within m of the diagonal: block tridiagonal
+    elimination (Golub & Van Loan, Matrix Computations, 4.5) over blocks of
+    m cells, the last padded with identity rows.  Block row i's entries, an
+    m x 3m slab over blocks i - 1, i and i + 1, are gathered by one bincount
+    when the elimination reaches it; one np.linalg.solve of its pivot block
+    D_i = I - R_i,i - R_i,i-1 C_i-1 gives [C_i | z_i] = D_i^-1 [R_i,i+1 | f_i
+    + R_i,i-1 z_i-1], kept as the factor, and back-substitution gives x_i =
+    z_i + C_i x_i+1.  Raises LinAlgError at a singular pivot block."""
+    b, k = f.shape
+    blocks = -(-b // m)
+    inside = rows.indices < b
+    # each entry's place in its block row's slab; an entry outside the first
+    # b columns goes to one spare slot after it
+    slot = np.where(inside, entry_rows % m * (3 * m) + rows.indices - (entry_rows // m - 1) * m,
+                    3 * m * m)
+    factor = np.zeros((blocks, m, m + k))
+    factor.reshape(-1, m + k)[:b, m:] = f
+    eye = np.eye(m)
+    for i in range(blocks):
+        lo, hi = rows.indptr[i * m], rows.indptr[min(i * m + m, b)]
+        slab = np.bincount(slot[lo:hi], weights=rows.data[lo:hi],
+                           minlength=3 * m * m + 1)[:-1].reshape(m, 3 * m)
+        pivot, rhs = eye - slab[:, m:2 * m], factor[i]
+        rhs[:, :m] = slab[:, 2 * m:]
+        if i:
+            pivot -= slab[:, :m] @ factor[i - 1, :, :m]
+            rhs[:, m:] += slab[:, :m] @ factor[i - 1, :, m:]
+        rhs[:] = np.linalg.solve(pivot, rhs)
+    x = np.empty((blocks * m, k))
+    x[-m:] = factor[-1, :, m:]
+    for i in range(blocks - 2, -1, -1):
+        x[i * m:i * m + m] = factor[i, :, m:] + factor[i, :, :m] @ x[i * m + m:i * m + 2 * m]
+    return x[:b]
 
 
-def _gth_held(rows, g: np.ndarray) -> tuple[int, float] | None:
+def _banded_held(rows, g: np.ndarray) -> tuple[int, int, float] | None:
     """Solve in place for the updated values g[:, :b] of _held_iteration's
-    fixed point by GTH elimination where the half-bandwidth w among the b
-    updated cells is at most GTH_MAX_BAND: returns (w, residual), the
-    residual being the sup change one more step of the iteration would
-    make.  None, with g unchanged, for no updated cells, a wider band or a
-    zero pivot (a closed class among the updated cells)."""
-    b = rows.shape[0]
-    w = _half_bandwidth(_entry_rows(rows), rows.indices, where=rows.indices < b)
-    if not b or w > GTH_MAX_BAND:
+    fixed point, zero on entry, by _banded_solve where its predicted work is
+    below the iteration's: w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
+    among the b updated cells, in blocks of m = max(w, BANDED_MIN_BLOCK)
+    cells.  Returns (w, m, residual), the residual being the sup change one
+    more step of the iteration would make.  The exact values lie in [0, 1]
+    and the solve subtracts, so they are clipped to [0, 1], which never moves
+    a value away from the exact one.  None, with g unchanged, for no updated
+    cells, a wider band, or a solve that fails, is not finite or lands
+    outside [-1e-12, 1 + 1e-12], as a closed class among the updated cells
+    makes it."""
+    b, entry_rows = rows.shape[0], _entry_rows(rows)
+    w = _half_bandwidth(entry_rows, rows.indices, where=rows.indices < b)
+    if not b or w**3 > BANDED_WORK_RATIO * b:
         return None
-    g_b = _gth_absorption(rows, g[:, b:], w)
-    if g_b is None:
+    m = max(w, BANDED_MIN_BLOCK)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _banded_solve(rows, entry_rows, np.column_stack([rows @ row for row in g]), m)
+    except np.linalg.LinAlgError:
         return None
-    g[:, :b] = g_b.T
-    return w, max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
+        return None
+    g[:, :b] = np.clip(x, 0.0, 1.0).T
+    return w, m, max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
 
 
 def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
                           tol: float) -> tuple[BasinFunctions, str]:
     """The absorption probabilities from rows = _transient_rows(M, blocks),
-    and the solver as the INFO line names it.  With two or more rectangles
-    and a half-bandwidth among the transient cells of at most GTH_MAX_BAND,
-    GTH solves for them directly: iterations 0, and a residual that is the
+    and the solver as the INFO line names it.  With two or more rectangles,
+    where the predicted work of a direct solve is below the iteration's
+    (_banded_held: w^3 <= BANDED_WORK_RATIO b), the banded solve gives them
+    directly, clipped to [0, 1]: iterations 0, and a residual that is the
     sup change one more step of the iteration would make.  Otherwise, and
-    at a zero pivot, _absorption_iteration runs to tol."""
+    where the solve fails (a closed class among the transient cells),
+    _absorption_iteration runs to tol."""
     if len(blocks.rectangle_cells) > 1:
         g = _indicators(grid, blocks)
-        solved = _gth_held(rows, g)
+        solved = _banded_held(rows, g)
         if solved is not None:
-            w, residual = solved
+            w, m, residual = solved
             return (_basins(g, grid, _absorption_order(blocks), 0, residual),
-                    f"gth (n={rows.shape[0]}, w={w})")
+                    f"banded (n={rows.shape[0]}, w={w}, m={m})")
     basins = _absorption_iteration(rows, grid, blocks, tol)
     return basins, f"iteration ({basins.iterations} steps)"
 
@@ -664,14 +698,16 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     1960), and a coordinate that has entered its absorbing block stays there
     while the blocks are closed.  So on every cell with an absorbing axis the
     values are known from the axes' 1-d absorption probabilities g1 and g2
-    (_transient_absorption, GTH where the band is narrow): rectangle (a, b),
+    (_transient_absorption, banded where the band is narrow): rectangle (a, b),
     numbered row-major like decompose's rectangles, takes g1_a(x1) g2_b(x2)
     there, which is 1 or 0 on both axes' blocks, g2_b(x2) or 0 where x1 is
     in a block, and g1_a(x1) or 0 where x2 is.  Only the b cells transient
     on both axes are solved, every rectangle's function from 0 with those
-    face values held, by GTH where their band is narrow and otherwise by
-    _held_iteration to tol (iterations is its step count).  Nothing
-    subtracts, so the values stay in [0, 1]."""
+    face values held, by the banded solve where its predicted work is the
+    smaller (_banded_held) and otherwise by _held_iteration to tol
+    (iterations is its step count).  The iteration does not subtract, so
+    its values stay in [0, 1]; the banded solves' values are clipped to
+    [0, 1], which holds their exact values."""
     values, solvers = [], []
     for j, (chain, config) in enumerate(axes):
         basins, solver = _transient_absorption(_transient_rows(chain, config),
@@ -682,13 +718,13 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     b = rows.shape[0]
     g = (g1[:, None, :, None] * g2[None, :, None, :]).reshape(-1, grid.ncells)[:, order]
     g[:, :b] = 0.0
-    solved = _gth_held(rows, g)
+    solved = _banded_held(rows, g)
     if solved is None:
         g, iterations, residual = _held_iteration(rows, g, tol)
         joint_solver = f"{iterations} steps"
     else:
-        (w, residual), iterations = solved, 0
-        joint_solver = f"gth w={w}"
+        (w, m, residual), iterations = solved, 0
+        joint_solver = f"banded w={w} m={m}"
     return (_basins(g, grid, order, iterations, residual),
             f"faces (axis solvers {'/'.join(solvers)}, joint n={b}, {joint_solver})")
 
@@ -713,11 +749,12 @@ def _absorption(matrix, grid: Grid, blocks: MetricConfig, tol: float, name: str)
 def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> BasinFunctions:
     """Absorption eigenfunctions of the exact dual operator, one per rectangle
     of fam.decomposition: the absorption probabilities of the interpolated
-    function-side matrix, by faces in two dimensions where the blocks are
-    closed, by GTH elimination where the transient band is narrow, and
-    otherwise by the indicator iteration run to tol (BASIN_TOL by default);
-    see _absorption.  The residual is the sup change one more step of the
-    iteration would make, not an error bound."""
+    function-side matrix, by faces in two dimensions where the axes' blocks
+    are closed (the dual's always are: _interp_factor_1d keeps them so), by
+    one banded solve where the transient band is narrow (iterations 0,
+    values clipped to [0, 1]), and otherwise by the indicator iteration run
+    to tol (BASIN_TOL by default); see _absorption.  The residual is the sup
+    change one more step of the iteration would make, not an error bound."""
     if tol is None:
         tol = BASIN_TOL
     config = metric_config(grid, fam.decomposition)
@@ -749,7 +786,7 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     rectangle block of blocks = metric_config(op.grid, decomp).
 
     Solved as in basin_functions, on the Ulam matrix: by faces in two
-    dimensions where the blocks are closed, by GTH elimination where the
+    dimensions where the blocks are closed, by one banded solve where the
     transient band is narrow, otherwise by the indicator iteration, whose
     k-th iterate is the probability of entering each rectangle within k
     steps, run to ULAM_ABSORPTION_TOL.  The residual is the sup change one

@@ -477,7 +477,8 @@ def test_nan_in_a_json_payload_is_an_internal_error(tmp_path, monkeypatch, capsy
 
 def test_basins_coarse_2d_grid_converges(tmp_path):
     # at 12 cells per dimension the interpolated absorbing rows of the 2-d
-    # double well leak 2e-2 per step; iterated unheld they never converged
+    # double well leaked 2e-2 per step until _interp_factor_1d clamped them;
+    # iterated unheld they never converged
     split = [[c + d for c, d in zip(DW_COEFFS, [0, s * 0.38, 0, 0, 0])] for s in (1, -1)]
     cfg = write_config(tmp_path / "c.json", dimension=2, n=2, components=[split, split],
                        eta=0.33)
@@ -570,7 +571,7 @@ def test_report_round_trips(tmp_path):
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
 # the line each invariant, basin and absorption solve logs at INFO
 SOLVER_LINE = (r"(invariant_measure|basin_functions|ulam_absorption): "
-               r"(?:gth \(n=(\d+), w=(\d+)\)|iteration \((\d+) steps\))")
+               r"(?:(gth|banded) \(n=(\d+), w=(\d+)(?:, m=(\d+))?\)|iteration \((\d+) steps\))")
 SAMPLE_LINE = (r"(\w+): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
                r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
@@ -630,11 +631,13 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
 @pytest.mark.parametrize("command, eta, grid, solver", [
     ("invariant", 0.01, 300, "gth"),
     ("invariant", 0.33, 1000, "iteration"),
-    ("basins", 0.01, 300, "gth"),
+    ("basins", 0.01, 300, "banded"),
     ("basins", 0.33, 1000, "iteration"),
 ])
 def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver):
-    # GTH where the band is narrow (eta = 0.01), the iteration where it is wide
+    # a direct solve where the band is narrow (eta = 0.01), GTH for an
+    # invariant measure and the banded solve for the basins, and the
+    # iteration where it is wide
     config = {**DW_CONFIG, "eta": eta}
     out = tmp_path / "out"
     with caplog.at_level("INFO", logger="sgdmc"):
@@ -652,12 +655,16 @@ def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver
         steps = [json.loads((out / "basins.json").read_text())["iterations"]]
         names, sizes = ["basin_functions"], [blocks.transient_cells.size]
     assert [name for name, *_ in solves] == names
-    for (_, n, w, iterations), size, step in zip(solves, sizes, steps):
+    for (_, direct, n, w, m, iterations), size, step in zip(solves, sizes, steps):
+        if solver == "iteration":
+            assert (direct, n, int(iterations)) == (None, None, step) and step > 0
+            continue
+        assert (direct, int(n), step, iterations) == (solver, size, 0, None)
         if solver == "gth":
-            assert (int(n), step, iterations) == (size, 0, None)
-            assert int(w) <= sgdmc.transfer.GTH_MAX_BAND
+            assert int(w) <= sgdmc.transfer.GTH_MAX_BAND and m is None
         else:
-            assert (n, int(iterations)) == (None, step) and step > 0
+            assert int(w) ** 3 <= sgdmc.transfer.BANDED_WORK_RATIO * size
+            assert int(m) == max(int(w), sgdmc.transfer.BANDED_MIN_BLOCK)
 
 
 CHAIN_LINE = (r"sgd_sample: (?:lanes \(K=(\d+), L=(\d+), coalesced median (\d+) / max (\d+) "

@@ -105,18 +105,18 @@ GOLDEN = {
     "basins-1d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "48d3c2f2c16e0155fd5cafeba4f1b2b576072164c63c61d9ba31fee2610db92e",
-            "basin_1.csv": "a5b89828e86e40e66ee04d2f45ee93f4374e3907cd185af5dfec8a63e1afd13f",
-            "basins.json": "116141e6fb18b4815206d4aaa4981d145b5eb197184a2a8c2111c6bde3770c7b"
+            "basin_0.csv": "0ba8a75ad280fe52a4480e5c8a21da756446f721d38c9a7fe5855a19043202b8",
+            "basin_1.csv": "0c27982c2976b894c71b8a0c5b78a22d0bad52cb2e7c27e57150428ce3866d27",
+            "basins.json": "f6a0a47612b86fe21e9ea0addf7789bbd34ec284fa68ad85147e9379f6dc3c80"
         },
         "stderr": ""
     },
     "basins-2d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "68eeb303c2204ac9a00234b1e03afdd8bbbf0ac24bce019657e6ba485f861350",
-            "basin_1.csv": "089cf0ec7d7d67dc47ca04636087fbb21d3724fcf06fff13718427a4b79c4e63",
-            "basins.json": "32d4fefa7cb4e05b3c4f53edcbb7eee18871daf1254217dde395132014dbaced"
+            "basin_0.csv": "b3ea2fe9c8807bf652881ec6bb01c6ccb16c2275757705fe4a9d21c7f7ccfbb8",
+            "basin_1.csv": "106490fc840af30145b52805148ea5bc1b924dfaee9a55c837a58f2a4432301e",
+            "basins.json": "a06b5219f93ff74c3bfdbe5edf4cc55eac07ce24b04e5bcb0ef9731e13b84be7"
         },
         "stderr": ""
     },

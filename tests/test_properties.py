@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_anchored_distance,
     classify_cells,
+    direct_absorption,
     whole_point_escape_lengths,
     whole_point_sample,
     zero_padded_d_tilde,
@@ -443,6 +444,44 @@ def _converged(solve):
         return solve()
     except NoConvergence:
         return None
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(8, 3000))
+def test_dual_blocks_are_closed(problem, n):
+    # _interp_factor_1d clamps an absorbing cell's image to its block's
+    # centres, so every axis's 1-d dual keeps its blocks closed, at the
+    # problem's cell count and at n cells, up to rounding
+    fam, decomp, grid = problem
+    for j in range(grid.dimension):
+        axis_fam = MapFamily(SeparableObjective(components=(fam.obj.components[j],)), fam.eta)
+        for cells in (grid.shape[j], n):
+            axis_grid = Grid.regular(axis_fam.intervals, cells)
+            labels = _labels(axis_grid, axis_fam.decomposition)
+            matrix = dual_operator(axis_fam, axis_grid)
+            for t in range(labels.max() + 1):
+                block = np.flatnonzero(labels == t)
+                assert transfer._leakage(matrix[block][:, block]) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_banded_absorption_matches_the_sparse_lu(problem):
+    # the banded solve on every band (its work rule lifted), on both
+    # kernels, against one sparse LU solve per rectangle
+    fam, decomp, grid = problem
+    labels = _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    assume(len(decomp.rectangles) > 1 and config.transient_cells.size > 0)
+    for matrix in (ulam_assemble(fam, grid).matrix, dual_operator(fam, grid)):
+        rows = _transient_rows(matrix, config)
+        with mock.patch.object(transfer, "BANDED_WORK_RATIO", np.inf):
+            basins, solver = transfer._transient_absorption(rows, grid, config, 1e-14)
+        assert solver.startswith("banded (")
+        expected = direct_absorption(matrix, labels, len(decomp.rectangles))
+        assert np.max(np.abs(basins.values - expected)) <= 1e-13
+        assert basins.partition_defect <= 1e-13
+        assert 0.0 <= basins.values.min() and basins.values.max() <= 1.0
 
 
 def _axis_absorption(fam, grid, j, kernel):

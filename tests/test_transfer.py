@@ -3,7 +3,8 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
+from functools import partial, reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sgdmc import transfer
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
 from sgdmc.errors import GridMismatch, NoConvergence
-from sgdmc.metrics import d_F, metric_config
+from sgdmc.metrics import d_F, label_blocks, metric_config
 from sgdmc.objective import (
     SeparableObjective,
     bernoulli_pair,
@@ -373,7 +374,8 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     assert (basins.values @ w).tobytes() == (g @ w).tobytes()
 
 
-# GTH's shapes: bands of at most GTH_MAX_BAND among the transient cells
+# the direct solve's shapes: w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
+# among the b transient cells
 @pytest.mark.parametrize("obj,eta,n", [
     (double_well(0.38), 0.01, 4000),
     (double_well(0.38), 0.01, 200),
@@ -450,31 +452,55 @@ def test_gth_stationary_declines_a_non_finite_measure(monkeypatch):
         assert transfer._gth_stationary(_birth_death(400, 0.1), 1) is None
 
 
-@pytest.mark.parametrize("obj,eta,n,solver", [
-    (double_well(0.38), 0.01, 4000, "gth"),
-    (double_well(0.38), 0.33, 10_000, "iteration"),
-    (_double_well_product(2), 0.33, 300, "iteration"),
+# the INFO line of a 1-d absorption solve, and of a 2-d one by faces
+BANDED = r"\w+: banded \(n=\d+, w=(\d+), m=(\d+)\)"
+FACES = r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) steps\)"
+
+
+@pytest.mark.parametrize("obj,eta,n,invariant,absorption", [
+    (double_well(0.38), 0.01, 4000, "gth", "banded"),
+    (double_well(0.38), 0.33, 10_000, "iteration", "iteration"),
+    (_double_well_product(2), 0.33, 300, "iteration", "faces"),
 ], ids=["dw1d-small-eta", "dw1d-fine", "dw2d-grid"])
-def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, solver):
-    # the benchmark's shapes: every invariant and absorption solve of the
-    # narrow band takes GTH; on the wide ones each iterates, here for one step
-    monkeypatch.setattr(transfer, "DEFAULT_MAX_ITER", 1)
+def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, invariant, absorption):
+    # the benchmark's shapes: at eta = 0.01 every invariant solve takes GTH
+    # and both absorption solves the banded solve; at the wide bands of
+    # dw1d-fine each iterates, here for one step; dw2d-grid's invariants
+    # iterate, and its absorption takes the faces, with banded axis solves
+    # and an iterated joint solve (run in full: it logs once it is done)
     fam = MapFamily(obj, eta)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
     op = ulam_assemble(fam, grid)
-    solves = [partial(invariant_measure, op, cells) for cells in config.rectangle_cells]
-    solves += [partial(ulam_absorption, op, config), partial(basin_functions, fam, grid)]
-    for solve in solves:
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "DEFAULT_MAX_ITER", 1)
+        for cells in config.rectangle_cells:
+            caplog.clear()
+            if invariant == "iteration":
+                with pytest.raises(NoConvergence):
+                    invariant_measure(op, cells)
+                continue
+            with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+                assert invariant_measure(op, cells).iterations == 0
+            [record] = caplog.records
+            assert re.fullmatch(r"invariant_measure: gth \(n=\d+, w=14\)", record.getMessage())
+        if absorption == "iteration":
+            for solve in (partial(ulam_absorption, op, config), partial(basin_functions, fam, grid)):
+                with pytest.raises(NoConvergence):
+                    solve()
+            return
+    for solve in (partial(ulam_absorption, op, config), partial(basin_functions, fam, grid)):
         caplog.clear()
-        if solver == "iteration":
-            with pytest.raises(NoConvergence):
-                solve()
-            continue
         with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
-            assert solve().iterations == 0
+            got = solve()
         [record] = caplog.records
-        assert re.fullmatch(r"\w+: gth \(n=\d+, w=14\)", record.getMessage())
+        if absorption == "banded":
+            assert got.iterations == 0
+            assert re.fullmatch(BANDED, record.getMessage()).groups() == ("14", "16")
+        else:
+            found = re.fullmatch(FACES, record.getMessage())
+            assert found.groups()[:2] == ("banded", "banded")
+            assert int(found[4]) == got.iterations > 0
 
 
 def _product_double_well():
@@ -865,13 +891,15 @@ def _axis_leakage(matrix, grid, config) -> float:
     return max(leaks)
 
 
-@pytest.mark.parametrize("n", [120, 300])
+@pytest.mark.parametrize("n", [114, 120, 300])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
-    # dw2d-grid's problem, whose blocks are closed on both axes: the faces
-    # give the joint kernel's values to within its stop error, in [0, 1] up
-    # to rounding, iterating only the cells transient on both axes, in fewer
-    # steps; the INFO line names the path, the axis solvers and the joint work
+    # dw2d-grid's problem, whose blocks are closed on both axes (at 114 the
+    # dual's leaked 1.2e-2 a step before _interp_factor_1d clamped their
+    # rows): the faces give the joint kernel's values to within its stop
+    # error, in [0, 1] up to rounding, iterating only the cells transient on
+    # both axes, in fewer steps; the INFO line names the path, the axis
+    # solvers and the joint work
     fam = MapFamily(_double_well_product(2), 0.33)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
@@ -886,46 +914,158 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
     [record] = caplog.records
-    found = re.fullmatch(r"\w+: faces \(axis solvers gth/gth, joint n=(\d+), (\d+) steps\)",
-                         record.getMessage())
+    found = re.fullmatch(FACES, record.getMessage())
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
-    assert found and (int(found[1]), int(found[2])) == (joint.sum(), got.iterations)
+    assert found.groups()[:2] == ("banded", "banded")
+    assert (int(found[3]), int(found[4])) == (joint.sum(), got.iterations)
     assert got.partition_defect <= 1e-10
     assert 0.0 <= got.values.min() and got.values.max() <= 1.0 + 1e-15
     assert got.values.flags.f_contiguous
-    if n == 120:
+    # both axes carry the same double well: the 2-d values have its 1-d
+    # absorption probabilities as marginals, to within the joint stop error,
+    # and their products on the faces
+    axis_fam = MapFamily(SeparableObjective(components=fam.obj.components[:1]), fam.eta)
+    axis_grid = Grid((grid.edges[0],))
+    if kernel == "ulam":
+        axis = ulam_absorption(ulam_assemble(axis_fam, axis_grid),
+                               metric_config(axis_grid, axis_fam.decomposition)).values
+    else:
+        axis = basin_functions(axis_fam, axis_grid).values
+    values = got.values.reshape((2, 2) + grid.shape)
+    assert np.max(np.abs(values.sum(axis=1) - axis[:, :, None])) <= bound
+    assert np.max(np.abs(values.sum(axis=0) - axis[:, None, :])) <= bound
+    faces = axis[:, None, :, None] * axis[None, :, None, :]
+    assert np.max(np.abs(values - faces)[:, :, ~joint]) <= 1e-12
+    if n < 300:
         want = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
         assert np.max(np.abs(got.values - want.values)) <= bound
         assert 0 < got.iterations < want.iterations
 
 
-@pytest.mark.parametrize("obj,eta,n,solver", [
-    (SeparableObjective(components=(double_well(0.2).components[0],
-                                    double_well(0.55).components[0])), 0.2, 60, "iteration"),
-    (_double_well_product(2), 0.33, 12, "gth"),
-], ids=["mixed-60", "dw2d-12"])
-def test_leaky_axes_keep_the_joint_path(caplog, obj, eta, n, solver):
-    # the dual's absorbing blocks leak on an axis here (3.6e-2 and 1.0e-2 of
-    # a row's mass per step), so the faces do not hold: basin_functions
-    # solves over every transient cell as before, by the held iteration
-    # (the bits of the masked-reset loop) or by GTH
-    fam = MapFamily(obj, eta)
+@pytest.mark.parametrize("n,solver", [(10, "banded"), (14, "iteration")],
+                         ids=["ulam-10", "ulam-14-iterated"])
+def test_leaky_axes_keep_the_joint_path(monkeypatch, caplog, n, solver):
+    # on these coarse grids the Ulam chain's absorbing blocks leak on an axis
+    # (1.2e-2 and 6.5e-3 of a row's mass per step), so the faces do not hold:
+    # ulam_absorption solves over every transient cell, by the banded solve
+    # or, with it declined, by the held iteration (the bits of the
+    # masked-reset loop)
+    if solver == "iteration":
+        monkeypatch.setattr(transfer, "BANDED_WORK_RATIO", 0)
+    fam = MapFamily(_double_well_product(2), 0.33)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
-    matrix = dual_operator(fam, grid)
-    assert _axis_leakage(matrix, grid, config) > 1e-3
+    op = ulam_assemble(fam, grid)
+    assert _axis_leakage(op.matrix, grid, config) > 1e-3
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
-        got = basin_functions(fam, grid)
+        got = ulam_absorption(op, config)
     [record] = caplog.records
-    assert record.getMessage().startswith(f"basin_functions: {solver} (")
+    assert record.getMessage().startswith(f"ulam_absorption: {solver} (")
     if solver == "iteration":
-        want = masked_reset_absorption(matrix, grid, config, BASIN_TOL)
+        want = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.iterations == want.iterations
     else:
-        want = direct_absorption(matrix, grid.classify(fam.decomposition),
+        want = direct_absorption(op.matrix, grid.classify(fam.decomposition),
                                  len(config.rectangle_cells))
         assert np.max(np.abs(got.values - want)) <= 1e-13
+
+
+def _unclamped_dual(fam, grid: Grid) -> sp.csr_matrix:
+    """dual_operator without _interp_factor_1d's clamp: its factors for a
+    decomposition with no absorbing intervals."""
+    bare = SimpleNamespace(n=fam.n, phi=fam.phi, decomposition=SimpleNamespace(
+        per_dimension=((),) * fam.dimension))
+    return transfer._kron_average(bare, transfer._interp_factor_1d, grid.edges)
+
+
+@pytest.mark.parametrize("obj,eta,n", [
+    (double_well(0.38), 0.33, 1000),
+    (double_well(0.38), 0.01, 4000),
+    (_double_well_product(2), 0.33, 114),
+], ids=["dw1d-1000", "dw1d-small-eta", "dw2d-114"])
+def test_clamp_changes_no_transient_row(obj, eta, n):
+    # the clamp moves only the images of absorbing cells: the rows of the
+    # cells transient on every axis keep their bits, which is all that a 1-d
+    # absorption solve, or the joint solve by faces, reads; on these grids
+    # the unclamped absorbing rows leaked
+    fam = MapFamily(obj, eta)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    got, bare = dual_operator(fam, grid), _unclamped_dual(fam, grid)
+    cells = np.flatnonzero(reduce(np.logical_and.outer, [l < 0 for l in config.axis_labels]))
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got[cells], part).tobytes() == getattr(bare[cells], part).tobytes()
+    assert _axis_leakage(bare, grid, config) > transfer.LEAKAGE_WARN
+    assert _axis_leakage(got, grid, config) <= 1e-15
+
+
+@pytest.mark.parametrize("eta", [0.33, 0.1, 0.01])
+def test_dual_blocks_are_closed(eta):
+    # before the clamp the 1-d dual's blocks leaked more than LEAKAGE_WARN
+    # at about half of all sizes, up to 1.6e-2 of a row's mass per step
+    fam = MapFamily(double_well(0.38), eta)
+    for n in range(100, 3000, 97):
+        grid = Grid.regular(fam.intervals, n)
+        config = metric_config(grid, fam.decomposition)
+        assert _axis_leakage(dual_operator(fam, grid), grid, config) <= 1e-15, n
+
+
+def _closed_class_chain(closed: str) -> sp.csr_matrix:
+    """A 6-cell chain absorbed at cells 0 and 5, whose transient cells 1 and
+    4 step half to their end and half inward, with a closed class inside:
+    cells 2 and 3 swapping, or cell 2 trapping what reaches it."""
+    p = np.zeros((6, 6))
+    p[0, 0] = p[5, 5] = 1.0
+    p[1, 0] = p[1, 2] = p[4, 3] = p[4, 5] = 0.5
+    if closed == "two-cycle":
+        p[2, 3] = p[3, 2] = 1.0
+    else:
+        p[2, 2] = p[3, 2] = 1.0
+    return sp.csr_matrix(p)
+
+
+@pytest.mark.parametrize("closed", ["two-cycle", "trap"])
+def test_closed_class_falls_back_to_the_iteration(closed):
+    # I - R on the transient cells is singular: the banded solve declines,
+    # leaving g as it was, and the held iteration finds the values, 0 on
+    # the closed class, which nothing leaves
+    labels = np.array([0, -1, -1, -1, -1, 1])
+    blocks = label_blocks(labels, 2, labels.shape, (labels,))
+    grid = Grid.regular([(0.0, 1.0)], labels.size)
+    rows = _transient_rows(_closed_class_chain(closed), blocks)
+    g = transfer._indicators(grid, blocks)
+    assert transfer._banded_held(rows, g) is None
+    assert g.tobytes() == transfer._indicators(grid, blocks).tobytes()
+    got, solver = transfer._transient_absorption(rows, grid, blocks, BASIN_TOL)
+    assert solver.startswith("iteration (")
+    expected = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 1.0]])
+    assert got.values.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9, np.nan], ids=["above", "below", "nan"])
+def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, caplog):
+    # a nearly singular I - R can solve without LinAlgError and land off
+    # [0, 1] by more than rounding, or not finite: the values are declined,
+    # g is left as it was, and the absorption iterates
+    fam = MapFamily(double_well(0.38), 0.01)
+    grid = Grid.regular(fam.intervals, 200)
+    config = metric_config(grid, fam.decomposition)
+    rows = _transient_rows(dual_operator(fam, grid), config)
+    solve = transfer._banded_solve
+
+    def off(*args):
+        x = solve(*args)
+        x[0, 0] = bad
+        return x
+
+    monkeypatch.setattr(transfer, "_banded_solve", off)
+    g = transfer._indicators(grid, config)
+    assert transfer._banded_held(rows, g) is None
+    assert g.tobytes() == transfer._indicators(grid, config).tobytes()
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        assert basin_functions(fam, grid).iterations > 0
+    assert caplog.records[-1].getMessage().startswith("basin_functions: iteration (")
 
 
 def test_2d_invariant_marginals_are_the_axis_invariants():
@@ -951,8 +1091,9 @@ def test_2d_invariant_marginals_are_the_axis_invariants():
 
 
 def test_basins_on_coarse_grid_keep_the_partition_of_unity(caplog):
-    # at 60 cells the interpolated absorbing rows leak: iterated as they are,
-    # they leave a defect of 8.4e-3; held at their indicators, 6.6e-12
+    # at 60 cells the interpolated absorbing rows leaked until
+    # _interp_factor_1d clamped them: iterated as they were, they left a
+    # defect of 8.4e-3; held at their indicators, 6.6e-12
     obj, eta = double_well(0.2), 0.3
     decomp = decompose(obj, eta)
     coarse = Grid.regular(decomp.intervals, 60)
