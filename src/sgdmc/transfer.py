@@ -52,6 +52,9 @@ GTH_MAX_BAND = 32
 # widens; on the double well at eta = 0.33, N = 1000 (w = 102) the direct
 # solve took 3.3 ms and the iteration 3.0 ms, a crossover near 2000 b
 BANDED_WORK_RATIO = 1000
+# and where its factor is at most this many times the non-zeros: 4.5 at eta =
+# 0.01, N = 4000, 17 at eta = 0.002, N = 10^5, 84 (146 MB) at eta = 0.01, N = 10^5
+BANDED_FILL_RATIO = 32
 # smallest block of _banded_solve: a narrower one pays more Python steps
 # than its smaller solves save
 BANDED_MIN_BLOCK = 16
@@ -520,6 +523,12 @@ def _basins(g, grid: Grid, order: np.ndarray, iterations: int,
     # this keeps the last bits of the mixture coefficients
     values = np.empty(g.shape, order="F")
     values[:, order] = g  # back in cell order
+    return _basin_values(values, grid, iterations, residual)
+
+
+def _basin_values(values: np.ndarray, grid: Grid, iterations: int,
+                  residual: float) -> BasinFunctions:
+    """BasinFunctions of the values, in cell order, and their partition defect."""
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return BasinFunctions(grid=grid, values=values, iterations=iterations, residual=residual,
                           partition_defect=defect)
@@ -609,20 +618,22 @@ def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.nda
 def _banded_held(rows, g: np.ndarray) -> tuple[int, int, float] | None:
     """Solve in place for the updated values g[:, :b] of _held_iteration's
     fixed point, zero on entry, by _banded_solve where its predicted work is
-    below the iteration's: w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
+    below the iteration's, w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
     among the b updated cells, in blocks of m = max(w, BANDED_MIN_BLOCK)
-    cells.  Returns (w, m, residual), the residual being the sup change one
-    more step of the iteration would make.  The exact values lie in [0, 1]
-    and the solve subtracts, so they are clipped to [0, 1], which never moves
-    a value away from the exact one.  None, with g unchanged, for no updated
-    cells, a wider band, or a solve that fails, is not finite or lands
-    outside [-1e-12, 1 + 1e-12], as a closed class among the updated cells
-    makes it."""
+    cells, and its factor's b (m + k) doubles are at most BANDED_FILL_RATIO
+    times the rows' non-zeros.  Returns (w, m, residual), the residual being
+    the sup change one more step of the iteration would make.  The exact
+    values lie in [0, 1] and the solve subtracts, so they are clipped to
+    [0, 1], which never moves a value away from the exact one.  None, with g
+    unchanged, for no updated cells, a wider band, a larger factor, or a
+    solve that fails, is not finite or lands outside [-1e-12, 1 + 1e-12], as
+    a closed class among the updated cells makes it."""
     b, entry_rows = rows.shape[0], _entry_rows(rows)
     w = _half_bandwidth(entry_rows, rows.indices, where=rows.indices < b)
-    if not b or w**3 > BANDED_WORK_RATIO * b:
-        return None
     m = max(w, BANDED_MIN_BLOCK)
+    if (not b or w**3 > BANDED_WORK_RATIO * b
+            or b * (m + len(g)) > BANDED_FILL_RATIO * rows.nnz):
+        return None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x = _banded_solve(rows, entry_rows, np.column_stack([rows @ row for row in g]), m)
@@ -637,20 +648,20 @@ def _banded_held(rows, g: np.ndarray) -> tuple[int, int, float] | None:
 def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
                           tol: float) -> tuple[BasinFunctions, str]:
     """The absorption probabilities from rows = _transient_rows(M, blocks),
-    and the solver as the INFO line names it.  With two or more rectangles,
-    where the predicted work of a direct solve is below the iteration's
-    (_banded_held: w^3 <= BANDED_WORK_RATIO b), the banded solve gives them
-    directly, clipped to [0, 1]: iterations 0, and a residual that is the
-    sup change one more step of the iteration would make.  Otherwise, and
-    where the solve fails (a closed class among the transient cells),
-    _absorption_iteration runs to tol."""
-    if len(blocks.rectangle_cells) > 1:
-        g = _indicators(grid, blocks)
-        solved = _banded_held(rows, g)
-        if solved is not None:
-            w, m, residual = solved
-            return (_basins(g, grid, _absorption_order(blocks), 0, residual),
-                    f"banded (n={rows.shape[0]}, w={w}, m={m})")
+    and the solver as the INFO line names it: "ones" for one rectangle,
+    which absorbs every path.  With two or more, where _banded_held takes
+    it, the banded solve gives them directly, clipped to [0, 1]: iterations
+    0, and a residual that is the sup change one more step of the iteration
+    would make.  Otherwise, and where the solve fails (a closed class among
+    the transient cells), _absorption_iteration runs to tol."""
+    if len(blocks.rectangle_cells) == 1:
+        return _absorption_iteration(rows, grid, blocks, tol), "ones"
+    g = _indicators(grid, blocks)
+    solved = _banded_held(rows, g)
+    if solved is not None:
+        w, m, residual = solved
+        return (_basins(g, grid, _absorption_order(blocks), 0, residual),
+                f"banded (n={rows.shape[0]}, w={w}, m={m})")
     basins = _absorption_iteration(rows, grid, blocks, tol)
     return basins, f"iteration ({basins.iterations} steps)"
 
@@ -698,16 +709,20 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     1960), and a coordinate that has entered its absorbing block stays there
     while the blocks are closed.  So on every cell with an absorbing axis the
     values are known from the axes' 1-d absorption probabilities g1 and g2
-    (_transient_absorption, banded where the band is narrow): rectangle (a, b),
-    numbered row-major like decompose's rectangles, takes g1_a(x1) g2_b(x2)
-    there, which is 1 or 0 on both axes' blocks, g2_b(x2) or 0 where x1 is
-    in a block, and g1_a(x1) or 0 where x2 is.  Only the b cells transient
-    on both axes are solved, every rectangle's function from 0 with those
-    face values held, by the banded solve where its predicted work is the
-    smaller (_banded_held) and otherwise by _held_iteration to tol
-    (iterations is its step count).  The iteration does not subtract, so
-    its values stay in [0, 1]; the banded solves' values are clipped to
-    [0, 1], which holds their exact values."""
+    (_transient_absorption): rectangle (a, b), numbered row-major like
+    decompose's rectangles, takes g1_a(x1) g2_b(x2) there, which is 1 or 0
+    on both axes' blocks, g2_b(x2) or 0 where x1 is in a block, and g1_a(x1)
+    or 0 where x2 is; with one rectangle on an axis, on every cell.  And
+    sum_b g_(a, b) = g1_a, sum_a g_(a, b) = g2_b (marginals).  So on the n
+    cells transient on both axes only g_(a, b) with a < k1 - 1, b < k2 - 1
+    is solved, from 0 with the face values held, by _banded_held or else
+    _held_iteration to tol (iterations is its step count), and the rest
+    follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
+    g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
+    clipped to [0, 1], which holds their exact values: the derived ones
+    subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
+    sum to g2's sum, so the partition defect shows rounding, not
+    convergence."""
     values, solvers = [], []
     for j, (chain, config) in enumerate(axes):
         basins, solver = _transient_absorption(_transient_rows(chain, config),
@@ -715,18 +730,33 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
         values.append(basins.values)
         solvers.append(solver.split(" ", 1)[0])
     g1, g2 = values
-    b = rows.shape[0]
-    g = (g1[:, None, :, None] * g2[None, :, None, :]).reshape(-1, grid.ncells)[:, order]
-    g[:, :b] = 0.0
-    solved = _banded_held(rows, g)
-    if solved is None:
-        g, iterations, residual = _held_iteration(rows, g, tol)
-        joint_solver = f"{iterations} steps"
-    else:
-        (w, m, residual), iterations = solved, 0
-        joint_solver = f"banded w={w} m={m}"
-    return (_basins(g, grid, order, iterations, residual),
-            f"faces (axis solvers {'/'.join(solvers)}, joint n={b}, {joint_solver})")
+    (k1, n1), (k2, n2) = g1.shape, g2.shape
+    # the face values of every rectangle on every cell, in _basins' layout
+    faces = np.empty((n1, n2, k1, k2))
+    np.multiply(g1.T[:, None, :, None], g2.T[None, :, None, :], out=faces)
+    values = faces.reshape(grid.ncells, k1 * k2).T
+    n = rows.shape[0]
+    solved = [a * k2 + c for a in range(k1 - 1) for c in range(k2 - 1)] if n else []
+    iterations, residual, joint_solver = 0, 0.0, "0 steps"
+    if solved:
+        g = np.zeros((len(solved), grid.ncells))
+        g[:, n:] = values[np.ix_(solved, order[n:])]
+        found = _banded_held(rows, g)
+        if found is None:
+            g, iterations, residual = _held_iteration(rows, g, tol)
+            joint_solver = f"{iterations} steps"
+        else:
+            w, m, residual = found
+            joint_solver = f"banded w={w} m={m}"
+        x1, x2 = np.unravel_index(order[:n], grid.shape)
+        joint = np.empty((k1, k2, n))
+        joint[:-1, :-1] = g[:, :n].reshape(k1 - 1, k2 - 1, n)
+        joint[:-1, -1] = g1[:-1, x1] - joint[:-1, :-1].sum(axis=1)
+        joint[-1] = g2[:, x2] - joint[:-1].sum(axis=0)
+        values[:, order[:n]] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
+    return (_basin_values(values, grid, iterations, residual),
+            f"faces (axis solvers {'/'.join(solvers)}, joint n={n}, "
+            f"{len(solved)} of {k1 * k2} solved, {joint_solver})")
 
 
 def _absorption(matrix, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:

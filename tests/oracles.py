@@ -1,20 +1,21 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
-direct sparse solves, per-cell Ulam factors and cell labels, the
-whole-point sampler step and escape walk, the per-row grid CSV writer, and
-the zero-padded composite distance.  Everything here deliberately avoids the
-package's own algorithms, except per_step_decay_log and
-masked_reset_absorption, which keep the measure-by-measure loop the limit
-mixtures' log once ran and the full-matrix loop the absorption kernel once
-ran, and scalar_bisect and scalar_real_roots, which keep root isolation's
-unmemoized recursion and its bisection through Polynomial.__call__, to pin
-their bits."""
+direct sparse solves, dense stationary solves in extended precision,
+per-cell Ulam factors and cell labels, the whole-point sampler step and
+escape walk, the per-row grid CSV writer, and the zero-padded composite
+distance.  Everything here deliberately avoids the package's own
+algorithms, except per_step_decay_log and masked_reset_absorption, which
+keep the measure-by-measure loop the limit mixtures' log once ran and the
+full-matrix loop the absorption kernel once ran, and scalar_bisect and
+scalar_real_roots, which keep root isolation's unmemoized recursion and its
+bisection through Polynomial.__call__, to pin their bits."""
 
 from __future__ import annotations
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -115,6 +116,42 @@ def direct_absorption(matrix, labels, m_count: int) -> np.ndarray:
             rhs = np.asarray(rows[:, np.flatnonzero(labels == m)].sum(axis=1)).ravel()
             g[m, b_cells] = spla.spsolve(lhs, rhs)
     return g
+
+
+def direct_stationary(matrix, cells) -> np.ndarray:
+    """Stationary probability vector of the block matrix[cells][:, cells] by
+    one dense direct solve of pi Q = 0, pi_last = 1, then normalised: Q is
+    the block's generator, its off-diagonal entries with each row summing to
+    0, so that a block losing rounding to its outside is read as closed.
+    Q^T is column diagonally dominant, so Gaussian elimination runs without
+    pivoting (skipping zero entries); it subtracts, and a metastable block's
+    measure spans far below a double's rounding of its largest entries, so
+    it runs in mpmath at 40, 80, ... digits until two solves agree to 1e-20
+    in every entry.  Raises ArithmeticError where 640 digits do not."""
+    p = sp.csr_matrix(matrix)[cells][:, cells].toarray()
+    n = p.shape[0]
+    previous = None
+    for digits in (40, 80, 160, 320, 640):
+        with mpmath.workdps(digits):
+            a = [[mpmath.mpf(float(x)) for x in column] for column in p.T]  # Q^T
+            for i in range(n):
+                a[i][i] = -mpmath.fsum(p[i, j] for j in range(n) if j != i)
+            for k in range(n - 1):
+                ahead = [j for j in range(k + 1, n) if a[k][j]]
+                for i in range(k + 1, n - 1):
+                    if a[i][k]:
+                        factor = a[i][k] / a[k][k]
+                        for j in ahead:
+                            a[i][j] -= factor * a[k][j]
+            pi = [mpmath.mpf(0)] * (n - 1) + [mpmath.mpf(1)]
+            for k in range(n - 2, -1, -1):
+                pi[k] = -mpmath.fsum(a[k][j] * pi[j] for j in range(k + 1, n)) / a[k][k]
+            total = mpmath.fsum(pi)
+            pi = [x / total for x in pi]
+            if previous is not None and max(abs(x - y) for x, y in zip(pi, previous)) <= 1e-20:
+                return np.array([float(x) for x in pi])
+        previous = pi
+    raise ArithmeticError("the dense stationary solve did not settle within 640 digits")
 
 
 def overlap_factor_1d(fam, i: int, j: int, edges) -> sp.csr_matrix:

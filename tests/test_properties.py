@@ -8,12 +8,13 @@ import itertools
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_anchored_distance,
     classify_cells,
     direct_absorption,
+    direct_stationary,
     whole_point_escape_lengths,
     whole_point_sample,
     zero_padded_d_tilde,
@@ -381,11 +382,23 @@ def test_escape_lengths_match_the_whole_point_oracle(problem, data):
         assert len(escape_path(fam, point)) == lengths[idx]
 
 
+def _metastable_problem():
+    """A one-rectangle sextic problem whose block holds two wells: its
+    measure spans down to 3e-22, and a power iteration stopped on a step
+    change below 1e-14 lands 0.44 (CDF sup) from it."""
+    obj = lambda_split(Polynomial([0.0, 0.140625, -0.5, -0.25, 0.0, 0.0, 1.0]), 0.375)
+    decomp = decompose(obj, 0.0345)
+    return MapFamily(obj, 0.0345), decomp, Grid.regular(decomp.intervals, 48)
+
+
 @PROPERTY_SETTINGS
 @given(problems())
+@example(_metastable_problem())
 def test_gth_matches_the_tight_iteration(problem):
-    # GTH on every band (the limit lifted) against the iteration at a tight
-    # stop, where the iteration converges within its cap
+    # GTH on every band (the limit lifted) against a dense direct solve in
+    # extended precision, which no slow mixing stalls; the absorption
+    # probabilities against the iteration at a tight stop, where it
+    # converges within its cap
     fam, decomp, grid = problem
     _labels(grid, decomp)
     op = ulam_assemble(fam, grid)
@@ -396,13 +409,10 @@ def test_gth_matches_the_tight_iteration(problem):
             gth = invariant_measure(op, cells)
             if gth.iterations > 0:  # a leaky block iterates either way
                 continue
-            # a block mixing slower than this leaves the 1e-14 stop up to 2e-10 off
-            with mock.patch.object(transfer, "GTH_MAX_BAND", -1), \
-                    mock.patch.object(transfer, "DEFAULT_MAX_ITER", 5_000):
-                tight = _converged(lambda: invariant_measure(op, cells, tol=1e-14))
+            direct = np.zeros(grid.ncells)
+            direct[cells] = direct_stationary(op.matrix, cells)
             assert gth.residual <= 1e-14
-            if tight is not None:
-                assert distance(gth.measure.weights, tight.measure.weights) <= 1e-11
+            assert distance(gth.measure.weights, direct) <= 1e-11
         for matrix, solve in ((op.matrix, lambda: ulam_absorption(op, config)),
                               (dual_operator(fam, grid), lambda: basin_functions(fam, grid))):
             gth = solve()
@@ -467,7 +477,7 @@ def test_dual_blocks_are_closed(problem, n):
 @PROPERTY_SETTINGS
 @given(problems())
 def test_banded_absorption_matches_the_sparse_lu(problem):
-    # the banded solve on every band (its work rule lifted), on both
+    # the banded solve on every band (its work and fill rules lifted), on both
     # kernels, against one sparse LU solve per rectangle
     fam, decomp, grid = problem
     labels = _labels(grid, decomp)
@@ -475,7 +485,8 @@ def test_banded_absorption_matches_the_sparse_lu(problem):
     assume(len(decomp.rectangles) > 1 and config.transient_cells.size > 0)
     for matrix in (ulam_assemble(fam, grid).matrix, dual_operator(fam, grid)):
         rows = _transient_rows(matrix, config)
-        with mock.patch.object(transfer, "BANDED_WORK_RATIO", np.inf):
+        with mock.patch.object(transfer, "BANDED_WORK_RATIO", np.inf), \
+                mock.patch.object(transfer, "BANDED_FILL_RATIO", np.inf):
             basins, solver = transfer._transient_absorption(rows, grid, config, 1e-14)
         assert solver.startswith("banded (")
         expected = direct_absorption(matrix, labels, len(decomp.rectangles))
@@ -539,3 +550,37 @@ def test_2d_absorption_has_the_axis_marginals_and_faces(problem):
             assert np.max(np.abs(values - faces)[:, :, ~joint], initial=0.0) <= 1e-12
             assert 0.0 <= values.min() and values.max() <= 1.0 + 1e-15
 
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_faces_match_the_sparse_lu(problem):
+    # the solve by faces solves (k1 - 1)(k2 - 1) of the k1 k2 functions on
+    # the cells transient on both axes and derives the rest from the axes'
+    # marginals: on every transient cell it lies within the kernel's stop
+    # bound of one sparse LU solve per rectangle, and no further from it than
+    # the iteration over every transient cell, where that converges within
+    # its cap; its values lie in [0, 1], and the partition of unity holds to
+    # rounding.  (The Ulam bound is 1e-11: on the slowest draws the joint
+    # iteration's stop at a 1e-14 change leaves 1.0e-12.)
+    fam, decomp, grid = problem
+    assume(grid.dimension == 2)
+    labels = _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    cells = config.transient_cells
+    kernels = ((dual_operator(fam, grid), transfer.BASIN_TOL, 1e-10),
+               (ulam_assemble(fam, grid).matrix, transfer.ULAM_ABSORPTION_TOL, 1e-11))
+    for matrix, tol, bound in kernels:
+        faces = transfer._face_rows(matrix, grid, config)
+        if faces is None:  # one rectangle, or an axis's blocks leak
+            continue
+        got, _ = transfer._face_absorption(*faces, grid, tol)
+        assert 0.0 <= got.values.min() and got.values.max() <= 1.0
+        assert got.partition_defect <= 1e-13
+        exact = direct_absorption(matrix, labels, len(decomp.rectangles))[:, cells]
+        error = np.max(np.abs(got.values[:, cells] - exact), initial=0.0)
+        assert error <= bound
+        rows = _transient_rows(matrix, config)
+        with mock.patch.object(transfer, "DEFAULT_MAX_ITER", 20_000):
+            want = _converged(lambda: _absorption_iteration(rows, grid, config, tol))
+        if want is not None:
+            assert error <= max(np.max(np.abs(want.values[:, cells] - exact)), 1e-13)

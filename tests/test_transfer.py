@@ -454,7 +454,8 @@ def test_gth_stationary_declines_a_non_finite_measure(monkeypatch):
 
 # the INFO line of a 1-d absorption solve, and of a 2-d one by faces
 BANDED = r"\w+: banded \(n=\d+, w=(\d+), m=(\d+)\)"
-FACES = r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) steps\)"
+FACES = (r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) of (\d+) solved, "
+         r"(\d+) steps\)")
 
 
 @pytest.mark.parametrize("obj,eta,n,invariant,absorption", [
@@ -500,7 +501,8 @@ def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, invariant, ab
         else:
             found = re.fullmatch(FACES, record.getMessage())
             assert found.groups()[:2] == ("banded", "banded")
-            assert int(found[4]) == got.iterations > 0
+            assert found.groups()[3:5] == ("1", "4")
+            assert int(found[6]) == got.iterations > 0
 
 
 def _product_double_well():
@@ -565,17 +567,20 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
      0.31240005889122724, 0.18770969786532948, 60),
 ], ids=["metastable-well", "stalling-quartic"])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
-def test_one_rectangle_absorbs_every_cell(monkeypatch, base, lam, eta, n, kernel):
+def test_one_rectangle_absorbs_every_cell(monkeypatch, caplog, base, lam, eta, n, kernel):
+    # the INFO line says that nothing was solved
     monkeypatch.setattr(transfer, "DEFAULT_MAX_ITER", 10**4)
     obj = lambda_split(base, lam)
     fam = MapFamily(obj, 0.3 * eta_bound(obj) if eta is None else eta)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
     assert len(fam.decomposition.rectangles) == 1 and config.transient_cells.size > 0
-    if kernel == "ulam":
-        got = ulam_absorption(ulam_assemble(fam, grid), config)
-    else:
-        got = basin_functions(fam, grid)
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        if kernel == "ulam":
+            got = ulam_absorption(ulam_assemble(fam, grid), config)
+        else:
+            got = basin_functions(fam, grid)
+    assert caplog.records[-1].getMessage().endswith(": ones")
     assert np.all(got.values == 1.0) and got.values.shape == (1, n)
     assert (got.iterations, got.partition_defect) == (0, 0.0)
 
@@ -891,6 +896,18 @@ def _axis_leakage(matrix, grid, config) -> float:
     return max(leaks)
 
 
+def _axis_absorption(fam, grid: Grid, j: int, kernel: str) -> np.ndarray:
+    """Absorption values of axis j's own 1-d problem, its component and the
+    step on the axis's cells, by kernel "ulam" (ulam_absorption) or "dual"
+    (basin_functions)."""
+    axis_fam = MapFamily(SeparableObjective(components=(fam.obj.components[j],)), fam.eta)
+    axis_grid = Grid((grid.edges[j],))
+    if kernel == "ulam":
+        return ulam_absorption(ulam_assemble(axis_fam, axis_grid),
+                               metric_config(axis_grid, axis_fam.decomposition)).values
+    return basin_functions(axis_fam, axis_grid).values
+
+
 @pytest.mark.parametrize("n", [114, 120, 300])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
@@ -917,20 +934,15 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
     found = re.fullmatch(FACES, record.getMessage())
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
     assert found.groups()[:2] == ("banded", "banded")
-    assert (int(found[3]), int(found[4])) == (joint.sum(), got.iterations)
+    assert found.groups()[3:5] == ("1", "4")
+    assert (int(found[3]), int(found[6])) == (joint.sum(), got.iterations)
     assert got.partition_defect <= 1e-10
     assert 0.0 <= got.values.min() and got.values.max() <= 1.0 + 1e-15
     assert got.values.flags.f_contiguous
     # both axes carry the same double well: the 2-d values have its 1-d
     # absorption probabilities as marginals, to within the joint stop error,
     # and their products on the faces
-    axis_fam = MapFamily(SeparableObjective(components=fam.obj.components[:1]), fam.eta)
-    axis_grid = Grid((grid.edges[0],))
-    if kernel == "ulam":
-        axis = ulam_absorption(ulam_assemble(axis_fam, axis_grid),
-                               metric_config(axis_grid, axis_fam.decomposition)).values
-    else:
-        axis = basin_functions(axis_fam, axis_grid).values
+    axis = _axis_absorption(fam, grid, 0, kernel)
     values = got.values.reshape((2, 2) + grid.shape)
     assert np.max(np.abs(values.sum(axis=1) - axis[:, :, None])) <= bound
     assert np.max(np.abs(values.sum(axis=0) - axis[:, None, :])) <= bound
@@ -940,6 +952,42 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
         want = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
         assert np.max(np.abs(got.values - want.values)) <= bound
         assert 0 < got.iterations < want.iterations
+
+
+@pytest.mark.parametrize("single", [0, 1], ids=["first-axis", "second-axis"])
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_one_rectangle_axis_leaves_nothing_to_solve(caplog, kernel, single):
+    # one axis has a single absorbing interval, with transient cells to its
+    # right, beside the double well: every path is absorbed on that axis, so
+    # rectangle (a) is the other axis's interval a and its function is that
+    # axis's 1-d absorption probability on every cell; the cells transient
+    # on both axes take it with no joint solve, at 0 steps
+    one = lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5).components[0]
+    components = [double_well(0.38).components[0]] * 2
+    components[single] = one
+    fam = MapFamily(SeparableObjective(components=tuple(components)), 0.23)
+    grid = Grid.regular(fam.intervals, 100)
+    config = metric_config(grid, fam.decomposition)
+    joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
+    assert [labels.max() + 1 for labels in config.axis_labels][single] == 1
+    assert joint.sum() > 0
+    if kernel == "ulam":
+        solve = partial(ulam_absorption, ulam_assemble(fam, grid), config)
+    else:
+        solve = partial(basin_functions, fam, grid)
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        got = solve()
+    [record] = caplog.records
+    found = re.fullmatch(FACES, record.getMessage())
+    assert found[single + 1] == "ones" and found[2 - single] == "banded"
+    assert (int(found[3]), found[4], found[5], found[6]) == (joint.sum(), "0", "2", "0")
+    assert (got.iterations, got.residual) == (0, 0.0)
+    values = got.values.reshape((2,) + grid.shape)
+    # constant along the one-rectangle axis
+    along = np.expand_dims(_axis_absorption(fam, grid, 1 - single, kernel), 1 + single)
+    assert np.all(values == np.take(values, [0], axis=1 + single))
+    assert np.max(np.abs(values - along)) <= 1e-15
+    assert got.partition_defect <= 1e-15
 
 
 @pytest.mark.parametrize("n,solver", [(10, "banded"), (14, "iteration")],
@@ -1041,6 +1089,27 @@ def test_closed_class_falls_back_to_the_iteration(closed):
     assert solver.startswith("iteration (")
     expected = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 1.0]])
     assert got.values.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("n,blocks", [(30_000, [100]), (40_000, [])])
+def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
+    # at eta = 0.01 the direct solve is predicted the faster at both sizes
+    # (w^3 <= BANDED_WORK_RATIO b, w = 100 and 133), but at N = 40000 its
+    # b (m + k) factor would hold 34 times the rows' non-zeros, past
+    # BANDED_FILL_RATIO: the solve is not tried (a stub records each try)
+    fam = MapFamily(double_well(0.38), 0.01)
+    grid = Grid.regular(fam.intervals, n)
+    config = metric_config(grid, fam.decomposition)
+    rows = _transient_rows(dual_operator(fam, grid), config)
+    tried = []
+
+    def stub(rows, entry_rows, f, m):
+        tried.append(m)
+        raise np.linalg.LinAlgError
+
+    monkeypatch.setattr(transfer, "_banded_solve", stub)
+    assert transfer._banded_held(rows, transfer._indicators(grid, config)) is None
+    assert tried == blocks
 
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9, np.nan], ids=["above", "below", "nan"])
