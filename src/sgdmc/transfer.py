@@ -535,14 +535,11 @@ def _basin_values(values: np.ndarray, grid: Grid, iterations: int,
 
 
 def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
-    """(g, steps, last change) of g[:, :b] <- rows @ g, b = rows.shape[0],
+    """(g, steps, last change) of g[:, :b] <- rows @ g, b = rows.shape[0] > 0,
     iterated until the sup change drops below tol, with g[:, b:] held: the
     columns of rows are numbered like those of g, the b updated cells
-    first.  With no updated cells nothing is iterated: 0 steps.  Raises
-    NoConvergence after DEFAULT_MAX_ITER steps."""
+    first.  Raises NoConvergence after DEFAULT_MAX_ITER steps."""
     b = rows.shape[0]
-    if not b:
-        return g, 0, 0.0
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
     g_next, change = g.copy(), np.empty((g.shape[0], b))
     residual = np.inf
@@ -558,23 +555,6 @@ def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, f
         if residual < tol:
             return g, it, residual
     raise NoConvergence(DEFAULT_MAX_ITER, residual)
-
-
-def _absorption_iteration(rows, grid: Grid, blocks: MetricConfig, tol: float) -> BasinFunctions:
-    """Iterate g <- M g from the indicators of the rectangles' cell blocks
-    until the sup change drops below tol, holding the absorbing cells at
-    their indicators: absorption there is certain, even where a coarse grid
-    lets a block's rows leak.  rows = _transient_rows(M, blocks), so only the
-    transient cells, numbered first (_absorption_order), are updated; the
-    values return in cell order once at the end.  The fixed point solves
-    (I - M_BB) g_B = M_{B,T_m} 1 on the transient cells B.  With one rectangle
-    every path is absorbed by it, so its values are ones and nothing is iterated:
-    over a metastable transient well the iteration stalls or stops far below 1."""
-    if len(blocks.rectangle_cells) == 1:
-        return BasinFunctions(grid=grid, values=np.ones((1, grid.ncells), order="F"),
-                              iterations=0, residual=0.0, partition_defect=0.0)
-    g, iterations, residual = _held_iteration(rows, _indicators(grid, blocks), tol)
-    return _basins(g, grid, _absorption_order(blocks), iterations, residual)
 
 
 def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
@@ -615,55 +595,55 @@ def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.nda
     return x[:b]
 
 
-def _banded_held(rows, g: np.ndarray) -> tuple[int, int, float] | None:
-    """Solve in place for the updated values g[:, :b] of _held_iteration's
-    fixed point, zero on entry, by _banded_solve where its predicted work is
-    below the iteration's, w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
-    among the b updated cells, in blocks of m = max(w, BANDED_MIN_BLOCK)
-    cells, and its factor's b (m + k) doubles are at most BANDED_FILL_RATIO
-    times the rows' non-zeros.  Returns (w, m, residual), the residual being
-    the sup change one more step of the iteration would make.  The exact
-    values lie in [0, 1] and the solve subtracts, so they are clipped to
-    [0, 1], which never moves a value away from the exact one.  None, with g
-    unchanged, for no updated cells, a wider band, a larger factor, or a
-    solve that fails, is not finite or lands outside [-1e-12, 1 + 1e-12], as
-    a closed class among the updated cells makes it."""
-    b, entry_rows = rows.shape[0], _entry_rows(rows)
+def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float, str]:
+    """(g, steps, residual, solver) of the fixed point of _held_iteration,
+    g[:, :b] zero on entry, b = rows.shape[0]: the one place an absorption
+    system picks its solver, named as its INFO line names it.  "none" with
+    no updated cells.  "banded (...)" by _banded_solve where its predicted
+    work is below the iteration's, w^3 <= BANDED_WORK_RATIO b (w the
+    half-bandwidth among the b updated cells), and its factor's b (m + k)
+    doubles, m = max(w, BANDED_MIN_BLOCK), are at most BANDED_FILL_RATIO
+    times the rows' non-zeros: 0 steps, values clipped to [0, 1] (the exact
+    ones lie there and the solve subtracts, so no value moves away from
+    them), and a residual that is the sup change one more step of the
+    iteration would make.  Otherwise, and where the solve fails, is not
+    finite or lands outside [-1e-12, 1 + 1e-12] (a closed class among the
+    updated cells), "iteration (...)": _held_iteration to tol from g as it
+    came."""
+    b = rows.shape[0]
+    if not b:
+        return g, 0, 0.0, "none"
+    entry_rows = _entry_rows(rows)
     w = _half_bandwidth(entry_rows, rows.indices, where=rows.indices < b)
     m = max(w, BANDED_MIN_BLOCK)
-    if (not b or w**3 > BANDED_WORK_RATIO * b
-            or b * (m + len(g)) > BANDED_FILL_RATIO * rows.nnz):
-        return None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _banded_solve(rows, entry_rows, np.column_stack([rows @ row for row in g]), m)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
-        return None
-    g[:, :b] = np.clip(x, 0.0, 1.0).T
-    return w, m, max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
+    if w**3 <= BANDED_WORK_RATIO * b and b * (m + len(g)) <= BANDED_FILL_RATIO * rows.nnz:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _banded_solve(rows, entry_rows, np.column_stack([rows @ row for row in g]), m)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
+            g[:, :b] = np.clip(x, 0.0, 1.0).T
+            residual = max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
+            return g, 0, residual, f"banded (n={b}, w={w}, m={m})"
+    g, steps, residual = _held_iteration(rows, g, tol)
+    return g, steps, residual, f"iteration ({steps} steps)"
 
 
 def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
                           tol: float) -> tuple[BasinFunctions, str]:
     """The absorption probabilities from rows = _transient_rows(M, blocks),
-    and the solver as the INFO line names it: "ones" for one rectangle,
-    which absorbs every path.  With two or more, where _banded_held takes
-    it, the banded solve gives them directly, clipped to [0, 1]: iterations
-    0, and a residual that is the sup change one more step of the iteration
-    would make.  Otherwise, and where the solve fails (a closed class among
-    the transient cells), _absorption_iteration runs to tol."""
+    and the solver as the INFO line names it.  With one rectangle every path
+    is absorbed by it, so its values are ones and nothing is solved ("ones"):
+    over a metastable transient well the iteration stalls or stops far below
+    1.  Otherwise _held_solve solves (I - M_BB) g_B = M_{B,T_m} 1 on the
+    transient cells B from the rectangles' indicators, the absorbing cells
+    held at them: absorption there is certain, even where a coarse grid lets
+    a block's rows leak.  The values return in cell order once at the end."""
     if len(blocks.rectangle_cells) == 1:
-        return _absorption_iteration(rows, grid, blocks, tol), "ones"
-    g = _indicators(grid, blocks)
-    solved = _banded_held(rows, g)
-    if solved is not None:
-        w, m, residual = solved
-        return (_basins(g, grid, _absorption_order(blocks), 0, residual),
-                f"banded (n={rows.shape[0]}, w={w}, m={m})")
-    basins = _absorption_iteration(rows, grid, blocks, tol)
-    return basins, f"iteration ({basins.iterations} steps)"
+        return _basin_values(np.ones((1, grid.ncells), order="F"), grid, 0, 0.0), "ones"
+    g, steps, residual, solver = _held_solve(rows, _indicators(grid, blocks), tol)
+    return _basins(g, grid, _absorption_order(blocks), steps, residual), solver
 
 
 def _axis_chain(matrix, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
@@ -685,10 +665,8 @@ def _face_rows(matrix, grid: Grid, blocks: MetricConfig):
     """What the solve by faces takes from the 2-d cell chain matrix: each
     axis's chain (_axis_chain) with its blocks, and the rows of the cells
     transient on both axes, which order numbers first, their columns
-    renumbered to order.  None with one rectangle, or where an axis's
-    absorbing blocks leak more than LEAKAGE_WARN."""
-    if len(blocks.rectangle_cells) == 1:
-        return None
+    renumbered to order.  None where an axis's absorbing blocks leak more
+    than LEAKAGE_WARN."""
     axes = [(_axis_chain(matrix, grid.shape, j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
             for j, labels in enumerate(blocks.axis_labels)]
@@ -715,20 +693,21 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     or 0 where x2 is; with one rectangle on an axis, on every cell.  And
     sum_b g_(a, b) = g1_a, sum_a g_(a, b) = g2_b (marginals).  So on the n
     cells transient on both axes only g_(a, b) with a < k1 - 1, b < k2 - 1
-    is solved, from 0 with the face values held, by _banded_held or else
-    _held_iteration to tol (iterations is its step count), and the rest
-    follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
+    is solved, from 0 with the face values held, by _held_solve, and the
+    rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
     g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
     clipped to [0, 1], which holds their exact values: the derived ones
     subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
     sum to g2's sum, so the partition defect shows rounding, not
-    convergence."""
-    values, solvers = [], []
+    convergence.  iterations sums the steps of the axis solves and the joint
+    solve, and residual is the largest of their residuals."""
+    values, solvers, iterations, residual = [], [], 0, 0.0
     for j, (chain, config) in enumerate(axes):
         basins, solver = _transient_absorption(_transient_rows(chain, config),
                                                Grid((grid.edges[j],)), config, tol)
         values.append(basins.values)
         solvers.append(solver.split(" ", 1)[0])
+        iterations, residual = iterations + basins.iterations, max(residual, basins.residual)
     g1, g2 = values
     (k1, n1), (k2, n2) = g1.shape, g2.shape
     # the face values of every rectangle on every cell, in _basins' layout
@@ -737,17 +716,12 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     values = faces.reshape(grid.ncells, k1 * k2).T
     n = rows.shape[0]
     solved = [a * k2 + c for a in range(k1 - 1) for c in range(k2 - 1)] if n else []
-    iterations, residual, joint_solver = 0, 0.0, "0 steps"
+    joint_solver = "none"
     if solved:
         g = np.zeros((len(solved), grid.ncells))
         g[:, n:] = values[np.ix_(solved, order[n:])]
-        found = _banded_held(rows, g)
-        if found is None:
-            g, iterations, residual = _held_iteration(rows, g, tol)
-            joint_solver = f"{iterations} steps"
-        else:
-            w, m, residual = found
-            joint_solver = f"banded w={w} m={m}"
+        g, steps, joint_residual, joint_solver = _held_solve(rows, g, tol)
+        iterations, residual = iterations + steps, max(residual, joint_residual)
         x1, x2 = np.unravel_index(order[:n], grid.shape)
         joint = np.empty((k1, k2, n))
         joint[:-1, :-1] = g[:, :n].reshape(k1 - 1, k2 - 1, n)
@@ -756,7 +730,7 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
         values[:, order[:n]] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
     return (_basin_values(values, grid, iterations, residual),
             f"faces (axis solvers {'/'.join(solvers)}, joint n={n}, "
-            f"{len(solved)} of {k1 * k2} solved, {joint_solver})")
+            f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
 
 
 def _absorption(matrix, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:

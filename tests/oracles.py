@@ -6,7 +6,9 @@ escape walk, the per-row grid CSV writer, and the zero-padded composite
 distance.  Everything here deliberately avoids the package's own
 algorithms, except per_step_decay_log and masked_reset_absorption, which
 keep the measure-by-measure loop the limit mixtures' log once ran and the
-full-matrix loop the absorption kernel once ran, and scalar_bisect and
+full-matrix loop the absorption kernel once ran, held_absorption, the
+absorption iteration alone that the direct solves are checked against, and
+scalar_bisect and
 scalar_real_roots, which keep root isolation's unmemoized recursion and its
 bisection through Polynomial.__call__, to pin their bits."""
 
@@ -338,6 +340,15 @@ def masked_reset_absorption(matrix, grid, blocks, tol: float):
             return transfer.BasinFunctions(grid=grid, values=g, iterations=it,
                                            residual=residual, partition_defect=defect)
     raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")
+
+
+def held_absorption(rows, grid, blocks, tol: float):
+    """BasinFunctions of transfer._held_iteration from the indicators, with
+    no banded solve and no one-rectangle shortcut; nothing is iterated with
+    no transient cells."""
+    g = transfer._indicators(grid, blocks)
+    g, steps, residual = transfer._held_iteration(rows, g, tol) if rows.shape[0] else (g, 0, 0.0)
+    return transfer._basins(g, grid, transfer._absorption_order(blocks), steps, residual)
 
 
 def scalar_bisect(p, lo: float, hi: float, s_lo: float) -> float:

@@ -571,7 +571,8 @@ def test_report_round_trips(tmp_path):
 STAGE_LINE = r"(\w+): compute \d+\.\d{3}s, write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)"
 # the line each invariant, basin and absorption solve logs at INFO
 SOLVER_LINE = (r"(invariant_measure|basin_functions|ulam_absorption): "
-               r"(?:(gth|banded) \(n=(\d+), w=(\d+)(?:, m=(\d+))?\)|iteration \((\d+) steps\))")
+               r"(?:(gth|banded) \(n=(\d+), w=(\d+)(?:, m=(\d+))?\)|iteration \((\d+) steps\)"
+               r"|(none))")
 SAMPLE_LINE = (r"(\w+): chain \d+\.\d{3}s \((\d+) steps, \d+ ns/step\), "
                r"write \d+\.\d{3}s \((\d+) rows, (\d+) bytes\)")
 
@@ -633,11 +634,12 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
     ("invariant", 0.33, 1000, "iteration"),
     ("basins", 0.01, 300, "banded"),
     ("basins", 0.33, 1000, "iteration"),
+    ("basins", 0.33, 2, "none"),
 ])
 def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver):
     # a direct solve where the band is narrow (eta = 0.01), GTH for an
-    # invariant measure and the banded solve for the basins, and the
-    # iteration where it is wide
+    # invariant measure and the banded solve for the basins, the iteration
+    # where it is wide, and no solve where no cell is transient
     config = {**DW_CONFIG, "eta": eta}
     out = tmp_path / "out"
     with caplog.at_level("INFO", logger="sgdmc"):
@@ -655,7 +657,10 @@ def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver
         steps = [json.loads((out / "basins.json").read_text())["iterations"]]
         names, sizes = ["basin_functions"], [blocks.transient_cells.size]
     assert [name for name, *_ in solves] == names
-    for (_, direct, n, w, m, iterations), size, step in zip(solves, sizes, steps):
+    for (_, direct, n, w, m, iterations, none), size, step in zip(solves, sizes, steps):
+        if solver == "none":
+            assert (direct, iterations, none, size, step) == (None, None, "none", 0, 0)
+            continue
         if solver == "iteration":
             assert (direct, n, int(iterations)) == (None, None, step) and step > 0
             continue

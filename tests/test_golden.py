@@ -116,7 +116,7 @@ GOLDEN = {
         "files": {
             "basin_0.csv": "b3ea2fe9c8807bf652881ec6bb01c6ccb16c2275757705fe4a9d21c7f7ccfbb8",
             "basin_1.csv": "106490fc840af30145b52805148ea5bc1b924dfaee9a55c837a58f2a4432301e",
-            "basins.json": "a06b5219f93ff74c3bfdbe5edf4cc55eac07ce24b04e5bcb0ef9731e13b84be7"
+            "basins.json": "dac7b99bd0edb150545776cd14b0191dec9679666e612e1ac473f7eaf1b3145c"
         },
         "stderr": ""
     },

@@ -15,6 +15,7 @@ from oracles import (
     classify_cells,
     direct_absorption,
     direct_stationary,
+    held_absorption,
     whole_point_escape_lengths,
     whole_point_sample,
     zero_padded_d_tilde,
@@ -44,7 +45,6 @@ from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
-    _absorption_iteration,
     _transient_rows,
     basin_functions,
     dual_operator,
@@ -419,7 +419,7 @@ def test_gth_matches_the_tight_iteration(problem):
             assert gth.residual <= 1e-14
             rows = _transient_rows(matrix, config)
             with mock.patch.object(transfer, "DEFAULT_MAX_ITER", 20_000):
-                tight = _converged(lambda: _absorption_iteration(rows, grid, config, 1e-14))
+                tight = _converged(lambda: held_absorption(rows, grid, config, 1e-14))
             if tight is None:
                 continue
             # the held iterate rises toward the fixed point, and its partition
@@ -571,7 +571,7 @@ def test_faces_match_the_sparse_lu(problem):
                (ulam_assemble(fam, grid).matrix, transfer.ULAM_ABSORPTION_TOL, 1e-11))
     for matrix, tol, bound in kernels:
         faces = transfer._face_rows(matrix, grid, config)
-        if faces is None:  # one rectangle, or an axis's blocks leak
+        if faces is None:  # an axis's blocks leak
             continue
         got, _ = transfer._face_absorption(*faces, grid, tol)
         assert 0.0 <= got.values.min() and got.values.max() <= 1.0
@@ -581,6 +581,6 @@ def test_faces_match_the_sparse_lu(problem):
         assert error <= bound
         rows = _transient_rows(matrix, config)
         with mock.patch.object(transfer, "DEFAULT_MAX_ITER", 20_000):
-            want = _converged(lambda: _absorption_iteration(rows, grid, config, tol))
+            want = _converged(lambda: held_absorption(rows, grid, config, tol))
         if want is not None:
-            assert error <= max(np.max(np.abs(want.values[:, cells] - exact)), 1e-13)
+            assert error <= max(np.max(np.abs(want.values[:, cells] - exact), initial=0.0), 1e-13)

@@ -13,6 +13,7 @@ from oracles import (
     classify_cells,
     direct_absorption,
     double_well_roots,
+    held_absorption,
     masked_reset_absorption,
     overlap_factor_1d,
     per_step_decay_log,
@@ -38,7 +39,6 @@ from sgdmc.transfer import (
     ULAM_ABSORPTION_TOL,
     DiscreteMeasure,
     Grid,
-    _absorption_iteration,
     _map_factor_1d,
     _transient_rows,
     basin_functions,
@@ -345,8 +345,8 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
     config = metric_config(grid, decomp)
     expected = direct_absorption(op.matrix, labels, len(decomp.rectangles))
     # the iteration, called directly: ulam_absorption takes GTH on narrow bands
-    absorption = _absorption_iteration(_transient_rows(op.matrix, config), grid, config,
-                                       ULAM_ABSORPTION_TOL)
+    absorption = held_absorption(_transient_rows(op.matrix, config), grid, config,
+                                 ULAM_ABSORPTION_TOL)
     assert np.max(np.abs(absorption.values - expected)) <= 1e-11
     assert absorption.partition_defect <= 1e-9
     assert absorption.iterations > 0
@@ -361,7 +361,7 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     matrix = dual_operator(fam, grid)
     labels = grid.classify(decomp)
     config = metric_config(grid, decomp)
-    basins = _absorption_iteration(_transient_rows(matrix, config), grid, config, 1e-11)
+    basins = held_absorption(_transient_rows(matrix, config), grid, config, 1e-11)
     indicators = np.stack([(labels == m).astype(float) for m in range(2)])
     g = indicators
     for _ in range(basins.iterations):
@@ -452,10 +452,11 @@ def test_gth_stationary_declines_a_non_finite_measure(monkeypatch):
         assert transfer._gth_stationary(_birth_death(400, 0.1), 1) is None
 
 
-# the INFO line of a 1-d absorption solve, and of a 2-d one by faces
+# the INFO line of a 1-d absorption solve, and of a 2-d one by faces, whose
+# joint solve (group 6) reads as a 1-d line does; group 7 is the joint steps
 BANDED = r"\w+: banded \(n=\d+, w=(\d+), m=(\d+)\)"
-FACES = (r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) of (\d+) solved, "
-         r"(\d+) steps\)")
+FACES = (r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) of (\d+) solved: "
+         r"(banded \(n=\d+, w=\d+, m=\d+\)|iteration \((\d+) steps\)|none)\)")
 
 
 @pytest.mark.parametrize("obj,eta,n,invariant,absorption", [
@@ -502,7 +503,7 @@ def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, invariant, ab
             found = re.fullmatch(FACES, record.getMessage())
             assert found.groups()[:2] == ("banded", "banded")
             assert found.groups()[3:5] == ("1", "4")
-            assert int(found[6]) == got.iterations > 0
+            assert int(found[7]) == got.iterations > 0
 
 
 def _product_double_well():
@@ -543,7 +544,7 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
         # the public call takes GTH on this narrow band, and the faces on this
         # closed 2-d grid (test_face_absorption_matches_the_joint_kernel):
         # pin the kernel itself
-        got = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
+        got = held_absorption(_transient_rows(matrix, config), grid, config, tol)
     assert got.values.flags.f_contiguous
     if rectangles == 1:
         assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
@@ -583,6 +584,31 @@ def test_one_rectangle_absorbs_every_cell(monkeypatch, caplog, base, lam, eta, n
     assert caplog.records[-1].getMessage().endswith(": ones")
     assert np.all(got.values == 1.0) and got.values.shape == (1, n)
     assert (got.iterations, got.partition_defect) == (0, 0.0)
+
+
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_one_rectangle_2d_goes_by_faces_to_ones(caplog, kernel):
+    # the metastable well on both axes, whose blocks are closed: the faces
+    # take it, each axis with one rectangle, and give the same exact ones
+    # with nothing solved, the joint cells included
+    one = lambda_split(Polynomial([0.0, 0.15, -0.5, 0.1, 0.25]), 0.2).components[0]
+    obj = SeparableObjective(components=(one, one))
+    fam = MapFamily(obj, 0.3 * eta_bound(obj))
+    grid = Grid.regular(fam.intervals, 60)
+    config = metric_config(grid, fam.decomposition)
+    joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
+    assert len(fam.decomposition.rectangles) == 1 and joint.sum() > 0
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        if kernel == "ulam":
+            got = ulam_absorption(ulam_assemble(fam, grid), config)
+        else:
+            got = basin_functions(fam, grid)
+    [record] = caplog.records
+    found = re.fullmatch(FACES, record.getMessage())
+    assert found.groups()[:6] == ("ones", "ones", str(joint.sum()), "0", "1", "none")
+    assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
+    assert got.values.flags.f_contiguous
+    assert (got.iterations, got.residual, got.partition_defect) == (0, 0.0, 0.0)
 
 
 def test_limit_mixture_classify_calls(dw038_setup, monkeypatch):
@@ -908,6 +934,20 @@ def _axis_absorption(fam, grid: Grid, j: int, kernel: str) -> np.ndarray:
     return basin_functions(axis_fam, axis_grid).values
 
 
+def _recorded_solves(monkeypatch) -> list:
+    """(steps, residual, solver) of every _held_solve call from now on, in
+    call order."""
+    solves, held_solve = [], transfer._held_solve
+
+    def record(*args):
+        g, steps, residual, solver = held_solve(*args)
+        solves.append((steps, residual, solver))
+        return g, steps, residual, solver
+
+    monkeypatch.setattr(transfer, "_held_solve", record)
+    return solves
+
+
 @pytest.mark.parametrize("n", [114, 120, 300])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
@@ -935,7 +975,7 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
     assert found.groups()[:2] == ("banded", "banded")
     assert found.groups()[3:5] == ("1", "4")
-    assert (int(found[3]), int(found[6])) == (joint.sum(), got.iterations)
+    assert (int(found[3]), int(found[7])) == (joint.sum(), got.iterations)
     assert got.partition_defect <= 1e-10
     assert 0.0 <= got.values.min() and got.values.max() <= 1.0 + 1e-15
     assert got.values.flags.f_contiguous
@@ -949,19 +989,45 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
     faces = axis[:, None, :, None] * axis[None, :, None, :]
     assert np.max(np.abs(values - faces)[:, :, ~joint]) <= 1e-12
     if n < 300:
-        want = _absorption_iteration(_transient_rows(matrix, config), grid, config, tol)
+        want = held_absorption(_transient_rows(matrix, config), grid, config, tol)
         assert np.max(np.abs(got.values - want.values)) <= bound
         assert 0 < got.iterations < want.iterations
 
 
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_faces_report_every_solve(monkeypatch, caplog, kernel):
+    # with the banded solve declined both axes iterate, as the joint solve
+    # does: the result's iterations sum the steps of the two axis solves and
+    # the joint one, and its residual is the largest of their residuals
+    monkeypatch.setattr(transfer, "BANDED_WORK_RATIO", 0)
+    fam = MapFamily(_double_well_product(2), 0.33)
+    grid = Grid.regular(fam.intervals, 60)
+    config = metric_config(grid, fam.decomposition)
+    if kernel == "ulam":
+        solve = partial(ulam_absorption, ulam_assemble(fam, grid), config)
+    else:
+        solve = partial(basin_functions, fam, grid)
+    solves = _recorded_solves(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        got = solve()
+    [record] = caplog.records
+    found = re.fullmatch(FACES, record.getMessage())
+    assert found.groups()[:2] == ("iteration", "iteration")
+    assert all(solver == f"iteration ({steps} steps)" for steps, _, solver in solves)
+    (x1_steps, x1_residual, _), (x2_steps, x2_residual, _), joint = solves
+    assert x1_steps > 0 and x2_steps > 0 and joint[0] == int(found[7]) > 0
+    assert got.iterations == x1_steps + x2_steps + joint[0]
+    assert got.residual == max(x1_residual, x2_residual, joint[1])
+
+
 @pytest.mark.parametrize("single", [0, 1], ids=["first-axis", "second-axis"])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
-def test_one_rectangle_axis_leaves_nothing_to_solve(caplog, kernel, single):
+def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel, single):
     # one axis has a single absorbing interval, with transient cells to its
     # right, beside the double well: every path is absorbed on that axis, so
     # rectangle (a) is the other axis's interval a and its function is that
     # axis's 1-d absorption probability on every cell; the cells transient
-    # on both axes take it with no joint solve, at 0 steps
+    # on both axes take it with no joint solve ("none"), at 0 steps
     one = lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5).components[0]
     components = [double_well(0.38).components[0]] * 2
     components[single] = one
@@ -975,13 +1041,17 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(caplog, kernel, single):
         solve = partial(ulam_absorption, ulam_assemble(fam, grid), config)
     else:
         solve = partial(basin_functions, fam, grid)
+    solves = _recorded_solves(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
     [record] = caplog.records
     found = re.fullmatch(FACES, record.getMessage())
     assert found[single + 1] == "ones" and found[2 - single] == "banded"
-    assert (int(found[3]), found[4], found[5], found[6]) == (joint.sum(), "0", "2", "0")
-    assert (got.iterations, got.residual) == (0, 0.0)
+    assert (int(found[3]), found[4], found[5], found[6]) == (joint.sum(), "0", "2", "none")
+    # the one solve made is the banded axis's, and the result reports it
+    [(steps, residual, solver)] = solves
+    assert solver.startswith("banded (")
+    assert steps == 0 and (got.iterations, got.residual) == (steps, residual)
     values = got.values.reshape((2,) + grid.shape)
     # constant along the one-rectangle axis
     along = np.expand_dims(_axis_absorption(fam, grid, 1 - single, kernel), 1 + single)
@@ -1073,8 +1143,25 @@ def _closed_class_chain(closed: str) -> sp.csr_matrix:
     return sp.csr_matrix(p)
 
 
+def _declines_the_banded_solve(monkeypatch, rows, g, tol):
+    """_held_solve on (rows, g) hands g, unchanged, to _held_iteration,
+    names the iteration and returns its bits."""
+    handed, held_iteration = [], transfer._held_iteration
+
+    def record(rows, g, tol):
+        handed.append(g.copy())
+        return held_iteration(rows, g, tol)
+
+    monkeypatch.setattr(transfer, "_held_iteration", record)
+    got, steps, residual, solver = transfer._held_solve(rows, g.copy(), tol)
+    want, want_steps, want_residual = held_iteration(rows, g.copy(), tol)
+    assert [h.tobytes() for h in handed] == [g.tobytes()]
+    assert solver == f"iteration ({steps} steps)"
+    assert got.tobytes() == want.tobytes() and (steps, residual) == (want_steps, want_residual)
+
+
 @pytest.mark.parametrize("closed", ["two-cycle", "trap"])
-def test_closed_class_falls_back_to_the_iteration(closed):
+def test_closed_class_falls_back_to_the_iteration(monkeypatch, closed):
     # I - R on the transient cells is singular: the banded solve declines,
     # leaving g as it was, and the held iteration finds the values, 0 on
     # the closed class, which nothing leaves
@@ -1082,9 +1169,8 @@ def test_closed_class_falls_back_to_the_iteration(closed):
     blocks = label_blocks(labels, 2, labels.shape, (labels,))
     grid = Grid.regular([(0.0, 1.0)], labels.size)
     rows = _transient_rows(_closed_class_chain(closed), blocks)
-    g = transfer._indicators(grid, blocks)
-    assert transfer._banded_held(rows, g) is None
-    assert g.tobytes() == transfer._indicators(grid, blocks).tobytes()
+    with monkeypatch.context() as patch:
+        _declines_the_banded_solve(patch, rows, transfer._indicators(grid, blocks), BASIN_TOL)
     got, solver = transfer._transient_absorption(rows, grid, blocks, BASIN_TOL)
     assert solver.startswith("iteration (")
     expected = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 1.0]])
@@ -1096,7 +1182,8 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
     # at eta = 0.01 the direct solve is predicted the faster at both sizes
     # (w^3 <= BANDED_WORK_RATIO b, w = 100 and 133), but at N = 40000 its
     # b (m + k) factor would hold 34 times the rows' non-zeros, past
-    # BANDED_FILL_RATIO: the solve is not tried (a stub records each try)
+    # BANDED_FILL_RATIO: the solve is not tried (a stub records each try);
+    # either way the iteration runs, here for one step (tol inf)
     fam = MapFamily(double_well(0.38), 0.01)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
@@ -1108,7 +1195,7 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
         raise np.linalg.LinAlgError
 
     monkeypatch.setattr(transfer, "_banded_solve", stub)
-    assert transfer._banded_held(rows, transfer._indicators(grid, config)) is None
+    _declines_the_banded_solve(monkeypatch, rows, transfer._indicators(grid, config), np.inf)
     assert tried == blocks
 
 
@@ -1129,9 +1216,8 @@ def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, capl
         return x
 
     monkeypatch.setattr(transfer, "_banded_solve", off)
-    g = transfer._indicators(grid, config)
-    assert transfer._banded_held(rows, g) is None
-    assert g.tobytes() == transfer._indicators(grid, config).tobytes()
+    with monkeypatch.context() as patch:
+        _declines_the_banded_solve(patch, rows, transfer._indicators(grid, config), BASIN_TOL)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         assert basin_functions(fam, grid).iterations > 0
     assert caplog.records[-1].getMessage().startswith("basin_functions: iteration (")
