@@ -19,7 +19,6 @@ from .absorbing import (
 from .diffusion import (
     DiffusionProfile,
     density_cell_masses,
-    drift_and_diffusion,
     stationary_density,
     vanishing_points,
 )
@@ -28,7 +27,6 @@ from .dynamics import (
     MapFamily,
     SampleSummary,
     SplittingCertificate,
-    apply_map,
     apply_path,
     escape_path,
     extremal_envelope,
@@ -38,7 +36,7 @@ from .dynamics import (
     uniform_escape_length,
     verify_certificate,
 )
-from .metrics import MetricConfig, d_F, d_alpha_rect, d_tilde, metric_config, total_variation
+from .metrics import MetricConfig, d_F, d_alpha_rect, d_tilde, metric_config
 from .objective import (
     CriticalPointReport,
     SeparableObjective,
@@ -62,7 +60,6 @@ from .transfer import (
     LimitMixtureResult,
     UlamOperator,
     basin_functions,
-    block_leakage,
     dual_operator,
     dual_residual,
     invariant_measure,

@@ -67,14 +67,6 @@ class Rectangle:
     index: tuple[int, ...]
     box: tuple[tuple[float, float], ...]
 
-    def contains(self, point, closed: bool = True) -> bool:
-        for x, (lo, hi) in zip(point, self.box):
-            if closed and not lo <= x <= hi:
-                return False
-            if not closed and not lo < x < hi:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -95,13 +87,6 @@ class Decomposition:
     @property
     def rectangle_count(self) -> int:
         return len(self.rectangles)
-
-    def in_transient(self, point) -> bool:
-        """True when the point lies in I but in no rectangle."""
-        for x, (a, b) in zip(point, self.intervals):
-            if not a <= x <= b:
-                return False
-        return not any(rect.contains(point) for rect in self.rectangles)
 
     def to_dict(self) -> dict:
         return {

@@ -55,16 +55,6 @@ def _diffusion_poly(obj: SeparableObjective) -> Polynomial:
     return acc - (fp * fp)
 
 
-def drift_and_diffusion(obj: SeparableObjective, eta: float, grid: np.ndarray):
-    """Exact polynomial evaluation of the effective potential, the velocity
-    (its derivative) and the diffusion coefficient on the grid."""
-    _require_1d(obj)
-    grid = np.asarray(grid, dtype=float)
-    phi_p = _phi_poly(obj, eta)
-    d_p = _diffusion_poly(obj)
-    return phi_p(grid), phi_p.derivative()(grid), d_p(grid)
-
-
 def vanishing_points(diffusion: np.ndarray, grid: np.ndarray, tol: float = 1e-12) -> list[float]:
     """Grid points where the diffusion coefficient falls below tol."""
     grid = np.asarray(grid, dtype=float)

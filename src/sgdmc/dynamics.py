@@ -74,11 +74,6 @@ def _check_in_state_space(fam: MapFamily, x: np.ndarray):
             raise OutOfStateSpace(f"coordinate {j}: {x[j]!r} outside [{lo}, {hi}]")
 
 
-def apply_map(fam: MapFamily, i: int, x) -> np.ndarray:
-    """One SGD step with summand i from point x (componentwise)."""
-    return apply_path(fam, (i,), x)
-
-
 def apply_path(fam: MapFamily, path, x) -> np.ndarray:
     """Compose maps along the path, first index applied first."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -94,17 +89,13 @@ def path_coord(fam: MapFamily, path, j: int, s: float) -> float:
 
 
 def extremal_envelope(fam: MapFamily, j: int, x: float, ell: int, direction: str):
-    """Values m_0 = x, m_{k+1} = min_i (or max_i) phi_i^{(j)}(m_k).
+    """(values, path): m_0 = x, m_{k+1} = min_i (or max_i) phi_i^{(j)}(m_k),
+    and the maps i that attain each step, 1-based.
 
     Because all component maps are increasing, the greedy recursion equals the
     exact min/max over all n^k paths applied to x, so this is the extremal
     reachable point, not a heuristic.
     """
-    vals, _ = _envelope_with_path(fam, j, x, ell, direction)
-    return vals
-
-
-def _envelope_with_path(fam: MapFamily, j: int, x: float, ell: int, direction: str):
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     sign = +1 if direction == "max" else -1
@@ -194,8 +185,8 @@ def splitting_length_1d(fam: MapFamily, t: AbsorbingInterval, ell_max: int = ELL
     the upward envelope from l; the two greedy index sequences are the
     certificate paths and the split point is the midpoint of the crossing."""
     j = t.dimension_index
-    lo_vals, lo_path = _envelope_with_path(fam, j, t.r, ell_max, "min")
-    hi_vals, hi_path = _envelope_with_path(fam, j, t.l, ell_max, "max")
+    lo_vals, lo_path = extremal_envelope(fam, j, t.r, ell_max, "min")
+    hi_vals, hi_path = extremal_envelope(fam, j, t.l, ell_max, "max")
     for ell in range(1, ell_max + 1):
         if lo_vals[ell] <= hi_vals[ell]:
             path_lo = lo_path[:ell]
@@ -270,8 +261,8 @@ def _extend_certificate(fam: MapFamily, box, base: SplittingCertificate, alpha,
         lo_c, hi_c = box[c]
         sign = alpha[c]
         # every squeeze run below is a prefix of these greedy runs
-        up_vals, up_path = _envelope_with_path(fam, c, lo_c, ell_max, "max")
-        dn_vals, dn_path = _envelope_with_path(fam, c, hi_c, ell_max, "min")
+        up_vals, up_path = extremal_envelope(fam, c, lo_c, ell_max, "max")
+        dn_vals, dn_path = extremal_envelope(fam, c, hi_c, ell_max, "min")
         while True:
             if sign == +1:
                 below = path_coord(fam, path_lo, c, hi_c)
@@ -324,6 +315,7 @@ class EscapeReport:
     lengths: np.ndarray
 
 
+# kept though only tests call it: perfbench/tracer.py traces it and raises if it goes
 def escape_path(fam: MapFamily, x) -> Path:
     """Greedy path driving x into the interior of the absorbing union of
     fam.decomposition: the one-point case of the escape walk (_escape_walk),
@@ -461,30 +453,34 @@ def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary
     block's draws one point at a time (separability: each coordinate is its
     own chain, driven by the shared draws).  From then on the draws come in
     super-blocks of up to SAMPLE_LANES * SAMPLE_LANE_STEPS, each run as K
-    numpy lanes of L steps.  Lane s starts at the chain's current point on
-    draws s*L to s*L + L - 1, so lane 0 is the chain and lane s > 0 a guess.  A
-    fix-up, vectorised over the lanes, then runs the true chain of each
-    segment s from lane s - 1's end beside a replay of the guess until the two
-    have the same bits.
+    numpy lanes on overlapping windows of L + B draws: every lane starts at
+    the chain's current point, lane s on draws s*L to s*L + L + B - 1, so
+    lane 0 is the chain and lane s > 0 starts a burn-in of B steps early on
+    the last draws of lane s - 1.
 
     Why the result is exact: two points with the same bits, stepped on the
-    same draws by the same floating-point operations, keep the same bits,
-    so from the match on the guess is the chain, and the histogram swaps the
-    guess's bins before the match for the true chain's.  The lanes do
+    same draws by the same floating-point operations, keep the same bits.
+    Lane s's point after its B-th step and lane s - 1's last point follow
+    the same draw, so where they have the same bits, lane s is the chain
+    from there on (forward coupling); one comparison of bits per lane and
+    coordinate checks it, and lane 0 counts all its L + B steps and every
+    other lane its last L, so each draw is counted once.  The lanes do
     _orbit's operations in its order (_lane_kernel), and _orbit has the bits
-    of Polynomial.__call__ applied step by step.  The match is tested, not
-    assumed: a super-block in which a lane does not match within its L
-    steps, or a lane leaves the home rectangle's window, runs again through
-    _orbit, which reports a departure at its global step; L then doubles.
+    of Polynomial.__call__ applied step by step.  The check is made, not
+    assumed: a super-block in which a lane does not join its predecessor,
+    or a point leaves the home rectangle's window, runs again through
+    _orbit, which reports a departure at its global step; L and B then
+    double.
 
     Why it is fast: the maps contract on an absorbing rectangle (the
     splitting condition), so chains driven by the same draws come together,
     in floating point bit for bit: on the double well after about 19/eta
-    steps.  The fix-up covers that stretch of each lane, and one numpy step
-    advances hundreds of lanes.  A probe picks L: the home rectangle's two
-    ends, run through _orbit on the super-block's first draws, must meet
-    within L/2 steps.  Where they do not meet within half the longest lane,
-    4 * SAMPLE_LANE_STEPS (at least SAMPLE_LANES / 4 lanes), the
+    steps.  The burn-in covers that stretch of each lane, and one numpy step
+    advances hundreds of lanes.  A probe picks L and B: the home rectangle's
+    two ends, run through _orbit on the super-block's first draws, must
+    meet within L/2 steps, and B is twice their meeting step in whole
+    LANE_CHUNKs.  Where they do not meet within half the longest lane,
+    4 * SAMPLE_LANE_STEPS (about SAMPLE_LANES / 4 lanes), the
     super-block runs through _orbit.
 
     The draws are held as small integers and the lanes in LANE_CHUNK-step
@@ -547,21 +543,18 @@ class _Chain:
         self.first = self.home = None
         self.lane_steps = SAMPLE_LANE_STEPS
         self.scalar_blocks = 0
-        self.lane_shape = None  # (K, L) of the last lane super-block
-        self.coalesced: list[np.ndarray] = []  # steps to each fixed-up lane's match
+        self.lane_shape = None  # (K, L, B) of the last lane super-block
         self.plans = [_lane_plan(table) for table in self.tables]
         self.traj = np.empty((len(point), 0))  # the scalar blocks' buffer, kept
         self.held = None
 
     def log(self, steps: int):
         logger = logging.getLogger(__name__)
-        if not self.coalesced:
+        if self.lane_shape is None:
             logger.info("sgd_sample: scalar (%d steps)", steps)
             return
-        met = np.concatenate(self.coalesced)
-        logger.info("sgd_sample: lanes (K=%d, L=%d, coalesced median %d / max %d steps, "
-                    "%d scalar blocks)", *self.lane_shape, np.median(met), met.max(),
-                    self.scalar_blocks)
+        logger.info("sgd_sample: lanes (K=%d, L=%d, burn-in %d steps, %d scalar blocks)",
+                    *self.lane_shape, self.scalar_blocks)
 
     def scalar(self, draws: np.ndarray, start: int):
         """Run the draws through _orbit in blocks of SAMPLE_CHUNK; start is
@@ -598,21 +591,27 @@ class _Chain:
 
     def super_block(self, draws: np.ndarray, start: int):
         """Run the draws as lanes where the probe allows and every lane
-        matches; the rest, or all of them, through _orbit."""
-        lanes = self._lanes(draws)
-        if lanes is not None:
-            if self._run_lanes(lanes):
-                draws, start = draws[lanes.size:], start + lanes.size
+        joins its predecessor; the rest, or all of them, through _orbit."""
+        plan = self._lanes(draws)
+        if plan is not None:
+            lanes, burn_in = plan
+            if self._run_lanes(lanes, burn_in):
+                used = len(lanes) * (lanes.shape[1] - burn_in) + burn_in
+                draws, start = draws[used:], start + used
             else:
                 self.lane_steps *= 2
         self.scalar(draws, start)
 
-    def _lanes(self, draws: np.ndarray) -> np.ndarray | None:
-        """The draws as a (K, L) array of K >= 2 lanes, L the shortest
-        allowed length at least twice the probe's meeting step; None where
-        the probe's ends do not meet in time or the windows overlap.  The
-        probe runs twice, on the first two windows of longest / 2 draws, and
-        keeps the later meeting: one run can meet early by chance."""
+    def _lanes(self, draws: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """(lanes, B): the draws as K >= 2 overlapping rows of L + B, lane s
+        on draws s*L to s*L + L + B - 1, L the shortest allowed length at
+        least twice the probe's meeting step and B that step doubled in whole
+        LANE_CHUNKs (at least one), scaled like the shortest length so that
+        a failure lengthens the next burn-in too; None where the probe's ends
+        do not meet in time or the home window meets another rectangle's
+        (_windows).  The probe runs twice, on the first two windows of
+        longest / 2 draws, and keeps the later meeting: one run can meet
+        early by chance."""
         longest = 4 * SAMPLE_LANE_STEPS
         if self.lane_steps > longest or self._windows is None:
             return None
@@ -625,8 +624,14 @@ class _Chain:
         length = self.lane_steps
         while 2 * meet > length:
             length *= 2
-        lanes = len(draws) // length
-        return draws[:lanes * length].reshape(lanes, length) if lanes >= 2 else None
+        burn_in = (max(1, -(-2 * meet // LANE_CHUNK)) * LANE_CHUNK
+                   * (self.lane_steps // SAMPLE_LANE_STEPS))
+        count = (len(draws) - burn_in) // length
+        if count < 2:
+            return None
+        lanes = np.lib.stride_tricks.sliding_window_view(
+            draws[:count * length + burn_in], length + burn_in)[::length]
+        return lanes, burn_in
 
     @cached_property
     def _windows(self) -> list[tuple[float, float]] | None:
@@ -661,72 +666,54 @@ class _Chain:
                 return None
         return meet
 
-    def _run_lanes(self, lanes: np.ndarray) -> bool:
-        """Run the (K, L) lanes in every coordinate and fix them up; on
-        success add their histograms, move the point to the last lane's end
-        and return True.  Nothing changes on failure."""
+    def _run_lanes(self, lanes: np.ndarray, burn_in: int) -> bool:
+        """Run the (K, L + B) lanes in every coordinate and check that they
+        join; on success add their histograms, move the point to the last
+        lane's end and return True.  Nothing changes on failure."""
         self.held = None  # lanes build no orbit lists
-        work = np.empty(2 * lanes.shape[0] * min(LANE_CHUNK, lanes.shape[1]))
+        work = np.empty(lanes.shape[0] * min(LANE_CHUNK, lanes.shape[1]))
         runs = []
         for j in range(len(self.point)):
-            run = self._lane_coordinate(j, lanes, work)
+            run = self._lane_coordinate(j, lanes, burn_in, work)
             if run is None:
                 return False
             runs.append(run)
-        for j, (hist, end, _) in enumerate(runs):
+        for j, (hist, end) in enumerate(runs):
             self.hists[j] += hist
             self.point[j] = end
-        self.coalesced.append(np.max([met for *_, met in runs], axis=0))
-        self.lane_shape = lanes.shape
+        self.lane_shape = lanes.shape[0], lanes.shape[1] - burn_in, burn_in
         return True
 
-    def _lane_coordinate(self, j: int, lanes: np.ndarray, work: np.ndarray):
-        """Coordinate j of the lanes: (histogram, the last lane's end,
-        steps to each lane s >= 1's match), or None where a lane does not
-        match or a true or guessed point leaves the home window."""
+    def _lane_coordinate(self, j: int, lanes: np.ndarray, burn_in: int, work: np.ndarray):
+        """Coordinate j of the lanes: (histogram, the last lane's end), or
+        None where a lane's point at its step B lacks the bits of its
+        predecessor's last point (see sgd_sample) or a point leaves the home
+        window."""
         kernel, coeffs = self.plans[j]
         low, high = self._windows[j]
         edges = self.edges[j]
         hist = np.zeros(len(edges) - 1, dtype=np.intp)
-        width, length = lanes.shape
-        x = np.full(width, self.point[j])
-        for t in range(0, length, LANE_CHUNK):
+        x = np.full(lanes.shape[0], self.point[j])
+        for t in range(0, lanes.shape[1], LANE_CHUNK):
             picks = lanes[:, t:t + LANE_CHUNK].T
             out = work[:picks.size].reshape(picks.shape)
             kernel(x, out, *_gather(coeffs, picks))
             if not (low <= out.min() and out.max() <= high):  # NaN fails too
                 return None
             x = out[-1].copy()
-            hist += _sorted_counts(out, edges)
-        ends = x
-        # fix-up: the true chain of segment s from lane s - 1's end (out[0])
-        # beside the replayed guess from the super-block's start (out[1])
-        active = np.arange(1, width)
-        x = np.stack([ends[:-1], np.full(width - 1, self.point[j])])
-        met = np.zeros(width - 1, dtype=np.intp)
-        for t in range(0, length, LANE_CHUNK):
-            picks = lanes[active, t:t + LANE_CHUNK].T
-            out = work[:2 * picks.size].reshape(2, *picks.shape)
-            kernel(x, out.transpose(1, 0, 2), *_gather(coeffs, picks))
-            true, guess = out
-            if not (low <= true.min() and true.max() <= high):
-                return None
-            # by bits: == would equate -0.0 and 0.0
-            same = true.view(np.int64) == guess.view(np.int64)
-            matched = same[-1]
-            met[active[matched] - 1] = t + 1 + same[:, matched].argmax(axis=0)
-            active, x = active[~matched], out[:, -1][:, ~matched]
-            # from a lane's match on, its true and guessed bins cancel
-            hist += _sorted_counts(true, edges)
-            hist -= _sorted_counts(guess, edges)
-            if not active.size:
-                return hist, float(ends[-1]), met
+            if t + LANE_CHUNK == burn_in:
+                joined = x
+            # lane 0 counts its burn-in too, the others only their last L steps
+            hist += _sorted_counts(out if t >= burn_in else out[:, 0], edges)
+        # by bits: == would equate -0.0 and 0.0
+        if (joined[1:].view(np.int64) == x[:-1].view(np.int64)).all():
+            return hist, float(x[-1])
         return None
 
 
 def _sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """np.histogram(values, bins=edges)[0] by np.histogram's own method,
-    with the sort done in place (values must be contiguous): where each
+    with the sort done in place (values must flatten to a view): where each
     edge falls among the sorted values, the last edge inclusive.  Sorting in
     place spares the block-sized copies np.histogram makes, whose memory the
     allocator can hand back to the system and fault in again every block."""

@@ -60,13 +60,6 @@ def d_alpha_rect(mu, nu, alpha) -> float:
     return float(_orthant_sups((mu.weights - nu.weights).reshape(1, *mu.grid.shape), alpha)[0])
 
 
-def total_variation(mu, nu) -> float:
-    """Discrete total variation: half the l1 distance of cell weights."""
-    if mu.grid != nu.grid:
-        raise GridMismatch("measures live on different grids")
-    return half_l1(mu.weights, nu.weights)
-
-
 @dataclass(frozen=True)
 class MetricConfig:
     """The grid's block structure under a decomposition: the cells of each

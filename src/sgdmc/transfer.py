@@ -95,10 +95,6 @@ class Grid:
     def centers(self) -> tuple[np.ndarray, ...]:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(float(e[1] - e[0]) for e in self.edges)
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Grid)
@@ -133,7 +129,7 @@ class Grid:
         count as absorbing; on fine enough grids this keeps the labeled
         absorbing blocks closed under the discrete dynamics (no flow back
         into the labeled transient cells).  Coarse grids can leak;
-        block_leakage measures it.
+        _leakage measures it.
         """
         # rectangle number per combination of interval labels; the extra
         # trailing slot per dimension is where label -1 (transient) lands
@@ -159,10 +155,6 @@ class DiscreteMeasure:
         if np.any(w < -1e-15):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", np.maximum(w, 0.0))
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
 
     @classmethod
     def uniform(cls, grid: Grid) -> "DiscreteMeasure":
@@ -260,16 +252,12 @@ def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
     return UlamOperator(matrix=matrix, grid=grid, row_sum_error=err)
 
 
+# kept though only tests call it: perfbench/tracer.py traces it and raises if it goes
 def push_forward(op: UlamOperator, mu: DiscreteMeasure) -> DiscreteMeasure:
     """One application of the measure-evolution step."""
     if op.grid != mu.grid:
         raise GridMismatch("operator and measure grids differ")
     return DiscreteMeasure(mu.grid, op.matrix.T @ mu.weights)
-
-
-def block_leakage(op: UlamOperator, cells: np.ndarray) -> float:
-    """Max mass a block row sends outside the block."""
-    return _leakage(op.matrix[cells][:, cells])
 
 
 def _leakage(block) -> float:
@@ -663,10 +651,11 @@ def _axis_chain(matrix, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
 
 def _face_rows(matrix, grid: Grid, blocks: MetricConfig):
     """What the solve by faces takes from the 2-d cell chain matrix: each
-    axis's chain (_axis_chain) with its blocks, and the rows of the cells
-    transient on both axes, which order numbers first, their columns
-    renumbered to order.  None where an axis's absorbing blocks leak more
-    than LEAKAGE_WARN."""
+    axis's chain (_axis_chain) with its blocks, the number n of cells
+    transient on both axes, which order numbers first, and their rows, the
+    columns renumbered to order (None where an axis has one rectangle: no
+    joint function is solved then).  None where an axis's absorbing blocks
+    leak more than LEAKAGE_WARN."""
     axes = [(_axis_chain(matrix, grid.shape, j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
             for j, labels in enumerate(blocks.axis_labels)]
@@ -675,10 +664,13 @@ def _face_rows(matrix, grid: Grid, blocks: MetricConfig):
         return None
     joint = np.logical_and.outer(*(labels < 0 for labels in blocks.axis_labels)).ravel()
     order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
-    return axes, _renumbered(matrix[order[:np.count_nonzero(joint)]], order), order
+    n = np.count_nonzero(joint)
+    if any(len(config.rectangle_cells) == 1 for _, config in axes):
+        return axes, n, None, order
+    return axes, n, _renumbered(matrix[order[:n]], order), order
 
 
-def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
+def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
                      tol: float) -> tuple[BasinFunctions, str]:
     """The absorption probabilities of a 2-d cell chain by its faces, from
     _face_rows, and the INFO line's text.
@@ -714,7 +706,6 @@ def _face_absorption(axes, rows, order: np.ndarray, grid: Grid,
     faces = np.empty((n1, n2, k1, k2))
     np.multiply(g1.T[:, None, :, None], g2.T[None, :, None, :], out=faces)
     values = faces.reshape(grid.ncells, k1 * k2).T
-    n = rows.shape[0]
     solved = [a * k2 + c for a in range(k1 - 1) for c in range(k2 - 1)] if n else []
     joint_solver = "none"
     if solved:

@@ -239,8 +239,8 @@ def test_criterion_11_envelope_brute_force_equivalence(rng):
             for _ in range(50):
                 x = float(rng.uniform(lo, hi))
                 mins, maxs = brute_force_path_extremes(fam, 0, x, 8)
-                got_min = extremal_envelope(fam, 0, x, 8, "min")
-                got_max = extremal_envelope(fam, 0, x, 8, "max")
+                got_min = extremal_envelope(fam, 0, x, 8, "min")[0]
+                got_max = extremal_envelope(fam, 0, x, 8, "max")[0]
                 assert np.max(np.abs(np.array(got_min) - mins)) <= 1e-14
                 assert np.max(np.abs(np.array(got_max) - maxs)) <= 1e-14
         assert time.monotonic() - start < 5.0

@@ -672,8 +672,8 @@ def test_info_log_names_each_solver(tmp_path, caplog, command, eta, grid, solver
             assert int(m) == max(int(w), sgdmc.transfer.BANDED_MIN_BLOCK)
 
 
-CHAIN_LINE = (r"sgd_sample: (?:lanes \(K=(\d+), L=(\d+), coalesced median (\d+) / max (\d+) "
-              r"steps, (\d+) scalar blocks\)|scalar \((\d+) steps\))")
+CHAIN_LINE = (r"sgd_sample: (?:lanes \(K=(\d+), L=(\d+), burn-in (\d+) steps, "
+              r"(\d+) scalar blocks\)|scalar \((\d+) steps\))")
 
 
 @pytest.mark.parametrize("config, path", [
@@ -691,14 +691,17 @@ def test_info_log_names_the_sampler_path(tmp_path, caplog, config, path):
     messages = [r.getMessage() for r in caplog.records]
     (chain,) = [(k, m) for k, m in enumerate(messages) if m.startswith("sgd_sample: ")]
     assert re.fullmatch(SAMPLE_LINE, messages[chain[0] + 1])  # the sample: stage line follows
-    k, length, median, top, blocks, scalar_steps = re.fullmatch(CHAIN_LINE, chain[1]).groups()
+    k, length, burn_in, blocks, scalar_steps = re.fullmatch(CHAIN_LINE, chain[1]).groups()
     if path == "lanes":
         assert k is not None and 2 <= int(k) <= sgdmc.dynamics.SAMPLE_LANES
         assert int(length) == sgdmc.dynamics.SAMPLE_LANE_STEPS
         # the chain is absorbed in the first scalar block, and the lanes take
-        # every whole lane of the draws after it
-        assert int(k) == (steps - sgdmc.dynamics.SAMPLE_LANE_STEPS // 4) // int(length)
-        assert 0 < int(median) <= int(top) < int(length) and int(blocks) >= 2
+        # every whole lane of the draws after it and the burn-in, which is
+        # whole lane chunks and shorter than a lane
+        first = sgdmc.dynamics.SAMPLE_LANE_STEPS // 4
+        assert int(k) == (steps - first - int(burn_in)) // int(length)
+        assert 0 < int(burn_in) < int(length) and int(blocks) >= 2
+        assert int(burn_in) % sgdmc.dynamics.LANE_CHUNK == 0
     else:
         assert int(scalar_steps) == steps
 

@@ -16,7 +16,6 @@ from sgdmc.dynamics import (
     SAMPLE_CHUNK,
     MapFamily,
     _escape_direction,
-    apply_map,
     apply_path,
     escape_path,
     extremal_envelope,
@@ -57,20 +56,20 @@ def mixed_2d_family(eta=0.2):
 
 def test_apply_map_bernoulli(bernoulli_setup):
     _, _, _, fam = bernoulli_setup
-    assert apply_map(fam, 1, [-1.0])[0] == pytest.approx(0.0)  # x/2 + 1/2
-    assert apply_map(fam, 1, [1.0])[0] == pytest.approx(1.0)   # fixed point
-    assert apply_map(fam, 2, [1.0])[0] == pytest.approx(0.0)
+    assert apply_path(fam, (1,), [-1.0])[0] == pytest.approx(0.0)  # x/2 + 1/2
+    assert apply_path(fam, (1,), [1.0])[0] == pytest.approx(1.0)   # fixed point
+    assert apply_path(fam, (2,), [1.0])[0] == pytest.approx(0.0)
 
 
 def test_apply_map_double_well():
     fam = MapFamily(double_well(0.55), 0.1)
-    assert apply_map(fam, 2, [0.0])[0] == pytest.approx(0.055)
+    assert apply_path(fam, (2,), [0.0])[0] == pytest.approx(0.055)
 
 
 def test_apply_map_rejects_outside_state_space(bernoulli_setup):
     _, _, _, fam = bernoulli_setup
     with pytest.raises(OutOfStateSpace):
-        apply_map(fam, 1, [1.5])
+        apply_path(fam, (1,), [1.5])
 
 
 def test_apply_path_identity_and_composition(bernoulli_setup):
@@ -95,8 +94,8 @@ def test_envelope_matches_brute_force_n2(bernoulli_setup, rng):
     for _ in range(50):
         x = float(rng.uniform(-1, 1))
         mins, maxs = brute_force_path_extremes(fam, 0, x, 8)
-        assert extremal_envelope(fam, 0, x, 8, "min") == pytest.approx(mins, abs=1e-14)
-        assert extremal_envelope(fam, 0, x, 8, "max") == pytest.approx(maxs, abs=1e-14)
+        assert extremal_envelope(fam, 0, x, 8, "min")[0] == pytest.approx(mins, abs=1e-14)
+        assert extremal_envelope(fam, 0, x, 8, "max")[0] == pytest.approx(maxs, abs=1e-14)
 
 
 def test_envelope_matches_brute_force_n3(rng):
@@ -104,13 +103,13 @@ def test_envelope_matches_brute_force_n3(rng):
     for _ in range(20):
         x = float(rng.uniform(-1, 1))
         mins, maxs = brute_force_path_extremes(fam, 0, x, 8)
-        assert extremal_envelope(fam, 0, x, 8, "min") == pytest.approx(mins, abs=1e-14)
-        assert extremal_envelope(fam, 0, x, 8, "max") == pytest.approx(maxs, abs=1e-14)
+        assert extremal_envelope(fam, 0, x, 8, "min")[0] == pytest.approx(mins, abs=1e-14)
+        assert extremal_envelope(fam, 0, x, 8, "max")[0] == pytest.approx(maxs, abs=1e-14)
 
 
 def test_envelope_bernoulli_geometric(bernoulli_setup):
     _, _, _, fam = bernoulli_setup
-    vals = extremal_envelope(fam, 0, 1.0, 4, "min")
+    vals, _ = extremal_envelope(fam, 0, 1.0, 4, "min")
     assert vals == pytest.approx([1.0, 0.0, -0.5, -0.75, -0.875])
 
 
@@ -118,7 +117,7 @@ def test_envelope_step_outside_left_set(dw02_setup):
     # at a point every map pushes right, the min step cannot decrease
     _, _, _, fam = dw02_setup
     x = 0.5  # in the pure right-moving stretch
-    vals = extremal_envelope(fam, 0, x, 1, "min")
+    vals, _ = extremal_envelope(fam, 0, x, 1, "min")
     assert vals[1] >= x
 
 
@@ -222,7 +221,8 @@ def test_escape_lands_in_interior(dw02_setup):
     for x in np.linspace(-0.85, 0.85, 23):
         path = escape_path(fam, [float(x)])
         img = apply_path(fam, path, [float(x)])
-        assert any(r.contains(img, closed=False) for r in decomp.rectangles)
+        assert any(all(lo < v < hi for v, (lo, hi) in zip(img, r.box))
+                   for r in decomp.rectangles)
 
 
 def test_escape_length_splits_per_dimension():
@@ -471,7 +471,7 @@ def product_double_well(eta=0.33):
     return MapFamily(SeparableObjective(components=(component, component)), eta)
 
 
-LANE_LINE = (r"sgd_sample: lanes \(K=(\d+), L=(\d+), coalesced median (\d+) / max (\d+) steps, "
+LANE_LINE = (r"sgd_sample: lanes \(K=(\d+), L=(\d+), burn-in (\d+) steps, "
              r"(\d+) scalar blocks\)")
 
 
@@ -490,13 +490,14 @@ def _force_lanes(monkeypatch):
 
 
 def _spy_lane_runs(monkeypatch) -> list:
-    """(lane shape, success) of every lane super-block, in order."""
+    """((K, L), burn-in, success) of every lane super-block, in order."""
     runs = []
     run_lanes = dynamics._Chain._run_lanes
 
-    def spy(self, lanes):
-        runs.append((lanes.shape, run_lanes(self, lanes)))
-        return runs[-1][1]
+    def spy(self, lanes, burn_in):
+        shape = (lanes.shape[0], lanes.shape[1] - burn_in)
+        runs.append((shape, burn_in, run_lanes(self, lanes, burn_in)))
+        return runs[-1][2]
 
     monkeypatch.setattr(dynamics._Chain, "_run_lanes", spy)
     return runs
@@ -524,16 +525,18 @@ def test_lanes_match_whole_point_oracle(monkeypatch, caplog, fam, x0, couples, l
                                         forced):
     # every point by its bits, whether the lanes match, fall back or never run
     _lane_constants(monkeypatch, lanes, length)
-    probes, runs = [], []  # every probe's meeting step; (L, its probe's) of every lane run
+    # every probe's meeting step; (L, B, its probe's, success) of every lane run
+    probes, runs = [], []
     meeting, run_lanes = dynamics._Chain._meeting_step, dynamics._Chain._run_lanes
 
     def probe(self, draws):
         probes.append(meeting(self, draws))
         return probes[-1]
 
-    def run(self, lanes):
-        runs.append((lanes.shape[1], max(probes[-2:], default=0)))
-        return run_lanes(self, lanes)
+    def run(self, lanes, burn_in):
+        joined = run_lanes(self, lanes, burn_in)
+        runs.append((lanes.shape[1] - burn_in, burn_in, max(probes[-2:], default=0), joined))
+        return joined
 
     monkeypatch.setattr(dynamics._Chain, "_meeting_step", probe)
     monkeypatch.setattr(dynamics._Chain, "_run_lanes", run)
@@ -547,28 +550,34 @@ def test_lanes_match_whole_point_oracle(monkeypatch, caplog, fam, x0, couples, l
         match = re.fullmatch(LANE_LINE, line)
         assert bool(match) == couples, line
         if match:
-            k, length_, median, top, blocks = map(int, match.groups())
-            assert 2 <= k <= lanes and length_ == runs[-1][0]
-            assert 0 < median <= top < length and blocks >= 1
-            # each L is the shortest of length, 2 * length, ... at least twice
-            # the later of its super-block's two probe meetings
-            for lane_length, meet in runs:
+            k, length_, burn_in_, blocks = map(int, match.groups())
+            assert 2 <= k <= lanes and (length_, burn_in_) == runs[-1][:2]
+            assert 0 < burn_in_ and blocks >= 1
+            # each L is the shortest of length, 2 * length, ... (doubled after
+            # each failed super-block) at least twice the later of its
+            # super-block's two probe meetings, and B that meeting doubled in
+            # whole chunks of 5, at least one, doubled after each failure too
+            failures = 0
+            for lane_length, burn_in, meet, joined in runs:
                 assert 2 * meet <= lane_length
-                assert lane_length == length or lane_length < 4 * meet
+                assert lane_length == length << failures or lane_length < 4 * meet
+                assert burn_in == max(1, -(-2 * meet // 5)) * 5 << failures
+                failures += not joined
         else:
             assert line == "sgd_sample: scalar (5000 steps)"
 
 
 def test_lanes_that_do_not_meet_fall_back(monkeypatch, caplog):
-    # at eta = 0.01 lanes of 7 steps cannot meet: each lane super-block runs
-    # again through _orbit and L doubles; at 4 * 7 steps a super-block of
-    # 6 * 7 draws holds one lane, so the rest of the run is scalar
+    # at eta = 0.01 lanes cannot join after a burn-in of 5 or 10 steps: each
+    # lane super-block runs again through _orbit, and L and B double; at
+    # L = 4 * 7 and B = 20 a super-block of 6 * 7 draws holds one lane, so
+    # the rest of the run is scalar
     _lane_constants(monkeypatch, 6, 7)
     _force_lanes(monkeypatch)
     runs = _spy_lane_runs(monkeypatch)
     with caplog.at_level("INFO", logger="sgdmc.dynamics"):
         _assert_sample_matches_oracle(MapFamily(double_well(0.38), 0.01), [-0.2], 3000)
-    assert runs == [((6, 7), False), ((3, 14), False)]
+    assert runs == [((5, 7), 5, False), ((2, 14), 10, False)]
     assert _sampler_line(caplog) == "sgd_sample: scalar (3000 steps)"
 
 
@@ -585,7 +594,7 @@ def test_lanes_report_departure_at_its_global_step(monkeypatch):
     runs = _spy_lane_runs(monkeypatch)
     with pytest.raises(AssertionError, match=f"violated at step {step}$"):
         sgd_sample(fam, [0.0], steps=5000, seed=1, grid=grid)
-    assert runs and runs[-1][1] is False
+    assert runs and runs[-1][2] is False
     before = sgd_sample(fam, [0.0], steps=step, seed=1, grid=grid)  # no departure yet
     assert before.first_absorbed_step < 50 <= step  # absorbed in the first scalar block
     with pytest.raises(AssertionError, match=f"violated at step {step}$"):
@@ -594,27 +603,30 @@ def test_lanes_report_departure_at_its_global_step(monkeypatch):
 
 def test_lanes_tell_signed_zeros_apart(monkeypatch):
     # both maps fix +-0.0; the first keeps the sign of a zero, the second
-    # turns -0.0 into +0.0.  From -0.0, lane 0 meets the second map and ends
-    # at +0.0, while lane 1's draws are all the first map: its guess stays
-    # -0.0 beside a true chain at +0.0, equal by == but never by bits, so
-    # the super-block falls back and the final point is +0.0
+    # turns -0.0 into +0.0.  After one scalar step the chain at -0.0 runs
+    # two lanes, L = 7 and B = 5: lane 0 on the super-block's draws 0-11
+    # meets the second map and ends at +0.0, while lane 1's draws 7-18 are
+    # all the first map, so at its step B it is still -0.0 beside lane 0's
+    # +0.0 on the same draw: equal by == but not by bits.  Accepted, lane 1
+    # would end the run at -0.0; the super-block falls back instead and the
+    # final point is +0.0
     fam = MapFamily(double_well(0.38), 0.33)
     fam.__dict__["phi"] = tuple((p,) for p in SIGNED_ZERO_MAPS)
     fam.__dict__["decomposition"] = dataclasses.replace(
         fam.decomposition, rectangles=(Rectangle(index=(0,), box=((-0.5, 0.5),)),))
-    _lane_constants(monkeypatch, 2, 7)
+    _lane_constants(monkeypatch, 3, 7)
     monkeypatch.setattr(dynamics, "SAMPLE_CHUNK", 1)
     _force_lanes(monkeypatch)
     runs = _spy_lane_runs(monkeypatch)
 
     def draws(seed):
-        return np.random.Generator(np.random.PCG64(seed)).integers(1, 3, size=15).tolist()
+        return np.random.Generator(np.random.PCG64(seed)).integers(1, 3, size=20).tolist()
 
-    seed = next(seed for seed in range(10**4)
-                if draws(seed)[0] == 1 and 2 in draws(seed)[1:8] and draws(seed)[8:] == [1] * 7)
-    s = _assert_sample_matches_oracle(fam, [-0.0], 15, seed=seed)
+    seed = next(seed for seed in range(10**6)
+                if draws(seed)[0] == 1 and 2 in draws(seed)[1:8] and draws(seed)[8:] == [1] * 12)
+    s = _assert_sample_matches_oracle(fam, [-0.0], 20, seed=seed)
     assert s.final_point[0].hex() == "0x0.0p+0"
-    assert runs == [((2, 7), False)]
+    assert runs == [((2, 7), 5, False)]
 
 
 @pytest.mark.parametrize("maps", [
@@ -659,6 +671,6 @@ def test_greedy_scan_keeps_the_first_of_tied_maps():
     fam = MapFamily(obj, 0.13)
     assert fam.phi[0][0](0.0) == fam.phi[1][0](0.0)
     assert escape_path(fam, [0.0])[0] == 1
-    assert extremal_envelope(fam, 0, 0.0, 1, "min") == extremal_envelope(fam, 0, 0.0, 1, "max")
-    for direction in ("min", "max"):
-        assert dynamics._envelope_with_path(fam, 0, 0.0, 1, direction)[1] == (1,)
+    (low, low_path), (high, high_path) = (extremal_envelope(fam, 0, 0.0, 1, direction)
+                                          for direction in ("min", "max"))
+    assert low == high and low_path == high_path == (1,)

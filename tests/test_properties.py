@@ -343,10 +343,11 @@ def test_sampler_blocks_match_the_whole_point_oracle(fam, where, inside, chunk, 
     # tail; started inside a rectangle, the chain is absorbed in the first
     # block, so the super-blocks line up with the draws.  Forced, the probe
     # lets every super-block of two or more lanes run as lanes, also where
-    # they cannot match.  Lanes of up to 512 steps leave room for the 75-250
-    # steps these families' lanes take to meet, so super-blocks match, and on
-    # 4096 cells a lane's guessed and true points fall in different cells
-    # until they meet, so the histograms see the fix-up's every step
+    # they cannot join, with a burn-in of one lane chunk.  Lanes of up to 512
+    # steps leave room for the 75-250 steps these families' lanes take to
+    # meet, so super-blocks join, and on 4096 cells a lane's burn-in points
+    # fall in other cells than the chain's, so the histograms see a burn-in
+    # step counted twice
     box = fam.decomposition.rectangles[0].box if inside else fam.intervals
     x0 = [lo + w * (hi - lo) for (lo, hi), w in zip(box, where)]
     # the first scalar block holds min(chunk, length // 4) draws (at least one)

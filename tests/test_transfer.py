@@ -42,7 +42,6 @@ from sgdmc.transfer import (
     _map_factor_1d,
     _transient_rows,
     basin_functions,
-    block_leakage,
     dual_operator,
     dual_residual,
     invariant_measure,
@@ -73,8 +72,9 @@ def test_grid_classify_cover_rule(dw02_setup):
         cells = np.flatnonzero(labels == m)
         lo = g.edges[0][cells[0]]
         hi = g.edges[0][cells[-1] + 1]
-        assert lo <= t.l <= lo + g.widths[0] + 1e-12
-        assert hi - g.widths[0] - 1e-12 <= t.r <= hi
+        width = g.edges[0][1] - g.edges[0][0]
+        assert lo <= t.l <= lo + width + 1e-12
+        assert hi - width - 1e-12 <= t.r <= hi
     assert np.any(labels == -1)
 
 
@@ -179,7 +179,7 @@ def test_push_forward_conserves_mass(dw038_setup, rng):
     w = rng.uniform(0, 1, grid.ncells)
     mu = DiscreteMeasure(grid, w / w.sum())
     out = push_forward(op, mu)
-    assert out.mass == pytest.approx(1.0, abs=1e-12)
+    assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out.weights >= 0)
 
 
@@ -262,7 +262,8 @@ def test_block_leakage_cover_blocks(dw02_setup):
     op = ulam_assemble(fam, grid)
     labels = grid.classify(decomp)
     for m in range(2):
-        assert block_leakage(op, np.flatnonzero(labels == m)) <= 1e-15
+        cells = np.flatnonzero(labels == m)
+        assert transfer._leakage(op.matrix[cells][:, cells]) <= 1e-15
 
 
 def test_basins_single_rectangle_constant_one():
@@ -341,7 +342,8 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
     grid = Grid.regular(decomp.intervals, n)
     op = ulam_assemble(MapFamily(obj, eta), grid)
     labels = grid.classify(decomp)
-    assert (block_leakage(op, np.flatnonzero(labels >= 0)) > 1e-3) == leaky
+    cells = np.flatnonzero(labels >= 0)
+    assert (transfer._leakage(op.matrix[cells][:, cells]) > 1e-3) == leaky
     config = metric_config(grid, decomp)
     expected = direct_absorption(op.matrix, labels, len(decomp.rectangles))
     # the iteration, called directly: ulam_absorption takes GTH on narrow bands
@@ -948,9 +950,22 @@ def _recorded_solves(monkeypatch) -> list:
     return solves
 
 
+def _recorded_renumbers(monkeypatch) -> list:
+    """The shape of every _renumbered result from now on, in call order."""
+    shapes, renumbered = [], transfer._renumbered
+
+    def record(*args):
+        rows = renumbered(*args)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(transfer, "_renumbered", record)
+    return shapes
+
+
 @pytest.mark.parametrize("n", [114, 120, 300])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
-def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
+def test_face_absorption_matches_the_joint_kernel(monkeypatch, caplog, kernel, n):
     # dw2d-grid's problem, whose blocks are closed on both axes (at 114 the
     # dual's leaked 1.2e-2 a step before _interp_factor_1d clamped their
     # rows): the faces give the joint kernel's values to within its stop
@@ -968,11 +983,14 @@ def test_face_absorption_matches_the_joint_kernel(caplog, kernel, n):
         solve, matrix, tol, bound = partial(basin_functions, fam, grid), \
             dual_operator(fam, grid), BASIN_TOL, 1e-10
     assert _axis_leakage(matrix, grid, config) <= transfer.LEAKAGE_WARN
+    renumbered = _recorded_renumbers(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
     [record] = caplog.records
     found = re.fullmatch(FACES, record.getMessage())
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
+    # the rows of the cells transient on both axes, renumbered once
+    assert renumbered.count((joint.sum(), grid.ncells)) == 1
     assert found.groups()[:2] == ("banded", "banded")
     assert found.groups()[3:5] == ("1", "4")
     assert (int(found[3]), int(found[7])) == (joint.sum(), got.iterations)
@@ -1027,7 +1045,8 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     # right, beside the double well: every path is absorbed on that axis, so
     # rectangle (a) is the other axis's interval a and its function is that
     # axis's 1-d absorption probability on every cell; the cells transient
-    # on both axes take it with no joint solve ("none"), at 0 steps
+    # on both axes take it with no joint solve ("none"), at 0 steps, and
+    # their rows are not renumbered: only each axis's transient rows are
     one = lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5).components[0]
     components = [double_well(0.38).components[0]] * 2
     components[single] = one
@@ -1042,8 +1061,11 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     else:
         solve = partial(basin_functions, fam, grid)
     solves = _recorded_solves(monkeypatch)
+    renumbered = _recorded_renumbers(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
+    assert renumbered == [(np.count_nonzero(labels < 0), len(labels))
+                          for labels in config.axis_labels]
     [record] = caplog.records
     found = re.fullmatch(FACES, record.getMessage())
     assert found[single + 1] == "ones" and found[2 - single] == "banded"
