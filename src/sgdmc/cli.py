@@ -48,6 +48,7 @@ from .transfer import (
     MAX_GRID_DIMENSION,
     DiscreteMeasure,
     Grid,
+    UlamBlocks,
     basin_functions,
     invariant_measure,
     mixture_coefficients,
@@ -81,11 +82,13 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
     in flattened order, the centre's coordinates then the value (header x in
     1-d, x1..xd otherwise), every field as {:.17g}.  No float is formatted
     twice: the files share the centre texts (made per block in 1-d, whole per
-    axis otherwise), and each formats its distinct values once, distinct by
-    bit pattern so that -0.0 keeps its text -0.  Each block of GRID_CSV_BLOCK
-    cells is one (cells, d + 1) object array of references to those texts,
-    joined once per file.  Logs, at INFO, the seconds from started to the
-    first write (the compute) apart from the writing, with rows and bytes."""
+    axis otherwise) and the texts of their values, distinct by bit pattern
+    (so that -0.0 keeps its text -0) across all the files, which each block
+    looks up by searchsorted in the sorted patterns.  Each block of
+    GRID_CSV_BLOCK cells is one (cells, d + 1) object array of references to
+    those texts, joined once per file.  Logs, at INFO, the seconds from
+    started to the first write (the compute) apart from the writing, with
+    rows and bytes."""
     computed = time.perf_counter()
     d, ncells = grid.dimension, grid.ncells
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
@@ -93,10 +96,14 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
     def texts(floats, end: str):
         return np.array([f"{v:.17g}{end}" for v in floats.tolist()], dtype=object)
 
+    def distinct(ints):  # sorted; np.unique's hash table took 5-15 times as long here
+        ints = np.sort(ints)
+        return ints[np.insert(ints[1:] != ints[:-1], 0, True)]
+
     axes = None if d == 1 else [texts(centers, ",") for centers in grid.centers]
-    uniques = (np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
-                         return_inverse=True) for values in series)
-    columns = [(texts(distinct.view(np.float64), "\n"), which) for distinct, which in uniques]
+    bits = [np.asarray(values, dtype=np.float64).view(np.int64) for values in series]
+    keys = distinct(np.concatenate([distinct(b) for b in bits]))
+    values = texts(keys.view(np.float64), "\n")
     paths = [os.path.join(args.out, name) for name in names]
     fields = np.empty((min(GRID_CSV_BLOCK, ncells), d + 1), dtype=object)
     with contextlib.ExitStack() as stack:
@@ -111,8 +118,8 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
             else:
                 for j, k in enumerate(np.unravel_index(np.arange(start, stop), grid.shape)):
                     block[:, j] = axes[j][k]
-            for fh, (text, which) in zip(files, columns):
-                block[:, d] = text[which[start:stop]]
+            for fh, b in zip(files, bits):
+                block[:, d] = values[np.searchsorted(keys, b[start:stop])]
                 fh.write("".join(block.ravel().tolist()))
     log.info("%s: compute %.3fs, write %.3fs (%d rows, %d bytes)", args.command,
              computed - started, time.perf_counter() - computed,
@@ -213,11 +220,14 @@ def cmd_analyze(args, fam: MapFamily) -> None:
 
 
 def _invariant_pieces(fam: MapFamily, grid: Grid, tol):
-    """(Ulam operator on grid, each rectangle's invariant measure).  The grid is labelled
-    first, so a problem with no decomposition fails before assembly on its state space."""
+    """Each rectangle's invariant measure, from its block of the Ulam operator assembled
+    alone (UlamBlocks), whose non-zeros are logged at INFO.  The grid is labelled first, so
+    a problem with no decomposition fails before assembly on its state space."""
     blocks = metric_config(grid, fam.decomposition)
-    op = ulam_assemble(fam, grid)
-    return op, [invariant_measure(op, cells, tol=tol) for cells in blocks.rectangle_cells]
+    op = UlamBlocks(fam, grid)
+    results = [invariant_measure(op, cells, tol=tol) for cells in blocks.rectangle_cells]
+    log.info("invariant: %d rectangle block(s) assembled (nnz=%d)", len(op.nnz), sum(op.nnz))
+    return results
 
 
 def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> list[dict]:
@@ -229,11 +239,11 @@ def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> lis
 def cmd_invariant(args, fam: MapFamily) -> None:
     started = time.perf_counter()
     grid = Grid.regular(fam.intervals, args.grid)
-    op, results = _invariant_pieces(fam, grid, args.tol)
+    results = _invariant_pieces(fam, grid, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
     _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
-    if args.dump_operator:
-        coo = op.matrix.tocoo()
+    if args.dump_operator:  # the one command that builds the whole operator
+        coo = ulam_assemble(fam, grid).matrix.tocoo()
         _write_csv(os.path.join(args.out, "operator.txt"), [], [coo.row, coo.col, coo.data],
                    row="{},{},{:.17g}\n")
     report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": [
@@ -300,7 +310,7 @@ def cmd_sample(args, problem) -> None:
     grid = Grid.regular(fam.intervals, args.grid)
     # the comparison labels the grid before the chain runs: a grid too coarse,
     # or an invariant measure that does not converge, leaves --out empty
-    results = _invariant_pieces(fam, grid, args.tol)[1] if args.compare_invariant else None
+    results = _invariant_pieces(fam, grid, args.tol) if args.compare_invariant else None
     started = time.perf_counter()
     summary = sgd_sample(fam, x0, args.steps, args.seed, grid)
     chained = time.perf_counter()
@@ -334,7 +344,7 @@ def cmd_diffusion(args, fam: MapFamily) -> None:
     profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
     rho_measure = DiscreteMeasure(grid, density_cell_masses(profile, grid.edges[0]))
     densities = time.perf_counter()
-    _, results = _invariant_pieces(fam, grid, args.tol)
+    results = _invariant_pieces(fam, grid, args.tol)
     decomp = fam.decomposition
     comparison = {
         "exact_count": len(decomp.rectangles),

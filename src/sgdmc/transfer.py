@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,6 +180,10 @@ class UlamOperator:
     grid: Grid
     row_sum_error: float
 
+    def block(self, cells) -> sp.csr_matrix:
+        """The rows and columns of cells of the matrix."""
+        return self.matrix[cells][:, cells]
+
 
 def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
     """One-dimensional cell-image transition factor for map i in dimension j.
@@ -218,9 +222,19 @@ def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_
     return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
 
 
-def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
+def _product_cells(sets, shape) -> np.ndarray:
+    """The flattened cells of the product of the per-axis index sets, in
+    row-major order, on a grid of the given shape."""
+    return np.ravel_multi_index(np.ix_(*sets), shape).ravel()
+
+
+def _kron_average(fam: MapFamily, factor_1d, axes, rows=None, columns=None) -> sp.csr_matrix:
     """Average over the maps of the Kronecker product of the per-dimension
-    factors factor_1d(fam, i, j, axes[j]); separability makes this exact."""
+    factors factor_1d(fam, i, j, axes[j]); separability makes this exact.
+    Given per-axis index sets (or slices), rows (and columns), only the rows
+    (and columns) of the cells of their product set, in row-major order,
+    are assembled: each factor is sliced before the products, which gives
+    the bits of slicing the whole average."""
     if len(axes) > MAX_GRID_DIMENSION:
         raise ValueError(
             "dense cell grids are offered up to two dimensions; use trajectory "
@@ -228,10 +242,12 @@ def _kron_average(fam: MapFamily, factor_1d, axes) -> sp.csr_matrix:
         )
     acc = None
     for i in range(1, fam.n + 1):
-        factors = [factor_1d(fam, i, j, axis) for j, axis in enumerate(axes)]
-        full = factors[0]
-        for f in factors[1:]:
-            full = sp.kron(full, f, format="csr")
+        full = None
+        for j, axis in enumerate(axes):
+            f = factor_1d(fam, i, j, axis)
+            f = f if rows is None else f[rows[j]]
+            f = f if columns is None else f[:, columns[j]]
+            full = f if full is None else sp.kron(full, f, format="csr")
         acc = full if acc is None else acc + full
     # in place, the bits of acc / n (scipy scales by 1 / n) without its copies
     acc.data *= 1 / fam.n
@@ -250,6 +266,40 @@ def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
     matrix = _kron_average(fam, _map_factor_1d, grid.edges)
     err = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
     return UlamOperator(matrix=matrix, grid=grid, row_sum_error=err)
+
+
+@dataclass(frozen=True, eq=False)
+class UlamBlocks:
+    """The Ulam operator of fam on grid left unassembled: block(cells), for
+    the cells of a box (one run of cells per axis, in row-major order, as
+    metric_config gives a rectangle's), assembles the block straight from
+    the 1-d factors, each built once (factors, by map and axis), with the
+    bits of UlamOperator.block.  nnz lists the non-zeros of each block
+    assembled."""
+
+    fam: MapFamily
+    grid: Grid
+    nnz: list = field(default_factory=list)
+    factors: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.grid.dimension != self.fam.dimension:
+            raise DimensionMismatch("grid and map family dimensions differ")
+
+    def block(self, cells) -> sp.csr_matrix:
+        # the cells' bounding box, which they fill, in order, when they are
+        # as many as its cells and increasing
+        box = tuple(slice(i.min(), i.max() + 1) for i in np.unravel_index(cells, self.grid.shape))
+        if np.prod([b.stop - b.start for b in box]) != cells.size or np.any(np.diff(cells) <= 0):
+            raise ValueError("the cells are not a box of the grid in row-major order")
+        block = _kron_average(self.fam, self._factor, self.grid.edges, box, box)
+        self.nnz.append(block.nnz)
+        return block
+
+    def _factor(self, fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
+        if (i, j) not in self.factors:
+            self.factors[i, j] = _map_factor_1d(fam, i, j, edges)
+        return self.factors[i, j]
 
 
 # kept though only tests call it: perfbench/tracer.py traces it and raises if it goes
@@ -360,7 +410,8 @@ def _gth_stationary(block, w: int) -> np.ndarray | None:
     return pi if np.all(np.isfinite(pi)) else None
 
 
-def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> InvariantResult:
+def invariant_measure(op: UlamOperator | UlamBlocks, cells,
+                      tol: float | None = None) -> InvariantResult:
     """Fixed probability vector of the restricted absorbing block.
 
     Where the block's half-bandwidth w (read off its entries) is at most
@@ -376,14 +427,15 @@ def invariant_measure(op: UlamOperator, cells, tol: float | None = None) -> Inva
     A block that leaks more than LEAKAGE_WARN per step (a grid too coarse
     for it to be closed) logs a warning and is iterated: its leaked mass is
     renormalised on every step, so the result is quasi-stationary rather
-    than invariant.  Logs its solver at INFO."""
+    than invariant.  op is an UlamOperator, or UlamBlocks where the cells'
+    block is to be assembled alone.  Logs its solver at INFO."""
     cells = np.asarray(cells, dtype=int)
     if cells.size == 0:
         raise ValueError("empty cell block")
     if tol is None:
         tol = _default_tol(op.grid)
     distance = cdf_sup if op.grid.dimension == 1 else half_l1
-    block = op.matrix[cells][:, cells]
+    block = op.block(cells)
     sub = sp.csr_matrix(block).T
     leak = _leakage(block)
     logger = logging.getLogger(__name__)
@@ -452,10 +504,12 @@ def _interp_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.c
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def dual_operator(fam: MapFamily, grid: Grid) -> sp.csr_matrix:
+def dual_operator(fam: MapFamily, grid: Grid, rows=None) -> sp.csr_matrix:
     """Matrix of the function-side operator at cell centers: averaging the map
-    images with multilinear interpolation for off-center evaluations."""
-    return _kron_average(fam, _interp_factor_1d, grid.edges)
+    images with multilinear interpolation for off-center evaluations.  Given
+    per-axis index sets, rows, only the rows of the cells of their product
+    set (_kron_average)."""
+    return _kron_average(fam, _interp_factor_1d, grid.edges, rows)
 
 
 @dataclass(frozen=True)
@@ -634,40 +688,47 @@ def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
     return _basins(g, grid, _absorption_order(blocks), steps, residual), solver
 
 
-def _axis_chain(matrix, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
-    """Axis j's own chain, lumped from the cell chain matrix on a grid of
-    the given shape: the rows of one slab of cells (every other coordinate
-    0), their columns summed over the other axes.  Exact for a chain that is
-    an average of Kronecker products of stochastic factors, up to rounding:
-    the rows of each factor sum to 1."""
-    index = [0] * len(shape)
-    index[j] = np.arange(shape[j])
-    slab = matrix[np.ravel_multi_index(tuple(index), shape)]
+def _sliced(matrix, shape):
+    """The rows source (see _absorption) of an assembled cell chain matrix
+    on a grid of the given shape."""
+    return lambda sets=None: matrix if sets is None else matrix[_product_cells(sets, shape)]
+
+
+def _axis_chain(rows, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
+    """Axis j's own chain, lumped from the rows source of the cell chain
+    on a grid of the given shape (see _absorption): the rows of one slab of
+    cells (every other coordinate 0), their columns summed over the other
+    axes.  Exact for a chain that is an average of Kronecker products of
+    stochastic factors, up to rounding: the rows of each factor sum to 1."""
+    slab = rows(tuple(np.arange(n) if k == j else np.zeros(1, dtype=int)
+                      for k, n in enumerate(shape)))
     columns = np.unravel_index(slab.indices, shape)[j]
     lumped = sp.csr_matrix((slab.data, columns, slab.indptr), shape=(shape[j], shape[j]))
     lumped.sum_duplicates()
     return lumped
 
 
-def _face_rows(matrix, grid: Grid, blocks: MetricConfig):
-    """What the solve by faces takes from the 2-d cell chain matrix: each
-    axis's chain (_axis_chain) with its blocks, the number n of cells
-    transient on both axes, which order numbers first, and their rows, the
-    columns renumbered to order (None where an axis has one rectangle: no
-    joint function is solved then).  None where an axis's absorbing blocks
-    leak more than LEAKAGE_WARN."""
-    axes = [(_axis_chain(matrix, grid.shape, j),
+def _face_rows(rows, grid: Grid, blocks: MetricConfig):
+    """What the solve by faces takes from the rows source of a 2-d cell
+    chain (see _absorption): each axis's chain (_axis_chain) with its
+    blocks, the number n of cells transient on both axes, which order
+    numbers first, and their rows, a product set, the columns renumbered to
+    order (None where an axis has one rectangle: no joint function is
+    solved then).  None where an axis's absorbing blocks leak more than
+    LEAKAGE_WARN."""
+    axes = [(_axis_chain(rows, grid.shape, j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
             for j, labels in enumerate(blocks.axis_labels)]
     if any(_leakage(chain[cells][:, cells]) > LEAKAGE_WARN
            for chain, config in axes for cells in config.rectangle_cells):
         return None
-    joint = np.logical_and.outer(*(labels < 0 for labels in blocks.axis_labels)).ravel()
+    transient = [labels < 0 for labels in blocks.axis_labels]
+    joint = np.logical_and.outer(*transient).ravel()
     order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
     n = np.count_nonzero(joint)
     if any(len(config.rectangle_cells) == 1 for _, config in axes):
         return axes, n, None, order
-    return axes, n, _renumbered(matrix[order[:n]], order), order
+    return axes, n, _renumbered(rows([np.flatnonzero(t) for t in transient]), order), order
 
 
 def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
@@ -724,17 +785,18 @@ def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
             f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
 
 
-def _absorption(matrix, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
-    """The absorption probabilities of the cell chain matrix for
-    basin_functions and ulam_absorption (name): by faces in two dimensions
-    where every axis's absorbing blocks are closed (_face_absorption),
-    otherwise on all the transient cells (_transient_absorption).  Logs the
-    solver at INFO."""
-    faces = _face_rows(matrix, grid, blocks) if grid.dimension == 2 else None
-    rows = _transient_rows(matrix, blocks) if faces is None else None
-    del matrix  # basin_functions' full dual matrix is freed here
+def _absorption(rows, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
+    """The absorption probabilities of a cell chain for basin_functions and
+    ulam_absorption (name), given as its rows source: rows(sets), the rows
+    of the chain matrix at the cells of the product of the per-axis index
+    sets (_product_cells), the whole matrix without sets.  By faces in two
+    dimensions where every axis's absorbing blocks are closed
+    (_face_absorption), otherwise on all the transient cells
+    (_transient_absorption), sliced from the whole matrix.  Logs the solver
+    at INFO."""
+    faces = _face_rows(rows, grid, blocks) if grid.dimension == 2 else None
     if faces is None:
-        basins, solver = _transient_absorption(rows, grid, blocks, tol)
+        basins, solver = _transient_absorption(_transient_rows(rows(), blocks), grid, blocks, tol)
     else:
         basins, solver = _face_absorption(*faces, grid, tol)
     logging.getLogger(__name__).info("%s: %s", name, solver)
@@ -749,13 +811,26 @@ def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> Bas
     one banded solve where the transient band is narrow (iterations 0,
     values clipped to [0, 1]), and otherwise by the indicator iteration run
     to tol (BASIN_TOL by default); see _absorption.  The residual is the sup
-    change one more step of the iteration would make, not an error bound."""
+    change one more step of the iteration would make, not an error bound.
+    In two dimensions the faces read only product sets of rows, and only
+    those are assembled (dual_operator's rows); all of them are assembled
+    in one dimension and where the faces are declined.  Logs the blocks
+    assembled and their non-zeros at INFO."""
     if tol is None:
         tol = BASIN_TOL
     config = metric_config(grid, fam.decomposition)
-    basins = _absorption(dual_operator(fam, grid), grid, config, tol, "basin_functions")
+    nnz = []
+
+    def rows(sets=None):
+        part = dual_operator(fam, grid, sets)
+        nnz.append(part.nnz)
+        return part
+
+    basins = _absorption(rows, grid, config, tol, "basin_functions")
+    logger = logging.getLogger(__name__)
+    logger.info("basin_functions: %d row block(s) assembled (nnz=%d)", len(nnz), sum(nnz))
     if basins.partition_defect > 1e-6:
-        logging.getLogger(__name__).warning(
+        logger.warning(
             "partition-of-unity defect %.2e: the tolerance is too loose for the "
             "iteration to converge, or the grid too coarse for the transient "
             "dynamics", basins.partition_defect,
@@ -792,7 +867,8 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     mixtures decay to zero rather than plateau at the discretization
     mismatch.
     """
-    return _absorption(op.matrix, op.grid, blocks, ULAM_ABSORPTION_TOL, "ulam_absorption")
+    return _absorption(_sliced(op.matrix, op.grid.shape), op.grid, blocks, ULAM_ABSORPTION_TOL,
+                       "ulam_absorption")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from oracles import per_row_grid_csv
 
 import sgdmc
-from sgdmc import cli, poly
+from sgdmc import cli, poly, transfer
 from sgdmc.cli import main
 from sgdmc.dynamics import MapFamily, uniform_escape_length
 from sgdmc.metrics import metric_config
@@ -527,6 +528,84 @@ def test_invariant_dump_operator(tmp_path):
     assert total == pytest.approx(4.0, abs=1e-12)  # rows sum to one
 
 
+# the benchmark's 2-d product double well (dw2d-grid)
+PRODUCT_CONFIG = {"dimension": 2, "n": 2, "components": [PRODUCT_ROW] * 2, "eta": 0.33}
+
+
+_KRON_AVERAGE = transfer._kron_average
+
+
+def _whole_then_sliced(fam, factor_1d, axes, rows=None, columns=None):
+    """transfer._kron_average by assembling the whole operator and slicing
+    it, as the 2-d grid commands did before they assembled product sets
+    alone."""
+    shape = tuple(len(edges) - 1 for edges in axes)
+
+    def cells(sets):  # index arrays or slices
+        return transfer._product_cells([np.arange(n)[s] for s, n in zip(sets, shape)], shape)
+
+    matrix = _KRON_AVERAGE(fam, factor_1d, axes)
+    if rows is not None:
+        matrix = matrix[cells(rows)]
+    return matrix if columns is None else matrix[:, cells(columns)]
+
+
+def _assembled(monkeypatch) -> list:
+    """(shape, non-zeros) of every matrix transfer._kron_average assembles
+    from now on, in call order."""
+    made = []
+
+    def record(*args, **kwargs):
+        matrix = _KRON_AVERAGE(*args, **kwargs)
+        made.append((matrix.shape, matrix.nnz))
+        return matrix
+
+    monkeypatch.setattr(transfer, "_kron_average", record)
+    return made
+
+
+def _outputs(out) -> dict:
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("argv", [["invariant"], ["invariant", "--dump-operator"], ["basins"],
+                                  ["basins", "declined"]])
+def test_2d_grid_commands_assemble_only_what_they_solve(tmp_path, monkeypatch, caplog, argv):
+    # on dw2d-grid's problem invariant assembles each rectangle's block alone
+    # and basins the two axis slabs and the rows of the cells transient on
+    # both axes: never every row of the operator, except for --dump-operator
+    # and where the faces are declined (here forced by counting every axis
+    # block as leaking); each logs the non-zeros it assembled, and the bytes
+    # are those of slicing the whole operator
+    n, command, declined = 40, argv[0], argv[-1] == "declined"
+    if declined:
+        monkeypatch.setattr(transfer, "LEAKAGE_WARN", -1.0)
+    cfg = write_config(tmp_path / "c.json", **PRODUCT_CONFIG)
+    run = [command, "--config", cfg, "--grid", str(n), *argv[1:len(argv) - declined]]
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "_kron_average", _whole_then_sliced)
+        assert main([*run, "--out", str(tmp_path / "sliced")]) == 0
+    made = _assembled(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="sgdmc"):
+        assert main([*run, "--out", str(tmp_path / "o")]) == 0
+    assert _outputs(tmp_path / "o") == _outputs(tmp_path / "sliced")
+    fam = MapFamily(*objective_from_config(PRODUCT_CONFIG))
+    config = metric_config(Grid.regular(fam.intervals, n), fam.decomposition)
+    whole = (n * n, n * n)
+    if command == "invariant":
+        want = [(cells.size, cells.size) for cells in config.rectangle_cells]
+        line = r"invariant: 4 rectangle block\(s\) assembled \(nnz=(\d+)\)"
+    else:
+        joint = np.prod([np.count_nonzero(labels < 0) for labels in config.axis_labels])
+        want = [(n, n * n)] * 2 + [whole if declined else (joint, n * n)]
+        line = r"basin_functions: 3 row block\(s\) assembled \(nnz=(\d+)\)"
+    # the dump alone assembles the whole Ulam matrix, after the solves
+    dump = [whole] if "--dump-operator" in argv else []
+    assert [shape for shape, _ in made] == want + dump
+    [found] = [m for m in (re.fullmatch(line, r.getMessage()) for r in caplog.records) if m]
+    assert int(found[1]) == sum(nnz for _, nnz in made[:len(want)])
+
+
 @pytest.mark.parametrize("command", ["basins", "invariant"])
 def test_grid_commands_refuse_more_than_two_dimensions(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.json", **CUBE_CONFIG)
@@ -592,9 +671,12 @@ def test_info_log_times_every_command(tmp_path):
         )
         assert proc.returncode == 0
         if level == "INFO":
-            *solves, stage, total = proc.stderr.strip().splitlines()
+            *solves, assembled, stage, total = proc.stderr.strip().splitlines()
             assert re.fullmatch(r"INFO:sgdmc:invariant: \d+\.\d{3}s", total)
             assert re.fullmatch(STAGE_LINE, stage[len("INFO:sgdmc:"):])
+            # the rectangle blocks' non-zeros, assembled alone
+            assert re.fullmatch(
+                r"INFO:sgdmc:invariant: 2 rectangle block\(s\) assembled \(nnz=\d+\)", assembled)
             # before them, one line per rectangle names its solve's solver
             assert [re.fullmatch(SOLVER_LINE, line[len("INFO:sgdmc.transfer:"):]) is not None
                     for line in solves] == [True, True]

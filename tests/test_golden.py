@@ -31,6 +31,9 @@ MIXED_CONFIG = {"dimension": 2, "n": 2, "components": [_split(0.2), _split(0.55)
                 "eta": 0.2, "x0": [-0.3, 0.1]}
 CUBE_CONFIG = {"dimension": 3, "n": 2, "components": [_split(0.2), _split(0.55), _split(0.3)],
                "eta": 0.1}
+# the benchmark's 2-d product double well (dw2d-grid): at grid 40 its basins
+# take the faces with one joint function solved
+PRODUCT_CONFIG = {"dimension": 2, "n": 2, "components": [_split(0.38)] * 2, "eta": 0.33}
 # the eighth-order objective (three rectangles at lambda 0.5)
 EIGHTH_CONFIG = {"objective": [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354000000000005, 0.0, 0.78],
                  "lambda": 0.5, "eta": 0.02}
@@ -45,10 +48,12 @@ CASES = {
     "analyze-touch-root": (TOUCH_CONFIG, ["analyze", "--grid", "200"]),
     "invariant-1d": (DW_CONFIG, ["invariant", "--grid", "500"]),
     "invariant-2d": (MIXED_CONFIG, ["invariant", "--grid", "60"]),
+    "invariant-2d-product": (PRODUCT_CONFIG, ["invariant", "--grid", "40", "--dump-operator"]),
     # dense grids stop at two dimensions: invariant refuses, sample histograms
     "invariant-3d": (CUBE_CONFIG, ["invariant", "--grid", "32"]),
     "basins-1d": (DW_CONFIG, ["basins", "--grid", "500"]),
     "basins-2d": (MIXED_CONFIG, ["basins", "--grid", "60"]),
+    "basins-2d-product": (PRODUCT_CONFIG, ["basins", "--grid", "40"]),
     "sample-1d": (DW_CONFIG, ["sample", "--grid", "200", "--steps", "20000", "--seed", "3",
                               "--compare-invariant"]),
     "sample-2d": (MIXED_CONFIG, ["sample", "--grid", "50", "--steps", "20000", "--seed", "3"]),
@@ -120,6 +125,17 @@ GOLDEN = {
         },
         "stderr": ""
     },
+    "basins-2d-product": {
+        "exit": 0,
+        "files": {
+            "basin_0.csv": "4e178ed31af46ded57c1880c116617c296b1dc560ac018b5f2a6730fa8e7d58b",
+            "basin_1.csv": "07cd163f9de6dbb7d4c8b97c441005fed8ff670039a94b78e99bafcd3082604e",
+            "basin_2.csv": "884a67f8b14bb6330dc30e4e175718ba11589b0bf8f3a208eca29c9a00f98c9d",
+            "basin_3.csv": "8ef0f54a9177e8c84ea7c3356bdf457b16e16c604abb147ea055e7938fb424a4",
+            "basins.json": "a0c1e5326b6b700b1e24e00b92499f8f63a35301b10b11afafa139210a4daae3"
+        },
+        "stderr": ""
+    },
     "coefficient-range": {
         "exit": 1,
         "files": {},
@@ -158,6 +174,18 @@ GOLDEN = {
             "invariant.json": "63ce8899b7f55e660b2f39723524943e2aa0efbd945eeb8c802bfbefea05cfe2",
             "invariant_0.csv": "cfaacbe66e51e25f30a31936ed5ba6a0456c5abbe365503ddce7f3de470b8152",
             "invariant_1.csv": "44de90a0a54b733ae8fa360877f807d5f4fd958e33613b5f9fbbbb23ca6c1b0e"
+        },
+        "stderr": ""
+    },
+    "invariant-2d-product": {
+        "exit": 0,
+        "files": {
+            "invariant.json": "e4204b3276926e5171fe562885464b4916dda029da6f06bc8746096913d97ec3",
+            "invariant_0.csv": "0652bdf2216962b0c11fec348f2d581592887909f7659a2f9144eb5f0a6ed840",
+            "invariant_1.csv": "0682cf516f56707899b3bad3846278eeff621716372ee6fc736405acf617a811",
+            "invariant_2.csv": "455a9c14a1349e940491e78995dc323623234a0cb53342e232196a112595cf38",
+            "invariant_3.csv": "76295c57f2f3f8eaf71b037b50b3fdfdd889fe2e6d2cfb6c9e5cbbf0ed7e3996",
+            "operator.txt": "5bdc2a037a77204bf95711c1b8ccd5ddd5a45d26c05db9be970df3640a4d7332"
         },
         "stderr": ""
     },

@@ -45,6 +45,7 @@ from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
+    UlamBlocks,
     _transient_rows,
     basin_functions,
     dual_operator,
@@ -553,6 +554,35 @@ def test_2d_absorption_has_the_axis_marginals_and_faces(problem):
 
 
 @PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 114, 120, 300]))
+def test_product_sets_assemble_the_bits_of_the_whole_operator(problem, cells_per_axis):
+    # separability makes every product set of cells a Kronecker average of
+    # slices of the 1-d factors: each rectangle's Ulam block, and the Ulam and
+    # dual rows of the cells transient on every axis and of each axis's slab,
+    # assembled alone, have the bits of the same slice of the whole matrix
+    fam, decomp, grid = problem
+    if cells_per_axis is not None:
+        grid = Grid.regular(decomp.intervals, cells_per_axis)
+    _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    op, dual, blocks = ulam_assemble(fam, grid), dual_operator(fam, grid), UlamBlocks(fam, grid)
+    pieces = [(blocks.block(cells), op.block(cells)) for cells in config.rectangle_cells]
+    transient = tuple(np.flatnonzero(labels < 0) for labels in config.axis_labels)
+    slabs = [tuple(np.arange(n) if k == j else np.zeros(1, dtype=int)
+                   for k, n in enumerate(grid.shape)) for j in range(grid.dimension)]
+    for sets in (transient, *slabs):
+        cells = transfer._product_cells(sets, grid.shape)
+        pieces += [(dual_operator(fam, grid, sets), dual[cells]),
+                   (transfer._kron_average(fam, transfer._map_factor_1d, grid.edges, sets),
+                    op.matrix[cells])]
+    for got, want in pieces:
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(problems())
 def test_faces_match_the_sparse_lu(problem):
     # the solve by faces solves (k1 - 1)(k2 - 1) of the k1 k2 functions on
@@ -571,7 +601,7 @@ def test_faces_match_the_sparse_lu(problem):
     kernels = ((dual_operator(fam, grid), transfer.BASIN_TOL, 1e-10),
                (ulam_assemble(fam, grid).matrix, transfer.ULAM_ABSORPTION_TOL, 1e-11))
     for matrix, tol, bound in kernels:
-        faces = transfer._face_rows(matrix, grid, config)
+        faces = transfer._face_rows(transfer._sliced(matrix, grid.shape), grid, config)
         if faces is None:  # an axis's blocks leak
             continue
         got, _ = transfer._face_absorption(*faces, grid, tol)

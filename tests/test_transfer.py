@@ -457,6 +457,15 @@ def test_gth_stationary_declines_a_non_finite_measure(monkeypatch):
 # the INFO line of a 1-d absorption solve, and of a 2-d one by faces, whose
 # joint solve (group 6) reads as a 1-d line does; group 7 is the joint steps
 BANDED = r"\w+: banded \(n=\d+, w=(\d+), m=(\d+)\)"
+# basin_functions' line of what it assembled, logged after its solver line
+ASSEMBLED = r"basin_functions: (\d+) row block\(s\) assembled \(nnz=(\d+)\)"
+
+
+def _solver_records(caplog) -> list:
+    """The log records, without basin_functions' line of what it assembled."""
+    return [r for r in caplog.records if not re.fullmatch(ASSEMBLED, r.getMessage())]
+
+
 FACES = (r"\w+: faces \(axis solvers (\w+)/(\w+), joint n=(\d+), (\d+) of (\d+) solved: "
          r"(banded \(n=\d+, w=\d+, m=\d+\)|iteration \((\d+) steps\)|none)\)")
 
@@ -497,7 +506,7 @@ def test_solver_follows_the_band(monkeypatch, caplog, obj, eta, n, invariant, ab
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
             got = solve()
-        [record] = caplog.records
+        [record] = _solver_records(caplog)
         if absorption == "banded":
             assert got.iterations == 0
             assert re.fullmatch(BANDED, record.getMessage()).groups() == ("14", "16")
@@ -583,7 +592,7 @@ def test_one_rectangle_absorbs_every_cell(monkeypatch, caplog, base, lam, eta, n
             got = ulam_absorption(ulam_assemble(fam, grid), config)
         else:
             got = basin_functions(fam, grid)
-    assert caplog.records[-1].getMessage().endswith(": ones")
+    assert _solver_records(caplog)[-1].getMessage().endswith(": ones")
     assert np.all(got.values == 1.0) and got.values.shape == (1, n)
     assert (got.iterations, got.partition_defect) == (0, 0.0)
 
@@ -605,7 +614,7 @@ def test_one_rectangle_2d_goes_by_faces_to_ones(caplog, kernel):
             got = ulam_absorption(ulam_assemble(fam, grid), config)
         else:
             got = basin_functions(fam, grid)
-    [record] = caplog.records
+    [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     assert found.groups()[:6] == ("ones", "ones", str(joint.sum()), "0", "1", "none")
     assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
@@ -917,7 +926,7 @@ def _axis_leakage(matrix, grid, config) -> float:
     the axes' own chains lumped from matrix."""
     leaks = [0.0]
     for j, labels in enumerate(config.axis_labels):
-        chain = transfer._axis_chain(matrix, grid.shape, j)
+        chain = transfer._axis_chain(transfer._sliced(matrix, grid.shape), grid.shape, j)
         for t in range(labels.max() + 1):
             cells = np.flatnonzero(labels == t)
             leaks.append(transfer._leakage(chain[cells][:, cells]))
@@ -986,7 +995,7 @@ def test_face_absorption_matches_the_joint_kernel(monkeypatch, caplog, kernel, n
     renumbered = _recorded_renumbers(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
-    [record] = caplog.records
+    [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
     # the rows of the cells transient on both axes, renumbered once
@@ -1028,7 +1037,7 @@ def test_faces_report_every_solve(monkeypatch, caplog, kernel):
     solves = _recorded_solves(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
-    [record] = caplog.records
+    [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     assert found.groups()[:2] == ("iteration", "iteration")
     assert all(solver == f"iteration ({steps} steps)" for steps, _, solver in solves)
@@ -1066,7 +1075,7 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
         got = solve()
     assert renumbered == [(np.count_nonzero(labels < 0), len(labels))
                           for labels in config.axis_labels]
-    [record] = caplog.records
+    [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     assert found[single + 1] == "ones" and found[2 - single] == "banded"
     assert (int(found[3]), found[4], found[5], found[6]) == (joint.sum(), "0", "2", "none")
@@ -1242,7 +1251,7 @@ def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, capl
         _declines_the_banded_solve(patch, rows, transfer._indicators(grid, config), BASIN_TOL)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         assert basin_functions(fam, grid).iterations > 0
-    assert caplog.records[-1].getMessage().startswith("basin_functions: iteration (")
+    assert _solver_records(caplog)[-1].getMessage().startswith("basin_functions: iteration (")
 
 
 def test_2d_invariant_marginals_are_the_axis_invariants():
@@ -1278,6 +1287,16 @@ def test_basins_on_coarse_grid_keep_the_partition_of_unity(caplog):
         basins = basin_functions(MapFamily(obj, eta), coarse, tol=1e-12)
     assert basins.partition_defect <= 1e-9
     assert not caplog.records
+
+
+def test_basin_functions_logs_what_it_assembles_in_1d(dw038_setup, caplog):
+    # in one dimension the absorption solve slices its transient rows from
+    # the whole dual, assembled once
+    _, _, _, fam, grid, _ = dw038_setup
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        basin_functions(fam, grid)
+    [found] = [m for m in (re.fullmatch(ASSEMBLED, r.getMessage()) for r in caplog.records) if m]
+    assert found.groups() == ("1", str(dual_operator(fam, grid).nnz))
 
 
 def test_basin_defect_warns_on_loose_tolerance(dw038_setup, caplog):
