@@ -58,7 +58,7 @@ from .transfer import (
     Grid,
     InvariantResult,
     LimitMixtureResult,
-    UlamOperator,
+    SeparableOperator,
     basin_functions,
     dual_operator,
     dual_residual,

@@ -48,11 +48,11 @@ from .transfer import (
     MAX_GRID_DIMENSION,
     DiscreteMeasure,
     Grid,
-    UlamBlocks,
+    SeparableOperator,
     basin_functions,
     invariant_measure,
     mixture_coefficients,
-    ulam_assemble,
+    ulam_operator,
 )
 
 log = logging.getLogger("sgdmc")
@@ -219,12 +219,11 @@ def cmd_analyze(args, fam: MapFamily) -> None:
              (escaped - certified) / max(steps, 1) * 1e6)
 
 
-def _invariant_pieces(fam: MapFamily, grid: Grid, tol):
-    """Each rectangle's invariant measure, from its block of the Ulam operator assembled
-    alone (UlamBlocks), whose non-zeros are logged at INFO.  The grid is labelled first, so
-    a problem with no decomposition fails before assembly on its state space."""
-    blocks = metric_config(grid, fam.decomposition)
-    op = UlamBlocks(fam, grid)
+def _invariant_pieces(op: SeparableOperator, tol):
+    """Each rectangle's invariant measure, from its block of the Ulam operator op assembled
+    alone, whose non-zeros are logged at INFO.  The grid is labelled first, so a problem
+    with no decomposition fails before assembly on its state space."""
+    blocks = metric_config(op.grid, op.fam.decomposition)
     results = [invariant_measure(op, cells, tol=tol) for cells in blocks.rectangle_cells]
     log.info("invariant: %d rectangle block(s) assembled (nnz=%d)", len(op.nnz), sum(op.nnz))
     return results
@@ -239,11 +238,12 @@ def _d_F_per_rectangle(fam: MapFamily, measure: DiscreteMeasure, results) -> lis
 def cmd_invariant(args, fam: MapFamily) -> None:
     started = time.perf_counter()
     grid = Grid.regular(fam.intervals, args.grid)
-    results = _invariant_pieces(fam, grid, args.tol)
+    op = ulam_operator(fam, grid)
+    results = _invariant_pieces(op, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
     _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
     if args.dump_operator:  # the one command that builds the whole operator
-        coo = ulam_assemble(fam, grid).matrix.tocoo()
+        coo = op.matrix.tocoo()
         _write_csv(os.path.join(args.out, "operator.txt"), [], [coo.row, coo.col, coo.data],
                    row="{},{},{:.17g}\n")
     report = {"eta": fam.eta, "eta0": eta_bound(fam.obj), "rectangles": [
@@ -310,7 +310,8 @@ def cmd_sample(args, problem) -> None:
     grid = Grid.regular(fam.intervals, args.grid)
     # the comparison labels the grid before the chain runs: a grid too coarse,
     # or an invariant measure that does not converge, leaves --out empty
-    results = _invariant_pieces(fam, grid, args.tol) if args.compare_invariant else None
+    results = (_invariant_pieces(ulam_operator(fam, grid), args.tol) if args.compare_invariant
+               else None)
     started = time.perf_counter()
     summary = sgd_sample(fam, x0, args.steps, args.seed, grid)
     chained = time.perf_counter()
@@ -344,7 +345,7 @@ def cmd_diffusion(args, fam: MapFamily) -> None:
     profile = stationary_density(fam.obj, fam.eta, grid.centers[0])
     rho_measure = DiscreteMeasure(grid, density_cell_masses(profile, grid.edges[0]))
     densities = time.perf_counter()
-    results = _invariant_pieces(fam, grid, args.tol)
+    results = _invariant_pieces(ulam_operator(fam, grid), args.tol)
     decomp = fam.decomposition
     comparison = {
         "exact_count": len(decomp.rectangles),

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,19 +174,6 @@ class DiscreteMeasure:
         return cls(grid, w)
 
 
-@dataclass(frozen=True)
-class UlamOperator:
-    """Row-stochastic cell-to-cell transition matrix of the one-step kernel."""
-
-    matrix: sp.csr_matrix
-    grid: Grid
-    row_sum_error: float
-
-    def block(self, cells) -> sp.csr_matrix:
-        """The rows and columns of cells of the matrix."""
-        return self.matrix[cells][:, cells]
-
-
 def _map_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
     """One-dimensional cell-image transition factor for map i in dimension j.
 
@@ -228,82 +217,118 @@ def _product_cells(sets, shape) -> np.ndarray:
     return np.ravel_multi_index(np.ix_(*sets), shape).ravel()
 
 
-def _kron_average(fam: MapFamily, factor_1d, axes, rows=None, columns=None) -> sp.csr_matrix:
-    """Average over the maps of the Kronecker product of the per-dimension
-    factors factor_1d(fam, i, j, axes[j]); separability makes this exact.
-    Given per-axis index sets (or slices), rows (and columns), only the rows
-    (and columns) of the cells of their product set, in row-major order,
-    are assembled: each factor is sliced before the products, which gives
-    the bits of slicing the whole average."""
-    if len(axes) > MAX_GRID_DIMENSION:
-        raise ValueError(
-            "dense cell grids are offered up to two dimensions; use trajectory "
-            "histograms (sgd_sample) for higher-dimensional problems"
-        )
+def _kron_average(factors, rows=None, columns=None) -> sp.csr_matrix:
+    """Average over the maps of the Kronecker product of each map's 1-d
+    factors, factors[i] listing map i + 1's, one per axis; separability
+    makes this exact.  Given per-axis index sets (or slices), rows (and
+    columns), only the rows (and columns) of the cells of their product set,
+    in row-major order, are assembled: each factor is sliced before the
+    products, which gives the bits of slicing the whole average."""
     acc = None
-    for i in range(1, fam.n + 1):
+    for per_axis in factors:
         full = None
-        for j, axis in enumerate(axes):
-            f = factor_1d(fam, i, j, axis)
+        for j, f in enumerate(per_axis):
             f = f if rows is None else f[rows[j]]
             f = f if columns is None else f[:, columns[j]]
             full = f if full is None else sp.kron(full, f, format="csr")
         acc = full if acc is None else acc + full
     # in place, the bits of acc / n (scipy scales by 1 / n) without its copies
-    acc.data *= 1 / fam.n
+    acc.data *= 1 / len(factors)
     return acc.tocsr()
 
 
-def ulam_assemble(fam: MapFamily, grid: Grid) -> UlamOperator:
-    """Assemble the cell-transition matrix.
-
-    Cell images under the separable monotone maps are rectangles obtained from
-    the edge images per dimension; each image rectangle spreads its mass over
-    target cells in proportion to overlap volume (exact for affine maps).
-    """
-    if grid.dimension != fam.dimension:
-        raise DimensionMismatch("grid and map family dimensions differ")
-    matrix = _kron_average(fam, _map_factor_1d, grid.edges)
-    err = float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
-    return UlamOperator(matrix=matrix, grid=grid, row_sum_error=err)
-
-
 @dataclass(frozen=True, eq=False)
-class UlamBlocks:
-    """The Ulam operator of fam on grid left unassembled: block(cells), for
-    the cells of a box (one run of cells per axis, in row-major order, as
-    metric_config gives a rectangle's), assembles the block straight from
-    the 1-d factors, each built once (factors, by map and axis), with the
-    bits of UlamOperator.block.  nnz lists the non-zeros of each block
-    assembled."""
+class SeparableOperator:
+    """A cell chain of fam on grid, the average over the maps of the
+    Kronecker products of the 1-d factors factor(fam, i, j, edges) of map i
+    on axis j: the Ulam operator (ulam_operator) or the dual
+    (dual_operator).  Nothing is assembled until asked for: rows(sets) and
+    block(cells) assemble product sets of cells, marginal(j) axis j's own
+    chain and matrix the whole, all from the factors, each built once.  Once
+    matrix exists it is the one copy: the factors are dropped, and rows and
+    blocks are sliced from it with the same bits.  nnz lists the non-zeros
+    of everything assembled, in order."""
 
     fam: MapFamily
     grid: Grid
-    nnz: list = field(default_factory=list)
-    factors: dict = field(default_factory=dict)
+    factor: Callable[..., sp.csr_matrix]
+    nnz: list = field(default_factory=list, init=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.dimension != self.fam.dimension:
             raise DimensionMismatch("grid and map family dimensions differ")
+        if self.grid.dimension > MAX_GRID_DIMENSION:
+            raise ValueError("dense cell grids are offered up to two dimensions; use trajectory "
+                             "histograms (sgd_sample) for higher-dimensional problems")
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        matrix = self._average(range(self.grid.dimension))
+        self._factors.clear()
+        return matrix
+
+    @cached_property
+    def row_sum_error(self) -> float:
+        return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
+
+    def rows(self, sets) -> sp.csr_matrix:
+        """The rows of the product of the per-axis index sets (_product_cells)."""
+        if "matrix" in vars(self):
+            return self.matrix[_product_cells(sets, self.grid.shape)]
+        return self._average(range(self.grid.dimension), sets)
 
     def block(self, cells) -> sp.csr_matrix:
+        """The rows and columns of cells, a box of the grid (one run of cells
+        per axis, in row-major order, as metric_config gives a rectangle's)."""
         # the cells' bounding box, which they fill, in order, when they are
         # as many as its cells and increasing
         box = tuple(slice(i.min(), i.max() + 1) for i in np.unravel_index(cells, self.grid.shape))
         if np.prod([b.stop - b.start for b in box]) != cells.size or np.any(np.diff(cells) <= 0):
             raise ValueError("the cells are not a box of the grid in row-major order")
-        block = _kron_average(self.fam, self._factor, self.grid.edges, box, box)
-        self.nnz.append(block.nnz)
-        return block
+        if "matrix" in vars(self):
+            return self.matrix[cells][:, cells]
+        return self._average(range(self.grid.dimension), box, box)
 
-    def _factor(self, fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
-        if (i, j) not in self.factors:
-            self.factors[i, j] = _map_factor_1d(fam, i, j, edges)
-        return self.factors[i, j]
+    def marginal(self, j: int) -> sp.csr_matrix:
+        """Axis j's own chain, the average of its factors alone: the chain
+        lumped over the other axes (Kemeny & Snell 1960), up to rounding,
+        since their factors' rows sum to 1."""
+        return self._average((j,))
+
+    def _average(self, axes, rows=None, columns=None) -> sp.csr_matrix:
+        """_kron_average on the factors of axes, recorded in nnz; each factor
+        is built once and kept until the matrix exists."""
+        maps = range(1, self.fam.n + 1)
+        kept = {} if "matrix" in vars(self) else self._factors
+        for i in maps:
+            for j in axes:
+                if (i, j) not in kept:
+                    kept[i, j] = self.factor(self.fam, i, j, self.grid.edges[j])
+        part = _kron_average([[kept[i, j] for j in axes] for i in maps], rows, columns)
+        self.nnz.append(part.nnz)
+        return part
+
+
+def ulam_operator(fam: MapFamily, grid: Grid) -> SeparableOperator:
+    """The cell-transition operator, unassembled.
+
+    Cell images under the separable monotone maps are rectangles obtained from
+    the edge images per dimension; each image rectangle spreads its mass over
+    target cells in proportion to overlap volume (exact for affine maps).
+    """
+    return SeparableOperator(fam, grid, _map_factor_1d)
+
+
+def ulam_assemble(fam: MapFamily, grid: Grid) -> SeparableOperator:
+    """ulam_operator with its matrix assembled."""
+    op = ulam_operator(fam, grid)
+    op.matrix
+    return op
 
 
 # kept though only tests call it: perfbench/tracer.py traces it and raises if it goes
-def push_forward(op: UlamOperator, mu: DiscreteMeasure) -> DiscreteMeasure:
+def push_forward(op: SeparableOperator, mu: DiscreteMeasure) -> DiscreteMeasure:
     """One application of the measure-evolution step."""
     if op.grid != mu.grid:
         raise GridMismatch("operator and measure grids differ")
@@ -410,7 +435,7 @@ def _gth_stationary(block, w: int) -> np.ndarray | None:
     return pi if np.all(np.isfinite(pi)) else None
 
 
-def invariant_measure(op: UlamOperator | UlamBlocks, cells,
+def invariant_measure(op: SeparableOperator, cells,
                       tol: float | None = None) -> InvariantResult:
     """Fixed probability vector of the restricted absorbing block.
 
@@ -427,8 +452,9 @@ def invariant_measure(op: UlamOperator | UlamBlocks, cells,
     A block that leaks more than LEAKAGE_WARN per step (a grid too coarse
     for it to be closed) logs a warning and is iterated: its leaked mass is
     renormalised on every step, so the result is quasi-stationary rather
-    than invariant.  op is an UlamOperator, or UlamBlocks where the cells'
-    block is to be assembled alone.  Logs its solver at INFO."""
+    than invariant.  op is the Ulam operator (ulam_operator), whose block
+    of the cells is assembled alone unless its matrix exists.  Logs its
+    solver at INFO."""
     cells = np.asarray(cells, dtype=int)
     if cells.size == 0:
         raise ValueError("empty cell block")
@@ -504,12 +530,10 @@ def _interp_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.c
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def dual_operator(fam: MapFamily, grid: Grid, rows=None) -> sp.csr_matrix:
-    """Matrix of the function-side operator at cell centers: averaging the map
-    images with multilinear interpolation for off-center evaluations.  Given
-    per-axis index sets, rows, only the rows of the cells of their product
-    set (_kron_average)."""
-    return _kron_average(fam, _interp_factor_1d, grid.edges, rows)
+def dual_operator(fam: MapFamily, grid: Grid) -> SeparableOperator:
+    """The function-side operator at cell centers, unassembled: averaging the
+    map images with multilinear interpolation for off-center evaluations."""
+    return SeparableOperator(fam, grid, _interp_factor_1d)
 
 
 @dataclass(frozen=True)
@@ -688,35 +712,14 @@ def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
     return _basins(g, grid, _absorption_order(blocks), steps, residual), solver
 
 
-def _sliced(matrix, shape):
-    """The rows source (see _absorption) of an assembled cell chain matrix
-    on a grid of the given shape."""
-    return lambda sets=None: matrix if sets is None else matrix[_product_cells(sets, shape)]
-
-
-def _axis_chain(rows, shape: tuple[int, ...], j: int) -> sp.csr_matrix:
-    """Axis j's own chain, lumped from the rows source of the cell chain
-    on a grid of the given shape (see _absorption): the rows of one slab of
-    cells (every other coordinate 0), their columns summed over the other
-    axes.  Exact for a chain that is an average of Kronecker products of
-    stochastic factors, up to rounding: the rows of each factor sum to 1."""
-    slab = rows(tuple(np.arange(n) if k == j else np.zeros(1, dtype=int)
-                      for k, n in enumerate(shape)))
-    columns = np.unravel_index(slab.indices, shape)[j]
-    lumped = sp.csr_matrix((slab.data, columns, slab.indptr), shape=(shape[j], shape[j]))
-    lumped.sum_duplicates()
-    return lumped
-
-
-def _face_rows(rows, grid: Grid, blocks: MetricConfig):
-    """What the solve by faces takes from the rows source of a 2-d cell
-    chain (see _absorption): each axis's chain (_axis_chain) with its
-    blocks, the number n of cells transient on both axes, which order
-    numbers first, and their rows, a product set, the columns renumbered to
-    order (None where an axis has one rectangle: no joint function is
-    solved then).  None where an axis's absorbing blocks leak more than
-    LEAKAGE_WARN."""
-    axes = [(_axis_chain(rows, grid.shape, j),
+def _face_rows(op: SeparableOperator, blocks: MetricConfig):
+    """What the solve by faces takes from a 2-d cell chain: each axis's
+    chain (op.marginal) with its blocks, the number n of cells transient on
+    both axes, which order numbers first, and their rows, a product set, the
+    columns renumbered to order (None where an axis has one rectangle: no
+    joint function is solved then).  None where an axis's absorbing blocks
+    leak more than LEAKAGE_WARN."""
+    axes = [(op.marginal(j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
             for j, labels in enumerate(blocks.axis_labels)]
     if any(_leakage(chain[cells][:, cells]) > LEAKAGE_WARN
@@ -728,7 +731,7 @@ def _face_rows(rows, grid: Grid, blocks: MetricConfig):
     n = np.count_nonzero(joint)
     if any(len(config.rectangle_cells) == 1 for _, config in axes):
         return axes, n, None, order
-    return axes, n, _renumbered(rows([np.flatnonzero(t) for t in transient]), order), order
+    return axes, n, _renumbered(op.rows([np.flatnonzero(t) for t in transient]), order), order
 
 
 def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
@@ -785,20 +788,19 @@ def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
             f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
 
 
-def _absorption(rows, grid: Grid, blocks: MetricConfig, tol: float, name: str) -> BasinFunctions:
-    """The absorption probabilities of a cell chain for basin_functions and
-    ulam_absorption (name), given as its rows source: rows(sets), the rows
-    of the chain matrix at the cells of the product of the per-axis index
-    sets (_product_cells), the whole matrix without sets.  By faces in two
-    dimensions where every axis's absorbing blocks are closed
-    (_face_absorption), otherwise on all the transient cells
-    (_transient_absorption), sliced from the whole matrix.  Logs the solver
-    at INFO."""
-    faces = _face_rows(rows, grid, blocks) if grid.dimension == 2 else None
+def _absorption(op: SeparableOperator, blocks: MetricConfig, tol: float,
+                name: str) -> BasinFunctions:
+    """The absorption probabilities of the cell chain op for basin_functions
+    and ulam_absorption (name).  By faces in two dimensions where every
+    axis's absorbing blocks are closed (_face_absorption), otherwise on all
+    the transient cells (_transient_absorption), sliced from the whole
+    matrix.  Logs the solver at INFO."""
+    faces = _face_rows(op, blocks) if op.grid.dimension == 2 else None
     if faces is None:
-        basins, solver = _transient_absorption(_transient_rows(rows(), blocks), grid, blocks, tol)
+        basins, solver = _transient_absorption(_transient_rows(op.matrix, blocks), op.grid,
+                                               blocks, tol)
     else:
-        basins, solver = _face_absorption(*faces, grid, tol)
+        basins, solver = _face_absorption(*faces, op.grid, tol)
     logging.getLogger(__name__).info("%s: %s", name, solver)
     return basins
 
@@ -812,23 +814,17 @@ def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> Bas
     values clipped to [0, 1]), and otherwise by the indicator iteration run
     to tol (BASIN_TOL by default); see _absorption.  The residual is the sup
     change one more step of the iteration would make, not an error bound.
-    In two dimensions the faces read only product sets of rows, and only
-    those are assembled (dual_operator's rows); all of them are assembled
+    In two dimensions the faces read only the axes' marginals and a product
+    set of rows, and only those are assembled; the whole dual is assembled
     in one dimension and where the faces are declined.  Logs the blocks
     assembled and their non-zeros at INFO."""
     if tol is None:
         tol = BASIN_TOL
     config = metric_config(grid, fam.decomposition)
-    nnz = []
-
-    def rows(sets=None):
-        part = dual_operator(fam, grid, sets)
-        nnz.append(part.nnz)
-        return part
-
-    basins = _absorption(rows, grid, config, tol, "basin_functions")
+    op = dual_operator(fam, grid)
+    basins = _absorption(op, config, tol, "basin_functions")
     logger = logging.getLogger(__name__)
-    logger.info("basin_functions: %d row block(s) assembled (nnz=%d)", len(nnz), sum(nnz))
+    logger.info("basin_functions: %d row block(s) assembled (nnz=%d)", len(op.nnz), sum(op.nnz))
     if basins.partition_defect > 1e-6:
         logger.warning(
             "partition-of-unity defect %.2e: the tolerance is too loose for the "
@@ -840,7 +836,7 @@ def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> Bas
 
 def dual_residual(fam: MapFamily, basins: BasinFunctions) -> float:
     """Sup norm of one more dual application minus the basin values."""
-    dual = dual_operator(fam, basins.grid)
+    dual = dual_operator(fam, basins.grid).matrix
     return float(np.max(np.abs((dual @ basins.values.T).T - basins.values)))
 
 
@@ -851,7 +847,7 @@ def mixture_coefficients(basins: BasinFunctions, mu0: DiscreteMeasure) -> np.nda
     return basins.values @ mu0.weights
 
 
-def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
+def ulam_absorption(op: SeparableOperator, blocks: MetricConfig) -> BasinFunctions:
     """Absorption probabilities of the discrete chain itself, one row per
     rectangle block of blocks = metric_config(op.grid, decomp).
 
@@ -867,8 +863,7 @@ def ulam_absorption(op: UlamOperator, blocks: MetricConfig) -> BasinFunctions:
     mixtures decay to zero rather than plateau at the discretization
     mismatch.
     """
-    return _absorption(_sliced(op.matrix, op.grid.shape), op.grid, blocks, ULAM_ABSORPTION_TOL,
-                       "ulam_absorption")
+    return _absorption(op, blocks, ULAM_ABSORPTION_TOL, "ulam_absorption")
 
 
 @dataclass(frozen=True)
@@ -880,7 +875,7 @@ class LimitMixtureResult:
     envelope_ratio: float
 
 
-def limit_mixture(op: UlamOperator, decomp: Decomposition, mu0: DiscreteMeasure,
+def limit_mixture(op: SeparableOperator, decomp: Decomposition, mu0: DiscreteMeasure,
                   k_max: int = 10**4, stop_below: float = 0.0) -> LimitMixtureResult:
     """Assemble the limiting mixture of the discrete chain and log the
     composite distance of the evolving measure to it, step by step: d_tilde

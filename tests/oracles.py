@@ -1,11 +1,12 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
-direct sparse solves, dense stationary solves in extended precision,
-per-cell Ulam factors and cell labels, the whole-point sampler step and
-escape walk, the per-row grid CSV writer, and the zero-padded composite
-distance.  Everything here deliberately avoids the package's own
-algorithms, except per_step_decay_log and masked_reset_absorption, which
-keep the measure-by-measure loop the limit mixtures' log once ran and the
+direct sparse solves, axis chains lumped from slabs of the whole matrix,
+dense stationary solves in extended precision, per-cell Ulam factors and
+cell labels, the whole-point sampler step and escape walk, the per-row grid
+CSV writer, and the zero-padded composite distance.  Everything here
+deliberately avoids the package's own algorithms, except
+per_step_decay_log and masked_reset_absorption, which keep the
+measure-by-measure loop the limit mixtures' log once ran and the
 full-matrix loop the absorption kernel once ran, held_absorption, the
 absorption iteration alone that the direct solves are checked against, and
 scalar_bisect and
@@ -118,6 +119,19 @@ def direct_absorption(matrix, labels, m_count: int) -> np.ndarray:
             rhs = np.asarray(rows[:, np.flatnonzero(labels == m)].sum(axis=1)).ravel()
             g[m, b_cells] = spla.spsolve(lhs, rhs)
     return g
+
+
+def lumped_axis_chain(matrix, shape, j: int) -> sp.csr_matrix:
+    """Axis j's own chain lumped from a cell chain matrix on a grid of the
+    given shape: the rows of one slab of cells (every other coordinate 0),
+    their columns summed over the other axes.  Exact for an average of
+    Kronecker products of stochastic factors, up to rounding."""
+    sets = tuple(np.arange(n) if k == j else np.zeros(1, dtype=int) for k, n in enumerate(shape))
+    slab = sp.csr_matrix(matrix)[np.ravel_multi_index(np.ix_(*sets), shape).ravel()]
+    columns = np.unravel_index(slab.indices, shape)[j]
+    lumped = sp.csr_matrix((slab.data, columns, slab.indptr), shape=(shape[j], shape[j]))
+    lumped.sum_duplicates()
+    return lumped
 
 
 def direct_stationary(matrix, cells) -> np.ndarray:

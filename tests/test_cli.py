@@ -535,16 +535,16 @@ PRODUCT_CONFIG = {"dimension": 2, "n": 2, "components": [PRODUCT_ROW] * 2, "eta"
 _KRON_AVERAGE = transfer._kron_average
 
 
-def _whole_then_sliced(fam, factor_1d, axes, rows=None, columns=None):
+def _whole_then_sliced(factors, rows=None, columns=None):
     """transfer._kron_average by assembling the whole operator and slicing
     it, as the 2-d grid commands did before they assembled product sets
     alone."""
-    shape = tuple(len(edges) - 1 for edges in axes)
+    shape = tuple(f.shape[0] for f in factors[0])
 
     def cells(sets):  # index arrays or slices
         return transfer._product_cells([np.arange(n)[s] for s, n in zip(sets, shape)], shape)
 
-    matrix = _KRON_AVERAGE(fam, factor_1d, axes)
+    matrix = _KRON_AVERAGE(factors)
     if rows is not None:
         matrix = matrix[cells(rows)]
     return matrix if columns is None else matrix[:, cells(columns)]
@@ -572,7 +572,7 @@ def _outputs(out) -> dict:
                                   ["basins", "declined"]])
 def test_2d_grid_commands_assemble_only_what_they_solve(tmp_path, monkeypatch, caplog, argv):
     # on dw2d-grid's problem invariant assembles each rectangle's block alone
-    # and basins the two axis slabs and the rows of the cells transient on
+    # and basins the two axis marginals and the rows of the cells transient on
     # both axes: never every row of the operator, except for --dump-operator
     # and where the faces are declined (here forced by counting every axis
     # block as leaking); each logs the non-zeros it assembled, and the bytes
@@ -597,13 +597,37 @@ def test_2d_grid_commands_assemble_only_what_they_solve(tmp_path, monkeypatch, c
         line = r"invariant: 4 rectangle block\(s\) assembled \(nnz=(\d+)\)"
     else:
         joint = np.prod([np.count_nonzero(labels < 0) for labels in config.axis_labels])
-        want = [(n, n * n)] * 2 + [whole if declined else (joint, n * n)]
+        want = [(n, n)] * 2 + [whole if declined else (joint, n * n)]
         line = r"basin_functions: 3 row block\(s\) assembled \(nnz=(\d+)\)"
     # the dump alone assembles the whole Ulam matrix, after the solves
     dump = [whole] if "--dump-operator" in argv else []
     assert [shape for shape, _ in made] == want + dump
     [found] = [m for m in (re.fullmatch(line, r.getMessage()) for r in caplog.records) if m]
     assert int(found[1]) == sum(nnz for _, nnz in made[:len(want)])
+
+
+@pytest.mark.parametrize("config,argv", [
+    (PRODUCT_CONFIG, ["invariant"]),
+    (PRODUCT_CONFIG, ["invariant", "--dump-operator"]),
+    (DW_CONFIG, ["basins"]),
+    (PRODUCT_CONFIG, ["basins"]),
+], ids=["invariant", "invariant-dump", "basins-1d", "basins-2d"])
+def test_grid_commands_build_each_factor_once(tmp_path, monkeypatch, config, argv):
+    # each command's operator builds every map's 1-d factor on every axis
+    # once, whatever it assembles from them: blocks, marginals, rows, or the
+    # whole matrix
+    built = []
+    for name in ("_map_factor_1d", "_interp_factor_1d"):
+        def build(fam, i, j, edges, factor=getattr(transfer, name)):
+            built.append((i, j))
+            return factor(fam, i, j, edges)
+
+        monkeypatch.setattr(transfer, name, build)
+    cfg = write_config(tmp_path / "c.json", **config)
+    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), "--grid", "40",
+                 *argv[1:]]) == 0
+    fam = MapFamily(*objective_from_config(config))
+    assert sorted(built) == [(i, j) for i in range(1, fam.n + 1) for j in range(fam.dimension)]
 
 
 @pytest.mark.parametrize("command", ["basins", "invariant"])

@@ -119,9 +119,9 @@ GOLDEN = {
     "basins-2d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "b3ea2fe9c8807bf652881ec6bb01c6ccb16c2275757705fe4a9d21c7f7ccfbb8",
-            "basin_1.csv": "106490fc840af30145b52805148ea5bc1b924dfaee9a55c837a58f2a4432301e",
-            "basins.json": "dac7b99bd0edb150545776cd14b0191dec9679666e612e1ac473f7eaf1b3145c"
+            "basin_0.csv": "8f0b5ec1faaebae9bf8b4804a773f7c95ac123a6067e01952d627044530afac3",
+            "basin_1.csv": "2b9bcba562f5eb7d0d81452a2700941ef336085d1617a4963d7d49cb62edcf1d",
+            "basins.json": "5f0d5ee65ff1a6190d27e44b74c4c879f84c3428c2d1372de3b71b9392276e00"
         },
         "stderr": ""
     },
@@ -129,9 +129,9 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "basin_0.csv": "4e178ed31af46ded57c1880c116617c296b1dc560ac018b5f2a6730fa8e7d58b",
-            "basin_1.csv": "07cd163f9de6dbb7d4c8b97c441005fed8ff670039a94b78e99bafcd3082604e",
-            "basin_2.csv": "884a67f8b14bb6330dc30e4e175718ba11589b0bf8f3a208eca29c9a00f98c9d",
-            "basin_3.csv": "8ef0f54a9177e8c84ea7c3356bdf457b16e16c604abb147ea055e7938fb424a4",
+            "basin_1.csv": "af1c54703456eef2b7daeb25fb1cdeb6f751e5ff3ca869c2a9803d95e03cfd6d",
+            "basin_2.csv": "0bad3e64eb9d54f3e449771a22515956b272788c6156cba101b17676d0312aa9",
+            "basin_3.csv": "0adba9fbbed2722357f0304908e528ed3baabe21742f4009f7f2186713e442c2",
             "basins.json": "a0c1e5326b6b700b1e24e00b92499f8f63a35301b10b11afafa139210a4daae3"
         },
         "stderr": ""

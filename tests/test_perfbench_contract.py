@@ -32,17 +32,18 @@ def test_traced_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"sgdmc.{module}"), name))
 
 
-@pytest.mark.parametrize("op,params,span", [
-    ("convergence", {"grid": 300, "k_max": 30}, "transfer.limit_mixture"),
-    ("analyze", {"grid": 200}, "dynamics.uniform_escape_length"),
-    ("basins", {"grid": 200}, "transfer.basin_functions"),
-    ("invariant", {"grid": 200}, "transfer.invariant_measure"),
+@pytest.mark.parametrize("workload,op,params,span", [
+    ("dw1d-fine", "convergence", {"grid": 300, "k_max": 30}, "transfer.limit_mixture"),
+    ("dw1d-fine", "analyze", {"grid": 200}, "dynamics.uniform_escape_length"),
+    ("dw1d-fine", "basins", {"grid": 200}, "transfer.basin_functions"),
+    ("dw2d-grid", "basins", {"grid": 40}, "transfer.basin_functions"),
+    ("dw1d-fine", "invariant", {"grid": 200}, "transfer.invariant_measure"),
     # the tracer's counter reads the summary's steps
-    ("sample", {"grid": 200, "steps": 1000}, "dynamics.sgd_sample"),
-], ids=["convergence", "analyze", "basins", "invariant", "sample"])
-def test_child_runs_a_traced_operation(tmp_path, op, params, span):
+    ("dw1d-fine", "sample", {"grid": 200, "steps": 1000}, "dynamics.sgd_sample"),
+], ids=["convergence", "analyze", "basins", "basins-2d", "invariant", "sample"])
+def test_child_runs_a_traced_operation(tmp_path, workload, op, params, span):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(RUN.WORKLOADS["dw1d-fine"]["config"]))
+    config.write_text(json.dumps(RUN.WORKLOADS[workload]["config"]))
     inputs = {"config_path": str(config), "x0": [0.1], "sample_seed": 0}
     spec = RUN.op_spec(op, params, inputs, str(tmp_path / "out"))
     spec.update(trace=True, result=str(tmp_path / "result.json"))
@@ -54,5 +55,13 @@ def test_child_runs_a_traced_operation(tmp_path, op, params, span):
     result = json.loads((tmp_path / "result.json").read_text())
     assert (result["rc"], result["error"]) == (0, None)
     assert {spec["root_span"], span} <= {s[0] for s in result["spans"]}
+    counters = {}
+    for name, *_, record in result["spans"]:
+        counters.setdefault(name, []).append(record)
     if op == "sample":
-        assert [s[5] for s in result["spans"] if s[0] == span] == [{"steps": 1000}]
+        assert counters[span] == [{"steps": 1000}]
+    if op == "basins":  # transfer.dual_operator.s is measured on every basins run
+        assert "transfer.dual_operator" in counters
+    if op == "convergence":  # and transfer.ulam_assemble's nnz and row_sum_error
+        [record] = counters["transfer.ulam_assemble"]
+        assert set(record) == {"nnz", "row_sum_error"} and record["nnz"] > 0

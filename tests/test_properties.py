@@ -16,6 +16,7 @@ from oracles import (
     direct_absorption,
     direct_stationary,
     held_absorption,
+    lumped_axis_chain,
     whole_point_escape_lengths,
     whole_point_sample,
     zero_padded_d_tilde,
@@ -45,14 +46,20 @@ from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
-    UlamBlocks,
     _transient_rows,
     basin_functions,
-    dual_operator,
     invariant_measure,
     ulam_absorption,
     ulam_assemble,
+    ulam_operator,
 )
+
+
+def dual_operator(fam, grid):
+    """The dual's assembled matrix, under the name the tests below read it by
+    (derandomized hypothesis draws its examples from each test's source)."""
+    return transfer.dual_operator(fam, grid).matrix
+
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -553,33 +560,62 @@ def test_2d_absorption_has_the_axis_marginals_and_faces(problem):
             assert 0.0 <= values.min() and values.max() <= 1.0 + 1e-15
 
 
+def _same_bits(got, want) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(problems(), st.sampled_from([None, 114, 120, 300]))
 def test_product_sets_assemble_the_bits_of_the_whole_operator(problem, cells_per_axis):
     # separability makes every product set of cells a Kronecker average of
-    # slices of the 1-d factors: each rectangle's Ulam block, and the Ulam and
-    # dual rows of the cells transient on every axis and of each axis's slab,
-    # assembled alone, have the bits of the same slice of the whole matrix
+    # slices of the 1-d factors: each rectangle's block and the rows of the
+    # cells transient on every axis and of each axis's slab, of the Ulam
+    # operator and of the dual, assembled alone have the bits of the same
+    # slice of the whole matrix, and so do the slices once it is assembled
     fam, decomp, grid = problem
     if cells_per_axis is not None:
         grid = Grid.regular(decomp.intervals, cells_per_axis)
     _labels(grid, decomp)
     config = metric_config(grid, decomp)
-    op, dual, blocks = ulam_assemble(fam, grid), dual_operator(fam, grid), UlamBlocks(fam, grid)
-    pieces = [(blocks.block(cells), op.block(cells)) for cells in config.rectangle_cells]
     transient = tuple(np.flatnonzero(labels < 0) for labels in config.axis_labels)
     slabs = [tuple(np.arange(n) if k == j else np.zeros(1, dtype=int)
                    for k, n in enumerate(grid.shape)) for j in range(grid.dimension)]
-    for sets in (transient, *slabs):
-        cells = transfer._product_cells(sets, grid.shape)
-        pieces += [(dual_operator(fam, grid, sets), dual[cells]),
-                   (transfer._kron_average(fam, transfer._map_factor_1d, grid.edges, sets),
-                    op.matrix[cells])]
-    for got, want in pieces:
-        assert got.shape == want.shape
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
+    for make in (ulam_operator, transfer.dual_operator):
+        op = make(fam, grid)
+
+        def pieces():
+            return ([op.block(cells) for cells in config.rectangle_cells]
+                    + [op.rows(sets) for sets in (transient, *slabs)])
+
+        alone = pieces()
+        matrix = op.matrix
+        cells = [transfer._product_cells(sets, grid.shape) for sets in (transient, *slabs)]
+        want = ([matrix[c][:, c] for c in config.rectangle_cells] + [matrix[c] for c in cells])
+        for got, expected in zip(alone + pieces(), want * 2):
+            _same_bits(got, expected)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 120]))
+def test_marginals_are_the_lumped_axis_chains(problem, cells_per_axis):
+    # an axis's marginal, the average of its factors alone, is the whole
+    # chain lumped over the other axis: exact but for rounding, since the
+    # other factors' rows sum to 1 only to rounding
+    fam, decomp, grid = problem
+    assume(grid.dimension == 2)
+    if cells_per_axis is not None:
+        grid = Grid.regular(decomp.intervals, cells_per_axis)
+    _labels(grid, decomp)
+    for make in (ulam_operator, transfer.dual_operator):
+        op = make(fam, grid)
+        marginals = [op.marginal(j) for j in range(grid.dimension)]
+        for j, got in enumerate(marginals):
+            want = lumped_axis_chain(op.matrix, grid.shape, j)
+            assert got.shape == want.shape == (grid.shape[j],) * 2
+            assert np.max(np.abs((got - want).data), initial=0.0) <= 1e-15
 
 
 @PROPERTY_SETTINGS
@@ -598,10 +634,11 @@ def test_faces_match_the_sparse_lu(problem):
     labels = _labels(grid, decomp)
     config = metric_config(grid, decomp)
     cells = config.transient_cells
-    kernels = ((dual_operator(fam, grid), transfer.BASIN_TOL, 1e-10),
-               (ulam_assemble(fam, grid).matrix, transfer.ULAM_ABSORPTION_TOL, 1e-11))
-    for matrix, tol, bound in kernels:
-        faces = transfer._face_rows(transfer._sliced(matrix, grid.shape), grid, config)
+    kernels = ((transfer.dual_operator(fam, grid), transfer.BASIN_TOL, 1e-10),
+               (ulam_operator(fam, grid), transfer.ULAM_ABSORPTION_TOL, 1e-11))
+    for op, tol, bound in kernels:
+        faces = transfer._face_rows(op, config)
+        matrix = op.matrix
         if faces is None:  # an axis's blocks leak
             continue
         got, _ = transfer._face_absorption(*faces, grid, tol)

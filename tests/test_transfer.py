@@ -14,6 +14,7 @@ from oracles import (
     direct_absorption,
     double_well_roots,
     held_absorption,
+    lumped_axis_chain,
     masked_reset_absorption,
     overlap_factor_1d,
     per_step_decay_log,
@@ -23,7 +24,7 @@ import sgdmc
 from sgdmc import transfer
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
-from sgdmc.errors import GridMismatch, NoConvergence
+from sgdmc.errors import DimensionMismatch, GridMismatch, NoConvergence
 from sgdmc.metrics import d_F, label_blocks, metric_config
 from sgdmc.objective import (
     SeparableObjective,
@@ -50,6 +51,7 @@ from sgdmc.transfer import (
     push_forward,
     ulam_absorption,
     ulam_assemble,
+    ulam_operator,
 )
 
 
@@ -360,7 +362,7 @@ def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
     # the bits of one multi-vector product of every row with the absorbing
     # cells reset to their indicators, iterated to convergence
     _, _, decomp, fam, grid, _ = dw038_setup
-    matrix = dual_operator(fam, grid)
+    matrix = dual_operator(fam, grid).matrix
     labels = grid.classify(decomp)
     config = metric_config(grid, decomp)
     basins = held_absorption(_transient_rows(matrix, config), grid, config, 1e-11)
@@ -395,7 +397,7 @@ def test_gth_absorption_matches_direct_solve(obj, eta, n, kernel):
         op = ulam_assemble(fam, grid)
         got, matrix = ulam_absorption(op, config), op.matrix
     else:
-        got, matrix = basin_functions(fam, grid), dual_operator(fam, grid)
+        got, matrix = basin_functions(fam, grid), dual_operator(fam, grid).matrix
     assert got.iterations == 0
     expected = direct_absorption(matrix, grid.classify(fam.decomposition),
                                  len(fam.decomposition.rectangles))
@@ -548,7 +550,7 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
         matrix, tol = op.matrix, ULAM_ABSORPTION_TOL
     else:
         got = basin_functions(fam, grid)
-        matrix, tol = dual_operator(fam, grid), BASIN_TOL
+        matrix, tol = dual_operator(fam, grid).matrix, BASIN_TOL
     if eta == 0.01:
         assert got.iterations == 0
     if eta == 0.01 or grid.dimension == 2:
@@ -926,7 +928,7 @@ def _axis_leakage(matrix, grid, config) -> float:
     the axes' own chains lumped from matrix."""
     leaks = [0.0]
     for j, labels in enumerate(config.axis_labels):
-        chain = transfer._axis_chain(transfer._sliced(matrix, grid.shape), grid.shape, j)
+        chain = lumped_axis_chain(matrix, grid.shape, j)
         for t in range(labels.max() + 1):
             cells = np.flatnonzero(labels == t)
             leaks.append(transfer._leakage(chain[cells][:, cells]))
@@ -990,7 +992,7 @@ def test_face_absorption_matches_the_joint_kernel(monkeypatch, caplog, kernel, n
             ULAM_ABSORPTION_TOL, 1e-12
     else:
         solve, matrix, tol, bound = partial(basin_functions, fam, grid), \
-            dual_operator(fam, grid), BASIN_TOL, 1e-10
+            dual_operator(fam, grid).matrix, BASIN_TOL, 1e-10
     assert _axis_leakage(matrix, grid, config) <= transfer.LEAKAGE_WARN
     renumbered = _recorded_renumbers(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
@@ -1123,9 +1125,9 @@ def test_leaky_axes_keep_the_joint_path(monkeypatch, caplog, n, solver):
 def _unclamped_dual(fam, grid: Grid) -> sp.csr_matrix:
     """dual_operator without _interp_factor_1d's clamp: its factors for a
     decomposition with no absorbing intervals."""
-    bare = SimpleNamespace(n=fam.n, phi=fam.phi, decomposition=SimpleNamespace(
-        per_dimension=((),) * fam.dimension))
-    return transfer._kron_average(bare, transfer._interp_factor_1d, grid.edges)
+    bare = SimpleNamespace(n=fam.n, phi=fam.phi, dimension=fam.dimension,
+                           decomposition=SimpleNamespace(per_dimension=((),) * fam.dimension))
+    return transfer.SeparableOperator(bare, grid, transfer._interp_factor_1d).matrix
 
 
 @pytest.mark.parametrize("obj,eta,n", [
@@ -1141,7 +1143,7 @@ def test_clamp_changes_no_transient_row(obj, eta, n):
     fam = MapFamily(obj, eta)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
-    got, bare = dual_operator(fam, grid), _unclamped_dual(fam, grid)
+    got, bare = dual_operator(fam, grid).matrix, _unclamped_dual(fam, grid)
     cells = np.flatnonzero(reduce(np.logical_and.outer, [l < 0 for l in config.axis_labels]))
     for part in ("data", "indices", "indptr"):
         assert getattr(got[cells], part).tobytes() == getattr(bare[cells], part).tobytes()
@@ -1157,7 +1159,7 @@ def test_dual_blocks_are_closed(eta):
     for n in range(100, 3000, 97):
         grid = Grid.regular(fam.intervals, n)
         config = metric_config(grid, fam.decomposition)
-        assert _axis_leakage(dual_operator(fam, grid), grid, config) <= 1e-15, n
+        assert _axis_leakage(dual_operator(fam, grid).matrix, grid, config) <= 1e-15, n
 
 
 def _closed_class_chain(closed: str) -> sp.csr_matrix:
@@ -1218,7 +1220,7 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
     fam = MapFamily(double_well(0.38), 0.01)
     grid = Grid.regular(fam.intervals, n)
     config = metric_config(grid, fam.decomposition)
-    rows = _transient_rows(dual_operator(fam, grid), config)
+    rows = _transient_rows(dual_operator(fam, grid).matrix, config)
     tried = []
 
     def stub(rows, entry_rows, f, m):
@@ -1238,7 +1240,7 @@ def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, capl
     fam = MapFamily(double_well(0.38), 0.01)
     grid = Grid.regular(fam.intervals, 200)
     config = metric_config(grid, fam.decomposition)
-    rows = _transient_rows(dual_operator(fam, grid), config)
+    rows = _transient_rows(dual_operator(fam, grid).matrix, config)
     solve = transfer._banded_solve
 
     def off(*args):
@@ -1296,7 +1298,7 @@ def test_basin_functions_logs_what_it_assembles_in_1d(dw038_setup, caplog):
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         basin_functions(fam, grid)
     [found] = [m for m in (re.fullmatch(ASSEMBLED, r.getMessage()) for r in caplog.records) if m]
-    assert found.groups() == ("1", str(dual_operator(fam, grid).nnz))
+    assert found.groups() == ("1", str(dual_operator(fam, grid).matrix.nnz))
 
 
 def test_basin_defect_warns_on_loose_tolerance(dw038_setup, caplog):
@@ -1340,13 +1342,44 @@ def test_invariant_leak_warning_goes_to_stderr(tmp_path):
     assert proc.stderr.count("quasi-stationary") == 2
 
 
-def test_dense_grids_stop_at_two_dimensions():
+def test_dense_grids_stop_at_two_dimensions(monkeypatch):
+    # both operators refuse a 3-d grid, and a grid of another dimension than
+    # the family's, when they are made, before any factor is built
     comp = double_well(0.2).components[0]
     fam = MapFamily(SeparableObjective(components=(comp,) * 3), 0.1)
     grid = Grid.regular(fam.intervals, 3)
+    for name in ("_map_factor_1d", "_interp_factor_1d"):
+        monkeypatch.setattr(transfer, name, None)
     with pytest.raises(ValueError) as ulam:
-        ulam_assemble(fam, grid)
+        ulam_operator(fam, grid)
     with pytest.raises(ValueError) as dual:
         dual_operator(fam, grid)
     assert str(dual.value) == str(ulam.value)
     assert "up to two dimensions" in str(dual.value)
+    for make in (ulam_operator, dual_operator):
+        with pytest.raises(DimensionMismatch):
+            make(fam, Grid.regular(fam.intervals[:2], 3))
+
+
+def test_assembled_matrix_is_the_one_copy():
+    # the factors are kept until the matrix is built and dropped then; from
+    # there on blocks and rows are sliced from the matrix, with the bits of
+    # assembling them alone, and nnz records nothing more
+    fam = MapFamily(_double_well_product(2), 0.33)
+    grid = Grid.regular(fam.intervals, 40)
+    config = metric_config(grid, fam.decomposition)
+    cells = config.rectangle_cells[0]
+    sets = [np.flatnonzero(labels < 0) for labels in config.axis_labels]
+    op = ulam_operator(fam, grid)
+    alone = [op.block(cells), op.rows(sets)]
+    assert len(op._factors) == fam.n * grid.dimension
+    matrix = op.matrix
+    assert not op._factors
+    assert op.nnz == [part.nnz for part in alone] + [matrix.nnz]
+    for got, want in zip([op.block(cells), op.rows(sets)], alone):
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+    op.marginal(0)
+    assert not op._factors and len(op.nnz) == 4
+    with pytest.raises(ValueError, match="not a box"):
+        op.block(np.delete(cells, 1))
