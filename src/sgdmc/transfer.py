@@ -106,20 +106,19 @@ class Grid:
 
     def axis_labels(self, decomp: Decomposition) -> tuple[np.ndarray, ...]:
         """Per axis, the absorbing interval of each of its cells (the
-        interval's index in its dimension), -1 for none.  A cell belongs to
-        an interval when it overlaps it with positive length, so
-        boundary-straddling cells count as absorbing; raises GridTooCoarse
-        where a cell overlaps two."""
+        interval's index in its dimension), -1 for none: an interval owns
+        the cells of _owned_cells; raises GridTooCoarse where a cell
+        overlaps two."""
         per_dim = []
         for j, e in enumerate(self.edges):
             lab = np.full(len(e) - 1, -1, dtype=int)
             for t in decomp.per_dimension[j]:
-                hit = np.flatnonzero((e[:-1] < t.r) & (e[1:] > t.l))
-                if np.any(lab[hit] >= 0):
+                owned = lab[_owned_cells(e, t)]
+                if np.any(owned >= 0):
                     raise GridTooCoarse(
                         "grid too coarse: a cell overlaps two absorbing intervals"
                     )
-                lab[hit] = t.index
+                owned[:] = t.index
             per_dim.append(lab)
         return tuple(per_dim)
 
@@ -139,6 +138,15 @@ class Grid:
         for m, rect in enumerate(decomp.rectangles):
             table[rect.index] = m
         return table[np.ix_(*self.axis_labels(decomp))].ravel()
+
+
+def _owned_cells(edges: np.ndarray, t) -> slice:
+    """The run of cells, with these edges, that the absorbing interval t
+    owns: those overlapping [t.l, t.r] with positive length, so
+    boundary-straddling cells count as absorbing and a cell that only
+    touches l or r does not."""
+    lo = max(int(np.searchsorted(edges, t.l, side="right")) - 1, 0)
+    return slice(lo, min(int(np.searchsorted(edges, t.r, side="left")), len(edges) - 1))
 
 
 @dataclass(frozen=True)
@@ -514,10 +522,8 @@ def _interp_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.c
     x = fam.phi[i - 1][j](centers)
     n = len(centers)
     for t in fam.decomposition.per_dimension[j]:
-        # the block [lo, hi): the cells that overlap [l, r] with positive length
-        lo = max(int(np.searchsorted(edges, t.l, side="right")) - 1, 0)
-        hi = min(int(np.searchsorted(edges, t.r, side="left")), n)
-        np.clip(x[lo:hi], centers[lo], centers[hi - 1], out=x[lo:hi])
+        block = _owned_cells(edges, t)
+        np.clip(x[block], centers[block.start], centers[block.stop - 1], out=x[block])
     idx = np.clip(np.searchsorted(centers, x) - 1, 0, n - 2)
     left = centers[idx]
     right = centers[idx + 1]
@@ -547,12 +553,6 @@ class BasinFunctions:
     partition_defect: float
 
 
-def _absorption_order(blocks: MetricConfig) -> np.ndarray:
-    """The cells numbered for the absorption kernel: the transient cells
-    first, then each rectangle's cells in rectangle order."""
-    return np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
-
-
 def _renumbered(rows, order: np.ndarray) -> sp.csr_matrix:
     """rows with their column indices renumbered in place (in the matrix's
     own index dtype) to their positions in order.  Each row keeps its
@@ -563,41 +563,6 @@ def _renumbered(rows, order: np.ndarray) -> sp.csr_matrix:
     rows.indices[:] = position[rows.indices]  # np.take would copy them to intp
     rows.has_sorted_indices = False
     return rows
-
-
-def _transient_rows(matrix, blocks: MetricConfig) -> sp.csr_matrix:
-    """The transient rows of matrix, sliced once, with their columns
-    renumbered to _absorption_order."""
-    return _renumbered(matrix[blocks.transient_cells], _absorption_order(blocks))
-
-
-def _indicators(grid: Grid, blocks: MetricConfig) -> np.ndarray:
-    """One row per rectangle, in _absorption_order: the indicator of the
-    rectangle's cells, zero on the transient cells."""
-    g = np.zeros((len(blocks.rectangle_cells), grid.ncells))
-    end = blocks.transient_cells.size
-    for m, cells in enumerate(blocks.rectangle_cells):
-        g[m, end:end + cells.size] = 1.0
-        end += cells.size
-    return g
-
-
-def _basins(g, grid: Grid, order: np.ndarray, iterations: int,
-            residual: float) -> BasinFunctions:
-    """BasinFunctions of the values g, whose columns are the cells of order."""
-    # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
-    # this keeps the last bits of the mixture coefficients
-    values = np.empty(g.shape, order="F")
-    values[:, order] = g  # back in cell order
-    return _basin_values(values, grid, iterations, residual)
-
-
-def _basin_values(values: np.ndarray, grid: Grid, iterations: int,
-                  residual: float) -> BasinFunctions:
-    """BasinFunctions of the values, in cell order, and their partition defect."""
-    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
-    return BasinFunctions(grid=grid, values=values, iterations=iterations, residual=residual,
-                          partition_defect=defect)
 
 
 def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
@@ -696,29 +661,59 @@ def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float
     return g, steps, residual, f"iteration ({steps} steps)"
 
 
-def _transient_absorption(rows, grid: Grid, blocks: MetricConfig,
-                          tol: float) -> tuple[BasinFunctions, str]:
-    """The absorption probabilities from rows = _transient_rows(M, blocks),
-    and the solver as the INFO line names it.  With one rectangle every path
-    is absorbed by it, so its values are ones and nothing is solved ("ones"):
-    over a metastable transient well the iteration stalls or stops far below
-    1.  Otherwise _held_solve solves (I - M_BB) g_B = M_{B,T_m} 1 on the
-    transient cells B from the rectangles' indicators, the absorbing cells
-    held at them: absorption there is certain, even where a coarse grid lets
-    a block's rows leak.  The values return in cell order once at the end."""
+def _indicator_absorption(rows, blocks: MetricConfig,
+                          tol: float) -> tuple[np.ndarray, int, float, str]:
+    """(values, steps, residual, solver) of the absorption probabilities of
+    a cell chain whose rows at blocks.transient_cells are rows (columns in
+    cell order, renumbered in place), the solver as its INFO line names it.
+    With one rectangle every path is absorbed by it, so its values are ones
+    and nothing is solved ("ones"): over a metastable transient well the
+    iteration stalls or stops far below 1.  Otherwise the transient cells B
+    are numbered first, then each rectangle's cells in rectangle order, and
+    _held_solve solves (I - M_BB) g_B = M_{B,T_m} 1 from the rectangles'
+    indicators, the absorbing cells held at them: absorption there is
+    certain, even where a coarse grid lets a block's rows leak."""
     if len(blocks.rectangle_cells) == 1:
-        return _basin_values(np.ones((1, grid.ncells), order="F"), grid, 0, 0.0), "ones"
-    g, steps, residual, solver = _held_solve(rows, _indicators(grid, blocks), tol)
-    return _basins(g, grid, _absorption_order(blocks), steps, residual), solver
+        return np.ones((1, rows.shape[1]), order="F"), 0, 0.0, "ones"
+    order = np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
+    g = np.zeros((len(blocks.rectangle_cells), rows.shape[1]))
+    end = blocks.transient_cells.size
+    for m, cells in enumerate(blocks.rectangle_cells):
+        g[m, end:end + cells.size] = 1.0
+        end += cells.size
+    g, steps, residual, solver = _held_solve(_renumbered(rows, order), g, tol)
+    # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
+    # this keeps the last bits of the mixture coefficients
+    values = np.empty(g.shape, order="F")
+    values[:, order] = g
+    return values, steps, residual, solver
 
 
-def _face_rows(op: SeparableOperator, blocks: MetricConfig):
-    """What the solve by faces takes from a 2-d cell chain: each axis's
-    chain (op.marginal) with its blocks, the number n of cells transient on
-    both axes, which order numbers first, and their rows, a product set, the
-    columns renumbered to order (None where an axis has one rectangle: no
-    joint function is solved then).  None where an axis's absorbing blocks
-    leak more than LEAKAGE_WARN."""
+def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
+                     tol: float) -> tuple[np.ndarray, int, float, str] | None:
+    """(values, steps, residual, solver) of the absorption probabilities of
+    a 2-d cell chain by its faces, as _indicator_absorption gives them; None
+    where an axis's absorbing blocks leak more than LEAKAGE_WARN.
+
+    Each axis's cell process is a chain of its own, op.marginal (lumpable,
+    Kemeny & Snell 1960), and a coordinate that has entered its absorbing
+    block stays there while the blocks are closed.  So on every cell with an
+    absorbing axis the values are known from the axes' 1-d absorption
+    probabilities g1 and g2 (_indicator_absorption): rectangle (a, b),
+    numbered row-major like decompose's rectangles, takes g1_a(x1) g2_b(x2)
+    there, which is 1 or 0 on both axes' blocks, g2_b(x2) or 0 where x1 is
+    in a block, and g1_a(x1) or 0 where x2 is; with one rectangle on an
+    axis, on every cell.  And sum_b g_(a, b) = g1_a, sum_a g_(a, b) = g2_b
+    (marginals).  So on the n cells transient on both axes only g_(a, b)
+    with a < k1 - 1, b < k2 - 1 is solved, from 0 with the face values
+    held, by _held_solve on their rows (op.rows, assembled only then), and
+    the rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
+    g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
+    clipped to [0, 1], which holds their exact values: the derived ones
+    subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
+    sum to g2's sum, so the partition defect shows rounding, not
+    convergence.  steps sums the steps of the axis solves and the joint
+    solve, and residual is the largest of their residuals."""
     axes = [(op.marginal(j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
             for j, labels in enumerate(blocks.axis_labels)]
@@ -727,82 +722,52 @@ def _face_rows(op: SeparableOperator, blocks: MetricConfig):
         return None
     transient = [labels < 0 for labels in blocks.axis_labels]
     joint = np.logical_and.outer(*transient).ravel()
-    order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
     n = np.count_nonzero(joint)
-    if any(len(config.rectangle_cells) == 1 for _, config in axes):
-        return axes, n, None, order
-    return axes, n, _renumbered(op.rows([np.flatnonzero(t) for t in transient]), order), order
-
-
-def _face_absorption(axes, n: int, rows, order: np.ndarray, grid: Grid,
-                     tol: float) -> tuple[BasinFunctions, str]:
-    """The absorption probabilities of a 2-d cell chain by its faces, from
-    _face_rows, and the INFO line's text.
-
-    Each axis's cell process is a chain of its own (lumpable, Kemeny & Snell
-    1960), and a coordinate that has entered its absorbing block stays there
-    while the blocks are closed.  So on every cell with an absorbing axis the
-    values are known from the axes' 1-d absorption probabilities g1 and g2
-    (_transient_absorption): rectangle (a, b), numbered row-major like
-    decompose's rectangles, takes g1_a(x1) g2_b(x2) there, which is 1 or 0
-    on both axes' blocks, g2_b(x2) or 0 where x1 is in a block, and g1_a(x1)
-    or 0 where x2 is; with one rectangle on an axis, on every cell.  And
-    sum_b g_(a, b) = g1_a, sum_a g_(a, b) = g2_b (marginals).  So on the n
-    cells transient on both axes only g_(a, b) with a < k1 - 1, b < k2 - 1
-    is solved, from 0 with the face values held, by _held_solve, and the
-    rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
-    g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
-    clipped to [0, 1], which holds their exact values: the derived ones
-    subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
-    sum to g2's sum, so the partition defect shows rounding, not
-    convergence.  iterations sums the steps of the axis solves and the joint
-    solve, and residual is the largest of their residuals."""
-    values, solvers, iterations, residual = [], [], 0, 0.0
-    for j, (chain, config) in enumerate(axes):
-        basins, solver = _transient_absorption(_transient_rows(chain, config),
-                                               Grid((grid.edges[j],)), config, tol)
-        values.append(basins.values)
-        solvers.append(solver.split(" ", 1)[0])
-        iterations, residual = iterations + basins.iterations, max(residual, basins.residual)
-    g1, g2 = values
-    (k1, n1), (k2, n2) = g1.shape, g2.shape
-    # the face values of every rectangle on every cell, in _basins' layout
-    faces = np.empty((n1, n2, k1, k2))
-    np.multiply(g1.T[:, None, :, None], g2.T[None, :, None, :], out=faces)
-    values = faces.reshape(grid.ncells, k1 * k2).T
+    k1, k2 = (len(config.rectangle_cells) for _, config in axes)
     solved = [a * k2 + c for a in range(k1 - 1) for c in range(k2 - 1)] if n else []
+    if solved:  # assembled first, so that the face values do not sit beside its peak
+        order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
+        rows = _renumbered(op.rows([np.flatnonzero(t) for t in transient]), order)
+    (g1, steps1, residual1, solver1), (g2, steps2, residual2, solver2) = [
+        _indicator_absorption(chain[config.transient_cells], config, tol) for chain, config in axes]
+    iterations, residual = steps1 + steps2, max(residual1, residual2)
+    solvers = "/".join(solver.split(" ", 1)[0] for solver in (solver1, solver2))
+    # the face values of every rectangle on every cell, in g1's layout
+    faces = np.empty(op.grid.shape + (k1, k2))
+    np.multiply(g1.T[:, None, :, None], g2.T[None, :, None, :], out=faces)
+    values = faces.reshape(op.grid.ncells, k1 * k2).T
     joint_solver = "none"
     if solved:
-        g = np.zeros((len(solved), grid.ncells))
+        g = np.zeros((len(solved), op.grid.ncells))
         g[:, n:] = values[np.ix_(solved, order[n:])]
         g, steps, joint_residual, joint_solver = _held_solve(rows, g, tol)
         iterations, residual = iterations + steps, max(residual, joint_residual)
-        x1, x2 = np.unravel_index(order[:n], grid.shape)
+        x1, x2 = np.unravel_index(order[:n], op.grid.shape)
         joint = np.empty((k1, k2, n))
         joint[:-1, :-1] = g[:, :n].reshape(k1 - 1, k2 - 1, n)
         joint[:-1, -1] = g1[:-1, x1] - joint[:-1, :-1].sum(axis=1)
         joint[-1] = g2[:, x2] - joint[:-1].sum(axis=0)
         values[:, order[:n]] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
-    return (_basin_values(values, grid, iterations, residual),
-            f"faces (axis solvers {'/'.join(solvers)}, joint n={n}, "
-            f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
+    return values, iterations, residual, (f"faces (axis solvers {solvers}, joint n={n}, "
+                                          f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
 
 
 def _absorption(op: SeparableOperator, blocks: MetricConfig, tol: float,
                 name: str) -> BasinFunctions:
     """The absorption probabilities of the cell chain op for basin_functions
-    and ulam_absorption (name).  By faces in two dimensions where every
-    axis's absorbing blocks are closed (_face_absorption), otherwise on all
-    the transient cells (_transient_absorption), sliced from the whole
-    matrix.  Logs the solver at INFO."""
-    faces = _face_rows(op, blocks) if op.grid.dimension == 2 else None
-    if faces is None:
-        basins, solver = _transient_absorption(_transient_rows(op.matrix, blocks), op.grid,
-                                               blocks, tol)
-    else:
-        basins, solver = _face_absorption(*faces, op.grid, tol)
+    and ulam_absorption (name), with their partition defect.  By faces in
+    two dimensions where every axis's absorbing blocks are closed
+    (_face_absorption), otherwise on all the transient cells
+    (_indicator_absorption), sliced from the whole matrix.  Logs the solver
+    at INFO."""
+    found = _face_absorption(op, blocks, tol) if op.grid.dimension == 2 else None
+    if found is None:
+        found = _indicator_absorption(op.matrix[blocks.transient_cells], blocks, tol)
+    values, iterations, residual, solver = found
     logging.getLogger(__name__).info("%s: %s", name, solver)
-    return basins
+    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+    return BasinFunctions(grid=op.grid, values=values, iterations=iterations,
+                          residual=residual, partition_defect=defect)
 
 
 def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> BasinFunctions:

@@ -7,11 +7,11 @@ CSV writer, and the zero-padded composite distance.  Everything here
 deliberately avoids the package's own algorithms, except
 per_step_decay_log and masked_reset_absorption, which keep the
 measure-by-measure loop the limit mixtures' log once ran and the
-full-matrix loop the absorption kernel once ran, held_absorption, the
-absorption iteration alone that the direct solves are checked against, and
-scalar_bisect and
-scalar_real_roots, which keep root isolation's unmemoized recursion and its
-bisection through Polynomial.__call__, to pin their bits."""
+full-matrix loop the absorption kernel once ran, held_system and
+held_absorption, the absorption iteration alone that the direct solves are
+checked against, and scalar_bisect and scalar_real_roots, which keep root
+isolation's unmemoized recursion and its bisection through
+Polynomial.__call__, to pin their bits."""
 
 from __future__ import annotations
 
@@ -356,13 +356,32 @@ def masked_reset_absorption(matrix, grid, blocks, tol: float):
     raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")
 
 
+def held_system(rows, blocks):
+    """(held rows, indicators, position) of the absorption system of a
+    chain's transient rows, columns in cell order: each cell's position
+    numbers the transient cells first, then each rectangle's cells in
+    rectangle order; the held rows are rows with their columns renumbered
+    to it, each row's entries in their stored order, and the indicators
+    hold one row per rectangle in that numbering."""
+    position = np.argsort(np.concatenate((blocks.transient_cells, *blocks.rectangle_cells)))
+    held = sp.csr_matrix((rows.data, position[rows.indices], rows.indptr), shape=rows.shape)
+    g = np.zeros((len(blocks.rectangle_cells), rows.shape[1]))
+    for m, cells in enumerate(blocks.rectangle_cells):
+        g[m, position[cells]] = 1.0
+    return held, g, position
+
+
 def held_absorption(rows, grid, blocks, tol: float):
-    """BasinFunctions of transfer._held_iteration from the indicators, with
-    no banded solve and no one-rectangle shortcut; nothing is iterated with
-    no transient cells."""
-    g = transfer._indicators(grid, blocks)
-    g, steps, residual = transfer._held_iteration(rows, g, tol) if rows.shape[0] else (g, 0, 0.0)
-    return transfer._basins(g, grid, transfer._absorption_order(blocks), steps, residual)
+    """BasinFunctions of transfer._held_iteration on held_system(rows,
+    blocks), with no banded solve and no one-rectangle shortcut, the values
+    back in cell order and Fortran-ordered; nothing is iterated with no
+    transient cells."""
+    held, g, position = held_system(rows, blocks)
+    g, steps, residual = transfer._held_iteration(held, g, tol) if rows.shape[0] else (g, 0, 0.0)
+    values = np.asfortranarray(g[:, position])
+    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+    return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
+                                   residual=residual, partition_defect=defect)
 
 
 def scalar_bisect(p, lo: float, hi: float, s_lo: float) -> float:

@@ -34,17 +34,21 @@ def test_traced_function_resolves(module, name):
 
 @pytest.mark.parametrize("workload,op,params,span", [
     ("dw1d-fine", "convergence", {"grid": 300, "k_max": 30}, "transfer.limit_mixture"),
+    # the one operation that solves by faces after the whole matrix exists
+    ("dw2d-grid", "convergence", {"grid": 120, "k_max": 30}, "transfer.ulam_absorption"),
     ("dw1d-fine", "analyze", {"grid": 200}, "dynamics.uniform_escape_length"),
     ("dw1d-fine", "basins", {"grid": 200}, "transfer.basin_functions"),
     ("dw2d-grid", "basins", {"grid": 40}, "transfer.basin_functions"),
     ("dw1d-fine", "invariant", {"grid": 200}, "transfer.invariant_measure"),
     # the tracer's counter reads the summary's steps
     ("dw1d-fine", "sample", {"grid": 200, "steps": 1000}, "dynamics.sgd_sample"),
-], ids=["convergence", "analyze", "basins", "basins-2d", "invariant", "sample"])
+], ids=["convergence", "convergence-2d", "analyze", "basins", "basins-2d", "invariant",
+        "sample"])
 def test_child_runs_a_traced_operation(tmp_path, workload, op, params, span):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(RUN.WORKLOADS[workload]["config"]))
-    inputs = {"config_path": str(config), "x0": [0.1], "sample_seed": 0}
+    dimension = RUN.WORKLOADS[workload]["config"].get("dimension", 1)
+    inputs = {"config_path": str(config), "x0": [0.1] * dimension, "sample_seed": 0}
     spec = RUN.op_spec(op, params, inputs, str(tmp_path / "out"))
     spec.update(trace=True, result=str(tmp_path / "result.json"))
     (tmp_path / "spec.json").write_text(json.dumps(spec))

@@ -46,7 +46,6 @@ from sgdmc.poly import Polynomial
 from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
-    _transient_rows,
     basin_functions,
     invariant_measure,
     ulam_absorption,
@@ -59,6 +58,21 @@ def dual_operator(fam, grid):
     """The dual's assembled matrix, under the name the tests below read it by
     (derandomized hypothesis draws its examples from each test's source)."""
     return transfer.dual_operator(fam, grid).matrix
+
+
+def _transient_rows(matrix, config):
+    """The rows of a cell chain at the transient cells, columns in cell
+    order, as an absorption solve over every transient cell reads them."""
+    return matrix[config.transient_cells]
+
+
+def _transient_absorption(rows, grid, config, tol):
+    """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
+    of rows (it renumbers their columns in place)."""
+    values, steps, residual, solver = transfer._indicator_absorption(rows.copy(), config, tol)
+    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+    return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
+                                   residual=residual, partition_defect=defect), solver
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -496,7 +510,7 @@ def test_banded_absorption_matches_the_sparse_lu(problem):
         rows = _transient_rows(matrix, config)
         with mock.patch.object(transfer, "BANDED_WORK_RATIO", np.inf), \
                 mock.patch.object(transfer, "BANDED_FILL_RATIO", np.inf):
-            basins, solver = transfer._transient_absorption(rows, grid, config, 1e-14)
+            basins, solver = _transient_absorption(rows, grid, config, 1e-14)
         assert solver.startswith("banded (")
         expected = direct_absorption(matrix, labels, len(decomp.rectangles))
         assert np.max(np.abs(basins.values - expected)) <= 1e-13
@@ -551,7 +565,7 @@ def test_2d_absorption_has_the_axis_marginals_and_faces(problem):
         faces = g1[:, None, :, None] * g2[None, :, None, :]
         shape = (len(g1), len(g2)) + grid.shape
         rows = _transient_rows(matrix, config)
-        joint_solve = transfer._transient_absorption(rows, grid, config, tol)[0]
+        joint_solve = _transient_absorption(rows, grid, config, tol)[0]
         for basins in (solve(), joint_solve):
             values = basins.values.reshape(shape)
             assert np.max(np.abs(values.sum(axis=1) - g1[:, :, None])) <= 1e-12
@@ -637,15 +651,15 @@ def test_faces_match_the_sparse_lu(problem):
     kernels = ((transfer.dual_operator(fam, grid), transfer.BASIN_TOL, 1e-10),
                (ulam_operator(fam, grid), transfer.ULAM_ABSORPTION_TOL, 1e-11))
     for op, tol, bound in kernels:
-        faces = transfer._face_rows(op, config)
+        faces = transfer._face_absorption(op, config, tol)
         matrix = op.matrix
         if faces is None:  # an axis's blocks leak
             continue
-        got, _ = transfer._face_absorption(*faces, grid, tol)
-        assert 0.0 <= got.values.min() and got.values.max() <= 1.0
-        assert got.partition_defect <= 1e-13
+        got = faces[0]
+        assert 0.0 <= got.min() and got.max() <= 1.0
+        assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-13
         exact = direct_absorption(matrix, labels, len(decomp.rectangles))[:, cells]
-        error = np.max(np.abs(got.values[:, cells] - exact), initial=0.0)
+        error = np.max(np.abs(got[:, cells] - exact), initial=0.0)
         assert error <= bound
         rows = _transient_rows(matrix, config)
         with mock.patch.object(transfer, "DEFAULT_MAX_ITER", 20_000):

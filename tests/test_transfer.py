@@ -14,6 +14,7 @@ from oracles import (
     direct_absorption,
     double_well_roots,
     held_absorption,
+    held_system,
     lumped_axis_chain,
     masked_reset_absorption,
     overlap_factor_1d,
@@ -41,7 +42,6 @@ from sgdmc.transfer import (
     DiscreteMeasure,
     Grid,
     _map_factor_1d,
-    _transient_rows,
     basin_functions,
     dual_operator,
     dual_residual,
@@ -53,6 +53,21 @@ from sgdmc.transfer import (
     ulam_assemble,
     ulam_operator,
 )
+
+
+def _transient_rows(matrix, blocks) -> sp.csr_matrix:
+    """The rows of a cell chain at the transient cells, columns in cell
+    order, as an absorption solve over every transient cell reads them."""
+    return matrix[blocks.transient_cells]
+
+
+def _transient_absorption(rows, grid: Grid, blocks, tol: float):
+    """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
+    of rows (it renumbers their columns in place)."""
+    values, steps, residual, solver = transfer._indicator_absorption(rows.copy(), blocks, tol)
+    defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
+    return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
+                                   residual=residual, partition_defect=defect), solver
 
 
 def test_grid_basics():
@@ -109,6 +124,30 @@ def test_grid_classify_rejects_cell_over_two_intervals(dimension):
         grid.classify(decomp)
     with pytest.raises(ValueError):
         classify_cells(grid, decomp)
+
+
+def test_an_interval_owns_the_cells_between_its_edges():
+    # edges fall exactly on both wells' l and r, one cell lies below the
+    # first, and one cell spans the gap, touching both wells: a cell that
+    # only touches an interval stays transient, in the labels (the gap cell
+    # raises no GridTooCoarse), the per-cell oracle and the dual's clamp
+    # alike, which closes each well's block and leaves the transient rows
+    # as they were unclamped
+    fam = MapFamily(double_well(0.38), 0.33)
+    first, second = fam.decomposition.per_dimension[0]
+    edges = np.concatenate(([first.l - 0.1], np.linspace(first.l, first.r, 6),
+                            np.linspace(second.l, second.r, 6)))
+    grid = Grid((edges,))
+    want = np.array([-1] + [0] * 5 + [-1] + [1] * 5)
+    [labels] = grid.axis_labels(fam.decomposition)
+    np.testing.assert_array_equal(labels, want)
+    np.testing.assert_array_equal(classify_cells(grid, fam.decomposition), want)
+    dual, bare = dual_operator(fam, grid).matrix, _unclamped_dual(fam, grid)
+    for t in (0, 1):
+        cells = np.flatnonzero(want == t)
+        assert transfer._leakage(dual[cells][:, cells]) <= 1e-15
+    transient = np.flatnonzero(want < 0)
+    assert (dual[transient] != bare[transient]).nnz == 0
 
 
 def test_ulam_bernoulli_two_cells(bernoulli_setup):
@@ -1057,7 +1096,8 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     # rectangle (a) is the other axis's interval a and its function is that
     # axis's 1-d absorption probability on every cell; the cells transient
     # on both axes take it with no joint solve ("none"), at 0 steps, and
-    # their rows are not renumbered: only each axis's transient rows are
+    # their rows are not renumbered, nor are the one-rectangle axis's: only
+    # the other axis's transient rows are
     one = lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5).components[0]
     components = [double_well(0.38).components[0]] * 2
     components[single] = one
@@ -1076,7 +1116,7 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
     assert renumbered == [(np.count_nonzero(labels < 0), len(labels))
-                          for labels in config.axis_labels]
+                          for labels in config.axis_labels if labels.max() > 0]
     [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     assert found[single + 1] == "ones" and found[2 - single] == "banded"
@@ -1091,6 +1131,29 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     assert np.all(values == np.take(values, [0], axis=1 + single))
     assert np.max(np.abs(values - along)) <= 1e-15
     assert got.partition_defect <= 1e-15
+
+
+def test_no_joint_cell_assembles_no_joint_rows(caplog):
+    # the second axis has two cells, one per well, and none transient, so no
+    # cell is transient on both axes: the faces give every value, and the
+    # joint rows, which no solve would read, are not assembled (the two
+    # marginals are the only blocks)
+    fam = MapFamily(_double_well_product(2), 0.33)
+    (a, b), _ = fam.intervals
+    grid = Grid((np.linspace(a, b, 41), np.array([a, 0.0, b])))
+    config = metric_config(grid, fam.decomposition)
+    assert config.axis_labels[1].tolist() == [0, 1]
+    with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
+        got = basin_functions(fam, grid)
+    [record] = _solver_records(caplog)
+    found = re.fullmatch(FACES, record.getMessage())
+    assert found.groups()[1:6] == ("none", "0", "0", "4", "none")
+    [assembled] = [m for m in (re.fullmatch(ASSEMBLED, r.getMessage()) for r in caplog.records)
+                   if m]
+    assert assembled[1] == "2"
+    g1 = _axis_absorption(fam, grid, 0, "dual")
+    faces = g1[:, None, :, None] * np.eye(2)[None, :, None, :]
+    assert got.values.tobytes() == faces.reshape(4, grid.ncells).tobytes()
 
 
 @pytest.mark.parametrize("n,solver", [(10, "banded"), (14, "iteration")],
@@ -1202,9 +1265,10 @@ def test_closed_class_falls_back_to_the_iteration(monkeypatch, closed):
     blocks = label_blocks(labels, 2, labels.shape, (labels,))
     grid = Grid.regular([(0.0, 1.0)], labels.size)
     rows = _transient_rows(_closed_class_chain(closed), blocks)
+    held, g, _ = held_system(rows, blocks)
     with monkeypatch.context() as patch:
-        _declines_the_banded_solve(patch, rows, transfer._indicators(grid, blocks), BASIN_TOL)
-    got, solver = transfer._transient_absorption(rows, grid, blocks, BASIN_TOL)
+        _declines_the_banded_solve(patch, held, g, BASIN_TOL)
+    got, solver = _transient_absorption(rows, grid, blocks, BASIN_TOL)
     assert solver.startswith("iteration (")
     expected = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 1.0]])
     assert got.values.tobytes() == np.asfortranarray(expected).tobytes()
@@ -1228,7 +1292,8 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
         raise np.linalg.LinAlgError
 
     monkeypatch.setattr(transfer, "_banded_solve", stub)
-    _declines_the_banded_solve(monkeypatch, rows, transfer._indicators(grid, config), np.inf)
+    held, g, _ = held_system(rows, config)
+    _declines_the_banded_solve(monkeypatch, held, g, np.inf)
     assert tried == blocks
 
 
@@ -1249,8 +1314,9 @@ def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, capl
         return x
 
     monkeypatch.setattr(transfer, "_banded_solve", off)
+    held, g, _ = held_system(rows, config)
     with monkeypatch.context() as patch:
-        _declines_the_banded_solve(patch, rows, transfer._indicators(grid, config), BASIN_TOL)
+        _declines_the_banded_solve(patch, held, g, BASIN_TOL)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         assert basin_functions(fam, grid).iterations > 0
     assert _solver_records(caplog)[-1].getMessage().startswith("basin_functions: iteration (")
