@@ -77,18 +77,22 @@ def _write_csv(path: str, header: list[str], columns, row: str | None = None) ->
             fh.writelines(map(row.format, *block))
 
 
-def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
-    """One grid CSV per name into --out, written side by side: a row per cell
-    in flattened order, the centre's coordinates then the value (header x in
-    1-d, x1..xd otherwise), every field as {:.17g}.  No float is formatted
-    twice: the files share the centre texts (made per block in 1-d, whole per
-    axis otherwise) and the texts of their values, distinct by bit pattern
-    (so that -0.0 keeps its text -0) across all the files, which each block
-    looks up by searchsorted in the sorted patterns.  Each block of
-    GRID_CSV_BLOCK cells is one (cells, d + 1) object array of references to
-    those texts, joined once per file.  Logs, at INFO, the seconds from
-    started to the first write (the compute) apart from the writing, with
-    rows and bytes."""
+def _write_grid_csvs(args, grid: Grid, names, series, started: float,
+                     support: bool = False) -> None:
+    """One grid CSV per name into --out: a row per cell in flattened order,
+    the centre's coordinates then the value (header x in 1-d, x1..xd
+    otherwise), every field as {:.17g}.  With support each file lists only
+    the cells where its series is positive, a missing cell meaning 0, and is
+    written on its own; otherwise every cell, the files side by side.  Only
+    written fields are formatted, none twice: the files written side by
+    side share the centre texts (made per block in 1-d, whole per axis
+    otherwise), and all share the texts of their written values, distinct
+    by bit pattern (so that -0.0 keeps its text -0), which each block looks
+    up by searchsorted in the sorted patterns.  Each block of GRID_CSV_BLOCK
+    rows is one (rows, d + 1) object array of references to those texts,
+    joined once per file.  Logs, at INFO, the seconds from started to the
+    first write (the compute) apart from the writing, with rows and
+    bytes."""
     computed = time.perf_counter()
     d, ncells = grid.dimension, grid.ncells
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
@@ -100,30 +104,44 @@ def _write_grid_csvs(args, grid: Grid, names, series, started: float) -> None:
         ints = np.sort(ints)
         return ints[np.insert(ints[1:] != ints[:-1], 0, True)]
 
+    # the groups of files written side by side: (cells, None for every cell,
+    # [(file number, bits of its values at cells)])
+    columns = [np.asarray(values, dtype=np.float64) for values in series]
+    if support:
+        groups = []
+        for m, values in enumerate(columns):
+            cells = np.flatnonzero(values > 0)
+            groups.append((cells, [(m, values[cells].view(np.int64))]))
+    else:
+        groups = [(None, [(m, values.view(np.int64)) for m, values in enumerate(columns)])]
     axes = None if d == 1 else [texts(centers, ",") for centers in grid.centers]
-    bits = [np.asarray(values, dtype=np.float64).view(np.int64) for values in series]
-    keys = distinct(np.concatenate([distinct(b) for b in bits]))
+    keys = distinct(np.concatenate([distinct(b) for _, pairs in groups for _, b in pairs]))
     values = texts(keys.view(np.float64), "\n")
     paths = [os.path.join(args.out, name) for name in names]
     fields = np.empty((min(GRID_CSV_BLOCK, ncells), d + 1), dtype=object)
+    rows = 0
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="\n")) for p in paths]
         for fh in files:
             fh.write(",".join(header + ["value"]) + "\n")
-        for start in range(0, ncells, GRID_CSV_BLOCK):
-            stop = min(start + GRID_CSV_BLOCK, ncells)
-            block = fields[:stop - start]
-            if axes is None:
-                block[:, 0] = texts(grid.centers[0][start:stop], ",")
-            else:
-                for j, k in enumerate(np.unravel_index(np.arange(start, stop), grid.shape)):
-                    block[:, j] = axes[j][k]
-            for fh, b in zip(files, bits):
-                block[:, d] = values[np.searchsorted(keys, b[start:stop])]
-                fh.write("".join(block.ravel().tolist()))
+        for cells, pairs in groups:
+            count = ncells if cells is None else cells.size
+            rows += count * len(pairs)
+            for start in range(0, count, GRID_CSV_BLOCK):
+                stop = min(start + GRID_CSV_BLOCK, count)
+                at = np.arange(start, stop) if cells is None else cells[start:stop]
+                block = fields[:stop - start]
+                if axes is None:
+                    block[:, 0] = texts(grid.centers[0][at], ",")
+                else:
+                    for j, k in enumerate(np.unravel_index(at, grid.shape)):
+                        block[:, j] = axes[j][k]
+                for m, b in pairs:
+                    block[:, d] = values[np.searchsorted(keys, b[start:stop])]
+                    files[m].write("".join(block.ravel().tolist()))
     log.info("%s: compute %.3fs, write %.3fs (%d rows, %d bytes)", args.command,
              computed - started, time.perf_counter() - computed,
-             len(paths) * ncells, sum(os.path.getsize(p) for p in paths))
+             rows, sum(os.path.getsize(p) for p in paths))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -241,7 +259,8 @@ def cmd_invariant(args, fam: MapFamily) -> None:
     op = ulam_operator(fam, grid)
     results = _invariant_pieces(op, args.tol)
     names = [f"invariant_{m}.csv" for m in range(len(results))]
-    _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started)
+    _write_grid_csvs(args, grid, names, [res.measure.weights for res in results], started,
+                     support=True)
     if args.dump_operator:  # the one command that builds the whole operator
         coo = op.matrix.tocoo()
         _write_csv(os.path.join(args.out, "operator.txt"), [], [coo.row, coo.col, coo.data],

@@ -252,10 +252,12 @@ class SeparableOperator:
     on axis j: the Ulam operator (ulam_operator) or the dual
     (dual_operator).  Nothing is assembled until asked for: rows(sets) and
     block(cells) assemble product sets of cells, marginal(j) axis j's own
-    chain and matrix the whole, all from the factors, each built once.  Once
-    matrix exists it is the one copy: the factors are dropped, and rows and
-    blocks are sliced from it with the same bits.  nnz lists the non-zeros
-    of everything assembled, in order."""
+    chain and matrix the whole, all from the factors, each built once.  In
+    two dimensions the factors, O(n) entries per axis against the matrix's
+    O(n^2), stay beside it for the faces' marginals; in one they are as
+    large as it and are dropped once it exists.  Once matrix exists, rows
+    and blocks are sliced from it with the same bits.  nnz lists the
+    non-zeros of everything assembled, in order."""
 
     fam: MapFamily
     grid: Grid
@@ -273,7 +275,8 @@ class SeparableOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         matrix = self._average(range(self.grid.dimension))
-        self._factors.clear()
+        if self.grid.dimension == 1:
+            self._factors.clear()
         return matrix
 
     @cached_property
@@ -306,14 +309,13 @@ class SeparableOperator:
 
     def _average(self, axes, rows=None, columns=None) -> sp.csr_matrix:
         """_kron_average on the factors of axes, recorded in nnz; each factor
-        is built once and kept until the matrix exists."""
+        is built once and kept (see the class)."""
         maps = range(1, self.fam.n + 1)
-        kept = {} if "matrix" in vars(self) else self._factors
         for i in maps:
             for j in axes:
-                if (i, j) not in kept:
-                    kept[i, j] = self.factor(self.fam, i, j, self.grid.edges[j])
-        part = _kron_average([[kept[i, j] for j in axes] for i in maps], rows, columns)
+                if (i, j) not in self._factors:
+                    self._factors[i, j] = self.factor(self.fam, i, j, self.grid.edges[j])
+        part = _kron_average([[self._factors[i, j] for j in axes] for i in maps], rows, columns)
         self.nnz.append(part.nnz)
         return part
 
@@ -664,24 +666,25 @@ def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float
 def _indicator_absorption(rows, blocks: MetricConfig,
                           tol: float) -> tuple[np.ndarray, int, float, str]:
     """(values, steps, residual, solver) of the absorption probabilities of
-    a cell chain whose rows at blocks.transient_cells are rows (columns in
-    cell order, renumbered in place), the solver as its INFO line names it.
-    With one rectangle every path is absorbed by it, so its values are ones
-    and nothing is solved ("ones"): over a metastable transient well the
+    a cell chain whose rows at cells are rows(cells) (columns in cell order,
+    renumbered in place), the solver as its INFO line names it.  With one
+    rectangle every path is absorbed by it, so its values are ones and
+    nothing is solved or read ("ones"): over a metastable transient well the
     iteration stalls or stops far below 1.  Otherwise the transient cells B
     are numbered first, then each rectangle's cells in rectangle order, and
     _held_solve solves (I - M_BB) g_B = M_{B,T_m} 1 from the rectangles'
     indicators, the absorbing cells held at them: absorption there is
     certain, even where a coarse grid lets a block's rows leak."""
-    if len(blocks.rectangle_cells) == 1:
-        return np.ones((1, rows.shape[1]), order="F"), 0, 0.0, "ones"
     order = np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
-    g = np.zeros((len(blocks.rectangle_cells), rows.shape[1]))
+    if len(blocks.rectangle_cells) == 1:
+        return np.ones((1, order.size), order="F"), 0, 0.0, "ones"
+    g = np.zeros((len(blocks.rectangle_cells), order.size))
     end = blocks.transient_cells.size
     for m, cells in enumerate(blocks.rectangle_cells):
         g[m, end:end + cells.size] = 1.0
         end += cells.size
-    g, steps, residual, solver = _held_solve(_renumbered(rows, order), g, tol)
+    rows = _renumbered(rows(blocks.transient_cells), order)
+    g, steps, residual, solver = _held_solve(rows, g, tol)
     # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
     # this keeps the last bits of the mixture coefficients
     values = np.empty(g.shape, order="F")
@@ -729,7 +732,7 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
         order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
         rows = _renumbered(op.rows([np.flatnonzero(t) for t in transient]), order)
     (g1, steps1, residual1, solver1), (g2, steps2, residual2, solver2) = [
-        _indicator_absorption(chain[config.transient_cells], config, tol) for chain, config in axes]
+        _indicator_absorption(chain.__getitem__, config, tol) for chain, config in axes]
     iterations, residual = steps1 + steps2, max(residual1, residual2)
     solvers = "/".join(solver.split(" ", 1)[0] for solver in (solver1, solver2))
     # the face values of every rectangle on every cell, in g1's layout
@@ -758,11 +761,11 @@ def _absorption(op: SeparableOperator, blocks: MetricConfig, tol: float,
     and ulam_absorption (name), with their partition defect.  By faces in
     two dimensions where every axis's absorbing blocks are closed
     (_face_absorption), otherwise on all the transient cells
-    (_indicator_absorption), sliced from the whole matrix.  Logs the solver
-    at INFO."""
+    (_indicator_absorption), sliced from the whole matrix, which one
+    rectangle leaves unassembled.  Logs the solver at INFO."""
     found = _face_absorption(op, blocks, tol) if op.grid.dimension == 2 else None
     if found is None:
-        found = _indicator_absorption(op.matrix[blocks.transient_cells], blocks, tol)
+        found = _indicator_absorption(lambda cells: op.matrix[cells], blocks, tol)
     values, iterations, residual, solver = found
     logging.getLogger(__name__).info("%s: %s", name, solver)
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))

@@ -279,15 +279,18 @@ def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.nda
     return lengths
 
 
-def per_row_grid_csv(path, grid, values) -> None:
+def per_row_grid_csv(path, grid, values, support: bool = False) -> None:
     """The grid CSV one row at a time: every centre coordinate and the value
-    formatted with {:.17g} for every cell, in flattened (row-major) order."""
+    formatted with {:.17g} for every cell (with support, for every cell
+    whose value is positive), in flattened (row-major) order."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
     centers, values = grid.centers, np.asarray(values, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header + ["value"]) + "\n")
         for pos, cell in enumerate(itertools.product(*[range(n) for n in grid.shape])):
+            if support and not values[pos] > 0:
+                continue
             coords = [float(c[k]) for c, k in zip(centers, cell)]
             fh.write(",".join(f"{v:.17g}" for v in coords + [values[pos]]) + "\n")
 

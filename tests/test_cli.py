@@ -42,6 +42,45 @@ def write_config(path, **kwargs):
     return str(path)
 
 
+def grid_of(config: dict, n: int) -> Grid:
+    """The grid the grid commands build for config at --grid n."""
+    return Grid.regular(MapFamily(*objective_from_config(config)).intervals, n)
+
+
+def scattered(path, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, cells) of a grid CSV: its rows' values scattered back onto
+    the grid by centre, a cell that no row names holding 0, and the cell of
+    each row.  Checks the header, that each row's coordinates are exactly
+    its cell's centre ({:.17g} round-trips) and that the cells strictly
+    increase."""
+    d = grid.dimension
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines[0] == ",".join((["x"] if d == 1 else [f"x{j + 1}" for j in range(d)])
+                                + ["value"])
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    data = data.reshape(len(lines) - 1, d + 1)
+    index = []
+    for j, centers in enumerate(grid.centers):
+        k = np.minimum(np.searchsorted(centers, data[:, j]), centers.size - 1)
+        assert np.array_equal(centers[k], data[:, j])
+        index.append(k)
+    cells = np.ravel_multi_index(index, grid.shape)
+    assert np.all(np.diff(cells) > 0)
+    weights = np.zeros(grid.ncells)
+    weights[cells] = data[:, d]
+    return weights, cells
+
+
+def invariant_weights(config: dict, n: int) -> list[np.ndarray]:
+    """The weights of each rectangle's invariant measure as the invariant
+    command computes them at --grid n."""
+    fam = MapFamily(*objective_from_config(config))
+    grid = grid_of(config, n)
+    op = transfer.ulam_operator(fam, grid)
+    return [transfer.invariant_measure(op, cells).measure.weights
+            for cells in metric_config(grid, fam.decomposition).rectangle_cells]
+
+
 def test_analyze_single_rectangle(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.55}, eta=0.1)
     out = tmp_path / "out"
@@ -264,16 +303,12 @@ def test_analyze_deterministic_bytes(tmp_path):
 
 
 def test_invariant_bernoulli_close_to_uniform(tmp_path):
-    cfg = write_config(
-        tmp_path / "c.json", dimension=1, n=2,
-        components=[[[1, -2, 1], [1, 2, 1]]], eta=0.25,
-    )
+    config = {"dimension": 1, "n": 2, "components": [[[1, -2, 1], [1, 2, 1]]], "eta": 0.25}
+    cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "out"
     n = 500
     assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", str(n)]) == 0
-    rows = (out / "invariant_0.csv").read_text().strip().splitlines()
-    assert rows[0] == "x,value"
-    weights = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    weights, _ = scattered(out / "invariant_0.csv", grid_of(config, n))
     cdf = np.cumsum(weights)
     uniform_cdf = np.arange(1, n + 1) / n
     assert np.max(np.abs(cdf - uniform_cdf)) <= 2.0 / n
@@ -282,28 +317,32 @@ def test_invariant_bernoulli_close_to_uniform(tmp_path):
 
 
 def test_invariant_eighth_order_two_wells_avoid_zero(tmp_path):
-    cfg = write_config(tmp_path / "c.json", objective=EIGHTH_COEFFS,
-                       **{"lambda": 1.6}, eta=0.018)
+    # every cell within 0.5 of the global minimum at 0 holds no mass: the
+    # cells are taken from the grid, so that a file that lists none of them
+    # cannot pass on an empty selection
+    config = {"objective": EIGHTH_COEFFS, "lambda": 1.6, "eta": 0.018}
+    cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "out"
     assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "400"]) == 0
+    grid = grid_of(config, 400)
+    near_zero = np.abs(grid.centers[0]) < 0.5
+    assert np.count_nonzero(near_zero) > 100
     for m in (0, 1):
-        rows = (out / f"invariant_{m}.csv").read_text().strip().splitlines()[1:]
-        data = np.array([[float(v) for v in r.split(",")] for r in rows])
-        near_zero = np.abs(data[:, 0]) < 0.5
-        assert data[near_zero, 1].sum() == 0.0
+        weights, _ = scattered(out / f"invariant_{m}.csv", grid)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert not np.any(weights[near_zero])
 
 
 def test_invariant_eighth_order_three_wells_middle_holds_zero(tmp_path):
-    cfg = write_config(tmp_path / "c.json", objective=EIGHTH_COEFFS,
-                       **{"lambda": 0.5}, eta=0.015)
+    config = {"objective": EIGHTH_COEFFS, "lambda": 0.5, "eta": 0.015}
+    cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "out"
     assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "400"]) == 0
     meta = json.loads((out / "invariant.json").read_text())
     assert len(meta["rectangles"]) == 3
-    rows = (out / "invariant_1.csv").read_text().strip().splitlines()[1:]
-    data = np.array([[float(v) for v in r.split(",")] for r in rows])
-    near_zero = np.abs(data[:, 0]) < 0.1
-    assert data[near_zero, 1].sum() > 0.0
+    grid = grid_of(config, 400)
+    weights, _ = scattered(out / "invariant_1.csv", grid)
+    assert weights[np.abs(grid.centers[0]) < 0.1].sum() > 0.0
 
 
 def test_sweep_finds_fold(tmp_path):
@@ -454,14 +493,15 @@ def test_basins_command(tmp_path):
 def test_invariant_on_long_blocks_at_small_eta(tmp_path):
     # at eta = 0.003 a block's measure spans more than the range of a double:
     # GTH's back-substitution passed 1e308 and wrote NaN rows with exit 0
-    cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.38}, eta=0.003)
+    config = {**DW_CONFIG, "eta": 0.003}
+    cfg = write_config(tmp_path / "c.json", **config)
     out = tmp_path / "out"
     assert main(["invariant", "--config", cfg, "--out", str(out), "--grid", "4000"]) == 0
     report = json.loads((out / "invariant.json").read_text())
     assert len(report["rectangles"]) == 2
     for rect in report["rectangles"]:
         assert np.isfinite(rect["residual"]) and rect["residual"] <= 1e-14
-        w = np.loadtxt(out / rect["file"], delimiter=",", skiprows=1, usecols=-1)
+        w, _ = scattered(out / rect["file"], grid_of(config, 4000))
         assert np.all(np.isfinite(w)) and w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -493,9 +533,11 @@ def test_basins_coarse_2d_grid_converges(tmp_path):
 
 
 def test_grid_csv_layout_2d(tmp_path):
+    # basins lists every cell, invariant the cells of positive mass, each
+    # row's coordinates its cell's centres in row-major order
     tilted = [[c + d for c, d in zip(DW_COEFFS, [0, s * 0.38, 0, 0, 0])] for s in (1, -1)]
-    cfg = write_config(tmp_path / "c.json", dimension=2, n=2,
-                       components=[tilted, tilted], eta=0.33)
+    config = {"dimension": 2, "n": 2, "components": [tilted, tilted], "eta": 0.33}
+    cfg = write_config(tmp_path / "c.json", **config)
     n = 40
     obj, _ = objective_from_config(json.loads((tmp_path / "c.json").read_text()))
     centers = Grid.regular(obj.critical_report.span, n).centers
@@ -505,8 +547,15 @@ def test_grid_csv_layout_2d(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "x1,x2,value"
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        assert len(rows) == n * n
-        for k, (x1, x2, _) in enumerate(rows):
+        if cmd == "invariant":
+            [weights, *_] = invariant_weights(config, n)
+            got, cells = scattered(out / name, grid_of(config, n))
+            assert got.tobytes() == weights.tobytes()
+            assert 0 < len(rows) == cells.size == np.count_nonzero(weights) < n * n
+        else:
+            cells = np.arange(n * n)
+            assert len(rows) == n * n
+        for k, (x1, x2, _) in zip(cells, rows):
             assert x1 == centers[0][k // n]
             assert x2 == centers[1][k % n]
 
@@ -611,11 +660,14 @@ def test_2d_grid_commands_assemble_only_what_they_solve(tmp_path, monkeypatch, c
     (PRODUCT_CONFIG, ["invariant", "--dump-operator"]),
     (DW_CONFIG, ["basins"]),
     (PRODUCT_CONFIG, ["basins"]),
-], ids=["invariant", "invariant-dump", "basins-1d", "basins-2d"])
+    (PRODUCT_CONFIG, ["limit_mixture"]),
+], ids=["invariant", "invariant-dump", "basins-1d", "basins-2d", "limit-mixture-2d"])
 def test_grid_commands_build_each_factor_once(tmp_path, monkeypatch, config, argv):
     # each command's operator builds every map's 1-d factor on every axis
     # once, whatever it assembles from them: blocks, marginals, rows, or the
-    # whole matrix
+    # whole matrix; so does ulam_assemble then limit_mixture (the
+    # benchmark's convergence operation), whose 2-d faces read the
+    # marginals after the whole matrix exists
     built = []
     for name in ("_map_factor_1d", "_interp_factor_1d"):
         def build(fam, i, j, edges, factor=getattr(transfer, name)):
@@ -623,10 +675,16 @@ def test_grid_commands_build_each_factor_once(tmp_path, monkeypatch, config, arg
             return factor(fam, i, j, edges)
 
         monkeypatch.setattr(transfer, name, build)
-    cfg = write_config(tmp_path / "c.json", **config)
-    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), "--grid", "40",
-                 *argv[1:]]) == 0
     fam = MapFamily(*objective_from_config(config))
+    if argv == ["limit_mixture"]:
+        grid = grid_of(config, 40)
+        op = transfer.ulam_assemble(fam, grid)
+        mu0 = transfer.DiscreteMeasure.point_mass(grid, [0.1, 0.1])
+        transfer.limit_mixture(op, fam.decomposition, mu0, k_max=30)
+    else:
+        cfg = write_config(tmp_path / "c.json", **config)
+        assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), "--grid", "40",
+                     *argv[1:]]) == 0
     assert sorted(built) == [(i, j) for i in range(1, fam.n + 1) for j in range(fam.dimension)]
 
 
@@ -729,7 +787,13 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
     name, *steps, rows, size = stages[0].groups()
     files = sorted(out.glob(pattern))
     assert name == command and len(files) == count
-    assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == 300 * len(files)
+    want = 300 * len(files)
+    if command == "invariant":  # each measure's support, the other commands every cell
+        grid = grid_of(config, 300)
+        supports = [scattered(f, grid)[1].size for f in files]
+        assert supports == [np.count_nonzero(w) for w in invariant_weights(config, 300)]
+        want = sum(supports)
+    assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == want
     assert int(size) == sum(f.stat().st_size for f in files)
     if steps:
         assert int(steps[0]) == json.loads((out / f"{command}.json").read_text())["steps"]
@@ -930,6 +994,55 @@ def test_grid_csv_matches_per_row_formatting(tmp_path, shape, several):
     for name, values in zip(names, series):
         per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
         assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (cli.GRID_CSV_BLOCK + 1,), (67, 71), (17, 13, 19)])
+def test_grid_csv_support_lists_the_positive_cells(tmp_path, shape):
+    # with support each file lists only the cells where its series is
+    # positive, each file on its own, over blocks of written rows: both
+    # signed zeros, the negatives, -inf and NaN are left out, the smallest
+    # subnormal and +inf kept; a file with one written cell, the last
+    grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
+    last = np.zeros(grid.ncells)
+    last[-1] = 0.5
+    series = [np.resize(EDGE_VALUES, grid.ncells), np.abs(np.sin(np.arange(grid.ncells))),
+              np.where(np.arange(grid.ncells) % 3, -0.0, 0.1), last]
+    names = [f"new_{m}.csv" for m in range(len(series))]
+    args = argparse.Namespace(command="invariant", out=str(tmp_path))
+    cli._write_grid_csvs(args, grid, names, series, time.perf_counter(), support=True)
+    for name, values in zip(names, series):
+        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values, support=True)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len((tmp_path / "new_3.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("config,n", [(DW_CONFIG, 300), (PRODUCT_CONFIG, 40),
+                                      (MIXED_CONFIG, 30)], ids=["1d", "2d-product", "2d-mixed"])
+def test_invariant_csvs_list_the_support(tmp_path, config, n):
+    # each invariant file lists the cells of positive mass in increasing cell
+    # order (scattered checks the order), a missing cell meaning 0: scattered
+    # back, they are invariant_measure's weights bit for bit, and no row
+    # holds 0; the measures hold no -0.0 (DiscreteMeasure clips it to 0), so
+    # leaving out the cells that are not positive loses no bit.  The basin
+    # files stay dense, with the bytes of the per-row writer
+    cfg = write_config(tmp_path / "c.json", **config)
+    for command in ("invariant", "basins"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--grid", str(n)]) == 0
+    grid = grid_of(config, n)
+    measures = invariant_weights(config, n)
+    assert len(measures) == len(list((tmp_path / "invariant").glob("invariant_*.csv")))
+    for m, weights in enumerate(measures):
+        assert not np.any(np.signbit(weights))
+        got, cells = scattered(tmp_path / "invariant" / f"invariant_{m}.csv", grid)
+        assert got.tobytes() == weights.tobytes()
+        assert np.all(got[cells] > 0) and cells.size == np.count_nonzero(weights) < grid.ncells
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+    basins = transfer.basin_functions(MapFamily(*objective_from_config(config)), grid)
+    for m, values in enumerate(basins.values):
+        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
+        assert (tmp_path / "basins" / f"basin_{m}.csv").read_bytes() == (
+            tmp_path / "old.csv").read_bytes()
 
 
 def test_readme_cli_synopsis_matches_the_parser():

@@ -163,8 +163,8 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "invariant.json": "e02b98f29e4a339881edeeb5398885effd91f00a8aac18f7fddc3dce4b8d5e4c",
-            "invariant_0.csv": "d64924e999ce539d980d12aed04ca518891aacb6b956db02f8ff58f5e46f3f5d",
-            "invariant_1.csv": "9a3ec0383e60219a69dae8ef90bb96c5714f6294fcd60a1233fb49350d05a85f"
+            "invariant_0.csv": "23c40f908384e15e8ed40e4e6890f08283f4ac1b21d1b8a1ca27757002a6a66f",
+            "invariant_1.csv": "8fd3ea000d1d84770a1e69dcf47fca5ecc6c7925c6ca4aa0787c82fc398c611e"
         },
         "stderr": ""
     },
@@ -172,8 +172,8 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "invariant.json": "63ce8899b7f55e660b2f39723524943e2aa0efbd945eeb8c802bfbefea05cfe2",
-            "invariant_0.csv": "cfaacbe66e51e25f30a31936ed5ba6a0456c5abbe365503ddce7f3de470b8152",
-            "invariant_1.csv": "44de90a0a54b733ae8fa360877f807d5f4fd958e33613b5f9fbbbb23ca6c1b0e"
+            "invariant_0.csv": "662923f314890aff79cbee8c52412d34c6dd75507c871cd9cb3baca82aa1da3d",
+            "invariant_1.csv": "4ec76644b7d504a2b286b07e2ce0e801a9c2f19bafb3e10e797fcf94c4764e4f"
         },
         "stderr": ""
     },
@@ -181,10 +181,10 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "invariant.json": "e4204b3276926e5171fe562885464b4916dda029da6f06bc8746096913d97ec3",
-            "invariant_0.csv": "0652bdf2216962b0c11fec348f2d581592887909f7659a2f9144eb5f0a6ed840",
-            "invariant_1.csv": "0682cf516f56707899b3bad3846278eeff621716372ee6fc736405acf617a811",
-            "invariant_2.csv": "455a9c14a1349e940491e78995dc323623234a0cb53342e232196a112595cf38",
-            "invariant_3.csv": "76295c57f2f3f8eaf71b037b50b3fdfdd889fe2e6d2cfb6c9e5cbbf0ed7e3996",
+            "invariant_0.csv": "ff039116323c287622f7fbbb708e129e905bc4556be073c84706f736fba81969",
+            "invariant_1.csv": "d42ef11d2119b0386297bccbf4831fc315d071e4b2834e9bc0d652ebe85116c1",
+            "invariant_2.csv": "2d777c78eadc0e0895affad91fea8c787e23885dda7b7c504b0b6539ef5b6bf0",
+            "invariant_3.csv": "1e8f2708be4ac16bb150209f24aea96ebf8985b5054b05f0123a4fa2899e65d6",
             "operator.txt": "5bdc2a037a77204bf95711c1b8ccd5ddd5a45d26c05db9be970df3640a4d7332"
         },
         "stderr": ""

@@ -68,8 +68,10 @@ def _transient_rows(matrix, config):
 
 def _transient_absorption(rows, grid, config, tol):
     """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
-    of rows (it renumbers their columns in place)."""
-    values, steps, residual, solver = transfer._indicator_absorption(rows.copy(), config, tol)
+    of rows, the chain's rows at the transient cells (it renumbers their
+    columns in place)."""
+    values, steps, residual, solver = transfer._indicator_absorption(
+        lambda cells: rows.copy(), config, tol)
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
                                    residual=residual, partition_defect=defect), solver

@@ -63,8 +63,10 @@ def _transient_rows(matrix, blocks) -> sp.csr_matrix:
 
 def _transient_absorption(rows, grid: Grid, blocks, tol: float):
     """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
-    of rows (it renumbers their columns in place)."""
-    values, steps, residual, solver = transfer._indicator_absorption(rows.copy(), blocks, tol)
+    of rows, the chain's rows at the transient cells (it renumbers their
+    columns in place)."""
+    values, steps, residual, solver = transfer._indicator_absorption(
+        lambda cells: rows.copy(), blocks, tol)
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
                                    residual=residual, partition_defect=defect), solver
@@ -621,7 +623,8 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
 ], ids=["metastable-well", "stalling-quartic"])
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_one_rectangle_absorbs_every_cell(monkeypatch, caplog, base, lam, eta, n, kernel):
-    # the INFO line says that nothing was solved
+    # the INFO line says that nothing was solved, and no row of the chain is
+    # assembled for it
     monkeypatch.setattr(transfer, "DEFAULT_MAX_ITER", 10**4)
     obj = lambda_split(base, lam)
     fam = MapFamily(obj, 0.3 * eta_bound(obj) if eta is None else eta)
@@ -630,12 +633,17 @@ def test_one_rectangle_absorbs_every_cell(monkeypatch, caplog, base, lam, eta, n
     assert len(fam.decomposition.rectangles) == 1 and config.transient_cells.size > 0
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         if kernel == "ulam":
-            got = ulam_absorption(ulam_assemble(fam, grid), config)
+            op = ulam_operator(fam, grid)
+            got = ulam_absorption(op, config)
+            assert op.nnz == []
         else:
             got = basin_functions(fam, grid)
     assert _solver_records(caplog)[-1].getMessage().endswith(": ones")
-    assert np.all(got.values == 1.0) and got.values.shape == (1, n)
-    assert (got.iterations, got.partition_defect) == (0, 0.0)
+    if kernel == "dual":
+        assert caplog.records[-1].getMessage() == (
+            "basin_functions: 0 row block(s) assembled (nnz=0)")
+    assert got.values.tobytes() == np.ones((1, n)).tobytes() and got.values.flags.f_contiguous
+    assert (got.iterations, got.residual, got.partition_defect) == (0, 0, 0.0)
 
 
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
@@ -1428,9 +1436,11 @@ def test_dense_grids_stop_at_two_dimensions(monkeypatch):
 
 
 def test_assembled_matrix_is_the_one_copy():
-    # the factors are kept until the matrix is built and dropped then; from
-    # there on blocks and rows are sliced from the matrix, with the bits of
-    # assembling them alone, and nnz records nothing more
+    # once the matrix is built, blocks and rows are sliced from it, with the
+    # bits of assembling them alone, and nnz records nothing more; the same
+    # factor objects stay in 2-d, where they are small next to the matrix
+    # and the faces' marginals read them, and are dropped in 1-d, where
+    # they are as large as it
     fam = MapFamily(_double_well_product(2), 0.33)
     grid = Grid.regular(fam.intervals, 40)
     config = metric_config(grid, fam.decomposition)
@@ -1438,14 +1448,26 @@ def test_assembled_matrix_is_the_one_copy():
     sets = [np.flatnonzero(labels < 0) for labels in config.axis_labels]
     op = ulam_operator(fam, grid)
     alone = [op.block(cells), op.rows(sets)]
-    assert len(op._factors) == fam.n * grid.dimension
+    factors = dict(op._factors)
+    assert len(factors) == fam.n * grid.dimension
+
+    def kept():
+        return op._factors.keys() == factors.keys() and all(
+            op._factors[key] is f for key, f in factors.items())
+
     matrix = op.matrix
-    assert not op._factors
+    assert kept()
     assert op.nnz == [part.nnz for part in alone] + [matrix.nnz]
     for got, want in zip([op.block(cells), op.rows(sets)], alone):
         assert got.data.tobytes() == want.data.tobytes()
         assert np.array_equal(got.indices, want.indices)
     op.marginal(0)
-    assert not op._factors and len(op.nnz) == 4
+    assert kept() and len(op.nnz) == 4
+    line_fam = MapFamily(double_well(0.38), 0.33)
+    line = ulam_operator(line_fam, Grid.regular(line_fam.intervals, 40))
+    line.block(metric_config(line.grid, line_fam.decomposition).rectangle_cells[0])
+    assert len(line._factors) == line_fam.n
+    line.matrix
+    assert not line._factors
     with pytest.raises(ValueError, match="not a box"):
         op.block(np.delete(cells, 1))
