@@ -444,7 +444,8 @@ class SampleSummary:
 
 def sgd_sample(fam: MapFamily, x0, steps: int, seed: int, grid) -> SampleSummary:
     """Run the chain with uniform i.i.d. map choices (PCG64 stream), counting coordinate
-    j's visits on the transfer.Grid's grid.edges[j]; asserts the absorbing property.
+    j's visits on the transfer.Grid's grid.edges[j], a visit beyond an end in that end's
+    cell, so that every histogram sums to steps; asserts the absorbing property.
 
     Until the chain is absorbed it runs in scalar blocks, the first of
     SAMPLE_LANE_STEPS / 4 steps and each next one twice as long, all of them
@@ -712,15 +713,16 @@ class _Chain:
 
 
 def _sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """np.histogram(values, bins=edges)[0] by np.histogram's own method,
-    with the sort done in place (values must flatten to a view): where each
-    edge falls among the sorted values, the last edge inclusive.  Sorting in
-    place spares the block-sized copies np.histogram makes, whose memory the
-    allocator can hand back to the system and fault in again every block."""
+    """The visits to each cell between edges, a value beyond either end
+    counted in that end's cell (the step maps' rounding can take an end of
+    the state interval one ulp beyond itself), as the Ulam factors keep
+    clipped mass: where each inner edge falls among the values, sorted in
+    place (values must flatten to a view).  Sorting in place spares the
+    block-sized copies np.histogram makes, whose memory the allocator can
+    hand back to the system and fault in again every block."""
     values = values.reshape(-1)
     values.sort()
-    return np.diff(np.concatenate((values.searchsorted(edges[:-1], "left"),
-                                   values.searchsorted(edges[-1:], "right"))))
+    return np.diff(np.concatenate(([0], values.searchsorted(edges[1:-1], "left"), [values.size])))
 
 
 def _gather(coeffs: list, picks: np.ndarray) -> list:

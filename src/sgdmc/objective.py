@@ -135,18 +135,15 @@ class SeparableObjective:
         return tuple(out)
 
 
-def lipschitz_constant(obj: SeparableObjective, intervals=None) -> float:
+def lipschitz_constant(obj: SeparableObjective) -> float:
     """K = max over components of max |f''| on the per-dimension state interval.
 
     The maximum of a polynomial's |second derivative| over a closed interval is
     attained at an endpoint or at a root of the third derivative, so it is
     evaluated exactly.
     """
-    if intervals is None:
-        intervals = obj.critical_report.span
     best = 0.0
-    for j, row in enumerate(obj.components):
-        lo, hi = intervals[j]
+    for row, (lo, hi) in zip(obj.components, obj.critical_report.span):
         for p in row:
             best = max(best, extreme_abs_on_interval(p.derivative().derivative(), lo, hi))
     return best

@@ -235,7 +235,8 @@ def whole_point_sample(fam, x0, steps: int, seed: int, grid_n: int):
     for k in range(steps):
         x = [fam.phi[draws[k] - 1][j](s) for j, s in enumerate(x)]
         traj[k] = x
-    hists = [np.histogram(traj[:, j], bins=np.linspace(lo, hi, grid_n + 1))[0]
+    # a visit beyond an end of the grid counts in that end's cell
+    hists = [np.histogram(np.clip(traj[:, j], lo, hi), bins=np.linspace(lo, hi, grid_n + 1))[0]
              for j, (lo, hi) in enumerate(fam.intervals)]
     rect_steps = {}
     first = None
@@ -279,17 +280,17 @@ def whole_point_escape_lengths(fam, decomp, grid_n: int, direction_of) -> np.nda
     return lengths
 
 
-def per_row_grid_csv(path, grid, values, support: bool = False) -> None:
+def per_row_grid_csv(path, grid, values) -> None:
     """The grid CSV one row at a time: every centre coordinate and the value
-    formatted with {:.17g} for every cell (with support, for every cell
-    whose value is positive), in flattened (row-major) order."""
+    formatted with {:.17g} for every cell whose value is positive, in
+    flattened (row-major) order."""
     d = grid.dimension
     header = ["x"] if d == 1 else [f"x{j + 1}" for j in range(d)]
     centers, values = grid.centers, np.asarray(values, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header + ["value"]) + "\n")
         for pos, cell in enumerate(itertools.product(*[range(n) for n in grid.shape])):
-            if support and not values[pos] > 0:
+            if not values[pos] > 0:
                 continue
             coords = [float(c[k]) for c, k in zip(centers, cell)]
             fh.write(",".join(f"{v:.17g}" for v in coords + [values[pos]]) + "\n")

@@ -1,6 +1,7 @@
 """tools/bench_pairs: per-metric quartiles and pair wins (summarize), the
-operation medians read off perfbench's output (parse_run), and the exit
-status that names failed runs (main, with perfbench and git stood in for)."""
+operation medians read off perfbench's output (parse_run), the exit status
+that names failed runs and each tree's source line count (main, with
+perfbench and git stood in for)."""
 
 import importlib.util
 import json
@@ -112,3 +113,24 @@ def test_a_failed_run_is_named_and_exits_1_after_the_record(tmp_path, monkeypatc
     reported = [line.split(": ", 1)[1] for line in capsys.readouterr().err.splitlines()
                 if line.startswith("incorrect or failed operations: ")]
     assert reported == named
+
+
+def test_the_record_keeps_each_trees_source_lines(tmp_path, monkeypatch):
+    # every src/sgdmc/*.py counts, a file of another kind does not
+    def tree(dest, files):
+        os.makedirs(os.path.join(dest, "src", "sgdmc"))
+        for name, text in files.items():
+            with open(os.path.join(dest, "src", "sgdmc", name), "w") as fh:
+                fh.write(text)
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: tree(
+        dest, {"a.py": "1\n2\n3\n", "b.py": "4\n", "notes.txt": "5\n6\n"}))
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: tree(
+        dest, {"a.py": "1\n", "b.py": "4\n"}))
+    monkeypatch.setattr(bench_pairs, "bench", lambda *args: {
+        "correct": True, "failed": 0, "metrics": {"wall_ref_s": {"value": 1.0}}})
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "wl=2"]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"base": 4, "change": 2}

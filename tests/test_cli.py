@@ -81,6 +81,11 @@ def invariant_weights(config: dict, n: int) -> list[np.ndarray]:
             for cells in metric_config(grid, fam.decomposition).rectangle_cells]
 
 
+def basins_of(config: dict, n: int) -> transfer.BasinFunctions:
+    """The basin functions as the basins command computes them at --grid n."""
+    return transfer.basin_functions(MapFamily(*objective_from_config(config)), grid_of(config, n))
+
+
 def test_analyze_single_rectangle(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.55}, eta=0.1)
     out = tmp_path / "out"
@@ -533,28 +538,26 @@ def test_basins_coarse_2d_grid_converges(tmp_path):
 
 
 def test_grid_csv_layout_2d(tmp_path):
-    # basins lists every cell, invariant the cells of positive mass, each
-    # row's coordinates its cell's centres in row-major order
+    # invariant and basins both list the cells where their value is positive,
+    # each row's coordinates its cell's centres in row-major order
     tilted = [[c + d for c, d in zip(DW_COEFFS, [0, s * 0.38, 0, 0, 0])] for s in (1, -1)]
     config = {"dimension": 2, "n": 2, "components": [tilted, tilted], "eta": 0.33}
     cfg = write_config(tmp_path / "c.json", **config)
     n = 40
     obj, _ = objective_from_config(json.loads((tmp_path / "c.json").read_text()))
     centers = Grid.regular(obj.critical_report.span, n).centers
+    grid = grid_of(config, n)
+    wanted = {"invariant_0.csv": invariant_weights(config, n)[0],
+              "basin_0.csv": basins_of(config, n).values[0]}
     for cmd, name in (("invariant", "invariant_0.csv"), ("basins", "basin_0.csv")):
         out = tmp_path / cmd
         assert main([cmd, "--config", cfg, "--out", str(out), "--grid", str(n)]) == 0
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "x1,x2,value"
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        if cmd == "invariant":
-            [weights, *_] = invariant_weights(config, n)
-            got, cells = scattered(out / name, grid_of(config, n))
-            assert got.tobytes() == weights.tobytes()
-            assert 0 < len(rows) == cells.size == np.count_nonzero(weights) < n * n
-        else:
-            cells = np.arange(n * n)
-            assert len(rows) == n * n
+        got, cells = scattered(out / name, grid)
+        assert got.tobytes() == wanted[name].tobytes()
+        assert 0 < len(rows) == cells.size == np.count_nonzero(wanted[name]) < n * n
         for k, (x1, x2, _) in zip(cells, rows):
             assert x1 == centers[0][k // n]
             assert x2 == centers[1][k % n]
@@ -788,10 +791,12 @@ def test_info_log_separates_compute_from_writing(tmp_path, caplog, command, conf
     files = sorted(out.glob(pattern))
     assert name == command and len(files) == count
     want = 300 * len(files)
-    if command == "invariant":  # each measure's support, the other commands every cell
+    if command != "sample":  # each grid CSV its support, a histogram every bin
         grid = grid_of(config, 300)
         supports = [scattered(f, grid)[1].size for f in files]
-        assert supports == [np.count_nonzero(w) for w in invariant_weights(config, 300)]
+        series = (invariant_weights(config, 300) if command == "invariant"
+                  else basins_of(config, 300).values)
+        assert supports == [np.count_nonzero(v) for v in series]
         want = sum(supports)
     assert int(rows) == sum(len(f.read_text().splitlines()) - 1 for f in files) == want
     assert int(size) == sum(f.stat().st_size for f in files)
@@ -980,69 +985,64 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.0, np.nextafter(1.0, 2.0),
                                    (67, 71), (17, 13, 19)])
 @pytest.mark.parametrize("several", [False, True])
 def test_grid_csv_matches_per_row_formatting(tmp_path, shape, several):
-    # one file, or several written side by side in one call: the edge values,
-    # a constant and a series that differs from cell to cell; blocks end
-    # inside a row in 2-d and 3-d, and a dedupe keyed on float equality
-    # would write -0.0 as 0
+    # one file, or several written in one call, which share the value texts;
+    # each lists exactly the cells where its series is positive, with the
+    # bytes of the per-row writer: both signed zeros, the negatives, -inf and
+    # NaN are left out, the smallest subnormal and +inf kept; a constant, a
+    # series that differs from cell to cell, a file with one written cell,
+    # the last, and a file with none, only its header; blocks end inside a
+    # row in 2-d and 3-d
     grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
     series = [np.resize(EDGE_VALUES, grid.ncells)]
     if several:
-        series += [np.full(grid.ncells, 0.1), np.sin(np.arange(grid.ncells))]
+        last = np.zeros(grid.ncells)
+        last[-1] = 0.5
+        series += [np.full(grid.ncells, 0.1), np.abs(np.sin(np.arange(grid.ncells))),
+                   np.where(np.arange(grid.ncells) % 3, -0.0, 0.1), last,
+                   np.resize([0.0, -0.0, -1.0, -np.inf, np.nan], grid.ncells)]
     names = [f"new_{m}.csv" for m in range(len(series))]
     args = argparse.Namespace(command="basins", out=str(tmp_path))
     cli._write_grid_csvs(args, grid, names, series, time.perf_counter())
     for name, values in zip(names, series):
         per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
         assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-@pytest.mark.parametrize("shape", [(5,), (cli.GRID_CSV_BLOCK + 1,), (67, 71), (17, 13, 19)])
-def test_grid_csv_support_lists_the_positive_cells(tmp_path, shape):
-    # with support each file lists only the cells where its series is
-    # positive, each file on its own, over blocks of written rows: both
-    # signed zeros, the negatives, -inf and NaN are left out, the smallest
-    # subnormal and +inf kept; a file with one written cell, the last
-    grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
-    last = np.zeros(grid.ncells)
-    last[-1] = 0.5
-    series = [np.resize(EDGE_VALUES, grid.ncells), np.abs(np.sin(np.arange(grid.ncells))),
-              np.where(np.arange(grid.ncells) % 3, -0.0, 0.1), last]
-    names = [f"new_{m}.csv" for m in range(len(series))]
-    args = argparse.Namespace(command="invariant", out=str(tmp_path))
-    cli._write_grid_csvs(args, grid, names, series, time.perf_counter(), support=True)
-    for name, values in zip(names, series):
-        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values, support=True)
-        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert len((tmp_path / "new_3.csv").read_text().splitlines()) == 2
+        got, cells = scattered(tmp_path / name, grid)
+        assert np.array_equal(cells, np.flatnonzero(values > 0))
+        assert got[cells].tobytes() == values[cells].tobytes()
+    if several:
+        assert [len((tmp_path / name).read_text().splitlines()) for name in names[-2:]] == [2, 1]
 
 
 @pytest.mark.parametrize("config,n", [(DW_CONFIG, 300), (PRODUCT_CONFIG, 40),
                                       (MIXED_CONFIG, 30)], ids=["1d", "2d-product", "2d-mixed"])
 def test_invariant_csvs_list_the_support(tmp_path, config, n):
-    # each invariant file lists the cells of positive mass in increasing cell
-    # order (scattered checks the order), a missing cell meaning 0: scattered
-    # back, they are invariant_measure's weights bit for bit, and no row
-    # holds 0; the measures hold no -0.0 (DiscreteMeasure clips it to 0), so
-    # leaving out the cells that are not positive loses no bit.  The basin
-    # files stay dense, with the bytes of the per-row writer
+    # each invariant and basin file lists the cells where its value is
+    # positive in increasing cell order (scattered checks the order), a
+    # missing cell meaning 0: scattered back, they are invariant_measure's
+    # weights and basin_functions' values bit for bit, and no row holds 0.
+    # Neither holds -0.0 (DiscreteMeasure clips it to 0; the basin solves
+    # give none on these problems), so leaving out the cells that are not
+    # positive loses no bit.  Each measure sums to 1, and the basin
+    # functions to 1 in every cell within the reported partition defect
     cfg = write_config(tmp_path / "c.json", **config)
-    for command in ("invariant", "basins"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
-                     "--grid", str(n)]) == 0
     grid = grid_of(config, n)
-    measures = invariant_weights(config, n)
-    assert len(measures) == len(list((tmp_path / "invariant").glob("invariant_*.csv")))
-    for m, weights in enumerate(measures):
-        assert not np.any(np.signbit(weights))
-        got, cells = scattered(tmp_path / "invariant" / f"invariant_{m}.csv", grid)
-        assert got.tobytes() == weights.tobytes()
-        assert np.all(got[cells] > 0) and cells.size == np.count_nonzero(weights) < grid.ncells
-        assert got.sum() == pytest.approx(1.0, abs=1e-12)
-    basins = transfer.basin_functions(MapFamily(*objective_from_config(config)), grid)
-    for m, values in enumerate(basins.values):
-        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
-        assert (tmp_path / "basins" / f"basin_{m}.csv").read_bytes() == (
-            tmp_path / "old.csv").read_bytes()
+    wanted = {"invariant": (invariant_weights(config, n), "invariant_{}.csv"),
+              "basins": (basins_of(config, n).values, "basin_{}.csv")}
+    sums = {}
+    for command, (series, name) in wanted.items():
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--grid", str(n)]) == 0
+        assert len(series) == len(list(out.glob(name.format("*"))))
+        sums[command] = []
+        for m, values in enumerate(series):
+            assert not np.any(np.signbit(values))
+            got, cells = scattered(out / name.format(m), grid)
+            assert got.tobytes() == values.tobytes()
+            assert np.all(got[cells] > 0) and cells.size == np.count_nonzero(values) < grid.ncells
+            sums[command].append(got)
+    assert np.sum(sums["invariant"], axis=1) == pytest.approx(1.0, abs=1e-12)
+    defect = json.loads((tmp_path / "basins" / "basins.json").read_text())["partition_defect"]
+    assert np.max(np.abs(np.sum(sums["basins"], axis=0) - 1.0)) <= defect
 
 
 def test_readme_cli_synopsis_matches_the_parser():

@@ -110,8 +110,8 @@ GOLDEN = {
     "basins-1d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "0ba8a75ad280fe52a4480e5c8a21da756446f721d38c9a7fe5855a19043202b8",
-            "basin_1.csv": "0c27982c2976b894c71b8a0c5b78a22d0bad52cb2e7c27e57150428ce3866d27",
+            "basin_0.csv": "d4f19c30a0641363b6a6d1d8b7ce090d6e21fa0f7529fc2d7794a40d992d13e5",
+            "basin_1.csv": "15b2d32d9022e6f6f4b705d2347df1f8068702f43229cef5b49330d1f60d8afe",
             "basins.json": "f6a0a47612b86fe21e9ea0addf7789bbd34ec284fa68ad85147e9379f6dc3c80"
         },
         "stderr": ""
@@ -119,8 +119,8 @@ GOLDEN = {
     "basins-2d": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "8f0b5ec1faaebae9bf8b4804a773f7c95ac123a6067e01952d627044530afac3",
-            "basin_1.csv": "2b9bcba562f5eb7d0d81452a2700941ef336085d1617a4963d7d49cb62edcf1d",
+            "basin_0.csv": "cc64912cf3c6db6102ae6976c347915acc930917bd997a56b0f01986a6a9e40d",
+            "basin_1.csv": "41da2aebcbe69d261343598c733e7f28fc112caac0a3cb6470d5e9a745e25f71",
             "basins.json": "5f0d5ee65ff1a6190d27e44b74c4c879f84c3428c2d1372de3b71b9392276e00"
         },
         "stderr": ""
@@ -128,10 +128,10 @@ GOLDEN = {
     "basins-2d-product": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "4e178ed31af46ded57c1880c116617c296b1dc560ac018b5f2a6730fa8e7d58b",
-            "basin_1.csv": "af1c54703456eef2b7daeb25fb1cdeb6f751e5ff3ca869c2a9803d95e03cfd6d",
-            "basin_2.csv": "0bad3e64eb9d54f3e449771a22515956b272788c6156cba101b17676d0312aa9",
-            "basin_3.csv": "0adba9fbbed2722357f0304908e528ed3baabe21742f4009f7f2186713e442c2",
+            "basin_0.csv": "feb81027bfc02ade5f8566b7ffeed11081fc1f7495f1de2eed13dfba5e07acc2",
+            "basin_1.csv": "3938042d3bcf22bd45a36d3617567b6f0e2b75d3ec81450f173c7f788104a61d",
+            "basin_2.csv": "7226be1fee347e98654b9292f2935f46dc18166d14bd6cc3cb6b9b23957d5754",
+            "basin_3.csv": "8aee208574f8bdca76ccb92ebad9b38a306cab179c622fb330883141d75d8da8",
             "basins.json": "a0c1e5326b6b700b1e24e00b92499f8f63a35301b10b11afafa139210a4daae3"
         },
         "stderr": ""
@@ -197,8 +197,8 @@ GOLDEN = {
     "sample-1d": {
         "exit": 0,
         "files": {
-            "sample.csv": "470d57a8ccad55677709e4553403bf7a8743d1ab35926fbc656a49308f66e83e",
-            "sample.json": "7423f416a9441b08584c943ee9f941d4efb29cb81e053035d3e1fff8726a29e2"
+            "sample.csv": "de584e5caab0c755c6b8692ce2cb329dd4c931d17002bb23bbffb909754d35e6",
+            "sample.json": "404ec4a15b950e27a486740ea8e2c1c85256e2912d91587f17a94137eba90ed4"
         },
         "stderr": ""
     },

@@ -42,13 +42,6 @@ def test_eta_bound_admits_benchmark_step():
     assert 0.33 < eta_bound(double_well(0.38))
 
 
-def test_lipschitz_monotone_in_interval():
-    obj = double_well(0.55)
-    small = lipschitz_constant(obj, intervals=[(-1.0, 1.0)])
-    large = lipschitz_constant(obj, intervals=[(-2.0, 2.0)])
-    assert large >= small
-
-
 def test_lambda_split_components():
     f = double_well_potential()
     obj = lambda_split(f, 0.55)

@@ -19,11 +19,14 @@ count for neither side). Each run also keeps the ``<op>_ref_s`` median of
 every operation, which perfbench prints above its result line, and each
 workload summarizes them the same way under ``operations``: recorded
 figures that show which operation a saving sits in, read by no gate. The
-exit status is 1, after the output is written, when any run is incorrect or
-has failed operations; each such run is named on stderr.
+record also keeps each tree's line count of ``src/sgdmc/*.py`` under
+``src_lines``, so that the code's size is read off the same record as its
+timings. The exit status is 1, after the output is written, when any run is
+incorrect or has failed operations; each such run is named on stderr.
 """
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -64,6 +67,15 @@ def copy_working_tree(dest: str) -> None:
         if name and os.path.isfile(src):  # a tracked file may be deleted
             os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
             shutil.copy2(src, os.path.join(dest, name))
+
+
+def src_lines(tree: str) -> int:
+    """The lines of the package's Python source (src/sgdmc/*.py) in tree."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "sgdmc", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -160,6 +172,7 @@ def main(argv=None) -> int:
         trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "work")}
         export(base_rev, trees["base"])
         copy_working_tree(trees["change"])
+        record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, count in plan:
             pairs, operations = [], set()
             for k in range(count):
