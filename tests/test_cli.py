@@ -985,23 +985,37 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.0, np.nextafter(1.0, 2.0),
                                    (67, 71), (17, 13, 19)])
 @pytest.mark.parametrize("several", [False, True])
 def test_grid_csv_matches_per_row_formatting(tmp_path, shape, several):
-    # one file, or several written in one call, which share the value texts;
-    # each lists exactly the cells where its series is positive, with the
-    # bytes of the per-row writer: both signed zeros, the negatives, -inf and
-    # NaN are left out, the smallest subnormal and +inf kept; a constant, a
-    # series that differs from cell to cell, a file with one written cell,
-    # the last, and a file with none, only its header; blocks end inside a
-    # row in 2-d and 3-d
+    # one file, or several written in one call, which share the value texts,
+    # with the bytes of the per-row writer: the edge values, a constant and a
+    # series that differs from cell to cell; blocks end inside a row in 2-d
+    # and 3-d, and a dedupe keyed on float equality would write -0.0 as 0
     grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
     series = [np.resize(EDGE_VALUES, grid.ncells)]
     if several:
-        last = np.zeros(grid.ncells)
-        last[-1] = 0.5
-        series += [np.full(grid.ncells, 0.1), np.abs(np.sin(np.arange(grid.ncells))),
-                   np.where(np.arange(grid.ncells) % 3, -0.0, 0.1), last,
-                   np.resize([0.0, -0.0, -1.0, -np.inf, np.nan], grid.ncells)]
+        series += [np.full(grid.ncells, 0.1), np.abs(np.sin(np.arange(grid.ncells)))]
     names = [f"new_{m}.csv" for m in range(len(series))]
     args = argparse.Namespace(command="basins", out=str(tmp_path))
+    cli._write_grid_csvs(args, grid, names, series, time.perf_counter())
+    for name, values in zip(names, series):
+        per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (cli.GRID_CSV_BLOCK + 1,), (67, 71), (17, 13, 19)])
+def test_grid_csv_support_lists_the_positive_cells(tmp_path, shape):
+    # each file lists exactly the cells where its series is positive, each
+    # file on its own, over blocks of written rows: both signed zeros, the
+    # negatives, -inf and NaN are left out, the smallest subnormal and +inf
+    # kept; a file with one written cell, the last, and a file with none,
+    # only its header
+    grid = Grid.regular([(-1.3, 1.7)] * len(shape), list(shape))
+    last = np.zeros(grid.ncells)
+    last[-1] = 0.5
+    series = [np.resize(EDGE_VALUES, grid.ncells), np.abs(np.sin(np.arange(grid.ncells))),
+              np.where(np.arange(grid.ncells) % 3, -0.0, 0.1), last,
+              np.resize([0.0, -0.0, -1.0, -np.inf, np.nan], grid.ncells)]
+    names = [f"new_{m}.csv" for m in range(len(series))]
+    args = argparse.Namespace(command="invariant", out=str(tmp_path))
     cli._write_grid_csvs(args, grid, names, series, time.perf_counter())
     for name, values in zip(names, series):
         per_row_grid_csv(str(tmp_path / "old.csv"), grid, values)
@@ -1009,8 +1023,7 @@ def test_grid_csv_matches_per_row_formatting(tmp_path, shape, several):
         got, cells = scattered(tmp_path / name, grid)
         assert np.array_equal(cells, np.flatnonzero(values > 0))
         assert got[cells].tobytes() == values[cells].tobytes()
-    if several:
-        assert [len((tmp_path / name).read_text().splitlines()) for name in names[-2:]] == [2, 1]
+    assert [len((tmp_path / name).read_text().splitlines()) for name in names[-2:]] == [2, 1]
 
 
 @pytest.mark.parametrize("config,n", [(DW_CONFIG, 300), (PRODUCT_CONFIG, 40),
