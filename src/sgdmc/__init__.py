@@ -68,4 +68,5 @@ from .transfer import (
     push_forward,
     ulam_absorption,
     ulam_assemble,
+    ulam_operator,
 )

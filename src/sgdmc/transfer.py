@@ -481,14 +481,18 @@ def invariant_measure(op: SeparableOperator, cells,
             "too coarse for it to be closed; the measure is quasi-stationary", leak,
         )
     band = _half_bandwidth(_entry_rows(block), block.indices)
+
+    def step(w):
+        w_next = sub @ w
+        w_next /= w_next.sum()
+        return w_next, distance(w_next, w)
+
     w = _gth_stationary(block, band) if leak <= LEAKAGE_WARN and band <= GTH_MAX_BAND else None
     if w is not None:
         logger.info("invariant_measure: gth (n=%d, w=%d)", cells.size, band)
-        w_next = sub @ w
-        w_next /= w_next.sum()
-        iterations, residual = 0, distance(w_next, w)
+        iterations, residual = 0, step(w)[1]
     else:
-        w, iterations, residual = _power_iteration(sub, tol, distance)
+        w, iterations, residual = _iterate(step, np.full(cells.size, 1.0 / cells.size), tol)
         logger.info("invariant_measure: iteration (%d steps)", iterations)
     full = np.zeros(op.grid.ncells)
     full[cells] = w
@@ -496,20 +500,16 @@ def invariant_measure(op: SeparableOperator, cells,
                            residual=residual, leakage=leak)
 
 
-def _power_iteration(sub, tol: float, distance) -> tuple[np.ndarray, int, float]:
-    """(w, steps, last change) of w <- sub w / |sub w| from the uniform start,
-    stopped once a step changes w by less than tol in distance; raises
-    NoConvergence after DEFAULT_MAX_ITER steps."""
-    w = np.full(sub.shape[0], 1.0 / sub.shape[0])
-    residual = np.inf
+def _iterate(step, x, tol: float) -> tuple[np.ndarray, int, float]:
+    """(x, steps, change) of x, change = step(x), run until the change drops
+    below tol: the one loop that iterates a chain, and its one stop rule.
+    Raises NoConvergence after DEFAULT_MAX_ITER steps."""
+    change = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        w_next = sub @ w
-        w_next /= w_next.sum()
-        residual = distance(w_next, w)
-        w = w_next
-        if residual < tol:
-            return w, it, residual
-    raise NoConvergence(DEFAULT_MAX_ITER, residual)
+        x, change = step(x)
+        if change < tol:
+            return x, it, change
+    raise NoConvergence(DEFAULT_MAX_ITER, change)
 
 
 def _interp_factor_1d(fam: MapFamily, i: int, j: int, edges: np.ndarray) -> sp.csr_matrix:
@@ -567,27 +567,27 @@ def _renumbered(rows, order: np.ndarray) -> sp.csr_matrix:
     return rows
 
 
-def _held_iteration(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
-    """(g, steps, last change) of g[:, :b] <- rows @ g, b = rows.shape[0] > 0,
-    iterated until the sup change drops below tol, with g[:, b:] held: the
-    columns of rows are numbered like those of g, the b updated cells
-    first.  Raises NoConvergence after DEFAULT_MAX_ITER steps."""
+def _held_step(rows, g: np.ndarray):
+    """_iterate's step g[:, :b] <- rows @ g, b = rows.shape[0] > 0, g[:, b:]
+    held (rows' columns numbered like g's, the b updated cells first), and
+    its sup change.  A call writes into the array given to the call before
+    it, the first call into a copy of g."""
     b = rows.shape[0]
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
-    g_next, change = g.copy(), np.empty((g.shape[0], b))
-    residual = np.inf
-    for it in range(1, DEFAULT_MAX_ITER + 1):
+    spare, change = [g.copy()], np.empty((g.shape[0], b))
+
+    def step(g):
+        g_next = spare.pop()
         # one product per rectangle gives the bits of one product on an (N, k) C-order
         # array and is no slower: in ulam_absorption on a 2-vCPU Xeon (1 thread, best of
         # 5) equal within noise at 1-d N=4000 and 2-d 300^2, 12% faster at 1-d N=10^4
         for row, out in zip(g, g_next):
             out[:b] = rows @ row
         np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
-        residual = float(change.max())
-        g, g_next = g_next, g
-        if residual < tol:
-            return g, it, residual
-    raise NoConvergence(DEFAULT_MAX_ITER, residual)
+        spare.append(g)
+        return g_next, float(change.max())
+
+    return step
 
 
 def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
@@ -629,7 +629,7 @@ def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.nda
 
 
 def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float, str]:
-    """(g, steps, residual, solver) of the fixed point of _held_iteration,
+    """(g, steps, residual, solver) of the fixed point of _held_step,
     g[:, :b] zero on entry, b = rows.shape[0]: the one place an absorption
     system picks its solver, named as its INFO line names it.  "none" with
     no updated cells.  "banded (...)" by _banded_solve where its predicted
@@ -638,11 +638,9 @@ def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float
     doubles, m = max(w, BANDED_MIN_BLOCK), are at most BANDED_FILL_RATIO
     times the rows' non-zeros: 0 steps, values clipped to [0, 1] (the exact
     ones lie there and the solve subtracts, so no value moves away from
-    them), and a residual that is the sup change one more step of the
-    iteration would make.  Otherwise, and where the solve fails, is not
-    finite or lands outside [-1e-12, 1 + 1e-12] (a closed class among the
-    updated cells), "iteration (...)": _held_iteration to tol from g as it
-    came."""
+    them), residual the change of one more step.  Otherwise, and where the
+    solve fails, is not finite or lands outside [-1e-12, 1 + 1e-12] (a
+    closed class among the updated cells), "iteration (...)": _iterate from g."""
     b = rows.shape[0]
     if not b:
         return g, 0, 0.0, "none"
@@ -657,9 +655,8 @@ def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float
             x = None
         if x is not None and np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
             g[:, :b] = np.clip(x, 0.0, 1.0).T
-            residual = max(float(np.max(np.abs(rows @ row - row[:b]))) for row in g)
-            return g, 0, residual, f"banded (n={b}, w={w}, m={m})"
-    g, steps, residual = _held_iteration(rows, g, tol)
+            return g, 0, _held_step(rows, g)(g)[1], f"banded (n={b}, w={w}, m={m})"
+    g, steps, residual = _iterate(_held_step(rows, g), g, tol)
     return g, steps, residual, f"iteration ({steps} steps)"
 
 

@@ -376,12 +376,13 @@ def held_system(rows, blocks):
 
 
 def held_absorption(rows, grid, blocks, tol: float):
-    """BasinFunctions of transfer._held_iteration on held_system(rows,
-    blocks), with no banded solve and no one-rectangle shortcut, the values
-    back in cell order and Fortran-ordered; nothing is iterated with no
-    transient cells."""
+    """BasinFunctions of transfer._held_step iterated by transfer._iterate on
+    held_system(rows, blocks), with no banded solve and no one-rectangle
+    shortcut, the values back in cell order and Fortran-ordered; nothing is
+    iterated with no transient cells."""
     held, g, position = held_system(rows, blocks)
-    g, steps, residual = transfer._held_iteration(held, g, tol) if rows.shape[0] else (g, 0, 0.0)
+    g, steps, residual = (transfer._iterate(transfer._held_step(held, g), g, tol)
+                          if rows.shape[0] else (g, 0, 0.0))
     values = np.asfortranarray(g[:, position])
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,

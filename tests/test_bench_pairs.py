@@ -1,7 +1,8 @@
 """tools/bench_pairs: per-metric quartiles and pair wins (summarize), the
 operation medians read off perfbench's output (parse_run), the exit status
-that names failed runs and each tree's source line count (main, with
-perfbench and git stood in for)."""
+that names failed runs, each tree's source line count and the output files
+that differ between the trees (main, with perfbench and git stood in
+for)."""
 
 import importlib.util
 import json
@@ -101,6 +102,7 @@ def test_a_failed_run_is_named_and_exits_1_after_the_record(tmp_path, monkeypatc
                 **bad.get(len(calls), {})}
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
+    monkeypatch.setattr(bench_pairs, "outputs", lambda *args: {})
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
@@ -129,8 +131,45 @@ def test_the_record_keeps_each_trees_source_lines(tmp_path, monkeypatch):
         dest, {"a.py": "1\n", "b.py": "4\n"}))
     monkeypatch.setattr(bench_pairs, "bench", lambda *args: {
         "correct": True, "failed": 0, "metrics": {"wall_ref_s": {"value": 1.0}}})
+    monkeypatch.setattr(bench_pairs, "outputs", lambda *args: {})
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--out", str(out), "--pairs", "wl=2"]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"base": 4, "change": 2}
+
+
+def test_the_record_names_the_outputs_that_differ(tmp_path, monkeypatch, capsys):
+    # each tree runs each workload's operations once before the timed pairs;
+    # a changed file, one only the base writes and one only the change
+    # writes are named, and the exit status stays 0
+    runs = []
+
+    def outputs(tree, workload, seed):
+        runs.append((os.path.basename(tree), workload, seed))
+        digests = {"a.csv": "1", "b.csv": "2", "gone.csv": "3"}
+        if os.path.basename(tree) == "work" and workload == "wl":
+            digests = {"a.csv": "1", "b.csv": "9", "new.csv": "4"}
+        return {"op": {"digests": digests, "problems": []}}
+
+    monkeypatch.setattr(bench_pairs, "outputs", outputs)
+    monkeypatch.setattr(bench_pairs, "bench", lambda *args: {
+        "correct": True, "failed": 0, "metrics": {"wall_ref_s": {"value": 1.0}}})
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "wl=2", "--pairs", "same=2",
+                             "--seed", "5"]) == 0
+    assert runs == [("base", "wl", 5), ("work", "wl", 5), ("base", "same", 5),
+                    ("work", "same", 5)]
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["wl"]["outputs"]["differ"] == ["op/b.csv", "op/gone.csv", "op/new.csv"]
+    assert workloads["wl"]["outputs"]["change"]["op"]["digests"]["b.csv"] == "9"
+    assert workloads["same"]["outputs"]["differ"] == []
+    assert len(workloads["wl"]["pairs"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "outputs differ" in line] == [
+        "wl outputs differ: op/b.csv", "wl outputs differ: op/gone.csv",
+        "wl outputs differ: op/new.csv"]

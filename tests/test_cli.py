@@ -29,6 +29,8 @@ EIGHTH_COEFFS = [0.0, 0.0, 0.0, 0.0, 2.8431, 0.0, -2.9354, 0.0, 0.78]
 LAM_C = 2.0 / (3.0 * np.sqrt(3.0))
 # F + 0.38x and F - 0.38x of the double well F, ascending coefficients
 PRODUCT_ROW = [[0.25, 0.38, -0.5, 0.0, 0.25], [0.25, -0.38, -0.5, 0.0, 0.25]]
+# the benchmark's 2-d product double well (dw2d-grid)
+PRODUCT_CONFIG = {"dimension": 2, "n": 2, "components": [PRODUCT_ROW] * 2, "eta": 0.33}
 # the double well split with lambda 0.2 in x1 (two wells) and 0.55 in x2 (one)
 MIXED_CONFIG = {"dimension": 2, "n": 2, "eta": 0.2, "components": [
     [[0.25, lam, -0.5, 0.0, 0.25], [0.25, -lam, -0.5, 0.0, 0.25]] for lam in (0.2, 0.55)]}
@@ -260,12 +262,18 @@ LABELS = {1: "config error: ", 2: "assumption violation: ", 3: "no convergence: 
                                         "components": [[[1, -2, 1], [2, -4, 2]]]}, None),
     # at 500 cells the blocks' band is too wide for GTH, so they iterate
     (3, ["invariant", "--grid", "500"], DW_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
+    # at 1000 cells the 1-d absorption band is too wide for the banded solve,
+    # so the held step iterates (93 steps unpatched)
+    (3, ["basins", "--grid", "1000"], DW_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
+    # in 2-d the faces' joint solve iterates (53 steps unpatched at 40 cells a side)
+    (3, ["basins", "--grid", "40"], PRODUCT_CONFIG, (sgdmc.transfer, "DEFAULT_MAX_ITER", 2)),
     (4, ["diffusion"], {"dimension": 1, "n": 1, "eta": 0.1, "components": [[[0, 0, 1.0]]]},
      None),
     (5, ["analyze"], DW_CONFIG, (cli, "cmd_analyze", _raise_runtime_error)),
 ], ids=["ok", "unparsable-config", "config-not-object", "grid-too-coarse",
         "compare-invariant-2d", "inadmissible-step", "non-coercive", "zero-summand",
-        "shared-critical-point", "no-convergence", "singular-diffusion", "internal-error"])
+        "shared-critical-point", "no-convergence", "no-convergence-held",
+        "no-convergence-faces", "singular-diffusion", "internal-error"])
 @pytest.mark.filterwarnings("error")
 def test_every_exit_code(tmp_path, capsys, monkeypatch, code, argv, config, patch):
     path = tmp_path / "c.json"
@@ -578,10 +586,6 @@ def test_invariant_dump_operator(tmp_path):
         assert 0 <= int(row) < 4 and 0 <= int(col) < 4
         total += float(value)
     assert total == pytest.approx(4.0, abs=1e-12)  # rows sum to one
-
-
-# the benchmark's 2-d product double well (dw2d-grid)
-PRODUCT_CONFIG = {"dimension": 2, "n": 2, "components": [PRODUCT_ROW] * 2, "eta": 0.33}
 
 
 _KRON_AVERAGE = transfer._kron_average

@@ -26,7 +26,7 @@ from sgdmc import transfer
 from sgdmc.absorbing import decompose
 from sgdmc.dynamics import MapFamily, splitting_certificate_multi
 from sgdmc.errors import DimensionMismatch, GridMismatch, NoConvergence
-from sgdmc.metrics import d_F, label_blocks, metric_config
+from sgdmc.metrics import cdf_sup, d_F, label_blocks, metric_config
 from sgdmc.objective import (
     SeparableObjective,
     bernoulli_pair,
@@ -465,6 +465,34 @@ def test_gth_invariant_matches_a_tight_iteration(monkeypatch, eta):
         assert (got.iterations, tight.iterations > 0) == (0, True)
         assert d_F(got.measure, tight.measure) <= 1e-12
         assert got.residual <= 1e-14
+
+
+@pytest.mark.parametrize("solve", ["gth-invariant", "banded-basins", "banded-ulam"])
+def test_a_direct_solve_reports_one_more_step_as_its_residual(solve):
+    # at eta = 0.01, N = 4000 GTH solves each invariant measure and the
+    # banded solve each absorption system: each reports as its residual,
+    # bit for bit, the change of one more step of its iteration, here
+    # recomputed from the whole matrix
+    fam = MapFamily(double_well(0.38), 0.01)
+    grid = Grid.regular(fam.intervals, 4000)
+    config = metric_config(grid, fam.decomposition)
+    op = dual_operator(fam, grid) if solve == "banded-basins" else ulam_assemble(fam, grid)
+    if solve == "gth-invariant":
+        for cells in config.rectangle_cells:
+            got = invariant_measure(op, cells)
+            w = got.measure.weights[cells]
+            w_next = op.matrix[cells][:, cells].T @ w
+            w_next /= w_next.sum()
+            assert got.iterations == 0 and got.residual == cdf_sup(w_next, w)
+    else:
+        if solve == "banded-basins":
+            got = basin_functions(fam, grid)
+        else:
+            got = ulam_absorption(op, config)
+        cells = config.transient_cells
+        rows = op.matrix[cells]
+        assert got.iterations == 0
+        assert got.residual == max(float(np.max(np.abs(rows @ v - v[cells]))) for v in got.values)
 
 
 def _birth_death(n: int, up: float) -> sp.csr_matrix:
@@ -1248,17 +1276,18 @@ def _closed_class_chain(closed: str) -> sp.csr_matrix:
 
 
 def _declines_the_banded_solve(monkeypatch, rows, g, tol):
-    """_held_solve on (rows, g) hands g, unchanged, to _held_iteration,
-    names the iteration and returns its bits."""
-    handed, held_iteration = [], transfer._held_iteration
+    """_held_solve on (rows, g) hands g, unchanged, to _iterate, names the
+    iteration and returns the bits of the held step iterated from g."""
+    handed, iterate = [], transfer._iterate
 
-    def record(rows, g, tol):
-        handed.append(g.copy())
-        return held_iteration(rows, g, tol)
+    def record(step, x, tol):
+        handed.append(x.copy())
+        return iterate(step, x, tol)
 
-    monkeypatch.setattr(transfer, "_held_iteration", record)
+    monkeypatch.setattr(transfer, "_iterate", record)
     got, steps, residual, solver = transfer._held_solve(rows, g.copy(), tol)
-    want, want_steps, want_residual = held_iteration(rows, g.copy(), tol)
+    start = g.copy()
+    want, want_steps, want_residual = iterate(transfer._held_step(rows, start), start, tol)
     assert [h.tobytes() for h in handed] == [g.tobytes()]
     assert solver == f"iteration ({steps} steps)"
     assert got.tobytes() == want.tobytes() and (steps, residual) == (want_steps, want_residual)
@@ -1433,6 +1462,11 @@ def test_dense_grids_stop_at_two_dimensions(monkeypatch):
     for make in (ulam_operator, dual_operator):
         with pytest.raises(DimensionMismatch):
             make(fam, Grid.regular(fam.intervals[:2], 3))
+
+
+def test_the_package_exports_ulam_operator():
+    # beside dual_operator and ulam_assemble, which it sits with in transfer
+    assert sgdmc.ulam_operator is transfer.ulam_operator
 
 
 def test_assembled_matrix_is_the_one_copy():

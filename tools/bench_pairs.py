@@ -21,8 +21,15 @@ workload summarizes them the same way under ``operations``: recorded
 figures that show which operation a saving sits in, read by no gate. The
 record also keeps each tree's line count of ``src/sgdmc/*.py`` under
 ``src_lines``, so that the code's size is read off the same record as its
-timings. The exit status is 1, after the output is written, when any run is
-incorrect or has failed operations; each such run is named on stderr.
+timings. Before the timed pairs, each tree runs every operation of each
+workload once, untimed, with its own ``perfbench/run.py`` and
+``perfbench/checks.py``; the record keeps, per workload under ``outputs``,
+both sides' digests of each operation's output files, their problems, and
+under ``differ`` the ``<op>/<file>`` names whose bytes differ between the
+sides, which are also named on stderr. The exit status is 1, after the
+output is written, when any timed run is incorrect or has failed
+operations; each such run is named on stderr. Differing outputs leave it
+as it is: a change may declare them.
 """
 
 import argparse
@@ -85,6 +92,48 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     return parse_run(proc.stdout, proc.stderr)
+
+
+# run from a tree's root: each operation of the workload argv[1] once, seed
+# argv[2], untimed, through the tree's own perfbench; prints one JSON line,
+# per operation its output digests and problems
+OUTPUTS_SCRIPT = """
+import json, sys, time
+sys.path[:0] = ["perfbench", "src"]
+import run
+from checks import CHECKS
+workload, seed = sys.argv[1], int(sys.argv[2])
+inputs = run.make_inputs(workload, seed)
+deadline = time.monotonic() + run.HARD_LIMIT_S
+try:
+    recs = [run.run_op(name, params, inputs, False, deadline, CHECKS)
+            for name, params in run.WORKLOADS[workload]["ops"]]
+finally:
+    run.shutil.rmtree(run.WORK, ignore_errors=True)
+print(json.dumps({r["op"]: {"digests": r.get("digests", {}), "problems": r["problems"]}
+                  for r in recs}))
+"""
+
+
+def outputs(tree: str, workload: str, seed: int) -> dict:
+    """Per operation of the workload, run once in tree by OUTPUTS_SCRIPT, its
+    output files' digests and its problems; where the script itself fails,
+    one entry "error" holding its error."""
+    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT, workload, str(seed)],
+                          cwd=tree, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return {"error": {"digests": {}, "problems": [proc.stderr.strip()[-2000:]]}}
+
+
+def compare_outputs(sides: dict) -> dict:
+    """Both sides' outputs() and, under "differ", the "<op>/<file>" names
+    whose digest differs between them or that one side lacks."""
+    base, change = ({f"{op}/{name}": digest for op, run in sides[side].items()
+                     for name, digest in run["digests"].items()} for side in ("base", "change"))
+    return {**sides, "differ": sorted(n for n in base.keys() | change.keys()
+                                      if base.get(n) != change.get(n))}
 
 
 def parse_run(stdout: str, stderr: str) -> dict:
@@ -173,6 +222,12 @@ def main(argv=None) -> int:
         export(base_rev, trees["base"])
         copy_working_tree(trees["change"])
         record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        for workload, _ in plan:
+            found = compare_outputs({side: outputs(tree, workload, args.seed)
+                                     for side, tree in trees.items()})
+            record["workloads"][workload] = {"outputs": found}
+            for name in found["differ"]:
+                print(f"{workload} outputs differ: {name}", file=sys.stderr, flush=True)
         for workload, count in plan:
             pairs, operations = [], set()
             for k in range(count):
@@ -184,13 +239,13 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
                     operations.update(pair[side].get("operations", {}))
                 pairs.append(pair)
-            record["workloads"][workload] = {
+            record["workloads"][workload].update({
                 "all_correct": all(run_ok(p[side]) for p in pairs for side in ("base", "change")),
                 "pairs": pairs,
                 "summary": summarize(pairs, metrics),
                 "operations": summarize(pairs, dict.fromkeys(sorted(operations), "lower"),
                                         "operations"),
-            }
+            })
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
