@@ -393,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, grid=True, tol=True):
+    def command(name, func, help, grid="cells per dimension", tol=True):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="objective config JSON")
         p.add_argument("--out", required=True, help="output directory")
         if grid:
-            p.add_argument("--grid", type=int, default=1000, help="cells per dimension")
+            p.add_argument("--grid", type=int, default=1000, help=grid)
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="stop tolerance of the solves that iterate; narrow-band "
@@ -406,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("analyze", cmd_analyze, "decomposition, certificates, bounds", tol=False)
+    p = command("analyze", cmd_analyze, "decomposition, certificates, bounds", tol=False,
+                grid="escape-walk start points: GRID in one dimension, "
+                "max(8, int(GRID ** (1/d))) per axis in d >= 2")
     p.add_argument("--ell-max", type=int, default=ELL_MAX)
 
     p = command("invariant", cmd_invariant, "invariant measure per rectangle")
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("basins", cmd_basins, "basin functions and mixture coefficients")
 
     p = command("sweep", cmd_sweep, "parameter sweep with exact bifurcation points",
-                grid=False, tol=False)
+                grid=None, tol=False)
     p.add_argument("--range", required=True, help="lo:hi:count")
 
     p = command("sample", cmd_sample, "seeded trajectory histogram")

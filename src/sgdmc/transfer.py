@@ -49,7 +49,7 @@ MAX_GRID_DIMENSION = 2
 # double well at N = 4000 GTH is the faster at w = 27 and the slower at w = 40
 GTH_MAX_BAND = 32
 # absorption is solved directly, by _banded_solve, where w^3 <= this times b
-# (w the half-bandwidth among the b updated cells), and iterated otherwise:
+# (w the half-bandwidth among the b transient cells), and iterated otherwise:
 # the direct work grows as b w^2 and the iteration's falls as the band
 # widens; on the double well at eta = 0.33, N = 1000 (w = 102) the direct
 # solve took 3.3 ms and the iteration 3.0 ms, a crossover near 2000 b
@@ -370,11 +370,10 @@ def _entry_rows(matrix) -> np.ndarray:
                      np.diff(matrix.indptr))
 
 
-def _half_bandwidth(rows: np.ndarray, cols: np.ndarray, where=True) -> int:
-    """Largest |column - row| over the entries at (rows, cols) where `where`
-    holds; 0 for none."""
+def _half_bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:
+    """Largest |column - row| over the entries at (rows, cols); 0 for none."""
     offsets = cols - rows
-    return int(np.max(np.abs(offsets, out=offsets), where=where, initial=0))
+    return int(np.max(np.abs(offsets, out=offsets), initial=0))
 
 
 def _gth_eliminate(store: np.ndarray, w: int, pivots: int) -> bool:
@@ -555,66 +554,63 @@ class BasinFunctions:
     partition_defect: float
 
 
-def _renumbered(rows, order: np.ndarray) -> sp.csr_matrix:
-    """rows with their column indices renumbered in place (in the matrix's
-    own index dtype) to their positions in order.  Each row keeps its
-    entries in their stored order, so a product with it sums them in the
-    order of the full matrix's product."""
-    position = np.empty(rows.shape[1], dtype=rows.indices.dtype)
-    position[order] = np.arange(position.size, dtype=position.dtype)
-    rows.indices[:] = position[rows.indices]  # np.take would copy them to intp
-    rows.has_sorted_indices = False
-    return rows
+def _split_rows(rows, transient: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(R, H) of rows, the transient cells' rows (columns in cell order): R
+    their entries in the transient columns, numbered by place in transient,
+    H the rest, columns kept.  Each row keeps its stored order, so H @ v sums
+    as rows @ v does wherever v is 0 on the transient cells."""
+    place = np.full(rows.shape[1], -1, dtype=rows.indices.dtype)
+    place[transient] = np.arange(transient.size, dtype=place.dtype)
+    columns = place[rows.indices]
+    inside = columns >= 0
+    kept = np.concatenate(([0], np.cumsum(inside, dtype=rows.indptr.dtype)))[rows.indptr]
+    return (sp.csr_matrix((rows.data[inside], columns[inside], kept), shape=(transient.size,) * 2),
+            sp.csr_matrix((rows.data[~inside], rows.indices[~inside], rows.indptr - kept),
+                          shape=rows.shape))
 
 
-def _held_step(rows, g: np.ndarray):
-    """_iterate's step g[:, :b] <- rows @ g, b = rows.shape[0] > 0, g[:, b:]
-    held (rows' columns numbered like g's, the b updated cells first), and
-    its sup change.  A call writes into the array given to the call before
-    it, the first call into a copy of g."""
-    b = rows.shape[0]
+def _absorption_step(R, f: np.ndarray):
+    """_iterate's step x <- R x + f on (k, b) arrays, and its sup change.  A
+    call writes into the array given to the call before it, the first call
+    into a fresh one."""
     # reused buffers: allocating fresh ones every step page-faults on 2-d grids
-    spare, change = [g.copy()], np.empty((g.shape[0], b))
+    spare, change = [np.empty_like(f)], np.empty_like(f)
 
-    def step(g):
-        g_next = spare.pop()
-        # one product per rectangle gives the bits of one product on an (N, k) C-order
-        # array and is no slower: in ulam_absorption on a 2-vCPU Xeon (1 thread, best of
-        # 5) equal within noise at 1-d N=4000 and 2-d 300^2, 12% faster at 1-d N=10^4
-        for row, out in zip(g, g_next):
-            out[:b] = rows @ row
-        np.abs(np.subtract(g_next[:, :b], g[:, :b], out=change), out=change)
-        spare.append(g)
-        return g_next, float(change.max())
+    def step(x):
+        x_next = spare.pop()
+        # one product per row gives the bits of one product on a (b, k) array and was no
+        # slower (2-vCPU Xeon, 1 thread: equal at 1-d N=4000, 12% faster at N=10^4)
+        for row, entry, out in zip(x, f, x_next):
+            np.add(R @ row, entry, out=out)
+        np.abs(np.subtract(x_next, x, out=change), out=change)
+        spare.append(x)
+        return x_next, float(change.max())
 
     return step
 
 
-def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
-    """The solution x, (b, k), of (I - R) x = f, R the block of rows (b of
-    them, entry_rows = _entry_rows(rows)) among their first b columns, every
-    entry of which lies within m of the diagonal: block tridiagonal
-    elimination (Golub & Van Loan, Matrix Computations, 4.5) over blocks of
-    m cells, the last padded with identity rows.  Block row i's entries, an
-    m x 3m slab over blocks i - 1, i and i + 1, are gathered by one bincount
-    when the elimination reaches it; one np.linalg.solve of its pivot block
-    D_i = I - R_i,i - R_i,i-1 C_i-1 gives [C_i | z_i] = D_i^-1 [R_i,i+1 | f_i
-    + R_i,i-1 z_i-1], kept as the factor, and back-substitution gives x_i =
-    z_i + C_i x_i+1.  Raises LinAlgError at a singular pivot block."""
-    b, k = f.shape
+def _banded_solve(R, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+    """The solution x, (k, b), of (I - R) x = f, R (b, b) with entry_rows =
+    _entry_rows(R), every entry of which lies within m of the diagonal:
+    block tridiagonal elimination (Golub & Van Loan, Matrix Computations,
+    4.5) over blocks of m cells, the last padded with identity rows.  Block
+    row i's entries, an m x 3m slab over blocks i - 1, i and i + 1, are
+    gathered by one bincount when the elimination reaches it; one
+    np.linalg.solve of its pivot block D_i = I - R_i,i - R_i,i-1 C_i-1 gives
+    [C_i | z_i] = D_i^-1 [R_i,i+1 | f_i + R_i,i-1 z_i-1], kept as the
+    factor, and back-substitution gives x_i = z_i + C_i x_i+1.  Raises
+    LinAlgError at a singular pivot block."""
+    k, b = f.shape
     blocks = -(-b // m)
-    inside = rows.indices < b
-    # each entry's place in its block row's slab; an entry outside the first
-    # b columns goes to one spare slot after it
-    slot = np.where(inside, entry_rows % m * (3 * m) + rows.indices - (entry_rows // m - 1) * m,
-                    3 * m * m)
+    # each entry's place in its block row's slab
+    slot = entry_rows % m * (3 * m) + R.indices - (entry_rows // m - 1) * m
     factor = np.zeros((blocks, m, m + k))
-    factor.reshape(-1, m + k)[:b, m:] = f
+    factor.reshape(-1, m + k)[:b, m:] = f.T
     eye = np.eye(m)
     for i in range(blocks):
-        lo, hi = rows.indptr[i * m], rows.indptr[min(i * m + m, b)]
-        slab = np.bincount(slot[lo:hi], weights=rows.data[lo:hi],
-                           minlength=3 * m * m + 1)[:-1].reshape(m, 3 * m)
+        lo, hi = R.indptr[i * m], R.indptr[min(i * m + m, b)]
+        slab = np.bincount(slot[lo:hi], weights=R.data[lo:hi],
+                           minlength=3 * m * m).reshape(m, 3 * m)
         pivot, rhs = eye - slab[:, m:2 * m], factor[i]
         rhs[:, :m] = slab[:, 2 * m:]
         if i:
@@ -625,67 +621,67 @@ def _banded_solve(rows, entry_rows: np.ndarray, f: np.ndarray, m: int) -> np.nda
     x[-m:] = factor[-1, :, m:]
     for i in range(blocks - 2, -1, -1):
         x[i * m:i * m + m] = factor[i, :, m:] + factor[i, :, :m] @ x[i * m + m:i * m + 2 * m]
-    return x[:b]
+    return x[:b].T
 
 
-def _held_solve(rows, g: np.ndarray, tol: float) -> tuple[np.ndarray, int, float, str]:
-    """(g, steps, residual, solver) of the fixed point of _held_step,
-    g[:, :b] zero on entry, b = rows.shape[0]: the one place an absorption
-    system picks its solver, named as its INFO line names it.  "none" with
-    no updated cells.  "banded (...)" by _banded_solve where its predicted
-    work is below the iteration's, w^3 <= BANDED_WORK_RATIO b (w the
-    half-bandwidth among the b updated cells), and its factor's b (m + k)
-    doubles, m = max(w, BANDED_MIN_BLOCK), are at most BANDED_FILL_RATIO
-    times the rows' non-zeros: 0 steps, values clipped to [0, 1] (the exact
-    ones lie there and the solve subtracts, so no value moves away from
-    them), residual the change of one more step.  Otherwise, and where the
+def _absorption_solve(R, f: np.ndarray, nnz: int,
+                      tol: float) -> tuple[np.ndarray, int, float, str]:
+    """(x, steps, residual, solver) of (I - R) x = f, x and f (k, b): the
+    absorption probabilities of k sets from b transient cells, R the chain
+    among them and f its one-step entry into each set (Kemeny & Snell 1960);
+    the one place an absorption system picks its solver, named as its INFO
+    line names it.  "none" with no transient cell.  "banded (...)" by
+    _banded_solve where w^3 <= BANDED_WORK_RATIO b (w R's half-bandwidth)
+    and its factor's b (m + k) doubles, m = max(w, BANDED_MIN_BLOCK), are at
+    most BANDED_FILL_RATIO times nnz, the transient rows' non-zeros with the
+    held columns: 0 steps, values clipped to [0, 1] (the exact ones lie
+    there), residual the change of one more step.  Otherwise, and where the
     solve fails, is not finite or lands outside [-1e-12, 1 + 1e-12] (a
-    closed class among the updated cells), "iteration (...)": _iterate from g."""
-    b = rows.shape[0]
+    closed class among the transient cells), "iteration (...)": _iterate
+    from 0 on _absorption_step."""
+    k, b = f.shape
     if not b:
-        return g, 0, 0.0, "none"
-    entry_rows = _entry_rows(rows)
-    w = _half_bandwidth(entry_rows, rows.indices, where=rows.indices < b)
+        return f, 0, 0.0, "none"
+    step = _absorption_step(R, f)
+    entry_rows = _entry_rows(R)
+    w = _half_bandwidth(entry_rows, R.indices)
     m = max(w, BANDED_MIN_BLOCK)
-    if w**3 <= BANDED_WORK_RATIO * b and b * (m + len(g)) <= BANDED_FILL_RATIO * rows.nnz:
+    if w**3 <= BANDED_WORK_RATIO * b and b * (m + k) <= BANDED_FILL_RATIO * nnz:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x = _banded_solve(rows, entry_rows, np.column_stack([rows @ row for row in g]), m)
+                x = _banded_solve(R, entry_rows, f, m)
         except np.linalg.LinAlgError:
             x = None
         if x is not None and np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails too
-            g[:, :b] = np.clip(x, 0.0, 1.0).T
-            return g, 0, _held_step(rows, g)(g)[1], f"banded (n={b}, w={w}, m={m})"
-    g, steps, residual = _iterate(_held_step(rows, g), g, tol)
-    return g, steps, residual, f"iteration ({steps} steps)"
+            x = np.clip(x, 0.0, 1.0)
+            return x, 0, step(x)[1], f"banded (n={b}, w={w}, m={m})"
+    x, steps, residual = _iterate(step, np.zeros_like(f), tol)
+    return x, steps, residual, f"iteration ({steps} steps)"
 
 
 def _indicator_absorption(rows, blocks: MetricConfig,
                           tol: float) -> tuple[np.ndarray, int, float, str]:
     """(values, steps, residual, solver) of the absorption probabilities of
-    a cell chain whose rows at cells are rows(cells) (columns in cell order,
-    renumbered in place), the solver as its INFO line names it.  With one
-    rectangle every path is absorbed by it, so its values are ones and
-    nothing is solved or read ("ones"): over a metastable transient well the
-    iteration stalls or stops far below 1.  Otherwise the transient cells B
-    are numbered first, then each rectangle's cells in rectangle order, and
-    _held_solve solves (I - M_BB) g_B = M_{B,T_m} 1 from the rectangles'
-    indicators, the absorbing cells held at them: absorption there is
-    certain, even where a coarse grid lets a block's rows leak."""
-    order = np.concatenate((blocks.transient_cells,) + blocks.rectangle_cells)
-    if len(blocks.rectangle_cells) == 1:
-        return np.ones((1, order.size), order="F"), 0, 0.0, "ones"
-    g = np.zeros((len(blocks.rectangle_cells), order.size))
-    end = blocks.transient_cells.size
-    for m, cells in enumerate(blocks.rectangle_cells):
-        g[m, end:end + cells.size] = 1.0
-        end += cells.size
-    rows = _renumbered(rows(blocks.transient_cells), order)
-    g, steps, residual, solver = _held_solve(rows, g, tol)
+    a cell chain whose rows at cells are rows(cells) (columns in cell
+    order), the solver as its INFO line names it.  With one rectangle every
+    path is absorbed by it, so its values are ones and nothing is solved or
+    read ("ones"): over a metastable transient well the iteration stalls or
+    stops far below 1.  Otherwise _absorption_solve solves (I - M_BB) g_B =
+    M_{B,T_m} 1 on the transient cells B from the rectangles' indicators:
+    absorption there is certain, even where a coarse grid lets a block leak."""
+    transient, k = blocks.transient_cells, len(blocks.rectangle_cells)
     # in the layout of (M @ g.T).T: BLAS sums values @ w in layout order, so
     # this keeps the last bits of the mixture coefficients
-    values = np.empty(g.shape, order="F")
-    values[:, order] = g
+    values = np.zeros((k, transient.size + sum(map(np.size, blocks.rectangle_cells))), order="F")
+    if k == 1:
+        values[:] = 1.0
+        return values, 0, 0.0, "ones"
+    for m, cells in enumerate(blocks.rectangle_cells):
+        values[m, cells] = 1.0
+    R, H = _split_rows(rows(transient), transient)
+    x, steps, residual, solver = _absorption_solve(R, np.stack([H @ g for g in values]),
+                                                   R.nnz + H.nnz, tol)
+    values[:, transient] = x
     return values, steps, residual, solver
 
 
@@ -705,9 +701,9 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
     in a block, and g1_a(x1) or 0 where x2 is; with one rectangle on an
     axis, on every cell.  And sum_b g_(a, b) = g1_a, sum_a g_(a, b) = g2_b
     (marginals).  So on the n cells transient on both axes only g_(a, b)
-    with a < k1 - 1, b < k2 - 1 is solved, from 0 with the face values
-    held, by _held_solve on their rows (op.rows, assembled only then), and
-    the rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
+    with a < k1 - 1, b < k2 - 1 is solved, by _absorption_solve on their
+    rows (op.rows, assembled only then) with the face values held, and the
+    rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
     g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
     clipped to [0, 1], which holds their exact values: the derived ones
     subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
@@ -725,9 +721,9 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
     n = np.count_nonzero(joint)
     k1, k2 = (len(config.rectangle_cells) for _, config in axes)
     solved = [a * k2 + c for a in range(k1 - 1) for c in range(k2 - 1)] if n else []
-    if solved:  # assembled first, so that the face values do not sit beside its peak
-        order = np.concatenate((np.flatnonzero(joint), np.flatnonzero(~joint)))
-        rows = _renumbered(op.rows([np.flatnonzero(t) for t in transient]), order)
+    if solved:  # assembled and split first, so that the face values do not sit beside the peak
+        cells = np.flatnonzero(joint)
+        R, H = _split_rows(op.rows([np.flatnonzero(t) for t in transient]), cells)
     (g1, steps1, residual1, solver1), (g2, steps2, residual2, solver2) = [
         _indicator_absorption(chain.__getitem__, config, tol) for chain, config in axes]
     iterations, residual = steps1 + steps2, max(residual1, residual2)
@@ -738,16 +734,16 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
     values = faces.reshape(op.grid.ncells, k1 * k2).T
     joint_solver = "none"
     if solved:
-        g = np.zeros((len(solved), op.grid.ncells))
-        g[:, n:] = values[np.ix_(solved, order[n:])]
-        g, steps, joint_residual, joint_solver = _held_solve(rows, g, tol)
+        f, nnz = np.stack([H @ values[s] for s in solved]), R.nnz + H.nnz
+        del H  # kept through the solve, it raised basin_functions' traced peak at 1000^2 by 11%
+        x, steps, joint_residual, joint_solver = _absorption_solve(R, f, nnz, tol)
         iterations, residual = iterations + steps, max(residual, joint_residual)
-        x1, x2 = np.unravel_index(order[:n], op.grid.shape)
+        x1, x2 = np.unravel_index(cells, op.grid.shape)
         joint = np.empty((k1, k2, n))
-        joint[:-1, :-1] = g[:, :n].reshape(k1 - 1, k2 - 1, n)
+        joint[:-1, :-1] = x.reshape(k1 - 1, k2 - 1, n)
         joint[:-1, -1] = g1[:-1, x1] - joint[:-1, :-1].sum(axis=1)
         joint[-1] = g2[:, x2] - joint[:-1].sum(axis=0)
-        values[:, order[:n]] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
+        values[:, cells] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
     return values, iterations, residual, (f"faces (axis solvers {solvers}, joint n={n}, "
                                           f"{len(solved)} of {k1 * k2} solved: {joint_solver})")
 
@@ -776,8 +772,8 @@ def basin_functions(fam: MapFamily, grid: Grid, tol: float | None = None) -> Bas
     function-side matrix, by faces in two dimensions where the axes' blocks
     are closed (the dual's always are: _interp_factor_1d keeps them so), by
     one banded solve where the transient band is narrow (iterations 0,
-    values clipped to [0, 1]), and otherwise by the indicator iteration run
-    to tol (BASIN_TOL by default); see _absorption.  The residual is the sup
+    values clipped to [0, 1]), and otherwise by the iteration x <- R x + f
+    run to tol (BASIN_TOL by default); see _absorption.  The residual is the sup
     change one more step of the iteration would make, not an error bound.
     In two dimensions the faces read only the axes' marginals and a product
     set of rows, and only those are assembled; the whole dual is assembled
@@ -818,7 +814,7 @@ def ulam_absorption(op: SeparableOperator, blocks: MetricConfig) -> BasinFunctio
 
     Solved as in basin_functions, on the Ulam matrix: by faces in two
     dimensions where the blocks are closed, by one banded solve where the
-    transient band is narrow, otherwise by the indicator iteration, whose
+    transient band is narrow, otherwise by the iteration x <- R x + f, whose
     k-th iterate is the probability of entering each rectangle within k
     steps, run to ULAM_ABSORPTION_TOL.  The residual is the sup change one
     more step of that iteration would make at the result, not an error

@@ -1,16 +1,16 @@
 """Independent oracles used to pin expected values: closed-form cubic roots,
 dense sign scans, exhaustive path enumeration, brute-force set distances,
-direct sparse solves, axis chains lumped from slabs of the whole matrix,
-dense stationary solves in extended precision, per-cell Ulam factors and
-cell labels, the whole-point sampler step and escape walk, the per-row grid
-CSV writer, and the zero-padded composite distance.  Everything here
-deliberately avoids the package's own algorithms, except
-per_step_decay_log and masked_reset_absorption, which keep the
-measure-by-measure loop the limit mixtures' log once ran and the
-full-matrix loop the absorption kernel once ran, held_system and
-held_absorption, the absorption iteration alone that the direct solves are
-checked against, and scalar_bisect and scalar_real_roots, which keep root
-isolation's unmemoized recursion and its bisection through
+direct sparse solves, the absorption system iterated on its own, axis
+chains lumped from slabs of the whole matrix, dense stationary solves in
+extended precision, per-cell Ulam factors and cell labels, the whole-point
+sampler step and escape walk, the per-row grid CSV writer, and the
+zero-padded composite distance.  Everything here deliberately avoids the
+package's own algorithms, except per_step_decay_log and
+masked_reset_absorption, which keep the measure-by-measure loop the limit
+mixtures' log once ran and the full-matrix loop the absorption kernel once
+ran, held_absorption, the absorption iteration alone that the direct
+solves are checked against, and scalar_bisect and scalar_real_roots, which
+keep root isolation's unmemoized recursion and its bisection through
 Polynomial.__call__, to pin their bits."""
 
 from __future__ import annotations
@@ -360,33 +360,52 @@ def masked_reset_absorption(matrix, grid, blocks, tol: float):
     raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")
 
 
-def held_system(rows, blocks):
-    """(held rows, indicators, position) of the absorption system of a
-    chain's transient rows, columns in cell order: each cell's position
-    numbers the transient cells first, then each rectangle's cells in
-    rectangle order; the held rows are rows with their columns renumbered
-    to it, each row's entries in their stored order, and the indicators
-    hold one row per rectangle in that numbering."""
-    position = np.argsort(np.concatenate((blocks.transient_cells, *blocks.rectangle_cells)))
-    held = sp.csr_matrix((rows.data, position[rows.indices], rows.indptr), shape=rows.shape)
-    g = np.zeros((len(blocks.rectangle_cells), rows.shape[1]))
+def absorption_system(rows, blocks):
+    """(R, f) of the absorption system of a chain's rows at the transient
+    cells, columns in cell order: R = rows[:, transient cells], and f holds
+    one row per rectangle, rows times the rectangle's indicator."""
+    indicators = np.zeros((len(blocks.rectangle_cells), rows.shape[1]))
     for m, cells in enumerate(blocks.rectangle_cells):
-        g[m, position[cells]] = 1.0
-    return held, g, position
+        indicators[m, cells] = 1.0
+    return rows[:, blocks.transient_cells], np.stack([rows @ g for g in indicators])
 
 
-def held_absorption(rows, grid, blocks, tol: float):
-    """BasinFunctions of transfer._held_step iterated by transfer._iterate on
-    held_system(rows, blocks), with no banded solve and no one-rectangle
-    shortcut, the values back in cell order and Fortran-ordered; nothing is
-    iterated with no transient cells."""
-    held, g, position = held_system(rows, blocks)
-    g, steps, residual = (transfer._iterate(transfer._held_step(held, g), g, tol)
-                          if rows.shape[0] else (g, 0, 0.0))
-    values = np.asfortranarray(g[:, position])
+def _absorption_values(blocks, x, steps: int, residual: float, grid):
+    """BasinFunctions with x on the transient cells and the rectangles'
+    indicators on their cells, Fortran-ordered."""
+    values = np.zeros((len(blocks.rectangle_cells), grid.ncells), order="F")
+    for m, cells in enumerate(blocks.rectangle_cells):
+        values[m, cells] = 1.0
+    values[:, blocks.transient_cells] = x
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
                                    residual=residual, partition_defect=defect)
+
+
+def held_absorption(rows, grid, blocks, tol: float):
+    """BasinFunctions of transfer._absorption_step iterated from 0 by
+    transfer._iterate on absorption_system(rows, blocks), with no banded
+    solve and no one-rectangle shortcut; nothing is iterated with no
+    transient cells."""
+    r, f = absorption_system(rows, blocks)
+    x, steps, residual = (transfer._iterate(transfer._absorption_step(r, f), np.zeros_like(f), tol)
+                          if f.shape[1] else (f, 0, 0.0))
+    return _absorption_values(blocks, x, steps, residual, grid)
+
+
+def transient_block_absorption(matrix, grid, blocks, tol: float):
+    """BasinFunctions of the absorption system built from the whole matrix,
+    R = M[B][:, B] and f = M[B] @ indicators on the transient cells B,
+    iterated as x <- R @ x + f from 0 until a step changes no value by tol."""
+    r, f = absorption_system(sp.csr_matrix(matrix)[blocks.transient_cells], blocks)
+    x = np.zeros_like(f)
+    for it in range(1, transfer.DEFAULT_MAX_ITER + 1):
+        x_next = np.stack([r @ row + entry for row, entry in zip(x, f)])
+        residual = float(np.max(np.abs(x_next - x), initial=0.0))
+        x = x_next
+        if residual < tol:
+            return _absorption_values(blocks, x, it, residual, grid)
+    raise AssertionError(f"no convergence in {transfer.DEFAULT_MAX_ITER} iterations")
 
 
 def scalar_bisect(p, lo: float, hi: float, s_lo: float) -> float:

@@ -1,8 +1,8 @@
 """tools/bench_pairs: per-metric quartiles and pair wins (summarize), the
 operation medians read off perfbench's output (parse_run), the exit status
 that names failed runs, each tree's source line count and the output files
-that differ between the trees (main, with perfbench and git stood in
-for)."""
+that differ between the trees, with how far their numbers moved (main, with
+perfbench and git stood in for)."""
 
 import importlib.util
 import json
@@ -145,7 +145,7 @@ def test_the_record_names_the_outputs_that_differ(tmp_path, monkeypatch, capsys)
     # writes are named, and the exit status stays 0
     runs = []
 
-    def outputs(tree, workload, seed):
+    def outputs(tree, workload, seed, keep):
         runs.append((os.path.basename(tree), workload, seed))
         digests = {"a.csv": "1", "b.csv": "2", "gone.csv": "3"}
         if os.path.basename(tree) == "work" and workload == "wl":
@@ -173,3 +173,40 @@ def test_the_record_names_the_outputs_that_differ(tmp_path, monkeypatch, capsys)
     assert [line for line in err if "outputs differ" in line] == [
         "wl outputs differ: op/b.csv", "wl outputs differ: op/gone.csv",
         "wl outputs differ: op/new.csv"]
+
+
+def test_the_record_says_how_far_each_differing_output_moved(tmp_path, monkeypatch):
+    # grid CSVs align on their coordinates, a row one side lacks reading as
+    # 0; other files compare their numbers where the text around them is
+    # the same; a file one side lacks is named as such
+    files = {
+        "base": {"basin_0.csv": "x,value\n0.5,0.25\n1.5,1e-16\n2.5,1\n",
+                 "basins.json": '{"residual": 8.1e-12, "iterations": 57}\n',
+                 "notes.txt": "steps 57\n", "gone.csv": "x\n"},
+        "change": {"basin_0.csv": "x,value\n0.5,0.25\n2.5,0.9999999999999998\n3.5,3e-16\n",
+                   "basins.json": '{"residual": 8.2e-12, "iterations": 57}\n',
+                   "notes.txt": "step 57\n", "new.csv": "x\n"},
+    }
+
+    def outputs(tree, workload, seed, keep):
+        side = "base" if os.path.basename(tree) == "base" else "change"
+        os.makedirs(os.path.join(keep, "op"))
+        for name, text in files[side].items():
+            with open(os.path.join(keep, "op", name), "w") as fh:
+                fh.write(text)
+        return {"op": {"digests": {name: text for name, text in files[side].items()},
+                       "problems": []}}
+
+    monkeypatch.setattr(bench_pairs, "outputs", outputs)
+    monkeypatch.setattr(bench_pairs, "bench", lambda *args: {
+        "correct": True, "failed": 0, "metrics": {"wall_ref_s": {"value": 1.0}}})
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc")
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "wl=2"]) == 0
+    moved = json.loads(out.read_text())["workloads"]["wl"]["outputs"]["max_abs_diff"]
+    assert moved == {"op/basin_0.csv": 3e-16, "op/basins.json": pytest.approx(1e-13),
+                     "op/gone.csv": "missing in change", "op/new.csv": "missing in base",
+                     "op/notes.txt": "layout differs"}

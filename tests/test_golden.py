@@ -52,6 +52,9 @@ CASES = {
     # dense grids stop at two dimensions: invariant refuses, sample histograms
     "invariant-3d": (CUBE_CONFIG, ["invariant", "--grid", "32"]),
     "basins-1d": (DW_CONFIG, ["basins", "--grid", "500"]),
+    # basins-1d takes the banded solve (n=272, w=51); at 1000 cells it
+    # iterates (93 steps)
+    "basins-1d-iterated": (DW_CONFIG, ["basins", "--grid", "1000"]),
     "basins-2d": (MIXED_CONFIG, ["basins", "--grid", "60"]),
     "basins-2d-product": (PRODUCT_CONFIG, ["basins", "--grid", "40"]),
     "sample-1d": (DW_CONFIG, ["sample", "--grid", "200", "--steps", "20000", "--seed", "3",
@@ -116,6 +119,15 @@ GOLDEN = {
         },
         "stderr": ""
     },
+    "basins-1d-iterated": {
+        "exit": 0,
+        "files": {
+            "basin_0.csv": "0a6df15a0e411990b20c35e8888268482d225838ab53bb58ab1e1ce3e1aa4cfe",
+            "basin_1.csv": "633e1e4edc4e934a2c4e481e725aecbe84cc65a5cf144ca6a4982cb7eeb54d47",
+            "basins.json": "ba8b6000c0c2b2c69208ecfc264194f804db6dbfea6a84422c56b0436613ef63"
+        },
+        "stderr": ""
+    },
     "basins-2d": {
         "exit": 0,
         "files": {
@@ -128,11 +140,11 @@ GOLDEN = {
     "basins-2d-product": {
         "exit": 0,
         "files": {
-            "basin_0.csv": "feb81027bfc02ade5f8566b7ffeed11081fc1f7495f1de2eed13dfba5e07acc2",
-            "basin_1.csv": "3938042d3bcf22bd45a36d3617567b6f0e2b75d3ec81450f173c7f788104a61d",
-            "basin_2.csv": "7226be1fee347e98654b9292f2935f46dc18166d14bd6cc3cb6b9b23957d5754",
-            "basin_3.csv": "8aee208574f8bdca76ccb92ebad9b38a306cab179c622fb330883141d75d8da8",
-            "basins.json": "a0c1e5326b6b700b1e24e00b92499f8f63a35301b10b11afafa139210a4daae3"
+            "basin_0.csv": "b9e7c4571409baa41ce3e461bb67b8890e0d1b0c6120732210b41ef73c181782",
+            "basin_1.csv": "d377fd52a5574f66ab4e5d6715030807afeaf9a1e361a424150dcb6430be802d",
+            "basin_2.csv": "de903d9eb21aac8901abdf7fd36285467a40c7a705df495d58e08d0242f387e9",
+            "basin_3.csv": "d814c36fd85ed8592374c94872d940def2ccbbd98086f5bac944711184b55d1a",
+            "basins.json": "014217b133b28cc26b40a4d4dddda53ce9bc9f5b8c2dfec4fdabb86fb3568778"
         },
         "stderr": ""
     },

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    absorption_system,
     brute_force_anchored_distance,
     classify_cells,
     direct_absorption,
@@ -67,11 +68,10 @@ def _transient_rows(matrix, config):
 
 
 def _transient_absorption(rows, grid, config, tol):
-    """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
-    of rows, the chain's rows at the transient cells (it renumbers their
-    columns in place)."""
+    """(BasinFunctions, solver) of transfer._indicator_absorption on rows,
+    the chain's rows at the transient cells."""
     values, steps, residual, solver = transfer._indicator_absorption(
-        lambda cells: rows.copy(), config, tol)
+        lambda cells: rows, config, tol)
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
                                    residual=residual, partition_defect=defect), solver
@@ -452,6 +452,29 @@ def test_gth_matches_the_tight_iteration(problem):
             gap = gth.values - tight.values
             assert gap.min() >= -1e-14
             assert np.all(gap <= 1.0 - tight.values.sum(axis=0) + 1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_the_absorption_iterate_rises_at_every_step(problem):
+    # R >= 0 and f >= 0, and rounding is monotone, so every step of x <- R x
+    # + f from 0 is elementwise at least the one before, exactly, and the
+    # iterate's sums over the rectangles stay within rounding of 1: the
+    # converged iterate bounds the absorption probabilities from below
+    fam, decomp, grid = problem
+    _labels(grid, decomp)
+    config = metric_config(grid, decomp)
+    for matrix in (ulam_assemble(fam, grid).matrix, dual_operator(fam, grid)):
+        r, f = absorption_system(_transient_rows(matrix, config), config)
+        assert np.all(r.data >= 0.0) and np.all(f >= 0.0)
+        step, x, change = transfer._absorption_step(r, f), np.zeros_like(f), np.inf
+        for _ in range(2000 if f.size else 0):
+            x_next, change = step(x)
+            assert np.all(x_next >= x)
+            assert np.all(x_next.sum(axis=0) <= 1.0 + 1e-15)
+            x = x_next
+            if change < 1e-15:
+                break
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)

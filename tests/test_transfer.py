@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
+    absorption_system,
     classify_cells,
     direct_absorption,
     double_well_roots,
     held_absorption,
-    held_system,
     lumped_axis_chain,
     masked_reset_absorption,
     overlap_factor_1d,
     per_step_decay_log,
+    transient_block_absorption,
 )
 
 import sgdmc
@@ -62,11 +63,10 @@ def _transient_rows(matrix, blocks) -> sp.csr_matrix:
 
 
 def _transient_absorption(rows, grid: Grid, blocks, tol: float):
-    """(BasinFunctions, solver) of transfer._indicator_absorption on a copy
-    of rows, the chain's rows at the transient cells (it renumbers their
-    columns in place)."""
+    """(BasinFunctions, solver) of transfer._indicator_absorption on rows,
+    the chain's rows at the transient cells."""
     values, steps, residual, solver = transfer._indicator_absorption(
-        lambda cells: rows.copy(), blocks, tol)
+        lambda cells: rows, blocks, tol)
     defect = float(np.max(np.abs(values.sum(axis=0) - 1.0)))
     return transfer.BasinFunctions(grid=grid, values=values, iterations=steps,
                                    residual=residual, partition_defect=defect), solver
@@ -399,24 +399,26 @@ def test_ulam_absorption_matches_direct_solve(obj, eta, n, leaky):
 
 
 def test_absorption_iteration_matches_multi_vector_product(dw038_setup):
-    # one single-vector product of the transient rows per rectangle gives
-    # the bits of one multi-vector product of every row with the absorbing
-    # cells reset to their indicators, iterated to convergence
+    # one single-vector product of R per rectangle gives the bits of one
+    # multi-vector product x <- R x + f on a (b, k) array, iterated to
+    # convergence
     _, _, decomp, fam, grid, _ = dw038_setup
     matrix = dual_operator(fam, grid).matrix
     labels = grid.classify(decomp)
     config = metric_config(grid, decomp)
-    basins = held_absorption(_transient_rows(matrix, config), grid, config, 1e-11)
-    indicators = np.stack([(labels == m).astype(float) for m in range(2)])
-    g = indicators
+    rows = _transient_rows(matrix, config)
+    basins = held_absorption(rows, grid, config, 1e-11)
+    r, f = absorption_system(rows, config)
+    x = np.zeros(f.shape[::-1])
     for _ in range(basins.iterations):
-        g = (matrix @ g.T).T
-        np.copyto(g, indicators, where=labels >= 0)
+        x = r @ x + f.T
+    g = np.stack([(labels == m).astype(float) for m in range(2)])
+    g[:, config.transient_cells] = x.T
     assert basins.iterations > 1
     assert basins.values.tobytes() == g.tobytes()
     # the same layout too, so BLAS products with the values keep their bits
     w = DiscreteMeasure.uniform(grid).weights
-    assert (basins.values @ w).tobytes() == (g @ w).tobytes()
+    assert (basins.values @ w).tobytes() == (np.asfortranarray(g) @ w).tobytes()
 
 
 # the direct solve's shapes: w^3 <= BANDED_WORK_RATIO b, w the half-bandwidth
@@ -604,9 +606,11 @@ def _product_double_well():
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, transient,
                                                        kernel):
-    # the transient-rows kernel gives the bits, layout and counts of the loop
-    # over every row with the absorbing cells reset after each product; one
-    # rectangle absorbs every path, so its values are exact ones, not iterated
+    # the kernel gives the bits, layout and counts of x <- R x + f built from
+    # the whole matrix, and within rounding the values and the counts of the
+    # loop over every row with the absorbing cells reset after each product;
+    # one rectangle absorbs every path, so its values are exact ones, not
+    # iterated
     fam = MapFamily(obj, eta)
     decomp = decompose(obj, eta)
     grid = Grid.regular(decomp.intervals, n)
@@ -632,11 +636,14 @@ def test_absorption_kernel_matches_masked_reset_oracle(obj, eta, n, rectangles, 
         assert got.values.tobytes() == np.ones((1, grid.ncells)).tobytes()
         assert (got.iterations, got.residual, got.partition_defect) == (0, 0.0, 0.0)
         return
-    want = masked_reset_absorption(matrix, grid, config, tol)
+    want = transient_block_absorption(matrix, grid, config, tol)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.values.strides == want.values.strides
     assert (got.iterations, got.residual, got.partition_defect) == (
         want.iterations, want.residual, want.partition_defect)
+    reset = masked_reset_absorption(matrix, grid, config, tol)
+    assert np.max(np.abs(got.values - reset.values)) <= 1e-15
+    assert got.iterations == reset.iterations
 
 
 # one rectangle beside a metastable transient well, where every absorption
@@ -1023,29 +1030,29 @@ def _axis_absorption(fam, grid: Grid, j: int, kernel: str) -> np.ndarray:
 
 
 def _recorded_solves(monkeypatch) -> list:
-    """(steps, residual, solver) of every _held_solve call from now on, in
-    call order."""
-    solves, held_solve = [], transfer._held_solve
+    """(steps, residual, solver) of every _absorption_solve call from now on,
+    in call order."""
+    solves, absorption_solve = [], transfer._absorption_solve
 
     def record(*args):
-        g, steps, residual, solver = held_solve(*args)
+        x, steps, residual, solver = absorption_solve(*args)
         solves.append((steps, residual, solver))
-        return g, steps, residual, solver
+        return x, steps, residual, solver
 
-    monkeypatch.setattr(transfer, "_held_solve", record)
+    monkeypatch.setattr(transfer, "_absorption_solve", record)
     return solves
 
 
-def _recorded_renumbers(monkeypatch) -> list:
-    """The shape of every _renumbered result from now on, in call order."""
-    shapes, renumbered = [], transfer._renumbered
+def _recorded_splits(monkeypatch) -> list:
+    """The shape of the rows of every _split_rows call from now on, in call
+    order."""
+    shapes, split_rows = [], transfer._split_rows
 
-    def record(*args):
-        rows = renumbered(*args)
+    def record(rows, transient):
         shapes.append(rows.shape)
-        return rows
+        return split_rows(rows, transient)
 
-    monkeypatch.setattr(transfer, "_renumbered", record)
+    monkeypatch.setattr(transfer, "_split_rows", record)
     return shapes
 
 
@@ -1069,14 +1076,14 @@ def test_face_absorption_matches_the_joint_kernel(monkeypatch, caplog, kernel, n
         solve, matrix, tol, bound = partial(basin_functions, fam, grid), \
             dual_operator(fam, grid).matrix, BASIN_TOL, 1e-10
     assert _axis_leakage(matrix, grid, config) <= transfer.LEAKAGE_WARN
-    renumbered = _recorded_renumbers(monkeypatch)
+    split = _recorded_splits(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
     [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
     joint = np.logical_and.outer(*(labels < 0 for labels in config.axis_labels))
-    # the rows of the cells transient on both axes, renumbered once
-    assert renumbered.count((joint.sum(), grid.ncells)) == 1
+    # the rows of the cells transient on both axes, split once
+    assert split.count((joint.sum(), grid.ncells)) == 1
     assert found.groups()[:2] == ("banded", "banded")
     assert found.groups()[3:5] == ("1", "4")
     assert (int(found[3]), int(found[7])) == (joint.sum(), got.iterations)
@@ -1132,8 +1139,8 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     # rectangle (a) is the other axis's interval a and its function is that
     # axis's 1-d absorption probability on every cell; the cells transient
     # on both axes take it with no joint solve ("none"), at 0 steps, and
-    # their rows are not renumbered, nor are the one-rectangle axis's: only
-    # the other axis's transient rows are
+    # their rows are not split, nor are the one-rectangle axis's: only the
+    # other axis's transient rows are
     one = lambda_split(Polynomial([0.0, 0.3, -0.5, 0.0, 0.25]), 0.5).components[0]
     components = [double_well(0.38).components[0]] * 2
     components[single] = one
@@ -1148,10 +1155,10 @@ def test_one_rectangle_axis_leaves_nothing_to_solve(monkeypatch, caplog, kernel,
     else:
         solve = partial(basin_functions, fam, grid)
     solves = _recorded_solves(monkeypatch)
-    renumbered = _recorded_renumbers(monkeypatch)
+    split = _recorded_splits(monkeypatch)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         got = solve()
-    assert renumbered == [(np.count_nonzero(labels < 0), len(labels))
+    assert split == [(np.count_nonzero(labels < 0), len(labels))
                           for labels in config.axis_labels if labels.max() > 0]
     [record] = _solver_records(caplog)
     found = re.fullmatch(FACES, record.getMessage())
@@ -1198,8 +1205,8 @@ def test_leaky_axes_keep_the_joint_path(monkeypatch, caplog, n, solver):
     # on these coarse grids the Ulam chain's absorbing blocks leak on an axis
     # (1.2e-2 and 6.5e-3 of a row's mass per step), so the faces do not hold:
     # ulam_absorption solves over every transient cell, by the banded solve
-    # or, with it declined, by the held iteration (the bits of the
-    # masked-reset loop)
+    # or, with it declined, by the iteration (the bits of x <- R x + f built
+    # from the whole matrix, and the masked-reset loop's counts)
     if solver == "iteration":
         monkeypatch.setattr(transfer, "BANDED_WORK_RATIO", 0)
     fam = MapFamily(_double_well_product(2), 0.33)
@@ -1212,9 +1219,11 @@ def test_leaky_axes_keep_the_joint_path(monkeypatch, caplog, n, solver):
     [record] = caplog.records
     assert record.getMessage().startswith(f"ulam_absorption: {solver} (")
     if solver == "iteration":
-        want = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
+        want = transient_block_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.iterations == want.iterations
+        reset = masked_reset_absorption(op.matrix, grid, config, ULAM_ABSORPTION_TOL)
+        assert np.max(np.abs(got.values - reset.values)) <= 1e-15
+        assert got.iterations == want.iterations == reset.iterations
     else:
         want = direct_absorption(op.matrix, grid.classify(fam.decomposition),
                                  len(config.rectangle_cells))
@@ -1275,9 +1284,10 @@ def _closed_class_chain(closed: str) -> sp.csr_matrix:
     return sp.csr_matrix(p)
 
 
-def _declines_the_banded_solve(monkeypatch, rows, g, tol):
-    """_held_solve on (rows, g) hands g, unchanged, to _iterate, names the
-    iteration and returns the bits of the held step iterated from g."""
+def _declines_the_banded_solve(monkeypatch, rows, blocks, tol):
+    """_absorption_solve on the absorption system of the transient rows
+    hands 0 to _iterate, names the iteration and returns the bits of its
+    step iterated from 0."""
     handed, iterate = [], transfer._iterate
 
     def record(step, x, tol):
@@ -1285,10 +1295,11 @@ def _declines_the_banded_solve(monkeypatch, rows, g, tol):
         return iterate(step, x, tol)
 
     monkeypatch.setattr(transfer, "_iterate", record)
-    got, steps, residual, solver = transfer._held_solve(rows, g.copy(), tol)
-    start = g.copy()
-    want, want_steps, want_residual = iterate(transfer._held_step(rows, start), start, tol)
-    assert [h.tobytes() for h in handed] == [g.tobytes()]
+    r, f = absorption_system(rows, blocks)
+    got, steps, residual, solver = transfer._absorption_solve(r, f, rows.nnz, tol)
+    want, want_steps, want_residual = iterate(transfer._absorption_step(r, f),
+                                              np.zeros_like(f), tol)
+    assert [h.tobytes() for h in handed] == [np.zeros_like(f).tobytes()]
     assert solver == f"iteration ({steps} steps)"
     assert got.tobytes() == want.tobytes() and (steps, residual) == (want_steps, want_residual)
 
@@ -1296,19 +1307,35 @@ def _declines_the_banded_solve(monkeypatch, rows, g, tol):
 @pytest.mark.parametrize("closed", ["two-cycle", "trap"])
 def test_closed_class_falls_back_to_the_iteration(monkeypatch, closed):
     # I - R on the transient cells is singular: the banded solve declines,
-    # leaving g as it was, and the held iteration finds the values, 0 on
-    # the closed class, which nothing leaves
+    # and the iteration finds the values, 0 on the closed class, which
+    # nothing leaves
     labels = np.array([0, -1, -1, -1, -1, 1])
     blocks = label_blocks(labels, 2, labels.shape, (labels,))
     grid = Grid.regular([(0.0, 1.0)], labels.size)
     rows = _transient_rows(_closed_class_chain(closed), blocks)
-    held, g, _ = held_system(rows, blocks)
     with monkeypatch.context() as patch:
-        _declines_the_banded_solve(patch, held, g, BASIN_TOL)
+        _declines_the_banded_solve(patch, rows, blocks, BASIN_TOL)
     got, solver = _transient_absorption(rows, grid, blocks, BASIN_TOL)
     assert solver.startswith("iteration (")
     expected = np.array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 1.0]])
     assert got.values.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("closed", ["two-cycle", "trap"])
+def test_the_absorption_iterate_rises_beside_a_closed_class(closed):
+    # every step of x <- R x + f from 0 is elementwise at least the one
+    # before, exactly, and the closed class, which nothing leaves, keeps its
+    # partition defect of 1 on every step
+    labels = np.array([0, -1, -1, -1, -1, 1])
+    blocks = label_blocks(labels, 2, labels.shape, (labels,))
+    r, f = absorption_system(_transient_rows(_closed_class_chain(closed), blocks), blocks)
+    step, x = transfer._absorption_step(r, f), np.zeros_like(f)
+    for _ in range(50):
+        x_next, _ = step(x)
+        assert np.all(x_next >= x) and np.all(x_next.sum(axis=0) <= 1.0 + 1e-15)
+        # cells 2 and 3, the closed class, are the second and third transient cells
+        assert np.all(1.0 - x_next[:, 1:3].sum(axis=0) == 1.0)
+        x = x_next
 
 
 @pytest.mark.parametrize("n,blocks", [(30_000, [100]), (40_000, [])])
@@ -1324,13 +1351,12 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
     rows = _transient_rows(dual_operator(fam, grid).matrix, config)
     tried = []
 
-    def stub(rows, entry_rows, f, m):
+    def stub(r, entry_rows, f, m):
         tried.append(m)
         raise np.linalg.LinAlgError
 
     monkeypatch.setattr(transfer, "_banded_solve", stub)
-    held, g, _ = held_system(rows, config)
-    _declines_the_banded_solve(monkeypatch, held, g, np.inf)
+    _declines_the_banded_solve(monkeypatch, rows, config, np.inf)
     assert tried == blocks
 
 
@@ -1338,7 +1364,7 @@ def test_banded_rule_bounds_the_factor(monkeypatch, n, blocks):
 def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, caplog):
     # a nearly singular I - R can solve without LinAlgError and land off
     # [0, 1] by more than rounding, or not finite: the values are declined,
-    # g is left as it was, and the absorption iterates
+    # and the absorption iterates from 0
     fam = MapFamily(double_well(0.38), 0.01)
     grid = Grid.regular(fam.intervals, 200)
     config = metric_config(grid, fam.decomposition)
@@ -1351,9 +1377,8 @@ def test_banded_values_off_the_unit_interval_are_declined(monkeypatch, bad, capl
         return x
 
     monkeypatch.setattr(transfer, "_banded_solve", off)
-    held, g, _ = held_system(rows, config)
     with monkeypatch.context() as patch:
-        _declines_the_banded_solve(patch, held, g, BASIN_TOL)
+        _declines_the_banded_solve(patch, rows, config, BASIN_TOL)
     with caplog.at_level(logging.INFO, logger="sgdmc.transfer"):
         assert basin_functions(fam, grid).iterations > 0
     assert _solver_records(caplog)[-1].getMessage().startswith("basin_functions: iteration (")

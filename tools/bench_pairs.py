@@ -24,9 +24,11 @@ record also keeps each tree's line count of ``src/sgdmc/*.py`` under
 timings. Before the timed pairs, each tree runs every operation of each
 workload once, untimed, with its own ``perfbench/run.py`` and
 ``perfbench/checks.py``; the record keeps, per workload under ``outputs``,
-both sides' digests of each operation's output files, their problems, and
+both sides' digests of each operation's output files, their problems,
 under ``differ`` the ``<op>/<file>`` names whose bytes differ between the
-sides, which are also named on stderr. The exit status is 1, after the
+sides, which are also named on stderr, and under ``max_abs_diff`` how far
+each of those files moved: the largest absolute difference of its numbers
+(see ``max_abs_diff``). The exit status is 1, after the
 output is written, when any timed run is incorrect or has failed
 operations; each such run is named on stderr. Differing outputs leave it
 as it is: a change may declare them.
@@ -95,10 +97,11 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 # run from a tree's root: each operation of the workload argv[1] once, seed
-# argv[2], untimed, through the tree's own perfbench; prints one JSON line,
+# argv[2], untimed, through the tree's own perfbench; copies the output
+# files, one directory per operation, to argv[3] and prints one JSON line,
 # per operation its output digests and problems
 OUTPUTS_SCRIPT = """
-import json, sys, time
+import json, os, shutil, sys, time
 sys.path[:0] = ["perfbench", "src"]
 import run
 from checks import CHECKS
@@ -108,6 +111,7 @@ deadline = time.monotonic() + run.HARD_LIMIT_S
 try:
     recs = [run.run_op(name, params, inputs, False, deadline, CHECKS)
             for name, params in run.WORKLOADS[workload]["ops"]]
+    shutil.copytree(os.path.join(run.WORK, "out"), sys.argv[3])
 finally:
     run.shutil.rmtree(run.WORK, ignore_errors=True)
 print(json.dumps({r["op"]: {"digests": r.get("digests", {}), "problems": r["problems"]}
@@ -115,11 +119,11 @@ print(json.dumps({r["op"]: {"digests": r.get("digests", {}), "problems": r["prob
 """
 
 
-def outputs(tree: str, workload: str, seed: int) -> dict:
+def outputs(tree: str, workload: str, seed: int, keep: str) -> dict:
     """Per operation of the workload, run once in tree by OUTPUTS_SCRIPT, its
-    output files' digests and its problems; where the script itself fails,
-    one entry "error" holding its error."""
-    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT, workload, str(seed)],
+    output files' digests and its problems, the files kept under keep;
+    where the script itself fails, one entry "error" holding its error."""
+    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT, workload, str(seed), keep],
                           cwd=tree, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -127,13 +131,60 @@ def outputs(tree: str, workload: str, seed: int) -> dict:
         return {"error": {"digests": {}, "problems": [proc.stderr.strip()[-2000:]]}}
 
 
-def compare_outputs(sides: dict) -> dict:
-    """Both sides' outputs() and, under "differ", the "<op>/<file>" names
-    whose digest differs between them or that one side lacks."""
+def compare_outputs(sides: dict, kept: dict) -> dict:
+    """Both sides' outputs(), under "differ" the "<op>/<file>" names whose
+    digest differs between them or that one side lacks, and under
+    "max_abs_diff" each such file's max_abs_diff, its files read under each
+    side's directory in kept."""
     base, change = ({f"{op}/{name}": digest for op, run in sides[side].items()
                      for name, digest in run["digests"].items()} for side in ("base", "change"))
-    return {**sides, "differ": sorted(n for n in base.keys() | change.keys()
-                                      if base.get(n) != change.get(n))}
+    differ = sorted(n for n in base.keys() | change.keys() if base.get(n) != change.get(n))
+    return {**sides, "differ": differ, "max_abs_diff": {
+        name: max_abs_diff(*(os.path.join(kept[side], name) for side in ("base", "change")))
+        for name in differ}}
+
+
+# a number in an output's text, as Python and JSON print floats and ints
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _grid_rows(path: str) -> tuple[str, dict]:
+    """The header of a grid CSV and its value per row, keyed on the row's
+    coordinate columns as written."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    return header, {coords: float(value) for coords, _, value in
+                    (row.rpartition(",") for row in rows)}
+
+
+def max_abs_diff(base: str, change: str) -> float | str:
+    """The largest absolute difference between the numbers of the output
+    files base and change.  Grid CSVs (invariant_*.csv, basin_*.csv) list
+    only the cells where the value is positive, so their rows are aligned
+    on the coordinate columns and a row one file lacks reads as 0.  In any
+    other file the number tokens are compared where the text around them
+    is identical.  "layout differs" otherwise, and "missing in <side>" for
+    a file a side lacks."""
+    missing = [side for side, path in (("base", base), ("change", change))
+               if not os.path.isfile(path)]
+    if missing:
+        return "missing in " + " and ".join(missing)
+    name = os.path.basename(base)
+    if name.endswith(".csv") and name.startswith(("invariant_", "basin_")):
+        (head_a, a), (head_b, b) = _grid_rows(base), _grid_rows(change)
+        if head_a != head_b:
+            return "layout differs"
+        return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()),
+                   default=0.0)
+    texts = []
+    for path in (base, change):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        texts.append((NUMBER.split(text), NUMBER.findall(text)))
+    (rest_a, nums_a), (rest_b, nums_b) = texts
+    if rest_a != rest_b:
+        return "layout differs"
+    return max((abs(float(x) - float(y)) for x, y in zip(nums_a, nums_b)), default=0.0)
 
 
 def parse_run(stdout: str, stderr: str) -> dict:
@@ -223,8 +274,9 @@ def main(argv=None) -> int:
         copy_working_tree(trees["change"])
         record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, _ in plan:
-            found = compare_outputs({side: outputs(tree, workload, args.seed)
-                                     for side, tree in trees.items()})
+            kept = {side: os.path.join(tmp, "outputs", side, workload) for side in trees}
+            found = compare_outputs({side: outputs(tree, workload, args.seed, kept[side])
+                                     for side, tree in trees.items()}, kept)
             record["workloads"][workload] = {"outputs": found}
             for name in found["differ"]:
                 print(f"{workload} outputs differ: {name}", file=sys.stderr, flush=True)
