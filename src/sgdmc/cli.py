@@ -42,7 +42,7 @@ from .objective import (
     lambda_split,
     objective_from_config,
 )
-from .poly import Polynomial, isolation_counts
+from .poly import ROOTS_MEMO_SIZE, Polynomial, isolate_family, isolation_counts
 from .transfer import (
     MAX_GRID_DIMENSION,
     DiscreteMeasure,
@@ -303,8 +303,15 @@ def _sweep_point(base: Polynomial, lam: float):
 
 def cmd_sweep(args, problem) -> None:
     base, lams = problem
+    slope = base.derivative()
     started, isolated = time.perf_counter(), isolation_counts()
-    points = [_sweep_point(base, lam) for lam in lams.tolist()]
+    points = []
+    # each chunk's F' +- lambda, isolated together, fill half the memo: none
+    # is evicted before its point reads it
+    step = ROOTS_MEMO_SIZE // 4
+    for part in (lams[k:k + step] for k in range(0, len(lams), step)):
+        isolate_family(slope, np.concatenate([slope.coeffs[0] + part, slope.coeffs[0] - part]))
+        points += [_sweep_point(base, lam) for lam in part.tolist()]
     scanned = time.perf_counter()
     computed, reused = (b - a for a, b in zip(isolated, isolation_counts()))
     found = bifurcations(base, lams[0], lams[-1])

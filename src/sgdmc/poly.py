@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
+
+import numpy as np
 
 from .errors import ConfigError, DegenerateDerivative
 
@@ -128,22 +131,68 @@ def _bisector(width: int):
 """)
 
 
-def _bisect(p: Polynomial, lo: float, hi: float, s_lo: float) -> float:
-    # p has opposite signs at lo and hi; p is monotone on [lo, hi].
-    return _bisector(len(p.coeffs))(p.coeffs[::-1], lo, hi, s_lo > 0.0)
-
-
-def _eval_scale(p: Polynomial, x: float) -> float:
-    # magnitude of the terms entering the Horner sum; calibrates "zero"
+def _power(x: float, k: int) -> float:
+    # x ** k through the C library's pow, as the scale of real_roots' snap
+    # takes it (numpy's power differs in the last bit), inf where it overflows
     try:
-        return max(1.0, sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs)))
+        return x ** k
     except OverflowError:
-        raise _span_error(p, f"at |x| = {abs(x):.3g}") from None
+        return math.inf
+
+
+def _bisect(rest: tuple[float, ...], c0, lo, hi, up) -> np.ndarray:
+    """The root in each bracket [lo, hi] of the polynomial whose constant
+    term is c0 and whose coefficients above it are rest, monotone on the
+    bracket and positive at lo where up: each lane takes _bisector's steps
+    in its order and keeps its bits.  No more brackets than one member has
+    roots go through _bisector itself."""
+    if len(lo) <= len(rest):
+        kernel, top = _bisector(len(rest) + 1), rest[::-1]
+        return np.array([kernel(top + (c,), a, b, u) for c, a, b, u in
+                         zip(c0.tolist(), lo.tolist(), hi.tolist(), up.tolist())])
+    out, lanes = np.empty(len(lo)), np.arange(len(lo))
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        stop = (x == lo) | (x == hi)
+        v = rest[-1]
+        for c in rest[-2::-1]:
+            v = v * x + c
+        v = v * x + c0
+        done = stop | (v == 0.0)
+        if done.any():
+            out[lanes[done]] = np.where(stop, x + 0.0, x)[done]
+            lanes, x, v, lo, hi, up, c0 = (a[~done] for a in (lanes, x, v, lo, hi, up, c0))
+            if not lanes.size:
+                return out
+        go = (v > 0.0) == up
+        lo, hi = np.where(go, x, lo), np.where(go, hi, x)
+    out[lanes] = 0.5 * (lo + hi) + 0.0
+    return out
 
 
 def _span_error(p: Polynomial, where: str) -> ConfigError:
     return ConfigError(f"coefficients span too wide a range for double precision: "
                        f"isolating the real roots of {list(p.coeffs)} overflows {where}")
+
+
+class _RootsMemo:
+    """Root tuples keyed on coefficient bits, the least recently used
+    dropped beyond ROOTS_MEMO_SIZE, with the isolations computed and reused."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.roots: OrderedDict[bytes, tuple[float, ...]] = OrderedDict()
+        self.computed = self.reused = 0
+
+    def put(self, key: bytes, roots: tuple[float, ...]) -> None:
+        self.roots[key] = roots
+        if len(self.roots) > ROOTS_MEMO_SIZE:
+            self.roots.popitem(last=False)
+
+
+_memo = _RootsMemo()
 
 
 def real_roots(p: Polynomial) -> list[float]:
@@ -155,57 +204,133 @@ def real_roots(p: Polynomial) -> list[float]:
     sign-touching roots and are reported once; the snap keeps double roots from
     being either missed or double counted.  The roots of the last
     ROOTS_MEMO_SIZE distinct polynomials are kept, keyed on the coefficients'
-    bit patterns (x + 0.0 has the root -0.0, x - 0.0 the root 0.0); each
-    call returns a fresh list.
+    bit patterns (x + 0.0 has the root -0.0, x - 0.0 the root 0.0), whether
+    real_roots or isolate_family found them; each call returns a fresh list.
     """
-    return list(_isolate(struct.pack(f"{len(p.coeffs)}d", *p.coeffs)))
+    key = struct.pack(f"{len(p.coeffs)}d", *p.coeffs)
+    roots = _memo.roots.get(key)
+    if roots is None:
+        _memo.computed += 1
+        roots = _isolate(p)
+        _memo.put(key, roots)
+    else:
+        _memo.reused += 1
+        _memo.roots.move_to_end(key)
+    return list(roots)
 
 
-@lru_cache(maxsize=ROOTS_MEMO_SIZE)
-def _isolate(key: bytes) -> tuple[float, ...]:
-    p = Polynomial(struct.unpack(f"{len(key) // 8}d", key))
+def _isolate(p: Polynomial) -> tuple[float, ...]:
     if p.is_zero:
         raise DegenerateDerivative("zero polynomial has no isolated roots")
     if p.degree == 0:
         return ()
     if p.degree == 1:
         return (-p.coeffs[0] / p.coeffs[1],)
+    [roots] = _family_roots(p, np.array(p.coeffs[:1]))
+    if isinstance(roots, ConfigError):
+        raise roots
+    return roots
 
-    bound = p.cauchy_bound()
-    if bound == math.inf:  # a coefficient ratio overflowed; the nodes would be NaN
-        raise _span_error(p, "in the root bound")
-    inner = [r for r in real_roots(p.derivative()) if -bound < r < bound]
-    nodes = [-bound] + sorted(inner) + [bound]
 
-    signs = []
-    for x in nodes:
-        v = p(x)
-        if abs(v) <= ROOT_TOL * _eval_scale(p, x):
-            signs.append(0)
+def isolate_family(p: Polynomial, constants) -> None:
+    """Isolate together the real roots of every polynomial with p's
+    coefficients but the constant term c, for c in constants, into
+    real_roots' memo, each with the bits real_roots finds alone.  Members
+    the memo holds are marked as just used, so the family's new members, if
+    they fit beside them, evict none of them.  A member whose isolation
+    fails is left for real_roots to raise."""
+    if p.degree < 2:  # no nodes to share
+        return
+    consts = np.asarray(constants, dtype=float)
+    raw, tail = consts.tobytes(), struct.pack(f"{p.degree}d", *p.coeffs[1:])
+    new: dict[bytes, float] = {}
+    for at, c in zip(range(0, len(raw), 8), consts.tolist()):
+        key = raw[at:at + 8] + tail
+        if key in _memo.roots:
+            _memo.roots.move_to_end(key)
         else:
-            signs.append(1 if v > 0 else -1)
+            new[key] = c
+    if not new:
+        return
+    try:
+        found = _family_roots(p, np.array(list(new.values())))
+    except ConfigError:  # p' overflows; real_roots raises it per member, in its callers' order
+        return
+    for key, roots in zip(new, found):
+        if not isinstance(roots, ConfigError):
+            _memo.computed += 1
+            _memo.put(key, roots)
 
-    roots = [x for x, s in zip(nodes, signs) if s == 0]
-    # strict sign changes between consecutive non-snapped nodes
-    idx = [k for k, s in enumerate(signs) if s != 0]
-    for a, b in zip(idx[:-1], idx[1:]):
-        if signs[a] * signs[b] < 0:
-            roots.append(_bisect(p, nodes[a], nodes[b], p(nodes[a])))
 
-    roots.sort()
-    # collapse numerically coincident reports (touch root next to its bracket)
-    out: list[float] = []
-    sep = 1e-9 * max(1.0, bound)
-    for r in roots:
-        if not out or r - out[-1] > sep:
-            out.append(r)
-    return tuple(out)
+def _family_roots(p: Polynomial, consts: np.ndarray) -> list:
+    """The roots of each polynomial with p's coefficients but the constant
+    term c, for c in consts (p of degree >= 2), or the ConfigError that
+    isolating it raises.  The members share p' and so the inner nodes; the
+    Cauchy bounds, node values and scales, the snap, the brackets and the
+    collapse are arrays with a row per member, and every operation on an
+    element is the one real_roots once took on a float, in its order."""
+    rest = p.coeffs[1:]
+    n, lead = len(rest), rest[-1]
+    found: list = [None] * len(consts)
+    with np.errstate(all="ignore"):
+        bounds = 1.0 + np.maximum(np.abs(consts / lead),
+                                  max((abs(c / lead) for c in rest[:-1]), default=0.0))
+        for i in np.flatnonzero(bounds == math.inf).tolist():
+            found[i] = _span_error(Polynomial((consts[i],) + rest), "in the root bound")
+        live = np.flatnonzero(bounds != math.inf)
+        if not live.size:
+            return found
+        c0, b = consts[live], bounds[live]
+        inner = real_roots(p.derivative())
+        # nodes -b, the roots of p' inside (-b, b), b: a row per member
+        x = np.empty((len(live), len(inner) + 2))
+        x[:, 0], x[:, 1:-1], x[:, -1] = -b, inner, b
+        inside = np.abs(x) < b[:, None]
+        inside[:, 0] = inside[:, -1] = True
+        powers = np.empty((n + 1,) + x.shape)  # |x| ** k
+        powers[:, :, 1:-1] = np.array([[_power(abs(r), k) for r in inner]
+                                       for k in range(n + 1)])[:, None, :]
+        powers[:, :, 0] = powers[:, :, -1] = [[_power(r, k) for r in b.tolist()]
+                                              for k in range(n + 1)]
+        scale = np.abs(c0)[:, None] * powers[0]
+        for c, power in zip(rest, powers[1:]):
+            scale = scale + abs(c) * power
+        v = x * 0.0
+        for c in rest[::-1] + (c0[:, None],):
+            v = v * x + c
+        snap = np.abs(v) <= ROOT_TOL * np.where(scale > 1.0, scale, 1.0)
+        sign = np.where(snap | ~inside, 0, np.where(v > 0.0, 1, -1))
+        # the snapped nodes, then a root for each sign change between
+        # consecutive signed nodes, in slot width + j where node j + 1 ends it
+        width = x.shape[1]
+        roots = np.full((len(live), 2 * width - 1), math.nan)
+        roots[:, :width] = np.where(inside & snap, x, math.nan)
+        last = np.maximum.accumulate(np.where(sign != 0, np.arange(width), 0), axis=1)[:, :-1]
+        rows, j = np.nonzero(sign[np.arange(len(live))[:, None], last] * sign[:, 1:] < 0)
+        a = last[rows, j]
+        roots[rows, width + j] = _bisect(rest, c0[rows], x[rows, a], x[rows, j + 1],
+                                         v[rows, a] > 0.0)
+        roots.sort(axis=1, kind="stable")
+        # collapse numerically coincident reports (touch root next to its bracket)
+        sep = 1e-9 * np.maximum(1.0, b)
+        keep = ~np.isnan(roots)
+        kept = roots[:, 0]
+        for col in range(1, keep.sum(axis=1).max()):
+            keep[:, col] &= roots[:, col] - kept > sep
+            kept = np.where(keep[:, col], roots[:, col], kept)
+        overflow = powers[n, :, 0] == math.inf
+    values, ends = roots[keep].tolist(), np.cumsum(keep.sum(axis=1)).tolist()
+    for i, start, end, r, over in zip(live.tolist(), [0] + ends, ends, b.tolist(),
+                                      overflow.tolist()):
+        found[i] = (_span_error(Polynomial((consts[i],) + rest), f"at |x| = {r:.3g}") if over
+                    else tuple(values[start:end]))
+    return found
 
 
 def isolation_counts() -> tuple[int, int]:
-    """(computed, reused): real_roots' isolations so far, the memo's misses and hits."""
-    info = _isolate.cache_info()
-    return info.misses, info.hits
+    """(computed, reused): real_roots' isolations so far, the memo's misses
+    and hits, with the members isolate_family added as computed."""
+    return _memo.computed, _memo.reused
 
 
 def critical_points(p: Polynomial) -> list[float]:

@@ -685,6 +685,19 @@ def _indicator_absorption(rows, blocks: MetricConfig,
     return values, steps, residual, solver
 
 
+def _derived(total: np.ndarray, parts: np.ndarray, axis: int) -> np.ndarray:
+    """total - parts.sum(axis), 0 where its magnitude is at most its rounding
+    bound: eps times the number of terms (total and the parts summed) times
+    the largest of them.  Where the exact value is 0 the subtraction leaves
+    such a residue of its operands' last bits, which the clip to [0, 1]
+    keeps when it is positive."""
+    derived = total - parts.sum(axis=axis)
+    terms = parts.shape[axis] + 1
+    bound = terms * np.finfo(float).eps * np.maximum(np.abs(total), np.abs(parts).max(axis=axis))
+    derived[np.abs(derived) <= bound] = 0.0
+    return derived
+
+
 def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
                      tol: float) -> tuple[np.ndarray, int, float, str] | None:
     """(values, steps, residual, solver) of the absorption probabilities of
@@ -704,11 +717,12 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
     with a < k1 - 1, b < k2 - 1 is solved, by _absorption_solve on their
     rows (op.rows, assembled only then) with the face values held, and the
     rest follow: g_(a, k2 - 1) = g1_a - sum_(b < k2 - 1) g_(a, b), then
-    g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b).  These values are
-    clipped to [0, 1], which holds their exact values: the derived ones
-    subtract, and the iterated ones can pass 1 by rounding.  Unclipped they
-    sum to g2's sum, so the partition defect shows rounding, not
-    convergence.  steps sums the steps of the axis solves and the joint
+    g_(k1 - 1, b) = g2_b - sum_(a < k1 - 1) g_(a, b), each 0 where it lies
+    within its subtraction's rounding (_derived).  These values are clipped
+    to [0, 1], which holds their exact values: the derived ones subtract,
+    and the iterated ones can pass 1 by rounding.  Unclipped they sum to
+    g2's sum up to those flushes, so the partition defect shows rounding,
+    not convergence.  steps sums the steps of the axis solves and the joint
     solve, and residual is the largest of their residuals."""
     axes = [(op.marginal(j),
              label_blocks(labels, int(labels.max()) + 1, labels.shape, (labels,)))
@@ -741,8 +755,8 @@ def _face_absorption(op: SeparableOperator, blocks: MetricConfig,
         x1, x2 = np.unravel_index(cells, op.grid.shape)
         joint = np.empty((k1, k2, n))
         joint[:-1, :-1] = x.reshape(k1 - 1, k2 - 1, n)
-        joint[:-1, -1] = g1[:-1, x1] - joint[:-1, :-1].sum(axis=1)
-        joint[-1] = g2[:, x2] - joint[:-1].sum(axis=0)
+        joint[:-1, -1] = _derived(g1[:-1, x1], joint[:-1, :-1], axis=1)
+        joint[-1] = _derived(g2[:, x2], joint[:-1], axis=0)
         values[:, cells] = np.clip(joint, 0.0, 1.0, out=joint).reshape(k1 * k2, n)
     return values, iterations, residual, (f"faces (axis solvers {solvers}, joint n={n}, "
                                           f"{len(solved)} of {k1 * k2} solved: {joint_solver})")

@@ -396,6 +396,39 @@ def test_sweep_degenerate_single_point(tmp_path):
     assert lines[1].startswith("point,")
 
 
+SWEEP_POINTS = r"sweep: points \S+ \((\d+) lambda values; (\d+) isolations, (\d+) reused\)"
+
+
+@pytest.mark.parametrize("coeffs, span, counts", [
+    # six chunks of lambda, three memos' worth of F' +- lambda: the batch
+    # isolates every one (the last lambda's pair too, evicted since the range
+    # check), and each chunk reads F'' once
+    (DW_COEFFS, "0.1:1.0:1500", (1500, 2 * 1500, 4 * 1500 + 6)),
+    # degree-7 F', both bifurcations
+    (EIGHTH_COEFFS, "0.3:8.0:40", (40, 2 * 39, 4 * 40 + 1)),
+    # the range check isolated the one lambda's pair: the batch has nothing to do
+    (DW_COEFFS, "0.2:0.2:1", (1, 0, 4)),
+], ids=["chunks", "eighth-order", "one-lambda"])
+def test_sweep_batch_writes_the_per_lambda_loops_bytes(tmp_path, monkeypatch, caplog, coeffs,
+                                                        span, counts):
+    cfg = write_config(tmp_path / "c.json", objective=coeffs, **{"lambda": 0.5}, eta=0.02)
+    written = {}
+    for side in ("batch", "loop"):
+        if side == "loop":
+            monkeypatch.setattr(cli, "isolate_family", lambda p, constants: None)
+        poly._memo.clear()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="sgdmc"):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / side),
+                         "--range", span]) == 0
+        written[side] = (tmp_path / side / "sweep.csv").read_bytes()
+        if side == "batch":
+            line, = (m for m in (re.match(SWEEP_POINTS, r.getMessage())
+                                 for r in caplog.records) if m)
+            assert tuple(map(int, line.groups())) == counts
+    assert written["batch"] == written["loop"]
+
+
 def test_sample_deterministic_and_absorbed(tmp_path):
     cfg = write_config(tmp_path / "c.json", objective=DW_COEFFS, **{"lambda": 0.2},
                        eta=0.3, x0=[-1.0])
@@ -924,9 +957,11 @@ def test_info_log_times_the_sweep_and_diffusion_stages(tmp_path, caplog, argv, l
 def test_sweep_log_counts_isolations_computed_and_reused(tmp_path, caplog):
     # every lambda's components share F'' and F''', so of the four root
     # isolations per lambda only F' +- lambda are new, and the last lambda's
-    # pair was isolated up front by the coefficient-range check
+    # pair was isolated up front by the coefficient-range check; the batch
+    # isolates the other pairs, reading F'' once, and each point reads its
+    # four from the memo
     cfg = write_config(tmp_path / "c.json", **DW_CONFIG)
-    poly._isolate.cache_clear()
+    poly._memo.clear()
     counts = []
     for run in ("cold", "warm"):
         caplog.clear()
@@ -937,7 +972,7 @@ def test_sweep_log_counts_isolations_computed_and_reused(tmp_path, caplog):
                                       r"(\d+) reused\)", r.getMessage())
                              for r in caplog.records) if m)
         counts.append(tuple(map(int, line.groups())))
-    assert counts == [(2 * 39, 4 * 40), (0, 4 * 40)]
+    assert counts == [(2 * 39, 4 * 40 + 1), (0, 4 * 40)]
     assert (tmp_path / "cold" / "sweep.csv").read_bytes() == (
         tmp_path / "warm" / "sweep.csv").read_bytes()
 

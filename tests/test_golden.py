@@ -141,9 +141,9 @@ GOLDEN = {
         "exit": 0,
         "files": {
             "basin_0.csv": "b9e7c4571409baa41ce3e461bb67b8890e0d1b0c6120732210b41ef73c181782",
-            "basin_1.csv": "d377fd52a5574f66ab4e5d6715030807afeaf9a1e361a424150dcb6430be802d",
-            "basin_2.csv": "de903d9eb21aac8901abdf7fd36285467a40c7a705df495d58e08d0242f387e9",
-            "basin_3.csv": "d814c36fd85ed8592374c94872d940def2ccbbd98086f5bac944711184b55d1a",
+            "basin_1.csv": "53e91c21b04f88ae208133ed4ce98e675564266ce6be7968c62edcd85bd58b0c",
+            "basin_2.csv": "027d2e50bcdfc9b5a8633a75a814d0c783c3b5ca35e9a2d9314f387f8a09c82f",
+            "basin_3.csv": "db8cdf083a6239b87afacdda32870786aa807761dbd674df5e5db0089ef8957d",
             "basins.json": "014217b133b28cc26b40a4d4dddda53ce9bc9f5b8c2dfec4fdabb86fb3568778"
         },
         "stderr": ""

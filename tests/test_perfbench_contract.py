@@ -43,8 +43,11 @@ def test_traced_function_resolves(module, name):
     ("dw1d-fine", "invariant", {"grid": 200}, "transfer.invariant_measure"),
     # the tracer's counter reads the summary's steps
     ("dw1d-fine", "sample", {"grid": 200, "steps": 1000}, "dynamics.sgd_sample"),
+    ("dw1d-small-eta", "sweep", {"range": "0.1:1.0:40", "count": 40},
+     "absorbing.rectangle_count_for"),
+    ("dw1d-fine", "diffusion", {"grid": 200}, "diffusion.stationary_density"),
 ], ids=["convergence", "convergence-2d", "analyze", "basins", "basins-2d", "invariant",
-        "sample"])
+        "sample", "sweep", "diffusion"])
 def test_child_runs_a_traced_operation(tmp_path, workload, op, params, span):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(RUN.WORKLOADS[workload]["config"]))

@@ -1,6 +1,9 @@
+import re
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import double_well_roots, scalar_bisect, scalar_real_roots
@@ -149,11 +152,18 @@ def hexes(xs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(polynomials(), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
-def test_compiled_bisection_matches_scalar_bisection(p, a, b):
-    lo, hi = min(a, b), max(a, b)
-    s_lo = p(lo)
-    assert poly._bisect(p, lo, hi, s_lo).hex() == scalar_bisect(p, lo, hi, s_lo).hex()
+@given(polynomials(), st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                               min_size=1, max_size=4))
+def test_compiled_bisection_matches_scalar_bisection(p, ends):
+    # no more brackets than p's degree go through the compiled kernel, width
+    # copies of them always through the numpy lanes
+    lo, hi = [min(e) for e in ends], [max(e) for e in ends]
+    expected = [scalar_bisect(p, a, b, p(a)).hex() for a, b in zip(lo, hi)]
+    rest, width = p.coeffs[1:], len(p.coeffs)
+    for copies in (1, width):
+        lanes = [np.array(x * copies) for x in (lo, hi, [p(a) > 0.0 for a in lo])]
+        got = poly._bisect(rest, np.full(len(lo) * copies, p.coeffs[0]), *lanes)
+        assert hexes(got.tolist()) == expected * copies
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,7 +178,7 @@ def test_memoized_real_roots_match_scalar_real_roots(p):
 def test_memo_keys_on_bit_patterns(order):
     # Polynomial([0.0, 1.0]) == Polynomial([-0.0, 1.0]), but their roots are
     # -0.0 / 1.0 = -0.0 and 0.0
-    poly._isolate.cache_clear()
+    poly._memo.clear()
     for _ in range(2):
         for c in order:
             assert hexes(real_roots(Polynomial([c, 1.0]))) == [(-c).hex()]
@@ -185,10 +195,93 @@ def test_memo_returns_a_fresh_list():
 def test_range_overflow_is_a_config_error_and_not_memoized():
     # the root bound 2.5e149 of 1 - x + 4e-150 x^3: its cube overflows
     p = Polynomial([1.0, -1.0, 0.0, 4e-150])
-    poly._isolate.cache_clear()
+    poly._memo.clear()
     for _ in range(2):
         with pytest.raises(ConfigError, match="too wide a range"):
             real_roots(p)
     # p, p' and p'' on the first call and p again on the second: p' and p''
     # were kept, the failure was not
     assert poly.isolation_counts() == (4, 1)
+
+
+@st.composite
+def families(draw):
+    """A polynomial of degree >= 2 and constant terms for its family: signed
+    zeros, arbitrary values, repeats, and the family's own critical values,
+    where a member has a root at a root of p' and the snap fires."""
+    p = draw(polynomials().filter(lambda q: q.degree >= 2))
+    top = Polynomial((0.0,) + p.coeffs[1:])
+    critical = [-top(r) for r in scalar_real_roots(p.derivative())]
+    pool = st.one_of(coefficient, st.sampled_from(critical) if critical else coefficient)
+    return p, draw(st.lists(pool, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+# x^3 and x^5 report 0 twice, snapped at p''s root -0.0 and bisected to
+# 0.0, and keep the first, -0.0: the sort must be stable
+@example((Polynomial([0.0, 0.0, 0.0, 1.0]), [0.0, -0.0, 1.0]))
+@example((Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), [-0.0, 0.0]))
+@example((Polynomial([0.0, 0.0, -0.0, 1.0]), [0.0, -0.0]))
+def test_family_isolation_matches_scalar_real_roots(family):
+    p, constants = family
+    poly._memo.clear()
+    poly.isolate_family(p, constants)
+    members = {struct.pack("d", c): Polynomial((c,) + p.coeffs[1:]) for c in constants}
+    # p' and whatever it needed were isolated through real_roots
+    computed = poly.isolation_counts()[0]
+    assert computed - len(members) == sum(1 for _ in _derivative_chain(p.derivative()))
+    for member in members.values():
+        assert hexes(real_roots(member)) == hexes(scalar_real_roots(member))
+    assert poly.isolation_counts()[0] == computed  # every member came from the memo
+
+
+def _derivative_chain(p):
+    # p and its derivatives down to degree 1: what real_roots(p) isolates
+    yield p
+    while p.degree >= 2:
+        p = p.derivative()
+        yield p
+
+
+@pytest.mark.parametrize("coeffs, constants, kept, failures", [
+    # 3e-10 x^3 + c: the root bound 1 + |c| / 3e-10 overflows at c = 1e300,
+    # its cube at c = 1e100; c = 1 isolates beside p' and p''
+    ([0.0, 0.0, 0.0, 3e-10], [1e300, 1e100, 1.0], 3,
+     {1e300: "in the root bound", 1e100: "at |x| = 3.33e+109"}),
+    # c - x + 4e-150 x^3: every member's bound cubed overflows, p' and p'' do not
+    ([0.0, -1.0, 0.0, 4e-150], [1.0, 2.0], 2,
+     {1.0: "at |x| = 2.5e+149", 2.0: "at |x| = 5e+149"}),
+    # c - x^2 + 1e-150 x^4: p' = -2x + 4e-150 x^3 overflows, so every member does
+    ([0.0, 0.0, -1.0, 0.0, 1e-150], [1.0, -1.0], 2,
+     {1.0: "isolating the real roots of [0.0, -2.0, 0.0, 4e-150]",
+      -1.0: "isolating the real roots of [0.0, -2.0, 0.0, 4e-150]"}),
+], ids=["bound-and-scale", "scale", "derivative"])
+def test_family_isolation_keeps_no_failing_member(coeffs, constants, kept, failures):
+    p = Polynomial(coeffs)
+    poly._memo.clear()
+    poly.isolate_family(p, constants)
+    assert len(poly._memo.roots) == kept
+    for c, message in failures.items():
+        member = Polynomial([c, *coeffs[1:]])
+        for _ in range(2):  # real_roots raises it, and keeps nothing either
+            with pytest.raises(ConfigError, match=f"too wide a range.*{re.escape(message)}"):
+                real_roots(member)
+    assert len(poly._memo.roots) == kept
+    for c in set(constants) - set(failures):
+        member = Polynomial([c, *coeffs[1:]])
+        assert hexes(real_roots(member)) == hexes(scalar_real_roots(member))
+
+
+def test_family_isolation_keeps_the_members_the_memo_holds():
+    # p is the memo's least recently used entry but one, and a member of the
+    # family: marked as used, it outlives the half memo of new members
+    p = Polynomial([0.0, -1.0, 0.0, 1.0])
+    poly._memo.clear()
+    real_roots(p)  # p, p' and p''
+    for i in range(poly.ROOTS_MEMO_SIZE - 3):
+        real_roots(Polynomial([float(i), 1.0]))
+    poly.isolate_family(p, [0.01 * k for k in range(poly.ROOTS_MEMO_SIZE // 2)])
+    computed = poly.isolation_counts()[0]
+    assert hexes(real_roots(p)) == hexes(scalar_real_roots(p))
+    assert poly.isolation_counts()[0] == computed

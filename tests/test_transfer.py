@@ -1106,6 +1106,38 @@ def test_face_absorption_matches_the_joint_kernel(monkeypatch, caplog, kernel, n
 
 
 @pytest.mark.parametrize("kernel", ["ulam", "dual"])
+def test_face_derived_values_are_zero_or_above_their_rounding(monkeypatch, kernel):
+    # dw2d-grid's problem on a closed 40 x 40 grid: each derived value
+    # g_(a, k2 - 1) and g_(k1 - 1, b) is the subtraction of its operands,
+    # except that a result within eps times the number of terms times the
+    # largest term of 0 is 0; such residues occur here
+    fam = MapFamily(_double_well_product(2), 0.33)
+    grid = Grid.regular(fam.intervals, 40)
+    calls, derived = [], transfer._derived
+
+    def record(total, parts, axis):
+        calls.append((total.copy(), parts.copy(), axis, derived(total, parts, axis)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(transfer, "_derived", record)
+    if kernel == "ulam":
+        ulam_absorption(ulam_assemble(fam, grid), metric_config(grid, fam.decomposition))
+    else:
+        basin_functions(fam, grid)
+    assert [c[2] for c in calls] == [1, 0]
+    flushed = 0
+    for total, parts, axis, got in calls:
+        raw = total - parts.sum(axis=axis)
+        bound = (parts.shape[axis] + 1) * np.finfo(float).eps * np.maximum(
+            np.abs(total), np.abs(parts).max(axis=axis))
+        assert np.all((got == 0.0) | (np.abs(got) > bound))
+        small = np.abs(raw) <= bound
+        assert np.array_equal(got[~small], raw[~small])
+        flushed += np.count_nonzero(raw[small])
+    assert flushed > 0
+
+
+@pytest.mark.parametrize("kernel", ["ulam", "dual"])
 def test_faces_report_every_solve(monkeypatch, caplog, kernel):
     # with the banded solve declined both axes iterate, as the joint solve
     # does: the result's iterations sum the steps of the two axis solves and
